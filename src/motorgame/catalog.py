@@ -8,6 +8,7 @@ time to admit at least one feasible lattice point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from .errors import (
     GenerationExhaustedError,
     MalformedCatalogError,
 )
+from .kvtext import Section, format_value, read_sections
 from .surrogate import DesignPoint, evaluate_grid
 
 CATALOG_VERSION_LINE = "motor-design-catalog v1"
@@ -159,6 +161,8 @@ class TargetBands:
         for name in ("b_gap", "t_break", "i_start", "d_temp", "tooth_tip"):
             lo, hi = getattr(self, name)
             object.__setattr__(self, name, (float(lo), float(hi)))
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ContractViolationError(f"band {name} is not finite")
             if lo > hi:
                 raise ContractViolationError(f"band {name} has low > high")
 
@@ -254,7 +258,7 @@ def generate_variants(base: BaseMachine, count: int, seed: int) -> list[MachineV
 # --- persistence -----------------------------------------------------------
 
 _BAND_KEYS = ("band_b_gap", "band_t_break", "band_i_start", "band_d_temp", "band_tooth_tip")
-_REQUIRED_KEYS = (
+_REQUIRED_KEYS = (  # in file order
     "base_id", "variant_seed", "split", "length", "turns", "tooth_tip",
     *_BAND_KEYS, "feasible_exists",
 )
@@ -265,16 +269,13 @@ def save_catalog(variants: list[MachineVariant], path) -> None:
     lines = [CATALOG_VERSION_LINE, ""]
     for v in variants:
         d = v.initial_design
+        values = (v.base_id, v.variant_seed, v.split, d.length, d.turns, d.tooth_tip,
+                  *(f"{format_value(lo)}, {format_value(hi)}"
+                    for lo, hi in v.target_bands.as_tuple()),
+                  "true" if v.feasible_exists else "false")
         lines.append("[variant]")
-        lines.append(f"base_id = {v.base_id}")
-        lines.append(f"variant_seed = {v.variant_seed}")
-        lines.append(f"split = {v.split}")
-        lines.append(f"length = {d.length!r}")
-        lines.append(f"turns = {d.turns}")
-        lines.append(f"tooth_tip = {d.tooth_tip!r}")
-        for key, (lo, hi) in zip(_BAND_KEYS, v.target_bands.as_tuple()):
-            lines.append(f"{key} = {lo!r}, {hi!r}")
-        lines.append(f"feasible_exists = {'true' if v.feasible_exists else 'false'}")
+        lines += [f"{key} = {format_value(value)}"
+                  for key, value in zip(_REQUIRED_KEYS, values)]
         lines.append("")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))
@@ -290,16 +291,21 @@ def _parse_band(raw: str, line_no: int) -> tuple[float, float]:
         raise MalformedCatalogError(f"bad band value in {raw!r}", line_no) from None
 
 
-def _build_variant(fields: dict[str, tuple[str, int]], section_line: int) -> MachineVariant:
-    missing = [k for k in _REQUIRED_KEYS if k not in fields]
+def _build_variant(section: Section) -> MachineVariant:
+    if section.name != "variant":
+        raise MalformedCatalogError(f"unknown section [{section.name}]", section.line)
+    for key, line in section.lines.items():
+        if key not in _REQUIRED_KEYS:
+            raise MalformedCatalogError(f"unknown key {key!r}", line)
+    missing = [k for k in _REQUIRED_KEYS if k not in section.values]
     if missing:
-        raise MalformedCatalogError(f"variant is missing fields: {', '.join(missing)}", section_line)
+        raise MalformedCatalogError(f"variant is missing fields: {', '.join(missing)}", section.line)
 
     def text(key: str) -> str:
-        return fields[key][0]
+        return section.values[key]
 
     def line(key: str) -> int:
-        return fields[key][1]
+        return section.lines[key]
 
     def parse(key: str, conv):
         try:
@@ -327,61 +333,16 @@ def _build_variant(fields: dict[str, tuple[str, int]], section_line: int) -> Mac
             split=text("split"),
         )
     except ContractViolationError as exc:
-        raise MalformedCatalogError(str(exc), section_line) from None
+        raise MalformedCatalogError(str(exc), section.line) from None
 
 
 def load_catalog(path) -> list[MachineVariant]:
     """Parse a catalog file; inverse of save_catalog, field-for-field."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw_lines = fh.read().splitlines()
-
-    variants: list[MachineVariant] = []
-    header_seen = False
-    fields: dict[str, tuple[str, int]] | None = None
-    section_line = 0
-
-    def flush():
-        nonlocal fields
-        if fields is not None:
-            variants.append(_build_variant(fields, section_line))
-            fields = None
-
-    for line_no, raw in enumerate(raw_lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not header_seen:
-            if line == CATALOG_VERSION_LINE:
-                header_seen = True
-                continue
-            if line.startswith("motor-design-catalog"):
-                raise CatalogVersionError(
-                    f"unsupported catalog version {line!r}, expected {CATALOG_VERSION_LINE!r}")
-            raise MalformedCatalogError(
-                f"expected header {CATALOG_VERSION_LINE!r}, got {line!r}", line_no)
-        if line == "[variant]":
-            flush()
-            fields = {}
-            section_line = line_no
-            continue
-        if "=" not in line:
-            raise MalformedCatalogError(f"expected key = value, got {line!r}", line_no)
-        if fields is None:
-            raise MalformedCatalogError("key outside a [variant] section", line_no)
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in _REQUIRED_KEYS:
-            raise MalformedCatalogError(f"unknown key {key!r}", line_no)
-        if key in fields:
-            raise MalformedCatalogError(f"duplicate key {key!r}", line_no)
-        fields[key] = (value, line_no)
-
-    if not header_seen:
-        raise MalformedCatalogError("empty catalog file (missing header)", 1)
-    flush()
-    if not variants:
+    sections = read_sections(path, MalformedCatalogError, CATALOG_VERSION_LINE,
+                             CatalogVersionError)
+    if not sections:
         raise MalformedCatalogError("catalog contains no variants", 1)
-    return variants
+    return [_build_variant(section) for section in sections]
 
 
 def with_split(variant: MachineVariant, split: str) -> MachineVariant:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, make_dataclass, replace
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .catalog import (
     save_catalog,
     with_split,
 )
-from .env import DesignEnv, RewardConfig, flags
+from .env import DesignEnv, EpisodeRecord, RewardConfig, flags
 from .errors import (
     CatalogVersionError,
     CheckpointFormatError,
@@ -38,13 +38,11 @@ from .errors import (
     MalformedCatalogError,
     TrainingDivergedError,
 )
+from .kvtext import format_value, parse_value, read_sections
 from .ppo import (
-    EpisodeRow,
-    EvalReport,
     Hyperparams,
-    MachineEval,
-    derive_seed,
     evaluate,
+    evaluate_agent,
     format_eval_table,
     load_checkpoint,
     save_checkpoint,
@@ -55,26 +53,9 @@ from .surrogate import DesignPoint, check_bounds, evaluate as evaluate_design
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    # training hyperparameters (see ppo.Hyperparams)
-    discount: float = 0.99
-    gae_lambda: float = 0.95
-    clip_ratio: float = 0.2
-    learning_rate: float = 3e-4
-    epochs: int = 4
-    minibatch_size: int = 64
-    horizon: int = 1024
-    value_coef: float = 0.5
-    entropy_coef: float = 0.01
-    total_steps: int = 400_000
-    env_count: int = 8
-    seed: int = 0
-    # reward shaping (see env.RewardConfig)
-    right_direction_reward: float = 1.0
-    wrong_direction_reward: float = -1.0
-    revisit_penalty: float = -2.0
-    win_reward: float = 100.0
-    max_steps: int = 300
+class CommandSettings:
+    """Settings of the commands themselves, beyond training and reward."""
+
     # catalog generation
     catalog_seed: int = 0
     catalog_path: str = "catalog.txt"
@@ -93,41 +74,44 @@ class RunConfig:
     episodes_per_variant: int = 20
 
 
+def _scalar_fields(cls) -> list:
+    """Fields settable from a flag or config line (tuples such as
+    RewardConfig.priority_weights are not)."""
+    return [f for f in fields(cls) if f.type in ("int", "float", "str")]
+
+
+def _keys(cls) -> list[str]:
+    return [f.name for f in _scalar_fields(cls)]
+
+
+# Every knob in one flat record: training hyperparameters, reward shaping,
+# then the command-level settings, each with its package default.
+RunConfig = make_dataclass(
+    "RunConfig",
+    [(f.name, f.type, field(default=f.default))
+     for cls in (Hyperparams, RewardConfig, CommandSettings)
+     for f in _scalar_fields(cls)],
+    frozen=True)
+
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-
-
-def _parse_config_value(key: str, text: str):
-    kind = _FIELD_TYPES.get(key)
-    if kind is None:
-        raise ContractViolationError(f"unknown config key {key!r}")
-    try:
-        if kind == "int":
-            return int(text)
-        if kind == "float":
-            return float(text)
-        return text
-    except ValueError as exc:
-        raise ContractViolationError(f"bad value for {key!r}: {text!r}") from exc
 
 
 def load_config_file(path: str) -> dict[str, object]:
     """Flat `key = value` text; # comments and blank lines ignored;
     unknown keys rejected."""
+    def error(message: str, line: int) -> ContractViolationError:
+        return ContractViolationError(f"{path}:{line}: {message}")
+
+    section = read_sections(path, error, sectioned=False)[0]
     values: dict[str, object] = {}
-    with open(path) as fh:
-        for number, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ContractViolationError(
-                    f"{path}:{number}: expected key = value")
-            key, _, text = line.partition("=")
-            key = key.strip()
-            if key in values:
-                raise ContractViolationError(
-                    f"{path}:{number}: duplicate key {key!r}")
-            values[key] = _parse_config_value(key, text.strip())
+    for key, text in section.values.items():
+        if key not in _FIELD_TYPES:
+            raise error(f"unknown config key {key!r}", section.lines[key])
+        try:
+            values[key] = parse_value(text, _FIELD_TYPES[key])
+        except ValueError:
+            raise error(f"bad value for {key!r}: {text!r}",
+                        section.lines[key]) from None
     return values
 
 
@@ -147,29 +131,13 @@ def resolve_config(args: argparse.Namespace) -> tuple[RunConfig, set[str]]:
 
 
 def print_config(config: RunConfig) -> None:
-    for f in fields(RunConfig):
-        value = getattr(config, f.name)
-        print(f"{f.name} = {value!r}" if isinstance(value, float)
-              else f"{f.name} = {value}")
+    for name in _FIELD_TYPES:
+        print(f"{name} = {format_value(getattr(config, name))}")
 
 
-def _hyperparams(config: RunConfig) -> Hyperparams:
-    return Hyperparams(
-        discount=config.discount, gae_lambda=config.gae_lambda,
-        clip_ratio=config.clip_ratio, learning_rate=config.learning_rate,
-        epochs=config.epochs, minibatch_size=config.minibatch_size,
-        horizon=config.horizon, value_coef=config.value_coef,
-        entropy_coef=config.entropy_coef, total_steps=config.total_steps,
-        env_count=config.env_count, seed=config.seed)
-
-
-def _reward_config(config: RunConfig) -> RewardConfig:
-    return RewardConfig(
-        right_direction_reward=config.right_direction_reward,
-        wrong_direction_reward=config.wrong_direction_reward,
-        revisit_penalty=config.revisit_penalty,
-        win_reward=config.win_reward,
-        max_steps=config.max_steps)
+def _settings(cls, config: RunConfig):
+    """The ``cls`` dataclass (Hyperparams or RewardConfig) from ``config``."""
+    return cls(**{key: getattr(config, key) for key in _keys(cls)})
 
 
 def _machine_ids(config: RunConfig) -> list[int]:
@@ -213,7 +181,7 @@ def cmd_catalog(config: RunConfig) -> int:
 
 def cmd_train(config: RunConfig, resume: bool, overridden: set[str]) -> int:
     variants = _load_variants(config, "train")
-    hyper = _hyperparams(config)
+    hyper = _settings(Hyperparams, config)
     checkpoint = None
     if resume:
         checkpoint = load_checkpoint(config.checkpoint_path)
@@ -223,7 +191,7 @@ def cmd_train(config: RunConfig, resume: bool, overridden: set[str]) -> int:
         print(f"resuming from update {checkpoint.update_index} "
               f"({checkpoint.env_steps} env steps)")
     ckpt, report = train(
-        variants, hyper, reward_config=_reward_config(config),
+        variants, hyper, reward_config=_settings(RewardConfig, config),
         checkpoint=checkpoint, metrics_path=config.metrics_path,
         progress=lambda row: print(row.as_line()))
     save_checkpoint(ckpt, config.checkpoint_path)
@@ -232,63 +200,36 @@ def cmd_train(config: RunConfig, resume: bool, overridden: set[str]) -> int:
     return 0
 
 
-def _summarize(rows: list[EpisodeRow], mode: str, episodes: int) -> EvalReport:
-    per_machine: dict[int, MachineEval] = {}
-    for machine_id in sorted({r.machine_id for r in rows}):
-        machine_rows = [r for r in rows if r.machine_id == machine_id]
-        wins = [r.steps for r in machine_rows if r.win]
-        per_machine[machine_id] = MachineEval(
-            machine_id=machine_id,
-            episodes=len(machine_rows),
-            wins=len(wins),
-            win_rate=len(wins) / len(machine_rows),
-            mean_winning_steps=float(np.mean(wins)) if wins else float("nan"),
-            mean_steps_all=float(np.mean([r.steps for r in machine_rows])),
-        )
-    return EvalReport(mode=mode, episodes_per_variant=episodes,
-                      per_machine=per_machine, rows=rows)
+def _oracle_episode(env: DesignEnv, rng: np.random.Generator) -> EpisodeRecord:
+    """The BFS shortest path as a one-episode record; -1 steps, not won,
+    when no feasible point is reachable."""
+    steps = oracle_shortest(env.variant, env.base).shortest_steps
+    if steps is None:
+        return EpisodeRecord(-1, float("nan"), False, "unreachable")
+    return EpisodeRecord(steps, float("nan"), True, "win")
 
 
-def _baseline_eval(config: RunConfig, variants) -> EvalReport:
-    rows: list[EpisodeRow] = []
-    counter = 0
-    reward_config = _reward_config(config)
-    for variant in variants:
-        env = DesignEnv(variant, machine_by_id(variant.base_id), reward_config)
-        for ep in range(config.episodes_per_variant):
-            if config.agent == "random":
-                rng = np.random.default_rng(
-                    derive_seed(config.eval_seed, variant.variant_seed, ep))
-                record = random_agent(env, rng)
-            else:
-                record = greedy_agent(env)
-            rows.append(EpisodeRow(variant.base_id, variant.variant_seed,
-                                   counter, record.steps, record.win))
-            counter += 1
-    return _summarize(rows, config.agent, config.episodes_per_variant)
-
-
-def _oracle_eval(config: RunConfig, variants) -> EvalReport:
-    rows = [EpisodeRow(v.base_id, v.variant_seed, i,
-                       r.shortest_steps if r.shortest_steps is not None else -1,
-                       r.shortest_steps is not None)
-            for i, (v, r) in enumerate(
-                (v, oracle_shortest(v)) for v in variants)]
-    return _summarize(rows, "oracle", 1)
+_BASELINES = {
+    "random": random_agent,
+    "greedy": lambda env, rng: greedy_agent(env),
+    "oracle": _oracle_episode,
+}
 
 
 def cmd_eval(config: RunConfig) -> int:
     variants = _load_variants(config, config.split)
+    reward_config = _settings(RewardConfig, config)
     if config.agent == "ppo":
         ckpt = load_checkpoint(config.checkpoint_path)
         report = evaluate(ckpt.actor, variants,
                           episodes_per_variant=config.episodes_per_variant,
                           mode=config.eval_mode, seed=config.eval_seed,
-                          reward_config=_reward_config(config))
-    elif config.agent in ("random", "greedy"):
-        report = _baseline_eval(config, variants)
-    elif config.agent == "oracle":
-        report = _oracle_eval(config, variants)
+                          reward_config=reward_config)
+    elif config.agent in _BASELINES:
+        # the oracle's path is exact, so one row per variant
+        episodes = 1 if config.agent == "oracle" else config.episodes_per_variant
+        report = evaluate_agent(_BASELINES[config.agent], variants, episodes,
+                                config.agent, config.eval_seed, reward_config)
     else:
         raise ContractViolationError(f"unknown agent {config.agent!r}")
     print(format_eval_table(report, label=config.agent))
@@ -379,13 +320,6 @@ def _add_config_flags(parser: argparse.ArgumentParser, names: list[str]) -> None
                             default=None, dest=name)
 
 
-_HYPER_KEYS = ["discount", "gae_lambda", "clip_ratio", "learning_rate",
-               "epochs", "minibatch_size", "horizon", "value_coef",
-               "entropy_coef", "total_steps", "env_count", "seed"]
-_REWARD_KEYS = ["right_direction_reward", "wrong_direction_reward",
-                "revisit_penalty", "win_reward", "max_steps"]
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="motorgame",
                      description="Induction-machine design game: catalog, "
@@ -401,13 +335,13 @@ def build_parser() -> argparse.ArgumentParser:
                               "train_per_machine", "holdout_per_machine"])
 
     p_train = sub.add_parser("train", help="train the PPO policy")
-    _add_config_flags(p_train, _HYPER_KEYS + _REWARD_KEYS
+    _add_config_flags(p_train, _keys(Hyperparams) + _keys(RewardConfig)
                       + ["catalog_path", "checkpoint_path", "metrics_path"])
     p_train.add_argument("--resume", action="store_true",
                          help="continue from an existing checkpoint")
 
     p_eval = sub.add_parser("eval", help="evaluate a policy or baseline")
-    _add_config_flags(p_eval, _REWARD_KEYS
+    _add_config_flags(p_eval, _keys(RewardConfig)
                       + ["catalog_path", "checkpoint_path", "episodes_csv",
                          "split", "agent", "eval_mode", "eval_seed",
                          "episodes_per_variant"])

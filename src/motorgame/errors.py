@@ -10,14 +10,19 @@ class ContractViolationError(MotorGameError):
     step after episode end, mismatched shapes, ...)."""
 
 
-class MalformedCatalogError(MotorGameError):
-    """A catalog file could not be parsed."""
+class TextFormatError(MotorGameError):
+    """A text file could not be parsed; ``line`` is the 1-based line
+    number of the fault when known."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+class MalformedCatalogError(TextFormatError):
+    """A catalog file could not be parsed."""
 
 
 class CatalogVersionError(MotorGameError):
@@ -33,7 +38,7 @@ class CheckpointVersionError(MotorGameError):
     """A checkpoint file declares an unsupported format version."""
 
 
-class CheckpointFormatError(MotorGameError):
+class CheckpointFormatError(TextFormatError):
     """A checkpoint file could not be parsed."""
 
 

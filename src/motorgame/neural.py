@@ -206,18 +206,3 @@ class Categorical:
         h = -(self._probs * self._log_probs).sum(axis=-1)
         return float(h[0]) if self._single else h
 
-
-# --- checkpoint text helpers ------------------------------------------------
-
-
-def format_array(arr: np.ndarray) -> str:
-    """Row-major text form; repr round-trips every float64 bit-exactly."""
-    return " ".join(repr(float(v)) for v in np.asarray(arr).ravel())
-
-
-def parse_array(text: str, shape: tuple[int, ...]) -> np.ndarray:
-    values = np.array([float(tok) for tok in text.split()], dtype=np.float64)
-    if values.size != int(np.prod(shape)):
-        raise ContractViolationError(
-            f"expected {int(np.prod(shape))} values, got {values.size}")
-    return values.reshape(shape)

@@ -12,18 +12,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .catalog import BaseMachine, MachineVariant, machine_by_id
-from .env import NUM_ACTIONS, OBSERVATION_DIM, DesignEnv, RewardConfig, run_episode
+from .env import NUM_ACTIONS, OBSERVATION_DIM, DesignEnv, EpisodeRecord, RewardConfig, run_episode
 from .errors import (
     CheckpointFormatError,
     CheckpointVersionError,
     ContractViolationError,
     TrainingDivergedError,
 )
+from .kvtext import format_array, format_value, parse_array, parse_value, read_sections
 from .neural import (
     AdamState,
     Categorical,
@@ -31,10 +32,8 @@ from .neural import (
     adam_step,
     backward,
     clip_grad_norm,
-    format_array,
     forward,
     init,
-    parse_array,
 )
 
 CHECKPOINT_VERSION_LINE = "motor-design-ckpt v1"
@@ -48,9 +47,8 @@ GRAD_CLIP_NORM = 0.5
 # for side-by-side evaluation reports.
 REFERENCE_MEAN_STEPS = {1: 11.0, 2: 12.0, 3: 5.0}
 
-CAUSE_NONE, CAUSE_WIN, CAUSE_TRUNCATION = 0, 1, 2
-_CAUSE_NAMES = {CAUSE_NONE: None, CAUSE_WIN: "win", CAUSE_TRUNCATION: "truncation"}
-_CAUSE_CODES = {v: k for k, v in _CAUSE_NAMES.items()}
+# RolloutBuffer.causes codes; 0 marks a step that did not end its episode
+_CAUSE_CODES = {"win": 1, "truncation": 2}
 
 
 def derive_seed(*parts: int) -> int:
@@ -96,25 +94,6 @@ class Hyperparams:
         return math.ceil(self.total_steps / (self.horizon * self.env_count))
 
 
-@dataclass(frozen=True)
-class Transition:
-    observation: np.ndarray
-    action: int
-    log_prob: float
-    reward: float
-    value: float
-    done: bool
-    cause: str | None
-
-    def __post_init__(self):
-        if not 0 <= self.action < NUM_ACTIONS:
-            raise ContractViolationError(f"action {self.action} outside 0..{NUM_ACTIONS - 1}")
-        if self.log_prob > 0.0:
-            raise ContractViolationError(f"log_prob {self.log_prob} must be <= 0")
-        if not np.isfinite(self.value):
-            raise ContractViolationError("non-finite value estimate")
-
-
 @dataclass
 class RolloutBuffer:
     """Struct-of-arrays rollout storage, time-major (horizon, env_count)."""
@@ -132,20 +111,6 @@ class RolloutBuffer:
 
     def __len__(self) -> int:
         return int(self.rewards.size)
-
-    def transitions(self) -> Iterator[Transition]:
-        t_count, e_count = self.rewards.shape
-        for t in range(t_count):
-            for e in range(e_count):
-                yield Transition(
-                    observation=self.observations[t, e],
-                    action=int(self.actions[t, e]),
-                    log_prob=float(self.log_probs[t, e]),
-                    reward=float(self.rewards[t, e]),
-                    value=float(self.values[t, e]),
-                    done=bool(self.dones[t, e]),
-                    cause=_CAUSE_NAMES[int(self.causes[t, e])],
-                )
 
     def compute_advantages(self, discount: float, gae_lambda: float) -> None:
         self.advantages, self.returns = gae(
@@ -350,16 +315,14 @@ def ppo_update(actor: MlpParams, critic: MlpParams,
             entropy = dist.entropy()
 
             ratio = np.exp(new_log_prob - old_log_probs[idx])
-            unclipped = ratio * mb_adv
-            clipped = np.clip(ratio, 1.0 - hyper.clip_ratio,
-                              1.0 + hyper.clip_ratio) * mb_adv
-            policy_loss = -float(np.mean(np.minimum(unclipped, clipped)))
+            objective = clipped_objective(ratio, mb_adv, hyper.clip_ratio)
+            policy_loss = -float(np.mean(objective))
             entropy_mean = float(np.mean(entropy))
             clip_frac = float(np.mean(np.abs(ratio - 1.0) > hyper.clip_ratio))
 
             # flat clipped branch: gradient flows only where min() picked
             # the unclipped term
-            live = (unclipped <= clipped).astype(np.float64)
+            live = (ratio * mb_adv == objective).astype(np.float64)
             onehot = np.zeros((b, NUM_ACTIONS))
             onehot[np.arange(b), mb_acts] = 1.0
             coeff = -(live * mb_adv * ratio) / b
@@ -416,12 +379,8 @@ class UpdateRow:
     clip_fraction: float
 
     def as_line(self) -> str:
-        parts = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            parts.append(f"{f.name}={value!r}" if isinstance(value, float)
-                         else f"{f.name}={value}")
-        return " ".join(parts)
+        return " ".join(f"{f.name}={format_value(getattr(self, f.name))}"
+                        for f in fields(self))
 
 
 @dataclass
@@ -460,8 +419,11 @@ def train(variants: Sequence[MachineVariant], hyper: Hyperparams,
     """Run collect/update cycles until hyper.total_steps env steps.
 
     Deterministic in hyper.seed: every RNG stream is derived from it and
-    the update index, so resuming from a checkpoint reproduces the exact
-    tail of an uninterrupted run (the env pool restarts its round-robin).
+    the update index.  Resuming from a checkpoint continues the update
+    numbering and RNG streams, but does not yet reproduce an uninterrupted
+    run: the env pool is not checkpointed, so its episodes and round-robin
+    cursor restart.  ``metrics_path`` is truncated on a fresh run and
+    appended to on resume.
     """
     if not variants:
         raise ContractViolationError("need at least one training variant")
@@ -472,7 +434,8 @@ def train(variants: Sequence[MachineVariant], hyper: Hyperparams,
     report = TrainReport()
     steps_per_update = hyper.horizon * hyper.env_count
 
-    metrics = open(metrics_path, "a") if metrics_path else None
+    metrics = (open(metrics_path, "w" if checkpoint is None else "a")
+               if metrics_path else None)
     try:
         while ckpt.env_steps < hyper.total_steps:
             update_index = ckpt.update_index
@@ -554,49 +517,34 @@ class EvalReport:
     rows: list[EpisodeRow]
 
 
-def evaluate(actor: MlpParams, variants: Sequence[MachineVariant],
-             episodes_per_variant: int = 20, mode: str = "stochastic",
-             seed: int = 0, reward_config: RewardConfig | None = None,
-             ) -> EvalReport:
-    """Frozen-policy evaluation grouped per base machine.
+def evaluate_agent(play: Callable[[DesignEnv, np.random.Generator], EpisodeRecord],
+                   variants: Sequence[MachineVariant], episodes_per_variant: int,
+                   mode: str, seed: int = 0,
+                   reward_config: RewardConfig | None = None) -> EvalReport:
+    """Play every variant ``episodes_per_variant`` times with
+    ``play(env, rng)`` and summarize the episodes per base machine.
 
-    mode "argmax" takes the highest-logit action; mode "stochastic"
-    samples from the policy head (deterministic in seed).  Mean steps are
-    computed over winning episodes; losses show up in the win rate and in
-    mean_steps_all.
+    Each episode's generator is seeded from (seed, variant seed, episode),
+    so a variant's episodes do not depend on the other variants.  Mean
+    steps are computed over winning episodes; losses show up in the win
+    rate and in mean_steps_all.
     """
-    if mode not in ("stochastic", "argmax"):
-        raise ContractViolationError(f"unknown evaluation mode {mode!r}")
     if episodes_per_variant < 1:
         raise ContractViolationError("episodes_per_variant must be >= 1")
     config = reward_config if reward_config is not None else RewardConfig()
     rows: list[EpisodeRow] = []
-    by_machine: dict[int, list[EpisodeRow]] = {}
-    episode_counter = 0
-    bases: dict[int, BaseMachine] = {}
     for variant in variants:
-        base = bases.setdefault(variant.base_id, machine_by_id(variant.base_id))
-        env = DesignEnv(variant, base, config)
+        env = DesignEnv(variant, machine_by_id(variant.base_id), config)
         for ep in range(episodes_per_variant):
             rng = np.random.default_rng(
                 derive_seed(seed, variant.variant_seed, ep))
-
-            def policy(obs: np.ndarray) -> int:
-                logits, _ = forward(actor, obs)
-                if mode == "argmax":
-                    return int(np.argmax(logits))
-                return Categorical(logits).sample(rng)
-
-            record = run_episode(env, policy)
-            row = EpisodeRow(variant.base_id, variant.variant_seed,
-                             episode_counter, record.steps, record.win)
-            rows.append(row)
-            by_machine.setdefault(variant.base_id, []).append(row)
-            episode_counter += 1
+            record = play(env, rng)
+            rows.append(EpisodeRow(variant.base_id, variant.variant_seed,
+                                   len(rows), record.steps, record.win))
 
     per_machine = {}
-    for machine_id in sorted(by_machine):
-        machine_rows = by_machine[machine_id]
+    for machine_id in sorted({r.machine_id for r in rows}):
+        machine_rows = [r for r in rows if r.machine_id == machine_id]
         wins = [r.steps for r in machine_rows if r.win]
         per_machine[machine_id] = MachineEval(
             machine_id=machine_id,
@@ -608,6 +556,31 @@ def evaluate(actor: MlpParams, variants: Sequence[MachineVariant],
         )
     return EvalReport(mode=mode, episodes_per_variant=episodes_per_variant,
                       per_machine=per_machine, rows=rows)
+
+
+def evaluate(actor: MlpParams, variants: Sequence[MachineVariant],
+             episodes_per_variant: int = 20, mode: str = "stochastic",
+             seed: int = 0, reward_config: RewardConfig | None = None,
+             ) -> EvalReport:
+    """Frozen-policy evaluation grouped per base machine.
+
+    mode "argmax" takes the highest-logit action; mode "stochastic"
+    samples from the policy head (deterministic in seed).
+    """
+    if mode not in ("stochastic", "argmax"):
+        raise ContractViolationError(f"unknown evaluation mode {mode!r}")
+
+    def play(env: DesignEnv, rng: np.random.Generator) -> EpisodeRecord:
+        def policy(obs: np.ndarray) -> int:
+            logits, _ = forward(actor, obs)
+            if mode == "argmax":
+                return int(np.argmax(logits))
+            return Categorical(logits).sample(rng)
+
+        return run_episode(env, policy)
+
+    return evaluate_agent(play, variants, episodes_per_variant, mode, seed,
+                          reward_config)
 
 
 def format_eval_table(report: EvalReport, label: str = "policy") -> str:
@@ -648,13 +621,13 @@ def _params_lines(name: str, params: MlpParams) -> list[str]:
     return lines
 
 
+_OPT_SCALARS = ("learning_rate", "beta1", "beta2", "eps", "step")  # file order
+
+
 def _opt_lines(name: str, opt: AdamState) -> list[str]:
-    lines = [f"[{name}]",
-             f"learning_rate = {opt.learning_rate!r}",
-             f"beta1 = {opt.beta1!r}",
-             f"beta2 = {opt.beta2!r}",
-             f"eps = {opt.eps!r}",
-             f"step = {opt.step}"]
+    lines = [f"[{name}]"]
+    for key in _OPT_SCALARS:
+        lines.append(f"{key} = {format_value(getattr(opt, key))}")
     for i, (m, v) in enumerate(zip(opt.m, opt.v)):
         lines.append(f"m{i} = " + format_array(m))
         lines.append(f"v{i} = " + format_array(v))
@@ -667,38 +640,13 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
              f"env_steps = {ckpt.env_steps}",
              "[hyper]"]
     for f in fields(Hyperparams):
-        value = getattr(ckpt.hyper, f.name)
-        lines.append(f"{f.name} = {value!r}" if isinstance(value, float)
-                     else f"{f.name} = {value}")
+        lines.append(f"{f.name} = {format_value(getattr(ckpt.hyper, f.name))}")
     lines += _params_lines("actor", ckpt.actor)
     lines += _params_lines("critic", ckpt.critic)
     lines += _opt_lines("actor_opt", ckpt.actor_opt)
     lines += _opt_lines("critic_opt", ckpt.critic_opt)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _parse_sections(lines: list[str]) -> dict[str, dict[str, str]]:
-    sections: dict[str, dict[str, str]] = {}
-    current: dict[str, str] | None = None
-    for number, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1]
-            if name in sections:
-                raise CheckpointFormatError(f"line {number}: duplicate section [{name}]")
-            current = sections[name] = {}
-            continue
-        if "=" not in line or current is None:
-            raise CheckpointFormatError(f"line {number}: expected key = value")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key in current:
-            raise CheckpointFormatError(f"line {number}: duplicate key {key!r}")
-        current[key] = value.strip()
-    return sections
 
 
 def _load_params(section: dict[str, str], where: str) -> MlpParams:
@@ -714,41 +662,32 @@ def _load_params(section: dict[str, str], where: str) -> MlpParams:
 
 
 def _load_opt(section: dict[str, str], params: MlpParams, where: str) -> AdamState:
+    kinds = {f.name: f.type for f in fields(AdamState)}
     try:
-        opt = AdamState(
-            learning_rate=float(section["learning_rate"]),
+        return AdamState(
             m=[parse_array(section[f"m{i}"], t.shape)
                for i, t in enumerate(params.tensors())],
             v=[parse_array(section[f"v{i}"], t.shape)
                for i, t in enumerate(params.tensors())],
-            step=int(section["step"]),
-            beta1=float(section["beta1"]),
-            beta2=float(section["beta2"]),
-            eps=float(section["eps"]),
-        )
+            **{key: parse_value(section[key], kinds[key]) for key in _OPT_SCALARS})
     except (KeyError, ValueError, ContractViolationError) as exc:
         raise CheckpointFormatError(f"bad [{where}] section: {exc}") from exc
-    return opt
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise CheckpointFormatError("empty checkpoint file")
-    if lines[0].strip() != CHECKPOINT_VERSION_LINE:
-        raise CheckpointVersionError(
-            f"expected {CHECKPOINT_VERSION_LINE!r}, got {lines[0].strip()!r}")
-    sections = _parse_sections(lines[1:])
+    sections: dict[str, dict[str, str]] = {}
+    for section in read_sections(path, CheckpointFormatError,
+                                 CHECKPOINT_VERSION_LINE, CheckpointVersionError):
+        if section.name in sections:
+            raise CheckpointFormatError(
+                f"duplicate section [{section.name}]", section.line)
+        sections[section.name] = section.values
     for name in ("meta", "hyper", "actor", "critic", "actor_opt", "critic_opt"):
         if name not in sections:
             raise CheckpointFormatError(f"missing section [{name}]")
     try:
-        kwargs = {}
-        for f in fields(Hyperparams):
-            raw = sections["hyper"][f.name]
-            kwargs[f.name] = int(raw) if f.type == "int" else float(raw)
-        hyper = Hyperparams(**kwargs)
+        hyper = Hyperparams(**{f.name: parse_value(sections["hyper"][f.name], f.type)
+                               for f in fields(Hyperparams)})
         update_index = int(sections["meta"]["update_index"])
         env_steps = int(sections["meta"]["env_steps"])
     except (KeyError, ValueError, ContractViolationError) as exc:

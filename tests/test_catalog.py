@@ -303,6 +303,19 @@ def test_malformed_error_carries_line_number(tmp_path):
     assert err.value.line == 3
 
 
+def test_load_rejects_nan_band(tmp_path):
+    variants = generate_variants(machine_by_id(1), 1, 0)
+    path = tmp_path / "catalog.txt"
+    save_catalog(variants, path)
+    lines = path.read_text().splitlines()
+    band = next(i for i, l in enumerate(lines) if l.startswith("band_b_gap"))
+    lines[band] = "band_b_gap = nan, nan"
+    path.write_text("\n".join(lines))
+    with pytest.raises(MalformedCatalogError) as err:
+        load_catalog(path)
+    assert err.value.line == lines.index("[variant]") + 1
+
+
 def test_load_ignores_comments_and_blanks(tmp_path):
     variants = generate_variants(machine_by_id(1), 2, 0)
     path = tmp_path / "catalog.txt"

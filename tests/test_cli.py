@@ -318,6 +318,9 @@ def test_inspect_out_of_bounds_length(capsys):
 def test_inspect_bad_bands_count(capsys):
     assert main(["inspect", "1", "--bands", "1,2,3"]) == 1
     assert "error:" in capsys.readouterr().err
+    assert main(["inspect", "1", "--bands",
+                 "nan,nan,0.2,2.8,0.2,2.8,0.2,2.8,1.0,4.0"]) == 1
+    assert "not finite" in capsys.readouterr().err
 
 
 # --- argparse error mapping -----------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from motorgame.errors import ContractViolationError, TrainingDivergedError
+from motorgame.kvtext import format_array, parse_array
 from motorgame.neural import (
     AdamState,
     Categorical,
@@ -13,10 +14,8 @@ from motorgame.neural import (
     adam_step,
     backward,
     clip_grad_norm,
-    format_array,
     forward,
     init,
-    parse_array,
 )
 
 

@@ -26,7 +26,6 @@ from motorgame.ppo import (
     CRITIC_SIZES,
     EnvPool,
     Hyperparams,
-    Transition,
     clipped_objective,
     collect_rollout,
     derive_seed,
@@ -102,19 +101,6 @@ def test_hyperparams_validation():
         Hyperparams(learning_rate=-1e-4)
     with pytest.raises(ContractViolationError):
         Hyperparams(env_count=0)
-
-
-def test_transition_validation():
-    obs = np.zeros(11)
-    with pytest.raises(ContractViolationError):
-        Transition(obs, action=6, log_prob=-1.0, reward=0.0, value=0.0,
-                   done=False, cause=None)
-    with pytest.raises(ContractViolationError):
-        Transition(obs, action=0, log_prob=0.5, reward=0.0, value=0.0,
-                   done=False, cause=None)
-    with pytest.raises(ContractViolationError):
-        Transition(obs, action=0, log_prob=-1.0, reward=0.0, value=np.nan,
-                   done=False, cause=None)
 
 
 # --- generalized advantage estimation -------------------------------------------------
@@ -253,8 +239,9 @@ def test_collect_rollout_minimal():
                           rng=np.random.default_rng(0))
     assert len(buf) == 1
     assert buf.observations.shape == (1, 1, 11)
-    t = next(buf.transitions())
-    assert t.done and t.cause == "win" and t.reward == 98.0
+    assert buf.dones[0, 0] == 1.0
+    assert buf.causes[0, 0] == 1  # win
+    assert buf.rewards[0, 0] == 98.0
 
 
 def test_collect_rollout_deterministic():
@@ -401,6 +388,14 @@ def test_train_metrics_file(tmp_path):
     float(first["policy_loss"])  # parses
     second = dict(kv.split("=", 1) for kv in lines[1].split())
     assert second["update"] == "2" and second["env_steps"] == "64"
+
+
+def test_train_fresh_run_truncates_metrics(tmp_path):
+    path = tmp_path / "metrics.txt"
+    for _ in range(2):
+        train(TRAIN_VARIANTS, SMALL, metrics_path=str(path))
+    lines = path.read_text().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("update=1 ")
 
 
 def test_train_requires_variants():
