@@ -4,10 +4,14 @@ Everything is float64 numpy and deliberately small: affine layers with
 tanh hidden activations and an identity output, trained by hand-written
 reverse-mode gradients.  No autodiff framework is involved, which keeps
 the gradient path independently checkable against finite differences.
+Each network is one flat float64 vector with per-layer views, and so are
+its gradients and Adam moments: the optimizer and the norm clip are
+whole-vector operations.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,44 +19,44 @@ import numpy as np
 from .errors import ContractViolationError, TrainingDivergedError
 
 
-@dataclass
+def _checked_sizes(sizes) -> tuple[int, ...]:
+    sizes = tuple(int(s) for s in sizes)
+    if len(sizes) < 2 or any(s < 1 for s in sizes):
+        raise ContractViolationError(f"invalid layer sizes {sizes}")
+    return sizes
+
+
 class MlpParams:
-    sizes: tuple[int, ...]
-    weights: list[np.ndarray]  # weights[l]: (sizes[l], sizes[l+1])
-    biases: list[np.ndarray]   # biases[l]: (sizes[l+1],)
+    """One network's parameters, gradients or Adam moment: the arrays are
+    copied into one float64 vector ``flat`` (W0, b0, W1, b1, ...), and
+    ``weights[l]`` (sizes[l], sizes[l+1]) and ``biases[l]`` (sizes[l+1],)
+    are C-contiguous views into it."""
+
+    def __init__(self, sizes: tuple[int, ...], weights: list[np.ndarray],
+                 biases: list[np.ndarray]):
+        self.sizes = _checked_sizes(sizes)
+        shapes = [shape for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:])
+                  for shape in ((fan_in, fan_out), (fan_out,))]
+        arrays = [t for pair in zip(weights, biases) for t in pair]
+        if len(weights) != len(biases) or [np.shape(t) for t in arrays] != shapes:
+            raise ContractViolationError(
+                f"weight/bias shapes do not match sizes {self.sizes}")
+        self.flat = np.empty(sum(math.prod(shape) for shape in shapes))
+        views, start = [], 0
+        for shape, t in zip(shapes, arrays):
+            views.append(self.flat[start:start + math.prod(shape)].reshape(shape))
+            views[-1][...] = t
+            start += views[-1].size
+        self.weights, self.biases = views[0::2], views[1::2]
 
     def tensors(self) -> list[np.ndarray]:
-        """All parameter arrays in a fixed order (W0, b0, W1, b1, ...)."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
-
-    def copy(self) -> "MlpParams":
-        return MlpParams(self.sizes, [w.copy() for w in self.weights],
-                         [b.copy() for b in self.biases])
-
-
-@dataclass
-class Grads:
-    sizes: tuple[int, ...]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-    def tensors(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        """All per-layer views in flat order (W0, b0, W1, b1, ...)."""
+        return [t for pair in zip(self.weights, self.biases) for t in pair]
 
 
 def init(sizes: tuple[int, ...] | list[int], seed: int) -> MlpParams:
     """Glorot-uniform weights, zero biases; deterministic in ``seed``."""
-    sizes = tuple(int(s) for s in sizes)
-    if len(sizes) < 2 or any(s < 1 for s in sizes):
-        raise ContractViolationError(f"invalid layer sizes {sizes}")
+    sizes = _checked_sizes(sizes)
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
@@ -85,21 +89,19 @@ def forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarr
 
 
 def backward(params: MlpParams, cache: list[np.ndarray],
-             output_grad: np.ndarray) -> Grads:
+             output_grad: np.ndarray) -> MlpParams:
     """Exact gradients of the scalar loss whose output gradient is given.
 
     ``output_grad`` has the forward output's shape; batched rows are
-    summed into a single Grads.
+    summed into one gradient of the params' layout.
     """
     g = np.asarray(output_grad, dtype=np.float64)
     if g.ndim == 1:
         g = g[None, :]
     n_layers = len(params.weights)
-    if len(cache) != n_layers or g.shape != (cache[0].shape[0], params.sizes[-1]):
+    if len(cache) != n_layers or [a.shape for a in cache + [g]] != [
+            (cache[0].shape[0], size) for size in params.sizes]:
         raise ContractViolationError("cache does not match params/output_grad")
-    for a, size in zip(cache, params.sizes):
-        if a.shape != (cache[0].shape[0], size):
-            raise ContractViolationError("cache does not match params/output_grad")
 
     grad_w: list[np.ndarray | None] = [None] * n_layers
     grad_b: list[np.ndarray | None] = [None] * n_layers
@@ -110,14 +112,14 @@ def backward(params: MlpParams, cache: list[np.ndarray],
         if layer > 0:
             # a_in is the tanh output of the previous layer
             g = (g @ params.weights[layer].T) * (1.0 - a_in * a_in)
-    return Grads(params.sizes, grad_w, grad_b)
+    return MlpParams(params.sizes, grad_w, grad_b)
 
 
 @dataclass
 class AdamState:
     learning_rate: float
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: MlpParams
+    v: MlpParams
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -125,41 +127,37 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: MlpParams, learning_rate: float) -> "AdamState":
-        return cls(learning_rate=learning_rate,
-                   m=[np.zeros_like(t) for t in params.tensors()],
-                   v=[np.zeros_like(t) for t in params.tensors()])
+        zeros = ([np.zeros_like(w) for w in params.weights],
+                 [np.zeros_like(b) for b in params.biases])
+        return cls(learning_rate=learning_rate, m=MlpParams(params.sizes, *zeros),
+                   v=MlpParams(params.sizes, *zeros))
 
 
-def adam_step(params: MlpParams, grads: Grads, state: AdamState,
+def adam_step(params: MlpParams, grads: MlpParams, state: AdamState,
               ) -> tuple[MlpParams, AdamState]:
     """Bias-corrected adaptive-moment update, in place."""
-    tensors = params.tensors()
-    gs = grads.tensors()
-    if len(tensors) != len(state.m) or any(t.shape != g.shape for t, g in zip(tensors, gs)):
+    if not params.sizes == grads.sizes == state.m.sizes == state.v.sizes:
         raise ContractViolationError("grads/state do not match params")
-    for g in gs:
-        if not np.all(np.isfinite(g)):
-            raise TrainingDivergedError("non-finite gradient")
+    g, m, v = grads.flat, state.m.flat, state.v.flat
+    if not np.all(np.isfinite(g)):
+        raise TrainingDivergedError("non-finite gradient")
     state.step += 1
     b1c = 1.0 - state.beta1 ** state.step
     b2c = 1.0 - state.beta2 ** state.step
-    for t, g, m, v in zip(tensors, gs, state.m, state.v):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        t -= state.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + state.eps)
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    v *= state.beta2
+    v += (1.0 - state.beta2) * g * g
+    params.flat -= state.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + state.eps)
     return params, state
 
 
-def clip_grad_norm(grads: Grads, max_norm: float) -> float:
+def clip_grad_norm(grads: MlpParams, max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most ``max_norm``;
-    returns the pre-clip norm."""
+    returns the pre-clip norm, summed per tensor in tensor order."""
     total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.tensors())))
     if total > max_norm and total > 0.0:
-        scale = max_norm / total
-        for g in grads.tensors():
-            g *= scale
+        grads.flat *= max_norm / total
     return total
 
 

@@ -386,7 +386,6 @@ class UpdateRow:
 @dataclass
 class TrainReport:
     rows: list[UpdateRow] = field(default_factory=list)
-    eval_summary: "EvalReport | None" = None
 
 
 @dataclass
@@ -628,7 +627,7 @@ def _opt_lines(name: str, opt: AdamState) -> list[str]:
     lines = [f"[{name}]"]
     for key in _OPT_SCALARS:
         lines.append(f"{key} = {format_value(getattr(opt, key))}")
-    for i, (m, v) in enumerate(zip(opt.m, opt.v)):
+    for i, (m, v) in enumerate(zip(opt.m.tensors(), opt.v.tensors())):
         lines.append(f"m{i} = " + format_array(m))
         lines.append(f"v{i} = " + format_array(v))
     return lines
@@ -649,26 +648,29 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _load_params(section: dict[str, str], where: str) -> MlpParams:
+def _load_params(section: dict[str, str], where: str, outputs: int) -> MlpParams:
     try:
         sizes = tuple(int(tok) for tok in section["sizes"].split())
         weights, biases = [], []
         for layer, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
             weights.append(parse_array(section[f"W{layer}"], (fan_in, fan_out)))
             biases.append(parse_array(section[f"b{layer}"], (fan_out,)))
+        params = MlpParams(sizes, weights, biases)
+        if (sizes[0], sizes[-1]) != (OBSERVATION_DIM, outputs):
+            raise ValueError(f"sizes {sizes} do not map {OBSERVATION_DIM} -> {outputs}")
     except (KeyError, ValueError, ContractViolationError) as exc:
         raise CheckpointFormatError(f"bad [{where}] section: {exc}") from exc
-    return MlpParams(sizes, weights, biases)
+    return params
 
 
 def _load_opt(section: dict[str, str], params: MlpParams, where: str) -> AdamState:
     kinds = {f.name: f.type for f in fields(AdamState)}
     try:
+        m, v = ([parse_array(section[f"{key}{i}"], t.shape)
+                 for i, t in enumerate(params.tensors())] for key in "mv")
         return AdamState(
-            m=[parse_array(section[f"m{i}"], t.shape)
-               for i, t in enumerate(params.tensors())],
-            v=[parse_array(section[f"v{i}"], t.shape)
-               for i, t in enumerate(params.tensors())],
+            m=MlpParams(params.sizes, m[0::2], m[1::2]),
+            v=MlpParams(params.sizes, v[0::2], v[1::2]),
             **{key: parse_value(section[key], kinds[key]) for key in _OPT_SCALARS})
     except (KeyError, ValueError, ContractViolationError) as exc:
         raise CheckpointFormatError(f"bad [{where}] section: {exc}") from exc
@@ -692,8 +694,8 @@ def load_checkpoint(path: str) -> Checkpoint:
         env_steps = int(sections["meta"]["env_steps"])
     except (KeyError, ValueError, ContractViolationError) as exc:
         raise CheckpointFormatError(f"bad [meta]/[hyper] section: {exc}") from exc
-    actor = _load_params(sections["actor"], "actor")
-    critic = _load_params(sections["critic"], "critic")
+    actor = _load_params(sections["actor"], "actor", NUM_ACTIONS)
+    critic = _load_params(sections["critic"], "critic", 1)
     return Checkpoint(
         actor=actor, critic=critic,
         actor_opt=_load_opt(sections["actor_opt"], actor, "actor_opt"),

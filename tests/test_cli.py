@@ -18,8 +18,10 @@ from motorgame.cli import (
     main,
     resolve_config,
 )
+from motorgame.env import NUM_ACTIONS, OBSERVATION_DIM
 from motorgame.errors import ContractViolationError
-from motorgame.ppo import load_checkpoint
+from motorgame.neural import AdamState, init
+from motorgame.ppo import load_checkpoint, save_checkpoint
 
 
 SMALL_TRAIN = ["--horizon", "16", "--env-count", "2", "--total-steps", "32",
@@ -228,6 +230,18 @@ def test_eval_missing_checkpoint(tmp_path, capsys):
     catalog = _make_catalog(tmp_path)
     code = main(_eval_args(tmp_path, catalog, tmp_path / "missing.txt"))
     assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_eval_rejects_checkpoint_with_wrong_action_count(tmp_path, capsys):
+    catalog = _make_catalog(tmp_path)
+    ckpt_path, _ = _train_small(tmp_path, catalog)
+    ckpt = load_checkpoint(str(ckpt_path))
+    ckpt.actor = init((OBSERVATION_DIM, 64, 64, NUM_ACTIONS + 1), seed=0)
+    ckpt.actor_opt = AdamState.for_params(ckpt.actor, 1e-3)
+    save_checkpoint(ckpt, str(ckpt_path))
+    capsys.readouterr()
+    assert main(_eval_args(tmp_path, catalog, ckpt_path)) == 1
     assert "error:" in capsys.readouterr().err
 
 

@@ -9,7 +9,6 @@ from motorgame.kvtext import format_array, parse_array
 from motorgame.neural import (
     AdamState,
     Categorical,
-    Grads,
     MlpParams,
     adam_step,
     backward,
@@ -57,6 +56,25 @@ def test_init_rejects_bad_sizes():
         init((11,), seed=0)
     with pytest.raises(ContractViolationError):
         init((11, 0, 6), seed=0)
+
+
+def test_params_copy_into_one_flat_vector_and_check_shapes():
+    w0, b0 = np.arange(6.0).reshape(2, 3), np.array([6.0, 7.0, 8.0])
+    w1, b1 = np.array([[9.0], [10.0], [11.0]]), np.array([12.0])
+    params = MlpParams((2, 3, 1), [w0, w1], [b0, b1])
+    assert params.flat.tolist() == list(np.arange(13.0))  # W0, b0, W1, b1
+    for t in params.tensors():
+        assert np.shares_memory(t, params.flat) and t.flags.c_contiguous
+    params.flat[:] = 0.0
+    assert w0[0, 1] == 1.0 and params.weights[0][0, 1] == 0.0
+    with pytest.raises(ContractViolationError):  # transposed weight
+        MlpParams((2, 3, 1), [w0.T, w1], [b0, b1])
+    with pytest.raises(ContractViolationError):  # biases of the wrong layers
+        MlpParams((2, 3, 1), [w0, w1], [b1, b0])
+    with pytest.raises(ContractViolationError):  # a layer missing
+        MlpParams((2, 3, 1), [w0], [b0])
+    with pytest.raises(ContractViolationError):  # sizes shorter than 2
+        MlpParams((2,), [], [])
 
 
 # --- forward ----------------------------------------------------------------------
@@ -186,15 +204,15 @@ def _scalar_net(value=0.0):
 
 
 def _scalar_grads(g):
-    return Grads((1, 1), [np.array([[g]])], [np.zeros(1)])
+    return MlpParams((1, 1), [np.array([[g]])], [np.zeros(1)])
 
 
 def test_adam_zero_grad_noop():
     params = init((3, 4, 2), seed=1)
     before = [t.copy() for t in params.tensors()]
     state = AdamState.for_params(params, learning_rate=0.01)
-    zero = Grads(params.sizes, [np.zeros_like(w) for w in params.weights],
-                 [np.zeros_like(b) for b in params.biases])
+    zero = MlpParams(params.sizes, [np.zeros_like(w) for w in params.weights],
+                     [np.zeros_like(b) for b in params.biases])
     adam_step(params, zero, state)
     assert state.step == 1
     for t, b in zip(params.tensors(), before):
@@ -213,9 +231,9 @@ def test_adam_first_step_sign_and_magnitude():
     rng = np.random.default_rng(4)
     params = init((3, 4, 2), seed=2)
     before = [t.copy() for t in params.tensors()]
-    grads = Grads(params.sizes,
-                  [rng.normal(size=w.shape) for w in params.weights],
-                  [rng.normal(size=b.shape) for b in params.biases])
+    grads = MlpParams(params.sizes,
+                      [rng.normal(size=w.shape) for w in params.weights],
+                      [rng.normal(size=b.shape) for b in params.biases])
     state = AdamState.for_params(params, learning_rate=0.01)
     adam_step(params, grads, state)
     for t, b, g in zip(params.tensors(), before, grads.tensors()):
@@ -253,17 +271,58 @@ def test_adam_rejects_shape_mismatch():
 
 
 def test_clip_grad_norm_scales_down():
-    grads = Grads((1, 1), [np.array([[3.0]])], [np.array([4.0])])
+    grads = MlpParams((1, 1), [np.array([[3.0]])], [np.array([4.0])])
     assert clip_grad_norm(grads, 0.5) == 5.0
     assert grads.weights[0][0, 0] == pytest.approx(0.3)
     assert grads.biases[0][0] == pytest.approx(0.4)
 
 
 def test_clip_grad_norm_leaves_small_grads():
-    grads = Grads((1, 1), [np.array([[0.3]])], [np.array([0.4])])
+    grads = MlpParams((1, 1), [np.array([[0.3]])], [np.array([0.4])])
     norm = clip_grad_norm(grads, 0.5)
     assert norm == 0.5
     assert grads.weights[0][0, 0] == 0.3
+
+
+def _per_tensor_clip_and_adam(tensors, grads, m, v, step, learning_rate,
+                              max_norm, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Reference: the per-tensor clip and Adam formulas, one list entry per
+    W/b array, as the kernel computed them before the flat layout."""
+    total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
+    if total > max_norm and total > 0.0:
+        for g in grads:
+            g *= max_norm / total
+    b1c = 1.0 - beta1 ** step
+    b2c = 1.0 - beta2 ** step
+    for t, g, mt, vt in zip(tensors, grads, m, v):
+        mt *= beta1
+        mt += (1.0 - beta1) * g
+        vt *= beta2
+        vt += (1.0 - beta2) * g * g
+        t -= learning_rate * (mt / b1c) / (np.sqrt(vt / b2c) + eps)
+    return total
+
+
+def test_flat_clip_and_adam_bitwise_match_per_tensor_reference():
+    rng = np.random.default_rng(11)
+    params = init((5, 7, 6, 3), seed=12)
+    state = AdamState.for_params(params, learning_rate=0.01)
+    ref = [t.copy() for t in params.tensors()]
+    ref_m = [np.zeros_like(t) for t in ref]
+    ref_v = [np.zeros_like(t) for t in ref]
+    clipped = 0
+    for step in range(1, 7):
+        raw = [rng.normal(size=t.shape) * (10.0 if step % 2 else 0.01) for t in ref]
+        grads = MlpParams(params.sizes, raw[0::2], raw[1::2])
+        norm = clip_grad_norm(grads, 0.5)
+        adam_step(params, grads, state)
+        want = _per_tensor_clip_and_adam(ref, raw, ref_m, ref_v, step, 0.01, 0.5)
+        assert norm == want
+        clipped += norm > 0.5
+        for got, expect in zip(params.tensors() + state.m.tensors() + state.v.tensors(),
+                               ref + ref_m + ref_v):
+            assert np.array_equal(got, expect)
+    assert clipped == 3  # odd steps clip, even steps do not
 
 
 # --- categorical head ---------------------------------------------------------------

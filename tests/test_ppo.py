@@ -12,14 +12,14 @@ from motorgame.catalog import (
     generate_variants,
     machine_by_id,
 )
-from motorgame.env import RewardConfig
+from motorgame.env import NUM_ACTIONS, OBSERVATION_DIM, RewardConfig
 from motorgame.errors import (
     CheckpointFormatError,
     CheckpointVersionError,
     ContractViolationError,
     TrainingDivergedError,
 )
-from motorgame.neural import Categorical, forward
+from motorgame.neural import AdamState, Categorical, forward, init
 from motorgame.ppo import (
     ACTOR_SIZES,
     CHECKPOINT_VERSION_LINE,
@@ -365,7 +365,8 @@ def test_train_bit_identical_given_seed():
     for x, y in zip(a.actor.tensors() + a.critic.tensors(),
                     b.actor.tensors() + b.critic.tensors()):
         assert np.array_equal(x, y)
-    for x, y in zip(a.actor_opt.m + a.actor_opt.v, b.actor_opt.m + b.actor_opt.v):
+    for x, y in zip(a.actor_opt.m.tensors() + a.actor_opt.v.tensors(),
+                    b.actor_opt.m.tensors() + b.actor_opt.v.tensors()):
         assert np.array_equal(x, y)
     assert a.actor_opt.step == b.actor_opt.step
 
@@ -534,9 +535,11 @@ def test_checkpoint_round_trip(tmp_path):
     for x, y in zip(ckpt.actor.tensors() + ckpt.critic.tensors(),
                     loaded.actor.tensors() + loaded.critic.tensors()):
         assert np.array_equal(x, y)
-    for x, y in zip(ckpt.actor_opt.m + ckpt.critic_opt.m,
-                    loaded.actor_opt.m + loaded.critic_opt.m):
-        assert np.array_equal(x, y)
+    for opt, back in ((ckpt.actor_opt, loaded.actor_opt),
+                      (ckpt.critic_opt, loaded.critic_opt)):
+        for x, y in zip(opt.m.tensors() + opt.v.tensors(),
+                        back.m.tensors() + back.v.tensors()):
+            assert np.array_equal(x, y)
     assert loaded.actor_opt.step == ckpt.actor_opt.step
     assert loaded.actor.sizes == ACTOR_SIZES
     assert loaded.critic.sizes == CRITIC_SIZES
@@ -571,4 +574,29 @@ def test_checkpoint_corrupt_tensor(tmp_path):
     text = path.read_text().replace("sizes = 11 64 64 6", "sizes = 11 64 6", 1)
     path.write_text(text)
     with pytest.raises(CheckpointFormatError):
+        load_checkpoint(str(path))
+
+
+def test_checkpoint_rejects_actor_without_layers(tmp_path):
+    path = tmp_path / "ckpt.txt"
+    save_checkpoint(new_checkpoint(SMALL), str(path))
+    actor_sizes = "sizes = " + " ".join(str(s) for s in ACTOR_SIZES)
+    path.write_text(path.read_text().replace(actor_sizes,
+                                             f"sizes = {OBSERVATION_DIM}", 1))
+    with pytest.raises(CheckpointFormatError, match=r"\[actor\]"):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("net,sizes", [
+    ("actor", (OBSERVATION_DIM, 64, 64, NUM_ACTIONS + 1)),
+    ("actor", (OBSERVATION_DIM + 1, 64, 64, NUM_ACTIONS)),
+    ("critic", (OBSERVATION_DIM, 64, 64, 2)),
+])
+def test_checkpoint_rejects_networks_that_do_not_fit_the_game(tmp_path, net, sizes):
+    params = init(sizes, seed=0)
+    ckpt = replace(new_checkpoint(SMALL), **{
+        net: params, f"{net}_opt": AdamState.for_params(params, 1e-3)})
+    path = tmp_path / "ckpt.txt"
+    save_checkpoint(ckpt, str(path))
+    with pytest.raises(CheckpointFormatError, match=rf"\[{net}\]"):
         load_checkpoint(str(path))
