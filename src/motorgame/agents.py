@@ -1,21 +1,20 @@
-"""Non-learning baselines and a brute-force shortest-path oracle.
+"""Non-learning baselines and an exact shortest-path oracle.
 
 The random agent lower-bounds useful behaviour, the greedy agent codifies
 the obvious "push the worst flag in the right direction" heuristic, and
-the breadth-first oracle computes the true minimum number of actions to
-feasibility for any variant.  Together they bracket what the trained
-policy should achieve.
+the oracle computes the true minimum number of actions to feasibility
+for any variant from a breadth-first distance field over the lattice.
+Together they bracket what the trained policy should achieve.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .catalog import BaseMachine, MachineVariant, feasible_mask, machine_by_id
-from .env import ACTION_MOVES, NUM_ACTIONS, Action, DesignEnv, EpisodeRecord, run_episode
+from .env import NUM_ACTIONS, Action, DesignEnv, EpisodeRecord, move, run_episode
 from .errors import ContractViolationError
 from .surrogate import design_at, evaluate, lattice_index, lattice_shape
 
@@ -43,7 +42,7 @@ def greedy_agent(env: DesignEnv, log=None) -> EpisodeRecord:
     """Deterministic one-step-lookahead heuristic.
 
     Each step targets the highest-priority nonzero flag and takes the
-    action whose (clamped) one-step move most reduces that flag's band
+    action whose one-step move most reduces that flag's band
     violation; ties go to the lowest action index.
     """
     base = env.base
@@ -57,13 +56,10 @@ def greedy_agent(env: DesignEnv, log=None) -> EpisodeRecord:
         target = next((i for i in order if flag_values[i] != 0), None)
         if target is None:
             return 0  # already feasible; any action wins
-        ijk = lattice_index(base, env.design)
+        ijk = env.index
         best_action, best_viol = 0, float("inf")
         for action in range(NUM_ACTIONS):
-            axis, delta = ACTION_MOVES[action]
-            cand = list(ijk)
-            cand[axis] = min(max(cand[axis] + delta, 0), shape[axis] - 1)
-            perf = evaluate(design_at(base, *cand), base)
+            perf = evaluate(design_at(base, *move(ijk, action, shape)), base)
             viol = _band_violation(perf.as_tuple()[target], bands[target])
             if viol < best_viol:
                 best_action, best_viol = action, viol
@@ -74,11 +70,13 @@ def greedy_agent(env: DesignEnv, log=None) -> EpisodeRecord:
 
 def oracle_shortest(variant: MachineVariant, base: BaseMachine | None = None,
                     ) -> OracleResult:
-    """Breadth-first search for the minimum number of actions to feasibility.
+    """Minimum number of actions to feasibility, with one optimal witness.
 
-    Nodes are lattice points, edges the six actions; moves that would
-    leave the lattice are dropped (a shortest path never needs a no-op).
-    Returns one optimal witness path alongside the step count.
+    A breadth-first distance field grows from the feasible points by
+    array shifts along each lattice axis until it reaches the start; the
+    witness descends it, taking at each point the lowest action that
+    lowers the distance by one, so it is the lexicographically first
+    shortest path.
     """
     if base is None:
         base = machine_by_id(variant.base_id)
@@ -86,48 +84,28 @@ def oracle_shortest(variant: MachineVariant, base: BaseMachine | None = None,
         raise ContractViolationError(
             f"variant base {variant.base_id} does not match machine {base.id}")
     shape = lattice_shape(base)
-    ni, nj, nk = shape
-    goal = feasible_mask(base, variant.target_bands).ravel()
-
-    def flat(i: int, j: int, k: int) -> int:
-        return (i * nj + j) * nk + k
-
-    start = flat(*lattice_index(base, variant.initial_design))
-    if goal[start]:
-        return OracleResult(variant.base_id, variant.variant_seed, 0, ())
-
-    parent = np.full(ni * nj * nk, -1, dtype=np.int32)
-    via = np.full(ni * nj * nk, -1, dtype=np.int8)
-    parent[start] = start
-    queue = deque([start])
-    found = -1
-    while queue and found < 0:
-        node = queue.popleft()
-        i, j = divmod(node, nj * nk)
-        j, k = divmod(j, nk)
-        for action in range(NUM_ACTIONS):
-            axis, delta = ACTION_MOVES[action]
-            cand = [i, j, k]
-            cand[axis] += delta
-            if not 0 <= cand[axis] < shape[axis]:
-                continue
-            nxt = flat(*cand)
-            if parent[nxt] >= 0:
-                continue
-            parent[nxt] = node
-            via[nxt] = action
-            if goal[nxt]:
-                found = nxt
-                break
-            queue.append(nxt)
-
-    if found < 0:
+    start = lattice_index(base, variant.initial_design)
+    reached = feasible_mask(base, variant.target_bands)
+    distance = np.where(reached, 0, -1)
+    frontier = reached
+    steps = 0
+    while not reached[start] and frontier.any():
+        grown = np.zeros_like(frontier)
+        for axis in range(3):
+            g, f = np.moveaxis(grown, axis, 0), np.moveaxis(frontier, axis, 0)
+            g[1:] |= f[:-1]
+            g[:-1] |= f[1:]
+        frontier = grown & ~reached
+        reached |= frontier
+        steps += 1
+        distance[frontier] = steps
+    if not reached[start]:
         return OracleResult(variant.base_id, variant.variant_seed, None, ())
-    path = []
-    node = found
-    while node != start:
-        path.append(Action(int(via[node])))
-        node = int(parent[node])
-    path.reverse()
+
+    path, ijk = [], start
+    for left in range(distance[start] - 1, -1, -1):
+        action = next(a for a in Action if distance[move(ijk, a, shape)] == left)
+        path.append(action)
+        ijk = move(ijk, action, shape)
     return OracleResult(variant.base_id, variant.variant_seed, len(path),
                         tuple(path))

@@ -20,7 +20,7 @@ from .errors import (
     GenerationExhaustedError,
     MalformedCatalogError,
 )
-from .kvtext import Section, format_value, read_sections
+from .kvtext import Section, format_value, read_sections, write_text
 from .surrogate import DesignPoint, evaluate_grid
 
 CATALOG_VERSION_LINE = "motor-design-catalog v1"
@@ -128,20 +128,24 @@ def _stock_machine(mid: int, power_kw: float, voltage_v: float,
     )
 
 
+# The stock machines by id, in id order; built once, they are immutable.
+_MACHINES = {m.id: m for m in (
+    _stock_machine(1, 2500.0, 10000.0, length0=1.2, turns0=20, tooth0=2.0),
+    _stock_machine(2, 600.0, 6000.0, length0=0.6, turns0=28, tooth0=1.5),
+    _stock_machine(3, 2100.0, 6000.0, length0=1.0, turns0=18, tooth0=2.0),
+)}
+
+
 def builtin_catalog() -> list[BaseMachine]:
     """The three stock machines, in id order."""
-    return [
-        _stock_machine(1, 2500.0, 10000.0, length0=1.2, turns0=20, tooth0=2.0),
-        _stock_machine(2, 600.0, 6000.0, length0=0.6, turns0=28, tooth0=1.5),
-        _stock_machine(3, 2100.0, 6000.0, length0=1.0, turns0=18, tooth0=2.0),
-    ]
+    return list(_MACHINES.values())
 
 
 def machine_by_id(mid: int) -> BaseMachine:
-    for machine in builtin_catalog():
-        if machine.id == mid:
-            return machine
-    raise ContractViolationError(f"unknown machine id {mid}")
+    try:
+        return _MACHINES[mid]
+    except KeyError:
+        raise ContractViolationError(f"unknown machine id {mid}") from None
 
 
 @dataclass(frozen=True)
@@ -265,7 +269,7 @@ _REQUIRED_KEYS = (  # in file order
 
 
 def save_catalog(variants: list[MachineVariant], path) -> None:
-    """Write variants as versioned key = value text; floats keep full precision."""
+    """Write variants atomically as key = value text; floats keep full precision."""
     lines = [CATALOG_VERSION_LINE, ""]
     for v in variants:
         d = v.initial_design
@@ -277,8 +281,7 @@ def save_catalog(variants: list[MachineVariant], path) -> None:
         lines += [f"{key} = {format_value(value)}"
                   for key, value in zip(_REQUIRED_KEYS, values)]
         lines.append("")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
+    write_text(path, "\n".join(lines))
 
 
 def _parse_band(raw: str, line_no: int) -> tuple[float, float]:

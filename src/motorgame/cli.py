@@ -28,7 +28,7 @@ from .catalog import (
     save_catalog,
     with_split,
 )
-from .env import DesignEnv, EpisodeRecord, RewardConfig, flags
+from .env import FLAG_NAMES, DesignEnv, EpisodeRecord, RewardConfig, all_flags_zero, flags
 from .errors import (
     CatalogVersionError,
     CheckpointFormatError,
@@ -147,9 +147,9 @@ def _machine_ids(config: RunConfig) -> list[int]:
     except ValueError as exc:
         raise ContractViolationError(
             f"bad machines list {config.machines!r}") from exc
-    if not ids or any(i not in known for i in ids):
+    if not ids or any(i not in known for i in ids) or len(set(ids)) < len(ids):
         raise ContractViolationError(
-            f"machines must be a subset of {sorted(known)}")
+            f"machines must be distinct ids from {sorted(known)}")
     return ids
 
 
@@ -297,11 +297,10 @@ def cmd_inspect(args: argparse.Namespace) -> int:
           f"line_voltage_v={base.line_voltage:.0f}")
     print(f"design: length={design.length!r} turns={design.turns} "
           f"tooth_tip={design.tooth_tip!r}")
-    names = ("b_gap", "t_break", "i_start", "d_temp", "tooth_tip")
-    for name, value, flag, band in zip(names, perf.as_tuple(), flag_values,
+    for name, value, flag, band in zip(FLAG_NAMES, perf.as_tuple(), flag_values,
                                        bands.as_tuple()):
         print(f"{name} = {value!r} band=({band[0]!r}, {band[1]!r}) flag={flag}")
-    print(f"feasible = {'yes' if all(f == 0 for f in flag_values) else 'no'}")
+    print(f"feasible = {'yes' if all_flags_zero(flag_values) else 'no'}")
     return 0
 
 

@@ -56,6 +56,15 @@ ACTION_MOVES = {
 }
 
 
+def move(ijk: tuple[int, int, int], action: Action | int,
+         shape: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Lattice index after ``action``; a move off the lattice stays put."""
+    axis, delta = ACTION_MOVES[action]
+    moved = list(ijk)
+    moved[axis] += delta
+    return tuple(moved) if 0 <= moved[axis] < shape[axis] else tuple(ijk)
+
+
 def flags(perf: Performance, bands: TargetBands) -> tuple[int, int, int, int, int]:
     """Ternary flag per performance value against its inclusive band."""
     out = []
@@ -164,6 +173,10 @@ class DesignEnv:
     # --- read-only episode state ---
 
     @property
+    def index(self) -> tuple[int, int, int]:
+        return self._ijk
+
+    @property
     def design(self) -> DesignPoint:
         return design_at(self.base, *self._ijk)
 
@@ -195,7 +208,6 @@ class DesignEnv:
         self._flags = flags(self._perf, self.variant.target_bands)
         self._steps = 0
         self._visited = {self._ijk}
-        self._prev_action: Action | None = None
         self._done = False
         self._started = True
         return encode(self._flags, None)
@@ -210,22 +222,15 @@ class DesignEnv:
         except ValueError:
             raise ContractViolationError(f"invalid action {action!r}") from None
 
-        if all_flags_zero(self._flags):
-            # already-feasible design (only possible before the first
-            # move): the episode closes out as a win without moving
-            new_ijk = self._ijk
-        else:
-            axis, delta = ACTION_MOVES[action]
-            candidate = list(self._ijk)
-            candidate[axis] += delta
-            if 0 <= candidate[axis] < self._shape[axis]:
-                new_ijk = tuple(candidate)
-            else:
-                new_ijk = self._ijk  # clamped no-op at the lattice edge
+        # an already-feasible design (only possible before the first
+        # move) closes out as a win without moving
+        new_ijk = (self._ijk if all_flags_zero(self._flags)
+                   else move(self._ijk, action, self._shape))
 
         prev_perf, prev_flags = self._perf, self._flags
         self._ijk = new_ijk
-        self._perf = evaluate(self.design, self.base)
+        design = self.design
+        self._perf = evaluate(design, self.base)
         self._flags = flags(self._perf, self.variant.target_bands)
 
         revisit = new_ijk in self._visited
@@ -239,11 +244,10 @@ class DesignEnv:
 
         self._visited.add(new_ijk)
         self._steps += 1
-        self._prev_action = action
         self._done = win or self._steps >= self.config.max_steps
         cause = "win" if win else ("truncation" if self._done else None)
 
-        info = StepInfo(design=self.design, performance=self._perf,
+        info = StepInfo(design=design, performance=self._perf,
                         flags=self._flags, cause=cause, revisit=revisit, win=win)
         return encode(self._flags, action), reward, self._done, info
 

@@ -9,6 +9,8 @@ float64 bit-exactly; arrays are space-separated floats in row-major order.
 
 from __future__ import annotations
 
+import contextlib
+import os
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -70,6 +72,23 @@ def read_sections(path, error: Callable[[str, int], Exception],
     if expect_version:
         raise error(f"empty file (missing header {version!r})", 1)
     return sections
+
+
+def write_text(path, text: str) -> None:
+    """Replace ``path`` by ``text`` atomically: write and fsync a temporary
+    file beside it, then rename it over ``path``.  On failure the old file
+    is untouched and the temporary file is removed."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def format_value(value) -> str:

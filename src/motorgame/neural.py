@@ -30,24 +30,27 @@ class MlpParams:
     """One network's parameters, gradients or Adam moment: the arrays are
     copied into one float64 vector ``flat`` (W0, b0, W1, b1, ...), and
     ``weights[l]`` (sizes[l], sizes[l+1]) and ``biases[l]`` (sizes[l+1],)
-    are C-contiguous views into it."""
+    are C-contiguous views into it.  Without arrays, ``flat`` is zero."""
 
-    def __init__(self, sizes: tuple[int, ...], weights: list[np.ndarray],
-                 biases: list[np.ndarray]):
+    def __init__(self, sizes: tuple[int, ...], weights: list[np.ndarray] | None = None,
+                 biases: list[np.ndarray] | None = None):
         self.sizes = _checked_sizes(sizes)
         shapes = [shape for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:])
                   for shape in ((fan_in, fan_out), (fan_out,))]
+        self.flat = np.zeros(sum(math.prod(shape) for shape in shapes))
+        views, start = [], 0
+        for shape in shapes:
+            views.append(self.flat[start:start + math.prod(shape)].reshape(shape))
+            start += views[-1].size
+        self.weights, self.biases = views[0::2], views[1::2]
+        if weights is None and biases is None:
+            return
         arrays = [t for pair in zip(weights, biases) for t in pair]
         if len(weights) != len(biases) or [np.shape(t) for t in arrays] != shapes:
             raise ContractViolationError(
                 f"weight/bias shapes do not match sizes {self.sizes}")
-        self.flat = np.empty(sum(math.prod(shape) for shape in shapes))
-        views, start = [], 0
-        for shape, t in zip(shapes, arrays):
-            views.append(self.flat[start:start + math.prod(shape)].reshape(shape))
-            views[-1][...] = t
-            start += views[-1].size
-        self.weights, self.biases = views[0::2], views[1::2]
+        for view, t in zip(views, arrays):
+            view[...] = t
 
     def tensors(self) -> list[np.ndarray]:
         """All per-layer views in flat order (W0, b0, W1, b1, ...)."""
@@ -103,16 +106,15 @@ def backward(params: MlpParams, cache: list[np.ndarray],
             (cache[0].shape[0], size) for size in params.sizes]:
         raise ContractViolationError("cache does not match params/output_grad")
 
-    grad_w: list[np.ndarray | None] = [None] * n_layers
-    grad_b: list[np.ndarray | None] = [None] * n_layers
+    grads = MlpParams(params.sizes)
     for layer in range(n_layers - 1, -1, -1):
         a_in = cache[layer]
-        grad_w[layer] = a_in.T @ g
-        grad_b[layer] = g.sum(axis=0)
+        np.matmul(a_in.T, g, out=grads.weights[layer])
+        g.sum(axis=0, out=grads.biases[layer])
         if layer > 0:
             # a_in is the tanh output of the previous layer
             g = (g @ params.weights[layer].T) * (1.0 - a_in * a_in)
-    return MlpParams(params.sizes, grad_w, grad_b)
+    return grads
 
 
 @dataclass
@@ -127,10 +129,8 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: MlpParams, learning_rate: float) -> "AdamState":
-        zeros = ([np.zeros_like(w) for w in params.weights],
-                 [np.zeros_like(b) for b in params.biases])
-        return cls(learning_rate=learning_rate, m=MlpParams(params.sizes, *zeros),
-                   v=MlpParams(params.sizes, *zeros))
+        return cls(learning_rate=learning_rate, m=MlpParams(params.sizes),
+                   v=MlpParams(params.sizes))
 
 
 def adam_step(params: MlpParams, grads: MlpParams, state: AdamState,

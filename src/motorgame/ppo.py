@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .catalog import BaseMachine, MachineVariant, machine_by_id
+from .catalog import MachineVariant, machine_by_id
 from .env import NUM_ACTIONS, OBSERVATION_DIM, DesignEnv, EpisodeRecord, RewardConfig, run_episode
 from .errors import (
     CheckpointFormatError,
@@ -24,7 +24,7 @@ from .errors import (
     ContractViolationError,
     TrainingDivergedError,
 )
-from .kvtext import format_array, format_value, parse_array, parse_value, read_sections
+from .kvtext import format_array, format_value, parse_array, parse_value, read_sections, write_text
 from .neural import (
     AdamState,
     Categorical,
@@ -132,7 +132,6 @@ class EnvPool:
         self._variants = variants
         self._cursor = 0
         self._config = reward_config if reward_config is not None else RewardConfig()
-        self._bases: dict[int, BaseMachine] = {}
         self.envs: list[DesignEnv] = []
         self._obs = np.empty((env_count, OBSERVATION_DIM))
         self._episode_reward = np.zeros(env_count)
@@ -142,15 +141,10 @@ class EnvPool:
             self.envs.append(env)
             self._obs[e] = env.reset()
 
-    def _base(self, base_id: int) -> BaseMachine:
-        if base_id not in self._bases:
-            self._bases[base_id] = machine_by_id(base_id)
-        return self._bases[base_id]
-
     def _fresh_env(self) -> DesignEnv:
         variant = self._variants[self._cursor % len(self._variants)]
         self._cursor += 1
-        return DesignEnv(variant, self._base(variant.base_id), self._config)
+        return DesignEnv(variant, config=self._config)
 
     @property
     def env_count(self) -> int:
@@ -533,7 +527,7 @@ def evaluate_agent(play: Callable[[DesignEnv, np.random.Generator], EpisodeRecor
     config = reward_config if reward_config is not None else RewardConfig()
     rows: list[EpisodeRow] = []
     for variant in variants:
-        env = DesignEnv(variant, machine_by_id(variant.base_id), config)
+        env = DesignEnv(variant, config=config)
         for ep in range(episodes_per_variant):
             rng = np.random.default_rng(
                 derive_seed(seed, variant.variant_seed, ep))
@@ -644,8 +638,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
     lines += _params_lines("critic", ckpt.critic)
     lines += _opt_lines("actor_opt", ckpt.actor_opt)
     lines += _opt_lines("critic_opt", ckpt.critic_opt)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def _load_params(section: dict[str, str], where: str, outputs: int) -> MlpParams:

@@ -1,5 +1,7 @@
 """Baseline agents and the breadth-first shortest-path oracle."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from motorgame.catalog import (
     MachineVariant,
     TargetBands,
     builtin_catalog,
+    feasible_mask,
     generate_variants,
     machine_by_id,
 )
@@ -252,3 +255,56 @@ def test_oracle_results_for_all_certified_variants():
             result = oracle_shortest(variant, base)
             assert result.shortest_steps is not None
             assert result.shortest_steps >= 0
+
+
+def _reference_oracle(variant, base):
+    """Forward breadth-first search from the start with parent pointers,
+    actions tried in index order; stops at the first feasible point it
+    discovers.  Returns (shortest_steps, witness)."""
+    shape = lattice_shape(base)
+    goal = feasible_mask(base, variant.target_bands)
+    start = lattice_index(base, variant.initial_design)
+    if goal[start]:
+        return 0, ()
+    parent = {start: None}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        for action in Action:
+            axis, delta = ACTION_MOVES[action]
+            cand = list(node)
+            cand[axis] += delta
+            cand = tuple(cand)
+            if not 0 <= cand[axis] < shape[axis] or cand in parent:
+                continue
+            parent[cand] = (node, action)
+            if goal[cand]:
+                path = []
+                while parent[cand] is not None:
+                    cand, step = parent[cand]
+                    path.append(step)
+                return len(path), tuple(reversed(path))
+            queue.append(cand)
+    return None, ()
+
+
+def test_oracle_matches_reference_search():
+    """The distance-field oracle returns the reference search's step count
+    and witness (the lexicographically first shortest path) on every
+    generated variant of several catalog seeds, on a feasible start, an
+    unreachable band and starts at two lattice corners."""
+    cases = [(v, base) for base in builtin_catalog() for seed in (0, 1, 2)
+             for v in generate_variants(base, 25, seed)]
+    shape = lattice_shape(M1)
+    corners = [_variant(M1, b_gap=(0.9, 1.1), t_break=(0.9, 1.1),
+                        i_start=(0.9, 1.1), d_temp=(0.9, 1.1),
+                        design=design_at(M1, *ijk))
+               for ijk in ((0, 0, 0), tuple(n - 1 for n in shape))]
+    cases += [(v, M1) for v in (FEASIBLE, IMPOSSIBLE, *corners)]
+    lengths = set()
+    for variant, base in cases:
+        result = oracle_shortest(variant, base)
+        expected = _reference_oracle(variant, base)
+        assert (result.shortest_steps, result.witness) == expected
+        lengths.add(result.shortest_steps)
+    assert {None, 0} < lengths and max(lengths - {None}) >= 20

@@ -59,6 +59,15 @@ def test_machine_by_id_unknown():
         machine_by_id(9)
 
 
+def test_builtin_catalog_is_a_fresh_list_of_the_one_machine_table():
+    machines = builtin_catalog()
+    assert [machine_by_id(m.id) for m in machines] == machines
+    assert all(machine_by_id(m.id) is m for m in machines)
+    machines.clear()
+    assert [m.id for m in builtin_catalog()] == [1, 2, 3]
+    assert [machine_by_id(mid).id for mid in (1, 2, 3)] == [1, 2, 3]
+
+
 def test_base_machine_validation():
     m = machine_by_id(1)
     with pytest.raises(ContractViolationError):

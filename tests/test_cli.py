@@ -1,6 +1,8 @@
 """Command-line entry point: config resolution, the five subcommands,
 and the machine-parseable exit codes (0 ok, 1 validation, 2 runtime)."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from motorgame.cli import (
 from motorgame.env import NUM_ACTIONS, OBSERVATION_DIM
 from motorgame.errors import ContractViolationError
 from motorgame.neural import AdamState, init
-from motorgame.ppo import load_checkpoint, save_checkpoint
+from motorgame.ppo import Hyperparams, load_checkpoint, new_checkpoint, save_checkpoint
 
 
 SMALL_TRAIN = ["--horizon", "16", "--env-count", "2", "--total-steps", "32",
@@ -142,10 +144,12 @@ def test_catalog_single_machine(tmp_path):
 
 
 def test_catalog_rejects_unknown_machine(tmp_path, capsys):
-    code = main(["catalog", "--catalog-path", str(tmp_path / "c.txt"),
-                 "--machines", "9"])
-    assert code == 1
-    assert "error:" in capsys.readouterr().err
+    for machines in ("9", "1,1"):
+        code = main(["catalog", "--catalog-path", str(tmp_path / "c.txt"),
+                     "--machines", machines])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "c.txt").exists()
 
 
 # --- train command -----------------------------------------------------------------
@@ -183,6 +187,22 @@ def test_train_without_catalog_fails_validation(tmp_path, capsys):
                  *SMALL_TRAIN])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_failed_write_leaves_old_checkpoint_and_catalog(tmp_path, monkeypatch):
+    catalog = _make_catalog(tmp_path)
+    ckpt, _ = _train_small(tmp_path, catalog)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_catalog(load_catalog(catalog)[:1], catalog)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(new_checkpoint(Hyperparams(seed=9)), str(ckpt))
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 # --- eval command ------------------------------------------------------------------

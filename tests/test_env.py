@@ -1,6 +1,8 @@
 """Design-game environment: ternary flags, priority-weighted shaping
 rewards, revisit penalty, win bonus, and episode mechanics."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,11 +19,12 @@ from motorgame.env import (
     encode,
     flags,
     format_step_record,
+    move,
     reward_for,
     run_episode,
 )
 from motorgame.errors import ContractViolationError
-from motorgame.surrogate import DesignPoint, Performance
+from motorgame.surrogate import DesignPoint, Performance, lattice_shape
 
 
 BASE = machine_by_id(1)  # length 1.2 m, 20 turns, tooth tip 2.0 mm
@@ -273,6 +276,28 @@ def test_action_moves_cover_all_axes():
     assert len(ACTION_MOVES) == NUM_ACTIONS
     assert sorted(ACTION_MOVES.values()) == [
         (0, -1), (0, 1), (1, -1), (1, 1), (2, -1), (2, 1)]
+    # move() at every face and corner of machine 1's lattice: a step off
+    # the lattice stays put, every other step changes one index by one
+    shape = lattice_shape(BASE)
+    top = tuple(n - 1 for n in shape)
+    assert move((0, 0, 0), Action.LENGTH_DOWN, shape) == (0, 0, 0)
+    assert move((0, 0, 0), Action.TURNS_UP, shape) == (0, 1, 0)
+    assert move(top, Action.TOOTH_TIP_UP, shape) == top
+    assert move(top, Action.TOOTH_TIP_DOWN, shape) == top[:2] + (top[2] - 1,)
+    center = tuple(n // 2 for n in shape)
+    faces = [center[:axis] + (end,) + center[axis + 1:]
+             for axis in range(3) for end in (0, shape[axis] - 1)]
+    corners = list(itertools.product(*((0, n - 1) for n in shape)))
+    for points, stuck in ((faces, 1), (corners, 3), ([center], 0)):
+        for point in points:
+            moved = {action: move(point, action, shape) for action in Action}
+            assert sum(m == point for m in moved.values()) == stuck
+            for action, m in moved.items():
+                axis, delta = ACTION_MOVES[action]
+                if m != point:
+                    assert np.subtract(m, point).tolist() == [
+                        delta if a == axis else 0 for a in range(3)]
+                    assert all(0 <= i < n for i, n in zip(m, shape))
 
 
 # --- episode driver -----------------------------------------------------------------
