@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -24,8 +24,10 @@ from .errors import ContractViolationError
 from .surrogate import (
     DesignPoint,
     Performance,
+    _perf_values,
     design_at,
     evaluate,
+    evaluate_grid,
     lattice_index,
     lattice_shape,
 )
@@ -250,6 +252,144 @@ class DesignEnv:
         info = StepInfo(design=design, performance=self._perf,
                         flags=self._flags, cause=cause, revisit=revisit, win=win)
         return encode(self._flags, action), reward, self._done, info
+
+
+class DesignBatch:
+    """Many design-game episodes held as arrays and stepped together.
+
+    The array twin of DesignEnv for training pools.  Row e plays
+    ``variants[variant_ids[e]]`` and has taken ``steps[e]`` steps of its
+    episode; step() applies DesignEnv.step's rule to every row with the
+    same float operations in the same order, so a row's observations,
+    rewards and episode ends equal, bit for bit, those of a DesignEnv
+    given the same variant and actions.  Rows hold no episode until
+    reset() starts one.
+
+    The lattice axes of every machine in play lie end to end in one axis
+    table, and a row's three lattice coordinates are positions in it.
+    Per position the table holds the axis value; its per-unit form, the
+    input of the surrogate's formula; the position each action leads to,
+    as move() gives it; and the position's share of its lattice point
+    number, which indexes the row's visited bitmap.
+    """
+
+    def __init__(self, variants: Sequence[MachineVariant], rows: int,
+                 config: RewardConfig | None = None):
+        self.config = config if config is not None else RewardConfig()
+        value, per_unit, share = [], [], []
+        after = [[] for _ in Action]  # after[a][p]: where action a takes position p
+        starts = {}  # machine id -> position of each axis's first point
+        points = 0   # most lattice points of any machine
+        for base_id in dict.fromkeys(v.base_id for v in variants):
+            base = machine_by_id(base_id)
+            grid, d0 = evaluate_grid(base), base.base_design
+            shape = grid.shape
+            starts[base_id] = []
+            for axis, (values, unit) in enumerate(((grid.lengths, d0.length),
+                                                   (grid.turns, d0.turns),
+                                                   (grid.tooth_tips, d0.tooth_tip))):
+                first = len(value)
+                starts[base_id].append(first)
+                value += values.tolist()
+                per_unit += (values / unit).tolist()
+                stride = int(np.prod(shape[axis + 1:]))
+                for i in range(shape[axis]):
+                    ijk = tuple(i if d == axis else 0 for d in range(3))
+                    share.append(i * stride)
+                    for action, moved in zip(Action, after):
+                        moved.append(first + move(ijk, action, shape)[axis])
+            points = max(points, int(np.prod(shape)))
+        self._value, self._per_unit = np.array(value), np.array(per_unit)
+        self._share, self._after = np.array(share), np.array(after)
+        # per variant: start positions and band limits
+        self._start = np.array([np.add(starts[v.base_id],
+                                       lattice_index(machine_by_id(v.base_id), v.initial_design))
+                                for v in variants])
+        bands = np.array([v.target_bands.as_tuple() for v in variants])
+        self._lo, self._hi = bands[..., 0], bands[..., 1]
+        self._weights = np.array(self.config.priority_weights, dtype=np.float64)[:, None]
+
+        self._rows = np.arange(rows)
+        self.variant_ids = np.zeros(rows, dtype=np.intp)
+        self.steps = np.zeros(rows, dtype=np.intp)
+        self._at = np.zeros((rows, 3), dtype=np.intp)
+        self._perf = np.zeros((5, rows))   # flag-major, as are the flags
+        self._flags = np.zeros((5, rows))
+        self._visited = np.zeros((rows, -(-points // 64)), dtype=np.int64)
+
+    def _evaluate(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """Performance and flags, each (5, rows), at the rows' lattice points."""
+        at = self._at[rows].T
+        perf = np.empty((5, len(at[0])))
+        perf[:4] = _perf_values(*self._per_unit[at])
+        perf[4] = self._value[at[2]]
+        vid = self.variant_ids[rows]
+        return perf, (perf > self._hi[vid].T).astype(np.float64) - (perf < self._lo[vid].T)
+
+    def _visit(self, rows) -> np.ndarray:
+        """Mark the rows' lattice points visited; True where one already was."""
+        point = self._share[self._at[rows]].sum(axis=1)
+        word, bit = point >> 6, np.left_shift(1, point & 63)
+        seen = (self._visited[rows, word] & bit).astype(bool)
+        self._visited[rows, word] |= bit
+        return seen
+
+    def reset(self, rows: np.ndarray, variant_ids: np.ndarray) -> np.ndarray:
+        """Start the given rows on the given variants; their observations."""
+        self.variant_ids[rows] = variant_ids
+        self._at[rows] = self._start[variant_ids]
+        self._perf[:, rows], self._flags[:, rows] = self._evaluate(rows)
+        self.steps[rows] = 0
+        self._visited[rows] = 0
+        self._visit(rows)
+        obs = np.zeros((len(rows), OBSERVATION_DIM))
+        obs[:, :5] = self._flags[:, rows].T
+        return obs
+
+    def step(self, actions: np.ndarray,
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Advance every row by its action, one integer in 0..5 per row.
+
+        Returns (observations, rewards, done, win) per row.  Bad actions
+        raise ContractViolationError before any row moves.
+        """
+        actions = np.asarray(actions)
+        if (actions.shape != self._rows.shape or actions.dtype.kind not in "iu"
+                or actions.min() < 0 or actions.max() >= NUM_ACTIONS):
+            raise ContractViolationError(
+                f"need {len(self._rows)} integer actions in 0..{NUM_ACTIONS - 1}, "
+                f"got {actions.dtype} array of shape {actions.shape}: {actions}")
+        cfg, rows = self.config, self._rows
+
+        # an already-feasible row (only possible before its first move)
+        # closes out as a win without moving
+        prev_perf, prev_flags = self._perf, self._flags
+        moves = prev_flags.any(axis=0)
+        self._at[moves] = self._after[actions[moves, None], self._at[moves]]
+        perf, flags = self._evaluate(rows)
+        self._perf, self._flags = perf, flags
+
+        # reward_for(): the weighted terms summed one flag at a time in
+        # priority order, so the sum rounds as it does there
+        right_way = np.where(prev_flags > 0, perf < prev_perf, perf > prev_perf)
+        terms = np.where(prev_flags != 0,
+                         np.where(right_way, cfg.right_direction_reward,
+                                  cfg.wrong_direction_reward),
+                         np.where(flags != 0, cfg.wrong_direction_reward, 0.0))
+        rewards = np.zeros(len(rows))
+        for term in terms * self._weights:
+            rewards += term
+        revisit = self._visit(rows)
+        win = ~flags.any(axis=0)
+        rewards[revisit] += cfg.revisit_penalty
+        rewards[win] += cfg.win_reward
+
+        self.steps += 1
+        done = win | (self.steps >= cfg.max_steps)
+        obs = np.zeros((len(rows), OBSERVATION_DIM))
+        obs[:, :5] = flags.T
+        obs[rows, 5 + actions] = 1.0
+        return obs, rewards, done, win
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .catalog import MachineVariant, machine_by_id
-from .env import NUM_ACTIONS, OBSERVATION_DIM, DesignEnv, EpisodeRecord, RewardConfig, run_episode
+from .env import (
+    NUM_ACTIONS,
+    OBSERVATION_DIM,
+    DesignBatch,
+    DesignEnv,
+    EpisodeRecord,
+    RewardConfig,
+    run_episode,
+)
 from .errors import (
     CheckpointFormatError,
     CheckpointVersionError,
@@ -120,7 +128,12 @@ class RolloutBuffer:
 
 class EnvPool:
     """Fixed set of design-game environments cycling round-robin through
-    the training variants on episode reset."""
+    the training variants on episode reset.
+
+    The envs are the rows of one env.DesignBatch, so a step is one array
+    operation over the whole pool; each env plays exactly as a DesignEnv
+    would.
+    """
 
     def __init__(self, variants: Sequence[MachineVariant], env_count: int,
                  reward_config: RewardConfig | None = None):
@@ -131,24 +144,24 @@ class EnvPool:
             raise ContractViolationError("env_count must be >= 1")
         self._variants = variants
         self._cursor = 0
-        self._config = reward_config if reward_config is not None else RewardConfig()
-        self.envs: list[DesignEnv] = []
-        self._obs = np.empty((env_count, OBSERVATION_DIM))
+        self._game = DesignBatch(variants, env_count, reward_config)
         self._episode_reward = np.zeros(env_count)
         self._finished: list[tuple[int, float, bool]] = []  # (steps, reward, win)
-        for e in range(env_count):
-            env = self._fresh_env()
-            self.envs.append(env)
-            self._obs[e] = env.reset()
+        self._obs = self._game.reset(np.arange(env_count), self._next_variants(env_count))
 
-    def _fresh_env(self) -> DesignEnv:
-        variant = self._variants[self._cursor % len(self._variants)]
-        self._cursor += 1
-        return DesignEnv(variant, config=self._config)
+    def _next_variants(self, count: int) -> np.ndarray:
+        ids = (self._cursor + np.arange(count)) % len(self._variants)
+        self._cursor += count
+        return ids
 
     @property
     def env_count(self) -> int:
-        return len(self.envs)
+        return len(self._obs)
+
+    @property
+    def variants(self) -> tuple[MachineVariant, ...]:
+        """The variant each env is playing now."""
+        return tuple(self._variants[i] for i in self._game.variant_ids)
 
     def observations(self) -> np.ndarray:
         return self._obs.copy()
@@ -156,27 +169,25 @@ class EnvPool:
     def step(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Advance every env by one action; auto-reset finished episodes.
 
+        ``actions`` holds one integer in 0..5 per env; anything else
+        raises ContractViolationError and leaves the pool as it was.
         Returns (rewards, dones, cause codes) for the step just taken;
         afterwards observations() reflects post-reset states.
         """
-        e_count = len(self.envs)
-        rewards = np.zeros(e_count)
-        dones = np.zeros(e_count)
-        causes = np.zeros(e_count, dtype=np.int8)
-        for e in range(e_count):
-            obs, reward, done, info = self.envs[e].step(int(actions[e]))
-            rewards[e] = reward
-            self._episode_reward[e] += reward
-            if done:
-                dones[e] = 1.0
-                causes[e] = _CAUSE_CODES[info.cause]
-                self._finished.append(
-                    (self.envs[e].steps, float(self._episode_reward[e]), info.win))
-                self._episode_reward[e] = 0.0
-                self.envs[e] = self._fresh_env()
-                obs = self.envs[e].reset()
-            self._obs[e] = obs
-        return rewards, dones, causes
+        obs, rewards, done, win = self._game.step(actions)
+        self._episode_reward += rewards
+        finished = np.flatnonzero(done)
+        if finished.size:
+            self._finished += zip(self._game.steps[finished].tolist(),
+                                  self._episode_reward[finished].tolist(),
+                                  win[finished].tolist())
+            self._episode_reward[finished] = 0.0
+            obs[finished] = self._game.reset(finished, self._next_variants(finished.size))
+        self._obs = obs
+        causes = np.zeros(len(done), dtype=np.int8)
+        causes[done] = _CAUSE_CODES["truncation"]
+        causes[win] = _CAUSE_CODES["win"]
+        return rewards, done.astype(np.float64), causes
 
     def drain_finished(self) -> list[tuple[int, float, bool]]:
         out, self._finished = self._finished, []
@@ -264,7 +275,8 @@ class UpdateStats:
     value_loss: float
     entropy: float
     clip_fraction: float
-    grad_norm: float
+    grad_norm: float   # mean actor gradient norm before clipping
+    approx_kl: float   # mean over minibatches of mean(old - new log-prob)
 
 
 def ppo_update(actor: MlpParams, critic: MlpParams,
@@ -291,7 +303,7 @@ def ppo_update(actor: MlpParams, critic: MlpParams,
     advantages = normalize_advantages(buffer.advantages.reshape(batch))
     returns = buffer.returns.reshape(batch)
 
-    pol_losses, val_losses, entropies, clip_fracs, grad_norms = [], [], [], [], []
+    pol_losses, val_losses, entropies, clip_fracs, grad_norms, kls = [], [], [], [], [], []
     for _ in range(hyper.epochs):
         perm = rng.permutation(batch)
         for start in range(0, batch, hyper.minibatch_size):
@@ -308,7 +320,8 @@ def ppo_update(actor: MlpParams, critic: MlpParams,
             new_log_prob = dist.log_prob(mb_acts)
             entropy = dist.entropy()
 
-            ratio = np.exp(new_log_prob - old_log_probs[idx])
+            mb_old_log_prob = old_log_probs[idx]
+            ratio = np.exp(new_log_prob - mb_old_log_prob)
             objective = clipped_objective(ratio, mb_adv, hyper.clip_ratio)
             policy_loss = -float(np.mean(objective))
             entropy_mean = float(np.mean(entropy))
@@ -349,6 +362,7 @@ def ppo_update(actor: MlpParams, critic: MlpParams,
             entropies.append(entropy_mean)
             clip_fracs.append(clip_frac)
             grad_norms.append(norm)
+            kls.append(float(np.mean(mb_old_log_prob - new_log_prob)))
 
     return UpdateStats(
         policy_loss=float(np.mean(pol_losses)),
@@ -356,6 +370,7 @@ def ppo_update(actor: MlpParams, critic: MlpParams,
         entropy=float(np.mean(entropies)),
         clip_fraction=float(np.mean(clip_fracs)),
         grad_norm=float(np.mean(grad_norms)),
+        approx_kl=float(np.mean(kls)),
     )
 
 
@@ -371,6 +386,8 @@ class UpdateRow:
     value_loss: float
     entropy: float
     clip_fraction: float
+    grad_norm: float
+    approx_kl: float
 
     def as_line(self) -> str:
         return " ".join(f"{f.name}={format_value(getattr(self, f.name))}"
@@ -417,6 +434,10 @@ def train(variants: Sequence[MachineVariant], hyper: Hyperparams,
     run: the env pool is not checkpointed, so its episodes and round-robin
     cursor restart.  ``metrics_path`` is truncated on a fresh run and
     appended to on resume.
+
+    The pool steps all its envs as one array operation, so
+    ``hyper.env_count`` is cheap to raise: the cost per env step falls
+    as the pool grows.
     """
     if not variants:
         raise ContractViolationError("need at least one training variant")
@@ -467,6 +488,8 @@ def train(variants: Sequence[MachineVariant], hyper: Hyperparams,
                 value_loss=stats.value_loss,
                 entropy=stats.entropy,
                 clip_fraction=stats.clip_fraction,
+                grad_norm=stats.grad_norm,
+                approx_kl=stats.approx_kl,
             )
             report.rows.append(row)
             if metrics is not None:

@@ -9,10 +9,12 @@ import pytest
 from motorgame.catalog import (
     MachineVariant,
     TargetBands,
+    builtin_catalog,
+    feasible_mask,
     generate_variants,
     machine_by_id,
 )
-from motorgame.env import NUM_ACTIONS, OBSERVATION_DIM, RewardConfig
+from motorgame.env import NUM_ACTIONS, OBSERVATION_DIM, Action, DesignEnv, RewardConfig, move
 from motorgame.errors import (
     CheckpointFormatError,
     CheckpointVersionError,
@@ -21,6 +23,7 @@ from motorgame.errors import (
 )
 from motorgame.neural import AdamState, Categorical, forward, init
 from motorgame.ppo import (
+    _CAUSE_CODES,
     ACTOR_SIZES,
     CHECKPOINT_VERSION_LINE,
     CRITIC_SIZES,
@@ -40,6 +43,7 @@ from motorgame.ppo import (
     train,
     write_episode_csv,
 )
+from motorgame.surrogate import design_at, lattice_shape
 
 BASE = machine_by_id(1)
 
@@ -214,12 +218,12 @@ def test_clipped_objective_min_property():
 
 def test_pool_round_robin_and_autoreset():
     pool = EnvPool([FEASIBLE_A, FEASIBLE_B], env_count=1)
-    assert pool.envs[0].variant is FEASIBLE_A
+    assert pool.variants[0] is FEASIBLE_A
     # the feasible start makes every step a win, cycling the variants
     for expected in (FEASIBLE_B, FEASIBLE_A, FEASIBLE_B):
         rewards, dones, causes = pool.step(np.zeros(1, dtype=int))
         assert rewards[0] == 98.0 and dones[0] == 1.0
-        assert pool.envs[0].variant is expected
+        assert pool.variants[0] is expected
     finished = pool.drain_finished()
     assert [(s, w) for s, _, w in finished] == [(1, True)] * 3
     assert pool.drain_finished() == []
@@ -230,6 +234,111 @@ def test_pool_validation():
         EnvPool([], env_count=1)
     with pytest.raises(ContractViolationError):
         EnvPool([FEASIBLE_A], env_count=0)
+
+
+class _LoopPool:
+    """The env pool as a Python loop over DesignEnvs, one env at a time;
+    kept as the reference that EnvPool's array step must match."""
+
+    def __init__(self, variants, env_count, reward_config):
+        self._variants, self._cursor, self._config = tuple(variants), 0, reward_config
+        self._episode_reward = np.zeros(env_count)
+        self._finished = []
+        self.envs = [self._fresh_env() for _ in range(env_count)]
+        self._obs = np.array([env.reset() for env in self.envs])
+
+    def _fresh_env(self):
+        variant = self._variants[self._cursor % len(self._variants)]
+        self._cursor += 1
+        return DesignEnv(variant, config=self._config)
+
+    def observations(self):
+        return self._obs.copy()
+
+    def step(self, actions):
+        e_count = len(self.envs)
+        rewards = np.zeros(e_count)
+        dones = np.zeros(e_count)
+        causes = np.zeros(e_count, dtype=np.int8)
+        for e in range(e_count):
+            obs, reward, done, info = self.envs[e].step(int(actions[e]))
+            rewards[e] = reward
+            self._episode_reward[e] += reward
+            if done:
+                dones[e] = 1.0
+                causes[e] = _CAUSE_CODES[info.cause]
+                self._finished.append(
+                    (self.envs[e].steps, float(self._episode_reward[e]), info.win))
+                self._episode_reward[e] = 0.0
+                self.envs[e] = self._fresh_env()
+                obs = self.envs[e].reset()
+            self._obs[e] = obs
+        return rewards, dones, causes
+
+    def drain_finished(self):
+        out, self._finished = self._finished, []
+        return out
+
+
+def _replay_variants():
+    """Generated variants of all three machines, each also started on a
+    feasible point, one step beside it, and at both lattice corners."""
+    out = []
+    for base in builtin_catalog():
+        shape = lattice_shape(base)
+        for v in generate_variants(base, 3, 7):
+            feasible = tuple(np.argwhere(feasible_mask(base, v.target_bands))[0])
+            starts = (feasible, move(feasible, Action.TURNS_DOWN, shape),
+                      (0, 0, 0), tuple(n - 1 for n in shape))
+            out += [v] + [replace(v, initial_design=design_at(base, *ijk))
+                          for ijk in starts]
+    return out
+
+
+# non-unit rewards and weights, so any change in summation order shows
+REPLAY_CONFIG = RewardConfig(right_direction_reward=1.3, wrong_direction_reward=-0.7,
+                             revisit_penalty=-2.9, win_reward=41.1,
+                             priority_weights=(4.7, 3.1, 2.3, 1.9, 0.3), max_steps=6)
+
+
+@pytest.mark.parametrize("env_count,steps", [(1, 400), (8, 120), (64, 40)])
+def test_pool_replays_the_loop_over_design_envs(env_count, steps):
+    variants = _replay_variants()
+    rng = np.random.default_rng(env_count)
+    rng.shuffle(variants)
+    pool = EnvPool(variants, env_count, REPLAY_CONFIG)
+    reference = _LoopPool(variants, env_count, REPLAY_CONFIG)
+    assert np.array_equal(pool.observations(), reference.observations())
+    seen_causes = set()
+    for t in range(steps):
+        actions = rng.integers(NUM_ACTIONS, size=env_count)
+        got, want = pool.step(actions), reference.step(actions)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert np.array_equal(pool.observations(), reference.observations())
+        assert pool.variants == tuple(env.variant for env in reference.envs)
+        seen_causes.update(want[2].tolist())
+        if t % 10 == 9:
+            assert pool.drain_finished() == reference.drain_finished()
+    assert pool.drain_finished() == reference.drain_finished()
+    assert seen_causes == {0, 1, 2}
+
+
+@pytest.mark.parametrize("actions", [
+    [0, 1, 6], [0, 1, -1], [0, 1, 2, 3], [0, 1], [[0, 1, 2]], [0.0, 1.0, 2.0]])
+def test_pool_rejects_bad_actions_before_any_env_moves(actions):
+    variants = [FEASIBLE_A] + TRAIN_VARIANTS
+    pool, twin = EnvPool(variants, 3), EnvPool(variants, 3)
+    for p in (pool, twin):
+        p.step(np.array([4, 2, 5]))  # env 0 wins, so an episode is waiting
+    before = pool.observations()
+    with pytest.raises(ContractViolationError):
+        pool.step(np.array(actions))
+    assert np.array_equal(pool.observations(), before)
+    assert pool.drain_finished() == twin.drain_finished() != []
+    for a, b in zip(pool.step(np.array([3, 1, 0])), twin.step(np.array([3, 1, 0]))):
+        assert np.array_equal(a, b)
+    assert np.array_equal(pool.observations(), twin.observations())
 
 
 def test_collect_rollout_minimal():
@@ -357,6 +466,31 @@ def test_train_single_update_accounting():
     row = report.rows[0]
     assert row.update == 1 and row.env_steps == 32
     assert 0 <= row.clip_fraction <= 1
+
+
+@pytest.mark.parametrize("hyper", [
+    replace(SMALL, total_steps=64),
+    # one minibatch over the whole buffer, taken before any step: the
+    # policy is still the rollout's, up to the forward's batch shape
+    replace(SMALL, total_steps=64, epochs=1, minibatch_size=32)])
+def test_train_rows_carry_grad_norm_and_approx_kl(monkeypatch, hyper):
+    updates = []
+
+    def recorded(*args):
+        updates.append(ppo_update(*args))
+        return updates[-1]
+
+    monkeypatch.setattr("motorgame.ppo.ppo_update", recorded)
+    _, report = train(TRAIN_VARIANTS, hyper)
+    assert len(report.rows) == len(updates) == 2
+    for row, stats in zip(report.rows, updates):
+        assert row.grad_norm == stats.grad_norm > 0
+        assert row.approx_kl == stats.approx_kl
+        assert np.isfinite(row.approx_kl)
+        assert row.as_line().endswith(
+            f"grad_norm={row.grad_norm!r} approx_kl={row.approx_kl!r}")
+        if hyper.epochs == 1:
+            assert abs(row.approx_kl) < 1e-12
 
 
 def test_train_bit_identical_given_seed():
