@@ -23,7 +23,7 @@ from .errors import (
 from .kvtext import Section, format_value, read_sections, write_text
 from .surrogate import DesignPoint, evaluate_grid
 
-CATALOG_VERSION_LINE = "motor-design-catalog v1"
+CATALOG_VERSION_LINE = "motor-design-catalog v2"
 
 # Variant sampler: starting designs are drawn uniformly from this
 # per-unit window of the lattice, target bands as center +- half-width.
@@ -55,29 +55,13 @@ class Bounds:
 
 
 @dataclass(frozen=True)
-class SiAnchors:
-    """Multipliers that turn per-unit results into SI figures in reports.
-
-    Game logic never uses these.
-    """
-
-    b_gap: float    # T
-    t_break: float  # N*m
-    i_start: float  # A
-    d_temp: float   # K
-
-
-@dataclass(frozen=True)
 class BaseMachine:
     id: int
     rated_power: float   # kW
     line_voltage: float  # V
     base_design: DesignPoint
-    si_anchors: SiAnchors
     bounds: Bounds
     step_sizes: StepSizes
-    frequency: float = 50.0  # Hz
-    pole_pairs: int = 2
 
     def __post_init__(self):
         if self.rated_power <= 0 or self.line_voltage <= 0:
@@ -104,19 +88,11 @@ def _stock_machine(mid: int, power_kw: float, voltage_v: float,
     lo_l = 0.5 * length0
     step_h = 0.1 * tooth0
     lo_h = 0.5 * tooth0
-    sync_rad_s = 2.0 * np.pi * 50.0 / 2.0  # 4-pole, 50 Hz
-    rated_amps = power_kw * 1e3 / (np.sqrt(3.0) * voltage_v * 0.9)  # pf*eff ~ 0.9
     return BaseMachine(
         id=mid,
         rated_power=power_kw,
         line_voltage=voltage_v,
         base_design=DesignPoint(length0, turns0, tooth0),
-        si_anchors=SiAnchors(
-            b_gap=0.85,
-            t_break=power_kw * 1e3 / sync_rad_s,
-            i_start=5.0 * rated_amps,
-            d_temp=80.0,
-        ),
         # upper bounds stored as lo + count*step so the top lattice point
         # passes the inclusive check bitwise
         bounds=Bounds(
@@ -180,7 +156,6 @@ class MachineVariant:
     variant_seed: int
     initial_design: DesignPoint
     target_bands: TargetBands
-    feasible_exists: bool
     split: str = "train"
 
     def __post_init__(self):
@@ -248,7 +223,6 @@ def generate_variants(base: BaseMachine, count: int, seed: int) -> list[MachineV
                     variant_seed=slot_seed,
                     initial_design=initial,
                     target_bands=bands,
-                    feasible_exists=True,
                 ))
                 break
         else:
@@ -262,10 +236,8 @@ def generate_variants(base: BaseMachine, count: int, seed: int) -> list[MachineV
 # --- persistence -----------------------------------------------------------
 
 _BAND_KEYS = ("band_b_gap", "band_t_break", "band_i_start", "band_d_temp", "band_tooth_tip")
-_REQUIRED_KEYS = (  # in file order
-    "base_id", "variant_seed", "split", "length", "turns", "tooth_tip",
-    *_BAND_KEYS, "feasible_exists",
-)
+_REQUIRED_KEYS = ("base_id", "variant_seed", "split", "length", "turns",  # in file order
+                  "tooth_tip", *_BAND_KEYS)
 
 
 def save_catalog(variants: list[MachineVariant], path) -> None:
@@ -275,8 +247,7 @@ def save_catalog(variants: list[MachineVariant], path) -> None:
         d = v.initial_design
         values = (v.base_id, v.variant_seed, v.split, d.length, d.turns, d.tooth_tip,
                   *(f"{format_value(lo)}, {format_value(hi)}"
-                    for lo, hi in v.target_bands.as_tuple()),
-                  "true" if v.feasible_exists else "false")
+                    for lo, hi in v.target_bands.as_tuple()))
         lines.append("[variant]")
         lines += [f"{key} = {format_value(value)}"
                   for key, value in zip(_REQUIRED_KEYS, values)]
@@ -316,10 +287,6 @@ def _build_variant(section: Section) -> MachineVariant:
         except ValueError:
             raise MalformedCatalogError(f"bad value for {key}: {text(key)!r}", line(key)) from None
 
-    flag = text("feasible_exists")
-    if flag not in ("true", "false"):
-        raise MalformedCatalogError(f"feasible_exists must be true or false, got {flag!r}",
-                                    line("feasible_exists"))
     try:
         return MachineVariant(
             base_id=parse("base_id", int),
@@ -332,7 +299,6 @@ def _build_variant(section: Section) -> MachineVariant:
             target_bands=TargetBands(*(
                 _parse_band(text(k), line(k)) for k in _BAND_KEYS
             )),
-            feasible_exists=flag == "true",
             split=text("split"),
         )
     except ContractViolationError as exc:

@@ -219,10 +219,11 @@ class DesignEnv:
             raise ContractViolationError("step() before reset()")
         if self._done:
             raise ContractViolationError("step() after the episode ended")
-        try:
-            action = Action(int(action))
-        except ValueError:
-            raise ContractViolationError(f"invalid action {action!r}") from None
+        # bools and floats are not actions, even where int() would take them
+        if (isinstance(action, bool) or not isinstance(action, (int, np.integer))
+                or not 0 <= action < NUM_ACTIONS):
+            raise ContractViolationError(f"invalid action {action!r}")
+        action = Action(action)
 
         # an already-feasible design (only possible before the first
         # move) closes out as a win without moving
@@ -407,11 +408,11 @@ def run_episode(env: DesignEnv, policy: Callable[[np.ndarray], int],
     obs = env.reset()
     total = 0.0
     while True:
-        action = Action(int(policy(obs)))
+        action = policy(obs)
         obs, reward, done, info = env.step(action)
         total += reward
         if log is not None:
-            log(env.steps, action, reward, info)
+            log(env.steps, Action(action), reward, info)
         if done:
             return EpisodeRecord(steps=env.steps, total_reward=total,
                                  win=info.win, cause=info.cause)

@@ -70,17 +70,13 @@ def init(sizes: tuple[int, ...] | list[int], seed: int) -> MlpParams:
 
 
 def forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Run the network; returns (output, cache for backward).
-
-    ``x`` may be a single vector or a (batch, features) matrix; the
-    output matches.  The cache holds each layer's input activations.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    a = x[None, :] if single else x
+    """Run the network on a (batch, features) matrix; returns the
+    (batch, outputs) output and the cache for backward, which holds each
+    layer's input activations."""
+    a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != params.sizes[0]:
         raise ContractViolationError(
-            f"input shape {x.shape} incompatible with sizes {params.sizes}")
+            f"input shape {a.shape} incompatible with sizes {params.sizes}")
     cache = [a]
     last = len(params.weights) - 1
     for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
@@ -88,19 +84,17 @@ def forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarr
         a = z if layer == last else np.tanh(z)
         if layer != last:
             cache.append(a)
-    return (a[0] if single else a), cache
+    return a, cache
 
 
 def backward(params: MlpParams, cache: list[np.ndarray],
              output_grad: np.ndarray) -> MlpParams:
     """Exact gradients of the scalar loss whose output gradient is given.
 
-    ``output_grad`` has the forward output's shape; batched rows are
-    summed into one gradient of the params' layout.
+    ``output_grad`` has the forward output's (batch, outputs) shape; the
+    rows are summed into one gradient of the params' layout.
     """
     g = np.asarray(output_grad, dtype=np.float64)
-    if g.ndim == 1:
-        g = g[None, :]
     n_layers = len(params.weights)
     if len(cache) != n_layers or [a.shape for a in cache + [g]] != [
             (cache[0].shape[0], size) for size in params.sizes]:
@@ -117,15 +111,17 @@ def backward(params: MlpParams, cache: list[np.ndarray],
     return grads
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     learning_rate: float
     m: MlpParams
     v: MlpParams
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params: MlpParams, learning_rate: float) -> "AdamState":
@@ -142,13 +138,13 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState,
     if not np.all(np.isfinite(g)):
         raise TrainingDivergedError("non-finite gradient")
     state.step += 1
-    b1c = 1.0 - state.beta1 ** state.step
-    b2c = 1.0 - state.beta2 ** state.step
-    m *= state.beta1
-    m += (1.0 - state.beta1) * g
-    v *= state.beta2
-    v += (1.0 - state.beta2) * g * g
-    params.flat -= state.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + state.eps)
+    b1c = 1.0 - ADAM_BETA1 ** state.step
+    b2c = 1.0 - ADAM_BETA2 ** state.step
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    params.flat -= state.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
     return params, state
 
 
@@ -162,45 +158,32 @@ def clip_grad_norm(grads: MlpParams, max_norm: float) -> float:
 
 
 class Categorical:
-    """Discrete distribution over action logits (single vector or batch).
+    """Discrete distributions over a (batch, actions) matrix of logits.
 
     Probabilities come from a max-shifted softmax, so arbitrarily large
     finite logits cannot overflow.
     """
 
     def __init__(self, logits: np.ndarray):
-        logits = np.asarray(logits, dtype=np.float64)
-        self._single = logits.ndim == 1
-        z = logits[None, :] if self._single else logits
+        z = np.asarray(logits, dtype=np.float64)
+        if z.ndim != 2:
+            raise ContractViolationError(f"logits shape {z.shape} is not (batch, actions)")
         shifted = z - z.max(axis=-1, keepdims=True)
         lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-        self._log_probs = shifted - lse
-        self._probs = np.exp(self._log_probs)
+        self.logits_log_probs = shifted - lse
+        self.probs = np.exp(self.logits_log_probs)
 
-    @property
-    def probs(self) -> np.ndarray:
-        p = self._probs
-        return p[0] if self._single else p
-
-    @property
-    def logits_log_probs(self) -> np.ndarray:
-        lp = self._log_probs
-        return lp[0] if self._single else lp
-
-    def sample(self, rng: np.random.Generator):
-        """Inverse-CDF sample; deterministic in the generator state."""
-        cdf = np.cumsum(self._probs, axis=-1)
-        u = rng.random(self._probs.shape[0])
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        """Inverse-CDF sample, one action per row; deterministic in the
+        generator state."""
+        cdf = np.cumsum(self.probs, axis=-1)
+        u = rng.random(self.probs.shape[0])
         idx = (cdf < u[:, None]).sum(axis=-1)
-        idx = np.minimum(idx, self._probs.shape[-1] - 1)
-        return int(idx[0]) if self._single else idx
+        return np.minimum(idx, self.probs.shape[-1] - 1)
 
-    def log_prob(self, actions):
-        actions = np.atleast_1d(np.asarray(actions, dtype=np.intp))
-        lp = self._log_probs[np.arange(self._log_probs.shape[0]), actions]
-        return float(lp[0]) if self._single else lp
+    def log_prob(self, actions) -> np.ndarray:
+        actions = np.asarray(actions, dtype=np.intp)
+        return self.logits_log_probs[np.arange(self.probs.shape[0]), actions]
 
-    def entropy(self):
-        h = -(self._probs * self._log_probs).sum(axis=-1)
-        return float(h[0]) if self._single else h
-
+    def entropy(self) -> np.ndarray:
+        return -(self.probs * self.logits_log_probs).sum(axis=-1)

@@ -44,7 +44,7 @@ from .neural import (
     init,
 )
 
-CHECKPOINT_VERSION_LINE = "motor-design-ckpt v1"
+CHECKPOINT_VERSION_LINE = "motor-design-ckpt v2"
 
 ACTOR_SIZES = (OBSERVATION_DIM, 64, 64, NUM_ACTIONS)
 CRITIC_SIZES = (OBSERVATION_DIM, 64, 64, 1)
@@ -588,10 +588,10 @@ def evaluate(actor: MlpParams, variants: Sequence[MachineVariant],
 
     def play(env: DesignEnv, rng: np.random.Generator) -> EpisodeRecord:
         def policy(obs: np.ndarray) -> int:
-            logits, _ = forward(actor, obs)
+            logits, _ = forward(actor, obs[None])
             if mode == "argmax":
-                return int(np.argmax(logits))
-            return Categorical(logits).sample(rng)
+                return int(np.argmax(logits[0]))
+            return int(Categorical(logits).sample(rng)[0])
 
         return run_episode(env, policy)
 
@@ -628,79 +628,80 @@ def write_episode_csv(path: str, rows: Sequence[EpisodeRow]) -> None:
 # --- checkpoint serialization -------------------------------------------------
 
 
-def _params_lines(name: str, params: MlpParams) -> list[str]:
-    lines = [f"[{name}]",
-             "sizes = " + " ".join(str(s) for s in params.sizes)]
-    for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
-        lines.append(f"W{layer} = " + format_array(w))
-        lines.append(f"b{layer} = " + format_array(b))
-    return lines
-
-
-_OPT_SCALARS = ("learning_rate", "beta1", "beta2", "eps", "step")  # file order
-
-
-def _opt_lines(name: str, opt: AdamState) -> list[str]:
-    lines = [f"[{name}]"]
-    for key in _OPT_SCALARS:
-        lines.append(f"{key} = {format_value(getattr(opt, key))}")
-    for i, (m, v) in enumerate(zip(opt.m.tensors(), opt.v.tensors())):
-        lines.append(f"m{i} = " + format_array(m))
-        lines.append(f"v{i} = " + format_array(v))
-    return lines
+_CHECKPOINT_KEYS = {  # section -> keys, in file order
+    "meta": ("update_index", "env_steps"),
+    "hyper": tuple(f.name for f in fields(Hyperparams)),
+    "actor": ("sizes", "flat"),
+    "critic": ("sizes", "flat"),
+    "actor_opt": ("step", "m", "v"),
+    "critic_opt": ("step", "m", "v"),
+}
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
+    """Write ``ckpt`` atomically: each network and Adam moment is one flat
+    array, and the learning rate is stored once, in [hyper]."""
     lines = [CHECKPOINT_VERSION_LINE, "[meta]",
              f"update_index = {ckpt.update_index}",
              f"env_steps = {ckpt.env_steps}",
              "[hyper]"]
     for f in fields(Hyperparams):
         lines.append(f"{f.name} = {format_value(getattr(ckpt.hyper, f.name))}")
-    lines += _params_lines("actor", ckpt.actor)
-    lines += _params_lines("critic", ckpt.critic)
-    lines += _opt_lines("actor_opt", ckpt.actor_opt)
-    lines += _opt_lines("critic_opt", ckpt.critic_opt)
+    for name, params in (("actor", ckpt.actor), ("critic", ckpt.critic)):
+        lines += [f"[{name}]", "sizes = " + " ".join(str(s) for s in params.sizes),
+                  "flat = " + format_array(params.flat)]
+    for name, opt in (("actor_opt", ckpt.actor_opt), ("critic_opt", ckpt.critic_opt)):
+        lines += [f"[{name}]", f"step = {opt.step}",
+                  "m = " + format_array(opt.m.flat), "v = " + format_array(opt.v.flat)]
     write_text(path, "\n".join(lines) + "\n")
 
 
 def _load_params(section: dict[str, str], where: str, outputs: int) -> MlpParams:
     try:
-        sizes = tuple(int(tok) for tok in section["sizes"].split())
-        weights, biases = [], []
-        for layer, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-            weights.append(parse_array(section[f"W{layer}"], (fan_in, fan_out)))
-            biases.append(parse_array(section[f"b{layer}"], (fan_out,)))
-        params = MlpParams(sizes, weights, biases)
-        if (sizes[0], sizes[-1]) != (OBSERVATION_DIM, outputs):
-            raise ValueError(f"sizes {sizes} do not map {OBSERVATION_DIM} -> {outputs}")
-    except (KeyError, ValueError, ContractViolationError) as exc:
+        params = MlpParams(tuple(int(tok) for tok in section["sizes"].split()))
+        if (params.sizes[0], params.sizes[-1]) != (OBSERVATION_DIM, outputs):
+            raise ValueError(
+                f"sizes {params.sizes} do not map {OBSERVATION_DIM} -> {outputs}")
+        params.flat[:] = parse_array(section["flat"], params.flat.shape)
+    except (ValueError, ContractViolationError) as exc:
         raise CheckpointFormatError(f"bad [{where}] section: {exc}") from exc
     return params
 
 
-def _load_opt(section: dict[str, str], params: MlpParams, where: str) -> AdamState:
-    kinds = {f.name: f.type for f in fields(AdamState)}
+def _load_opt(section: dict[str, str], where: str, params: MlpParams,
+              learning_rate: float) -> AdamState:
     try:
-        m, v = ([parse_array(section[f"{key}{i}"], t.shape)
-                 for i, t in enumerate(params.tensors())] for key in "mv")
-        return AdamState(
-            m=MlpParams(params.sizes, m[0::2], m[1::2]),
-            v=MlpParams(params.sizes, v[0::2], v[1::2]),
-            **{key: parse_value(section[key], kinds[key]) for key in _OPT_SCALARS})
-    except (KeyError, ValueError, ContractViolationError) as exc:
+        opt = AdamState.for_params(params, learning_rate)
+        opt.step = int(section["step"])
+        opt.m.flat[:] = parse_array(section["m"], params.flat.shape)
+        opt.v.flat[:] = parse_array(section["v"], params.flat.shape)
+    except (ValueError, ContractViolationError) as exc:
         raise CheckpointFormatError(f"bad [{where}] section: {exc}") from exc
+    return opt
 
 
 def load_checkpoint(path: str) -> Checkpoint:
+    """Read a checkpoint written by save_checkpoint; an unknown, duplicate
+    or missing section or key raises CheckpointFormatError."""
     sections: dict[str, dict[str, str]] = {}
     for section in read_sections(path, CheckpointFormatError,
                                  CHECKPOINT_VERSION_LINE, CheckpointVersionError):
+        keys = _CHECKPOINT_KEYS.get(section.name)
+        if keys is None:
+            raise CheckpointFormatError(f"unknown section [{section.name}]", section.line)
         if section.name in sections:
             raise CheckpointFormatError(
                 f"duplicate section [{section.name}]", section.line)
+        for key, line in section.lines.items():
+            if key not in keys:
+                raise CheckpointFormatError(
+                    f"unknown key {key!r} in [{section.name}]", line)
+        missing = [key for key in keys if key not in section.values]
+        if missing:
+            raise CheckpointFormatError(
+                f"[{section.name}] is missing {', '.join(missing)}", section.line)
         sections[section.name] = section.values
-    for name in ("meta", "hyper", "actor", "critic", "actor_opt", "critic_opt"):
+    for name in _CHECKPOINT_KEYS:
         if name not in sections:
             raise CheckpointFormatError(f"missing section [{name}]")
     try:
@@ -708,12 +709,14 @@ def load_checkpoint(path: str) -> Checkpoint:
                                for f in fields(Hyperparams)})
         update_index = int(sections["meta"]["update_index"])
         env_steps = int(sections["meta"]["env_steps"])
-    except (KeyError, ValueError, ContractViolationError) as exc:
+    except (ValueError, ContractViolationError) as exc:
         raise CheckpointFormatError(f"bad [meta]/[hyper] section: {exc}") from exc
     actor = _load_params(sections["actor"], "actor", NUM_ACTIONS)
     critic = _load_params(sections["critic"], "critic", 1)
     return Checkpoint(
         actor=actor, critic=critic,
-        actor_opt=_load_opt(sections["actor_opt"], actor, "actor_opt"),
-        critic_opt=_load_opt(sections["critic_opt"], critic, "critic_opt"),
+        actor_opt=_load_opt(sections["actor_opt"], "actor_opt", actor,
+                            hyper.learning_rate),
+        critic_opt=_load_opt(sections["critic_opt"], "critic_opt", critic,
+                             hyper.learning_rate),
         hyper=hyper, update_index=update_index, env_steps=env_steps)

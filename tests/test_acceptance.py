@@ -240,8 +240,8 @@ def test_acceptance_gradient_oracle(capsys):
         depth = int(rng.integers(2, 4))
         sizes = tuple(int(rng.integers(2, 7)) for _ in range(depth + 1))
         params = init(sizes, int(rng.integers(1, 2**31)))
-        x = rng.normal(size=sizes[0])
-        grad_out = rng.normal(size=sizes[-1])
+        x = rng.normal(size=(1, sizes[0]))  # the kernel takes batches only
+        grad_out = rng.normal(size=(1, sizes[-1]))
         # loss(theta) = grad_out . forward(theta, x)
         _, cache = forward(params, x)
         grads = backward(params, cache, grad_out)
@@ -250,9 +250,9 @@ def test_acceptance_gradient_oracle(capsys):
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + step
-                up = float(grad_out @ forward(params, x)[0])
+                up = float(grad_out[0] @ forward(params, x)[0][0])
                 flat[i] = orig - step
-                down = float(grad_out @ forward(params, x)[0])
+                down = float(grad_out[0] @ forward(params, x)[0][0])
                 flat[i] = orig
                 fd = (up - down) / (2 * step)
                 denom = max(abs(fd), abs(flat_grad[i]), 1e-6)

@@ -20,15 +20,14 @@ from motorgame.surrogate import design_at, evaluate, lattice_index, lattice_shap
 
 
 def _variant(base, b_gap=(0.5, 2.5), t_break=(0.2, 2.8), i_start=(0.2, 2.8),
-             d_temp=(0.2, 2.8), tooth_pu=(0.5, 2.0), design=None,
-             feasible=True):
+             d_temp=(0.2, 2.8), tooth_pu=(0.5, 2.0), design=None):
     h0 = base.base_design.tooth_tip
     bands = TargetBands(b_gap=b_gap, t_break=t_break, i_start=i_start,
                         d_temp=d_temp,
                         tooth_tip=(tooth_pu[0] * h0, tooth_pu[1] * h0))
     return MachineVariant(base_id=base.id, variant_seed=0,
                           initial_design=design or base.base_design,
-                          target_bands=bands, feasible_exists=feasible)
+                          target_bands=bands)
 
 
 M1 = machine_by_id(1)
@@ -47,7 +46,7 @@ TORQUE_LOW = _variant(M1, b_gap=(0.9, 1.1), t_break=(1.02, 1.2),
                       i_start=(0.9, 1.1), d_temp=(0.9, 1.1))
 
 # no lattice point can reach this flux band
-IMPOSSIBLE = _variant(M1, b_gap=(0.05, 0.1), feasible=False)
+IMPOSSIBLE = _variant(M1, b_gap=(0.05, 0.1))
 
 
 # --- random agent -----------------------------------------------------------------
@@ -116,8 +115,7 @@ def test_greedy_tie_breaks_by_action_index():
     """At the top corner of the lattice both upward moves clamp and the
     tooth moves never touch flux density, a four-way exact tie; the
     lowest action index wins."""
-    corner = _variant(M1, b_gap=(0.05, 0.1), design=design_at(M1, 30, 20, 10),
-                      feasible=False)
+    corner = _variant(M1, b_gap=(0.05, 0.1), design=design_at(M1, 30, 20, 10))
     env = DesignEnv(corner, config=RewardConfig(max_steps=2))
     record, actions = _first_action(env)
     assert actions[0] == Action.LENGTH_UP

@@ -13,7 +13,6 @@ from motorgame.catalog import (
     BaseMachine,
     Bounds,
     MachineVariant,
-    SiAnchors,
     StepSizes,
     TargetBands,
     builtin_catalog,
@@ -48,8 +47,6 @@ def test_builtin_catalog_rated_data():
 
 def test_builtin_catalog_defaults():
     for m in builtin_catalog():
-        assert m.frequency == 50.0
-        assert m.pole_pairs == 2
         assert m.step_sizes.turns == 1
         check_bounds(m.base_design, m)
 
@@ -72,14 +69,14 @@ def test_base_machine_validation():
     m = machine_by_id(1)
     with pytest.raises(ContractViolationError):
         BaseMachine(id=4, rated_power=-1.0, line_voltage=6000.0,
-                    base_design=m.base_design, si_anchors=m.si_anchors,
+                    base_design=m.base_design,
                     bounds=m.bounds, step_sizes=m.step_sizes)
     # bound width not an integer multiple of the step
     bad = Bounds(length=m.bounds.length, turns=m.bounds.turns,
                  tooth_tip=(m.bounds.tooth_tip[0], m.bounds.tooth_tip[1] + 0.03))
     with pytest.raises(ContractViolationError):
         BaseMachine(id=4, rated_power=100.0, line_voltage=6000.0,
-                    base_design=m.base_design, si_anchors=m.si_anchors,
+                    base_design=m.base_design,
                     bounds=bad, step_sizes=m.step_sizes)
 
 
@@ -129,7 +126,6 @@ def test_variant_fields_and_sampler_windows():
         for index, v in enumerate(generate_variants(base, 10, 3)):
             assert v.base_id == base.id
             assert v.variant_seed == variant_seed_for(3, base.id, index)
-            assert v.feasible_exists is True
             assert v.split == "train"
             check_bounds(v.initial_design, base)
             i, j, k = lattice_index(base, v.initial_design)
@@ -146,7 +142,8 @@ def test_variant_fields_and_sampler_windows():
 
 
 def test_certified_feasibility_independent_scan():
-    """Full scalar lattice scan agrees with the certification flag."""
+    """A full scalar lattice scan finds a feasible point for every
+    generated variant."""
     base = machine_by_id(2)
     for v in generate_variants(base, 3, 5):
         bands = v.target_bands.as_tuple()
@@ -164,7 +161,7 @@ def test_certified_feasibility_independent_scan():
                     break
             if found:
                 break
-        assert found == v.feasible_exists is True
+        assert found
 
 
 def test_feasible_mask_matches_certification():
@@ -205,7 +202,7 @@ def test_variant_rejects_out_of_bounds_initial():
     with pytest.raises(ContractViolationError):
         MachineVariant(base_id=1, variant_seed=0,
                        initial_design=DesignPoint(99.0, 20, 2.0),
-                       target_bands=v.target_bands, feasible_exists=True)
+                       target_bands=v.target_bands)
 
 
 def test_with_split():
@@ -232,6 +229,24 @@ def test_save_load_round_trip(tmp_path):
     path = tmp_path / "catalog.txt"
     save_catalog(variants, path)
     assert load_catalog(path) == variants
+    again = tmp_path / "again.txt"
+    save_catalog(load_catalog(path), again)
+    assert again.read_bytes() == path.read_bytes()
+    assert path.read_text().startswith("motor-design-catalog v2\n")
+
+
+def test_v1_catalog_is_rejected_and_feasible_exists_is_gone(tmp_path):
+    path = tmp_path / "catalog.txt"
+    save_catalog(generate_variants(machine_by_id(1), 2, 0), path)
+    v1_body = path.read_text().replace(
+        "\n[variant]", "\n[variant]\nfeasible_exists = true").split("\n", 1)[1]
+    path.write_text("motor-design-catalog v1\n" + v1_body)
+    with pytest.raises(CatalogVersionError, match="v1"):
+        load_catalog(path)
+    path.write_text(CATALOG_VERSION_LINE + "\n" + v1_body)
+    with pytest.raises(MalformedCatalogError, match="feasible_exists") as err:
+        load_catalog(path)
+    assert err.value.line == 4
 
 
 def test_save_is_deterministic(tmp_path):
@@ -272,7 +287,7 @@ def test_load_version_mismatch(tmp_path):
     variants = generate_variants(machine_by_id(1), 1, 0)
     path = tmp_path / "catalog.txt"
     save_catalog(variants, path)
-    text = path.read_text().replace(CATALOG_VERSION_LINE, "motor-design-catalog v2", 1)
+    text = path.read_text().replace(CATALOG_VERSION_LINE, "motor-design-catalog v9", 1)
     path.write_text(text)
     with pytest.raises(CatalogVersionError):
         load_catalog(path)

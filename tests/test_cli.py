@@ -265,6 +265,20 @@ def test_eval_rejects_checkpoint_with_wrong_action_count(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_v1_checkpoint_fails_eval_and_resume(tmp_path, capsys):
+    catalog = _make_catalog(tmp_path)
+    ckpt_path, metrics_path = _train_small(tmp_path, catalog)
+    ckpt_path.write_text(ckpt_path.read_text().replace(
+        "motor-design-ckpt v2", "motor-design-ckpt v1", 1))
+    capsys.readouterr()
+    assert main(_eval_args(tmp_path, catalog, ckpt_path)) == 1
+    assert "error: unsupported version 'motor-design-ckpt v1'" in capsys.readouterr().err
+    assert main(["train", "--catalog-path", str(catalog),
+                 "--checkpoint-path", str(ckpt_path),
+                 "--metrics-path", str(metrics_path), "--resume"]) == 1
+    assert "error: unsupported version 'motor-design-ckpt v1'" in capsys.readouterr().err
+
+
 def test_eval_rejects_unknown_agent(tmp_path, capsys):
     catalog = _make_catalog(tmp_path)
     ckpt, _ = _train_small(tmp_path, catalog)
@@ -294,8 +308,7 @@ def test_oracle_flags_inconsistent_catalog(tmp_path, capsys):
         base_id=1, variant_seed=7, initial_design=base.base_design,
         target_bands=TargetBands(b_gap=(0.05, 0.1), t_break=(0.2, 2.8),
                                  i_start=(0.2, 2.8), d_temp=(0.2, 2.8),
-                                 tooth_tip=(1.0, 4.0)),
-        feasible_exists=True)  # certified wrongly on purpose
+                                 tooth_tip=(1.0, 4.0)))  # has no feasible point
     path = tmp_path / "catalog.txt"
     save_catalog([bogus], path)
     code = main(["oracle", "--catalog-path", str(path), "--split", "train"])

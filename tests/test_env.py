@@ -40,7 +40,7 @@ def _variant(design=None, **band_kwargs):
     if design is None:
         design = BASE.base_design
     return MachineVariant(base_id=BASE.id, variant_seed=0, initial_design=design,
-                          target_bands=_bands(**band_kwargs), feasible_exists=True)
+                          target_bands=_bands(**band_kwargs))
 
 
 # torque below its band at the start; one length step up wins
@@ -255,6 +255,21 @@ def test_step_contract_errors():
     env.step(Action.LENGTH_UP)
     with pytest.raises(ContractViolationError):
         env.step(Action.LENGTH_UP)  # episode already ended
+
+
+@pytest.mark.parametrize("bad", [2.7, 2.0, np.float64(1.0), True, np.True_, "2", None])
+def test_step_rejects_bools_and_non_integral_actions(bad):
+    variant = _variant(d_temp=(0.4, 0.6))  # heat out of band: every action moves
+    env, twin = DesignEnv(variant), DesignEnv(variant)
+    env.reset(), twin.reset()
+    with pytest.raises(ContractViolationError):
+        env.step(bad)
+    assert (env.index, env.steps, env.visited) == (twin.index, 0, twin.visited)
+    for action in (np.int64(2), Action.LENGTH_DOWN, 4):  # integral actions stay valid
+        got, want = env.step(action), twin.step(Action(action))
+        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+    with pytest.raises(ContractViolationError):
+        run_episode(DesignEnv(variant), lambda obs: bad)
 
 
 def test_reset_allows_replay():

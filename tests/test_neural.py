@@ -81,24 +81,24 @@ def test_params_copy_into_one_flat_vector_and_check_shapes():
 
 
 def test_forward_all_zero_params():
-    out, _ = forward(_zeros_net((11, 64, 64, 6)), np.ones(11))
+    out, _ = forward(_zeros_net((11, 64, 64, 6)), np.ones((1, 11)))
     assert np.all(out == 0.0)
-    assert out.shape == (6,)
+    assert out.shape == (1, 6)
 
 
 def test_forward_output_bias_passthrough():
     params = _zeros_net((2, 3, 2))
     params.biases[-1][:] = (0.7, -0.3)
-    out, _ = forward(params, np.array([5.0, -1.0]))
-    assert out.tolist() == [0.7, -0.3]
+    out, _ = forward(params, np.array([[5.0, -1.0]]))
+    assert out.tolist() == [[0.7, -0.3]]
 
 
 def test_forward_one_unit_toy_net():
     params = MlpParams((1, 1, 1), [np.array([[1.0]]), np.array([[1.0]])],
                        [np.zeros(1), np.zeros(1)])
-    out, cache = forward(params, np.array([0.5]))
-    assert out[0] == pytest.approx(0.46211715726000974, abs=1e-15)  # tanh(0.5)
-    assert cache[1][0, 0] == out[0]  # identity output layer
+    out, cache = forward(params, np.array([[0.5]]))
+    assert out[0, 0] == pytest.approx(0.46211715726000974, abs=1e-15)  # tanh(0.5)
+    assert cache[1][0, 0] == out[0, 0]  # identity output layer
 
 
 def test_forward_batch_matches_single_rows():
@@ -107,14 +107,25 @@ def test_forward_batch_matches_single_rows():
     out_batch, _ = forward(params, batch)
     assert out_batch.shape == (5, 3)
     for row, x in zip(out_batch, batch):
-        single, _ = forward(params, x)
-        # batched and single-row matmuls may differ in the last bit
-        assert np.allclose(row, single, rtol=1e-13, atol=1e-15)
+        single, _ = forward(params, x[None])
+        # batched and one-row matmuls may differ in the last bit
+        assert np.allclose(row, single[0], rtol=1e-13, atol=1e-15)
 
 
 def test_forward_dimension_mismatch():
     with pytest.raises(ContractViolationError):
-        forward(init((4, 8, 3), seed=0), np.ones(5))
+        forward(init((4, 8, 3), seed=0), np.ones((1, 5)))
+
+
+def test_kernel_takes_batches_only():
+    params = init((4, 8, 3), seed=0)
+    with pytest.raises(ContractViolationError):
+        forward(params, np.ones(4))
+    _, cache = forward(params, np.ones((1, 4)))
+    with pytest.raises(ContractViolationError):
+        backward(params, cache, np.zeros(3))
+    with pytest.raises(ContractViolationError):
+        Categorical(np.zeros(6))
 
 
 # --- backward ---------------------------------------------------------------------
@@ -122,8 +133,8 @@ def test_forward_dimension_mismatch():
 
 def test_backward_zero_output_grad():
     params = init((3, 5, 2), seed=0)
-    _, cache = forward(params, np.ones(3))
-    grads = backward(params, cache, np.zeros(2))
+    _, cache = forward(params, np.ones((1, 3)))
+    grads = backward(params, cache, np.zeros((1, 2)))
     for g in grads.tensors():
         assert np.all(g == 0.0)
 
@@ -132,8 +143,8 @@ def test_backward_linear_case():
     # single-layer net y = w*x: loss y at x = 2 gives dw = 2
     params = _zeros_net((1, 1))
     params.weights[0][0, 0] = 3.0
-    _, cache = forward(params, np.array([2.0]))
-    grads = backward(params, cache, np.array([1.0]))
+    _, cache = forward(params, np.array([[2.0]]))
+    grads = backward(params, cache, np.array([[1.0]]))
     assert grads.weights[0][0, 0] == 2.0
     assert grads.biases[0][0] == 1.0
 
@@ -145,12 +156,12 @@ def test_backward_matches_finite_differences():
     worst = 0.0
     for draw in range(20):
         params = init((3, 5, 4, 2), seed=100 + draw)
-        x = rng.normal(size=3)
-        out_grad = rng.normal(size=2)
+        x = rng.normal(size=(1, 3))
+        out_grad = rng.normal(size=(1, 2))
 
         def loss():
             out, _ = forward(params, x)
-            return float(out @ out_grad)
+            return float(np.sum(out * out_grad))
 
         _, cache = forward(params, x)
         analytic = backward(params, cache, out_grad)
@@ -177,8 +188,8 @@ def test_backward_batched_sums_rows():
     combined = backward(params, cache, grad)
     summed = [np.zeros_like(t) for t in combined.tensors()]
     for x, g in zip(batch, grad):
-        _, c = forward(params, x)
-        for acc, part in zip(summed, backward(params, c, g).tensors()):
+        _, c = forward(params, x[None])
+        for acc, part in zip(summed, backward(params, c, g[None]).tensors()):
             acc += part
     for got, want in zip(combined.tensors(), summed):
         assert np.allclose(got, want, atol=1e-12)
@@ -187,11 +198,11 @@ def test_backward_batched_sums_rows():
 def test_backward_cache_mismatch():
     params = init((3, 5, 2), seed=0)
     other = init((3, 7, 2), seed=0)
-    _, cache = forward(params, np.ones(3))
+    _, cache = forward(params, np.ones((1, 3)))
     with pytest.raises(ContractViolationError):
-        backward(other, cache, np.zeros(2))
+        backward(other, cache, np.zeros((1, 2)))
     with pytest.raises(ContractViolationError):
-        backward(params, cache, np.zeros(3))
+        backward(params, cache, np.zeros((1, 3)))
 
 
 # --- adam -------------------------------------------------------------------------
@@ -329,45 +340,45 @@ def test_flat_clip_and_adam_bitwise_match_per_tensor_reference():
 
 
 def test_categorical_uniform():
-    dist = Categorical(np.full(6, 2.5))
+    dist = Categorical(np.full((1, 6), 2.5))
     assert np.allclose(dist.probs, 1.0 / 6.0, atol=1e-15)
     assert abs(dist.probs.sum() - 1.0) < 1e-12
-    assert dist.entropy() == pytest.approx(1.791759469228055, abs=1e-12)  # ln 6
+    assert dist.entropy()[0] == pytest.approx(1.791759469228055, abs=1e-12)  # ln 6
 
 
 def test_categorical_shift_stability():
-    logits = np.array([1000.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    logits = np.array([[1000.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
     dist = Categorical(logits)
     assert np.all(np.isfinite(dist.probs))
-    assert dist.probs[0] > 1.0 - 1e-12
+    assert dist.probs[0, 0] > 1.0 - 1e-12
     shifted = Categorical(logits - 987.0)
     assert np.allclose(dist.probs, shifted.probs, atol=1e-12)
 
 
 def test_categorical_log_prob_matches_direct():
-    logits = np.array([0.3, -1.2, 2.0, 0.0, 1.1, -0.4])
+    logits = np.array([[0.3, -1.2, 2.0, 0.0, 1.1, -0.4]])
     dist = Categorical(logits)
-    direct = np.log(np.exp(logits) / np.exp(logits).sum())
+    direct = np.log(np.exp(logits[0]) / np.exp(logits[0]).sum())
     for a in range(6):
-        assert dist.log_prob(a) == pytest.approx(direct[a], abs=1e-12)
+        assert dist.log_prob([a])[0] == pytest.approx(direct[a], abs=1e-12)
     assert abs(np.exp(dist.logits_log_probs).sum() - 1.0) < 1e-12
 
 
 def test_categorical_sample_deterministic_and_in_range():
-    logits = np.array([0.3, -1.2, 2.0, 0.0, 1.1, -0.4])
-    a = [Categorical(logits).sample(np.random.default_rng(5)) for _ in range(20)]
-    b = [Categorical(logits).sample(np.random.default_rng(5)) for _ in range(20)]
+    logits = np.array([[0.3, -1.2, 2.0, 0.0, 1.1, -0.4]])
+    a = [int(Categorical(logits).sample(np.random.default_rng(5))[0]) for _ in range(20)]
+    b = [int(Categorical(logits).sample(np.random.default_rng(5))[0]) for _ in range(20)]
     assert a == b
     assert all(0 <= s < 6 for s in a)
 
 
 def test_categorical_sample_tracks_probabilities():
-    logits = np.array([4.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    logits = np.array([[4.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
     rng = np.random.default_rng(6)
     dist = Categorical(logits)
-    draws = [dist.sample(rng) for _ in range(500)]
+    draws = [int(dist.sample(rng)[0]) for _ in range(500)]
     freq0 = draws.count(0) / len(draws)
-    assert abs(freq0 - dist.probs[0]) < 0.05
+    assert abs(freq0 - dist.probs[0, 0]) < 0.05
 
 
 def test_categorical_batch_mode():
@@ -379,9 +390,9 @@ def test_categorical_batch_mode():
     ent = dist.entropy()
     assert lp.shape == (4,) and ent.shape == (4,)
     for row in range(4):
-        single = Categorical(logits[row])
-        assert lp[row] == single.log_prob(int(actions[row]))
-        assert ent[row] == single.entropy()
+        single = Categorical(logits[row:row + 1])
+        assert lp[row] == single.log_prob(actions[row:row + 1])[0]
+        assert ent[row] == single.entropy()[0]
     samples = dist.sample(np.random.default_rng(0))
     assert samples.shape == (4,)
 

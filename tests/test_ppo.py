@@ -1,7 +1,7 @@
 """PPO trainer: rollout collection, advantage estimation, the clipped
 surrogate update, deterministic training/resume, and evaluation."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -21,6 +21,7 @@ from motorgame.errors import (
     ContractViolationError,
     TrainingDivergedError,
 )
+from motorgame.kvtext import parse_array, read_sections
 from motorgame.neural import AdamState, Categorical, forward, init
 from motorgame.ppo import (
     _CAUSE_CODES,
@@ -53,8 +54,7 @@ def _variant(b_gap=(0.5, 2.5), t_break=(0.2, 2.8), i_start=(0.2, 2.8),
     bands = TargetBands(b_gap=b_gap, t_break=t_break, i_start=i_start,
                         d_temp=d_temp, tooth_tip=tooth_tip)
     return MachineVariant(base_id=BASE.id, variant_seed=variant_seed,
-                          initial_design=BASE.base_design, target_bands=bands,
-                          feasible_exists=True)
+                          initial_design=BASE.base_design, target_bands=bands)
 
 
 # initial design already inside every band: every episode wins in one step
@@ -679,15 +679,71 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded.critic.sizes == CRITIC_SIZES
 
 
+def test_checkpoint_v2_stores_each_value_once_and_round_trips_bytewise(tmp_path):
+    ckpt = _trained_checkpoint()
+    path, again = tmp_path / "ckpt.txt", tmp_path / "again.txt"
+    save_checkpoint(ckpt, str(path))
+    save_checkpoint(load_checkpoint(str(path)), str(again))
+    assert again.read_bytes() == path.read_bytes()
+
+    sections = read_sections(path, CheckpointFormatError, "motor-design-ckpt v2")
+    assert [(s.name, list(s.values)) for s in sections] == [
+        ("meta", ["update_index", "env_steps"]),
+        ("hyper", [f.name for f in fields(Hyperparams)]),
+        ("actor", ["sizes", "flat"]), ("critic", ["sizes", "flat"]),
+        ("actor_opt", ["step", "m", "v"]), ("critic_opt", ["step", "m", "v"])]
+    assert path.read_text().count("learning_rate") == 1
+    values = {s.name: s.values for s in sections}
+    for name, params in (("actor", ckpt.actor), ("critic", ckpt.critic)):
+        layers = np.concatenate([t.ravel() for t in params.tensors()])
+        assert np.array_equal(parse_array(values[name]["flat"], layers.shape), layers)
+    for name, opt in (("actor_opt", ckpt.actor_opt), ("critic_opt", ckpt.critic_opt)):
+        for key, moment in (("m", opt.m), ("v", opt.v)):
+            assert np.array_equal(
+                parse_array(values[name][key], moment.flat.shape), moment.flat)
+
+
+@pytest.mark.parametrize("section,extra", [
+    ("actor_opt", "bogus = 1"),
+    ("actor_opt", "learning_rate = 0.0003"),  # v1 kept the rate here too
+    ("critic_opt", "beta1 = 0.9"),
+    ("critic", "W0 = 0.0"),
+    (None, "[nonsense]"),
+])
+def test_checkpoint_rejects_unknown_sections_and_keys(tmp_path, section, extra):
+    path = tmp_path / "ckpt.txt"
+    save_checkpoint(new_checkpoint(SMALL), str(path))
+    lines = path.read_text().splitlines()
+    at = lines.index(f"[{section}]") + 1 if section else len(lines)
+    lines.insert(at, extra)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CheckpointFormatError, match="unknown") as err:
+        load_checkpoint(str(path))
+    assert err.value.line == at + 1
+
+
+def test_checkpoint_rejects_missing_keys(tmp_path):
+    path = tmp_path / "ckpt.txt"
+    save_checkpoint(new_checkpoint(SMALL), str(path))
+    lines = path.read_text().splitlines()
+    header = lines.index("[critic_opt]")
+    del lines[header + 1]  # its step
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CheckpointFormatError, match=r"\[critic_opt\] is missing step") as err:
+        load_checkpoint(str(path))
+    assert err.value.line == header + 1
+
+
 def test_checkpoint_version_error(tmp_path):
     ckpt = _trained_checkpoint()
     path = tmp_path / "ckpt.txt"
     save_checkpoint(ckpt, str(path))
-    text = path.read_text().replace(CHECKPOINT_VERSION_LINE,
-                                    "motor-design-ckpt v9", 1)
-    path.write_text(text)
-    with pytest.raises(CheckpointVersionError):
-        load_checkpoint(str(path))
+    text = path.read_text()
+    for version in ("v1", "v9"):
+        path.write_text(text.replace(CHECKPOINT_VERSION_LINE,
+                                     f"motor-design-ckpt {version}", 1))
+        with pytest.raises(CheckpointVersionError, match=version):
+            load_checkpoint(str(path))
 
 
 def test_checkpoint_missing_section(tmp_path):
