@@ -185,6 +185,15 @@ def cmd_train(config: RunConfig, resume: bool, overridden: set[str]) -> int:
     checkpoint = None
     if resume:
         checkpoint = load_checkpoint(config.checkpoint_path)
+        # the run continues with the checkpoint's hyperparameters; only the
+        # step budget may change
+        changed = [f"--{name.replace('_', '-')}" for name in _keys(Hyperparams)
+                   if name != "total_steps" and name in overridden
+                   and getattr(config, name) != getattr(checkpoint.hyper, name)]
+        if changed:
+            raise ContractViolationError(
+                f"{', '.join(changed)}: the checkpoint was trained with another "
+                "value; only --total-steps can change on --resume")
         if "total_steps" in overridden:
             checkpoint.hyper = replace(checkpoint.hyper,
                                        total_steps=config.total_steps)
@@ -337,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_train, _keys(Hyperparams) + _keys(RewardConfig)
                       + ["catalog_path", "checkpoint_path", "metrics_path"])
     p_train.add_argument("--resume", action="store_true",
-                         help="continue from an existing checkpoint")
+                         help="continue from an existing checkpoint, with its "
+                              "hyperparameters; only --total-steps may change")
 
     p_eval = sub.add_parser("eval", help="evaluate a policy or baseline")
     _add_config_flags(p_eval, _keys(RewardConfig)

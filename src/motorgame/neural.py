@@ -6,7 +6,10 @@ reverse-mode gradients.  No autodiff framework is involved, which keeps
 the gradient path independently checkable against finite differences.
 Each network is one flat float64 vector with per-layer views, and so are
 its gradients and Adam moments: the optimizer and the norm clip are
-whole-vector operations.
+whole-vector operations.  The kernel works in place where that keeps the
+arithmetic: forward adds the bias and applies tanh in the product's own
+array, and backward writes into a caller-owned gradient buffer, so a
+training loop allocates one per network and reuses it.
 """
 
 from __future__ import annotations
@@ -80,34 +83,40 @@ def forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarr
     cache = [a]
     last = len(params.weights) - 1
     for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w + b
-        a = z if layer == last else np.tanh(z)
+        a = a @ w  # a fresh array: the input and the cache are not written
+        a += b
         if layer != last:
+            np.tanh(a, out=a)
             cache.append(a)
     return a, cache
 
 
 def backward(params: MlpParams, cache: list[np.ndarray],
-             output_grad: np.ndarray) -> MlpParams:
+             output_grad: np.ndarray, grads: MlpParams) -> MlpParams:
     """Exact gradients of the scalar loss whose output gradient is given.
 
     ``output_grad`` has the forward output's (batch, outputs) shape; the
-    rows are summed into one gradient of the params' layout.
+    rows are summed into ``grads``, which has the params' sizes.  Every
+    entry of ``grads`` is overwritten, so one buffer serves every call.
     """
     g = np.asarray(output_grad, dtype=np.float64)
     n_layers = len(params.weights)
-    if len(cache) != n_layers or [a.shape for a in cache + [g]] != [
+    if grads.sizes != params.sizes or len(cache) != n_layers or [
+            a.shape for a in cache + [g]] != [
             (cache[0].shape[0], size) for size in params.sizes]:
-        raise ContractViolationError("cache does not match params/output_grad")
+        raise ContractViolationError("cache/grads do not match params/output_grad")
 
-    grads = MlpParams(params.sizes)
     for layer in range(n_layers - 1, -1, -1):
         a_in = cache[layer]
         np.matmul(a_in.T, g, out=grads.weights[layer])
         g.sum(axis=0, out=grads.biases[layer])
         if layer > 0:
-            # a_in is the tanh output of the previous layer
-            g = (g @ params.weights[layer].T) * (1.0 - a_in * a_in)
+            # a_in is the tanh output of the previous layer; its slope is
+            # 1 - a_in**2
+            slope = a_in * a_in
+            np.subtract(1.0, slope, out=slope)
+            g = g @ params.weights[layer].T
+            g *= slope
     return grads
 
 
@@ -150,8 +159,15 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState,
 
 def clip_grad_norm(grads: MlpParams, max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most ``max_norm``;
-    returns the pre-clip norm, summed per tensor in tensor order."""
-    total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.tensors())))
+    returns the pre-clip norm.  The squares are taken once over ``flat``
+    and summed per tensor in tensor order: each slice is the same pairwise
+    sum as ``np.sum(g * g)`` on its tensor."""
+    squares = grads.flat * grads.flat
+    total, start = 0.0, 0
+    for g in grads.tensors():
+        total += float(squares[start:start + g.size].sum())
+        start += g.size
+    total = float(np.sqrt(total))
     if total > max_norm and total > 0.0:
         grads.flat *= max_norm / total
     return total

@@ -260,6 +260,16 @@ def normalize_advantages(advantages: np.ndarray) -> np.ndarray:
     return (advantages - advantages.mean()) / (advantages.std() + 1e-8)
 
 
+def explained_variance(values: np.ndarray, returns: np.ndarray) -> float:
+    """1 - Var(returns - values) / Var(returns) over the whole rollout: 1
+    for a critic that predicts every return, 0 for one no better than the
+    mean return; NaN when the returns do not vary."""
+    var_returns = np.var(returns)
+    if var_returns == 0.0:
+        return float("nan")
+    return float(1.0 - np.var(returns - values) / var_returns)
+
+
 def clipped_objective(ratio, advantage, clip_ratio: float):
     """Per-sample PPO surrogate: min(ratio * A, clip(ratio) * A)."""
     ratio = np.asarray(ratio, dtype=np.float64)
@@ -302,16 +312,22 @@ def ppo_update(actor: MlpParams, critic: MlpParams,
     old_log_probs = buffer.log_probs.reshape(batch)
     advantages = normalize_advantages(buffer.advantages.reshape(batch))
     returns = buffer.returns.reshape(batch)
+    onehots = np.eye(NUM_ACTIONS)
+    # backward overwrites these on every minibatch
+    actor_grads, critic_grads = MlpParams(actor.sizes), MlpParams(critic.sizes)
 
     pol_losses, val_losses, entropies, clip_fracs, grad_norms, kls = [], [], [], [], [], []
     for _ in range(hyper.epochs):
         perm = rng.permutation(batch)
+        # gathered once per epoch; each minibatch is a contiguous slice,
+        # and the last one may be short
+        ep_obs, ep_acts, ep_old_log_probs, ep_adv, ep_returns = (
+            obs[perm], acts[perm], old_log_probs[perm], advantages[perm], returns[perm])
         for start in range(0, batch, hyper.minibatch_size):
-            idx = perm[start:start + hyper.minibatch_size]
-            b = idx.size
-            mb_obs = obs[idx]
-            mb_acts = acts[idx]
-            mb_adv = advantages[idx]
+            mb = slice(start, start + hyper.minibatch_size)
+            mb_obs, mb_acts, mb_adv = ep_obs[mb], ep_acts[mb], ep_adv[mb]
+            mb_old_log_prob = ep_old_log_probs[mb]
+            b = len(mb_acts)
 
             logits, actor_cache = forward(actor, mb_obs)
             dist = Categorical(logits)
@@ -320,26 +336,24 @@ def ppo_update(actor: MlpParams, critic: MlpParams,
             new_log_prob = dist.log_prob(mb_acts)
             entropy = dist.entropy()
 
-            mb_old_log_prob = old_log_probs[idx]
+            # means as sum / b: the arithmetic np.mean does, without its wrapper
             ratio = np.exp(new_log_prob - mb_old_log_prob)
             objective = clipped_objective(ratio, mb_adv, hyper.clip_ratio)
-            policy_loss = -float(np.mean(objective))
-            entropy_mean = float(np.mean(entropy))
-            clip_frac = float(np.mean(np.abs(ratio - 1.0) > hyper.clip_ratio))
+            policy_loss = -float(objective.sum() / b)
+            entropy_mean = float(entropy.sum() / b)
+            clip_frac = float((np.abs(ratio - 1.0) > hyper.clip_ratio).sum() / b)
 
             # flat clipped branch: gradient flows only where min() picked
             # the unclipped term
             live = (ratio * mb_adv == objective).astype(np.float64)
-            onehot = np.zeros((b, NUM_ACTIONS))
-            onehot[np.arange(b), mb_acts] = 1.0
             coeff = -(live * mb_adv * ratio) / b
-            logit_grad = coeff[:, None] * (onehot - probs)
+            logit_grad = coeff[:, None] * (onehots[mb_acts] - probs)
             logit_grad += (hyper.entropy_coef / b) * probs * (
                 log_probs + entropy[:, None])
 
             vals, critic_cache = forward(critic, mb_obs)
-            err = vals[:, 0] - returns[idx]
-            value_loss = float(np.mean(err * err))
+            err = vals[:, 0] - ep_returns[mb]
+            value_loss = float((err * err).sum() / b)
             value_grad = (2.0 * hyper.value_coef / b) * err
 
             total = policy_loss + hyper.value_coef * value_loss \
@@ -349,11 +363,11 @@ def ppo_update(actor: MlpParams, critic: MlpParams,
                     f"non-finite loss (policy={policy_loss!r}, "
                     f"value={value_loss!r}, entropy={entropy_mean!r})")
 
-            actor_grads = backward(actor, actor_cache, logit_grad)
+            backward(actor, actor_cache, logit_grad, actor_grads)
             norm = clip_grad_norm(actor_grads, GRAD_CLIP_NORM)
             adam_step(actor, actor_grads, actor_opt)
 
-            critic_grads = backward(critic, critic_cache, value_grad[:, None])
+            backward(critic, critic_cache, value_grad[:, None], critic_grads)
             clip_grad_norm(critic_grads, GRAD_CLIP_NORM)
             adam_step(critic, critic_grads, critic_opt)
 
@@ -362,7 +376,7 @@ def ppo_update(actor: MlpParams, critic: MlpParams,
             entropies.append(entropy_mean)
             clip_fracs.append(clip_frac)
             grad_norms.append(norm)
-            kls.append(float(np.mean(mb_old_log_prob - new_log_prob)))
+            kls.append(float((mb_old_log_prob - new_log_prob).sum() / b))
 
     return UpdateStats(
         policy_loss=float(np.mean(pol_losses)),
@@ -388,6 +402,7 @@ class UpdateRow:
     clip_fraction: float
     grad_norm: float
     approx_kl: float
+    explained_variance: float  # of the critic on this update's rollout
 
     def as_line(self) -> str:
         return " ".join(f"{f.name}={format_value(getattr(self, f.name))}"
@@ -461,6 +476,7 @@ def train(variants: Sequence[MachineVariant], hyper: Hyperparams,
             buf = collect_rollout(pool, ckpt.actor, ckpt.critic,
                                   hyper.horizon, rollout_rng)
             buf.compute_advantages(hyper.discount, hyper.gae_lambda)
+            critic_fit = explained_variance(buf.values, buf.returns)
             try:
                 stats = ppo_update(ckpt.actor, ckpt.critic, ckpt.actor_opt,
                                    ckpt.critic_opt, buf, hyper, shuffle_rng)
@@ -490,6 +506,7 @@ def train(variants: Sequence[MachineVariant], hyper: Hyperparams,
                 clip_fraction=stats.clip_fraction,
                 grad_norm=stats.grad_norm,
                 approx_kl=stats.approx_kl,
+                explained_variance=critic_fit,
             )
             report.rows.append(row)
             if metrics is not None:

@@ -22,7 +22,7 @@ from motorgame.env import (
     flags,
     reward_for,
 )
-from motorgame.neural import backward, forward, init
+from motorgame.neural import MlpParams, backward, forward, init
 from motorgame.ppo import (
     REFERENCE_MEAN_STEPS,
     Hyperparams,
@@ -244,7 +244,7 @@ def test_acceptance_gradient_oracle(capsys):
         grad_out = rng.normal(size=(1, sizes[-1]))
         # loss(theta) = grad_out . forward(theta, x)
         _, cache = forward(params, x)
-        grads = backward(params, cache, grad_out)
+        grads = backward(params, cache, grad_out, MlpParams(params.sizes))
         for tensor, grad in zip(params.tensors(), grads.tensors()):
             flat, flat_grad = tensor.ravel(), grad.ravel()
             for i in range(flat.size):

@@ -182,6 +182,35 @@ def test_train_resume_continues_numbering(tmp_path, capsys):
     assert "update=2" in lines[1]
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--learning-rate", "0.05"), ("--env-count", "4"), ("--seed", "6")])
+def test_train_resume_rejects_changed_hyperparams(tmp_path, capsys, flag, value):
+    catalog = _make_catalog(tmp_path)
+    ckpt_path, metrics_path = _train_small(tmp_path, catalog)
+    before = ckpt_path.read_text()
+    capsys.readouterr()
+    code = main(["train", "--catalog-path", str(catalog),
+                 "--checkpoint-path", str(ckpt_path),
+                 "--metrics-path", str(metrics_path),
+                 "--total-steps", "64", flag, value, "--resume"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag in err
+    assert ckpt_path.read_text() == before
+    assert len(metrics_path.read_text().splitlines()) == 1
+
+
+def test_train_resume_accepts_the_checkpoints_own_hyperparams(tmp_path, capsys):
+    catalog = _make_catalog(tmp_path)
+    ckpt_path, metrics_path = _train_small(tmp_path, catalog)
+    code = main(["train", "--catalog-path", str(catalog),
+                 "--checkpoint-path", str(ckpt_path),
+                 "--metrics-path", str(metrics_path),
+                 *SMALL_TRAIN, "--total-steps", "64", "--resume"])
+    assert code == 0
+    assert load_checkpoint(str(ckpt_path)).update_index == 2
+
+
 def test_train_without_catalog_fails_validation(tmp_path, capsys):
     code = main(["train", "--catalog-path", str(tmp_path / "missing.txt"),
                  *SMALL_TRAIN])

@@ -112,6 +112,16 @@ def test_forward_batch_matches_single_rows():
         assert np.allclose(row, single[0], rtol=1e-13, atol=1e-15)
 
 
+def test_forward_leaves_its_input_unchanged():
+    params = init((11, 64, 64, 6), seed=2)
+    x = np.random.default_rng(3).normal(size=(9, 11))
+    kept = x.copy()
+    out, cache = forward(params, x)
+    assert np.array_equal(x, kept)
+    assert cache[0] is x  # the cache holds the input itself, unwritten
+    assert all(a is not x for a in cache[1:] + [out])
+
+
 def test_forward_dimension_mismatch():
     with pytest.raises(ContractViolationError):
         forward(init((4, 8, 3), seed=0), np.ones((1, 5)))
@@ -123,7 +133,7 @@ def test_kernel_takes_batches_only():
         forward(params, np.ones(4))
     _, cache = forward(params, np.ones((1, 4)))
     with pytest.raises(ContractViolationError):
-        backward(params, cache, np.zeros(3))
+        backward(params, cache, np.zeros(3), MlpParams(params.sizes))
     with pytest.raises(ContractViolationError):
         Categorical(np.zeros(6))
 
@@ -134,7 +144,7 @@ def test_kernel_takes_batches_only():
 def test_backward_zero_output_grad():
     params = init((3, 5, 2), seed=0)
     _, cache = forward(params, np.ones((1, 3)))
-    grads = backward(params, cache, np.zeros((1, 2)))
+    grads = backward(params, cache, np.zeros((1, 2)), MlpParams(params.sizes))
     for g in grads.tensors():
         assert np.all(g == 0.0)
 
@@ -144,7 +154,7 @@ def test_backward_linear_case():
     params = _zeros_net((1, 1))
     params.weights[0][0, 0] = 3.0
     _, cache = forward(params, np.array([[2.0]]))
-    grads = backward(params, cache, np.array([[1.0]]))
+    grads = backward(params, cache, np.array([[1.0]]), MlpParams(params.sizes))
     assert grads.weights[0][0, 0] == 2.0
     assert grads.biases[0][0] == 1.0
 
@@ -164,7 +174,7 @@ def test_backward_matches_finite_differences():
             return float(np.sum(out * out_grad))
 
         _, cache = forward(params, x)
-        analytic = backward(params, cache, out_grad)
+        analytic = backward(params, cache, out_grad, MlpParams(params.sizes))
         for tensor, grad in zip(params.tensors(), analytic.tensors()):
             flat_t, flat_g = tensor.ravel(), grad.ravel()
             for idx in range(flat_t.size):
@@ -185,12 +195,13 @@ def test_backward_batched_sums_rows():
     batch = np.random.default_rng(0).normal(size=(6, 3))
     grad = np.random.default_rng(1).normal(size=(6, 2))
     _, cache = forward(params, batch)
-    combined = backward(params, cache, grad)
+    combined = backward(params, cache, grad, MlpParams(params.sizes))
     summed = [np.zeros_like(t) for t in combined.tensors()]
     for x, g in zip(batch, grad):
         _, c = forward(params, x[None])
-        for acc, part in zip(summed, backward(params, c, g[None]).tensors()):
-            acc += part
+        part = backward(params, c, g[None], MlpParams(params.sizes))
+        for acc, t in zip(summed, part.tensors()):
+            acc += t
     for got, want in zip(combined.tensors(), summed):
         assert np.allclose(got, want, atol=1e-12)
 
@@ -200,9 +211,25 @@ def test_backward_cache_mismatch():
     other = init((3, 7, 2), seed=0)
     _, cache = forward(params, np.ones((1, 3)))
     with pytest.raises(ContractViolationError):
-        backward(other, cache, np.zeros((1, 2)))
+        backward(other, cache, np.zeros((1, 2)), MlpParams(other.sizes))
     with pytest.raises(ContractViolationError):
-        backward(params, cache, np.zeros((1, 3)))
+        backward(params, cache, np.zeros((1, 3)), MlpParams(params.sizes))
+    with pytest.raises(ContractViolationError):
+        backward(params, cache, np.zeros((1, 2)), MlpParams(other.sizes))
+
+
+def test_backward_overwrites_its_buffer():
+    """A reused buffer holds only the latest call's gradients: a NaN-filled
+    one gives exactly what a fresh one does."""
+    params = init((11, 64, 64, 6), seed=4)
+    rng = np.random.default_rng(5)
+    _, cache = forward(params, rng.normal(size=(37, 11)))
+    out_grad = rng.normal(size=(37, 6))
+    fresh = backward(params, cache, out_grad, MlpParams(params.sizes))
+    stale = MlpParams(params.sizes)
+    stale.flat.fill(np.nan)
+    assert backward(params, cache, out_grad, stale) is stale
+    assert np.array_equal(stale.flat, fresh.flat)
 
 
 # --- adam -------------------------------------------------------------------------
@@ -314,16 +341,23 @@ def _per_tensor_clip_and_adam(tensors, grads, m, v, step, learning_rate,
     return total
 
 
-def test_flat_clip_and_adam_bitwise_match_per_tensor_reference():
+# The 11-64-64-6 actor's tensors run past 128 elements, where numpy's
+# pairwise summation recurses; the small net's never do.  small_scale
+# keeps the even steps' gradients under the clip on either net.
+@pytest.mark.parametrize("sizes,small_scale", [((5, 7, 6, 3), 0.01),
+                                               ((11, 64, 64, 6), 0.001)],
+                         ids=["5-7-6-3", "11-64-64-6"])
+def test_flat_clip_and_adam_bitwise_match_per_tensor_reference(sizes, small_scale):
     rng = np.random.default_rng(11)
-    params = init((5, 7, 6, 3), seed=12)
+    params = init(sizes, seed=12)
     state = AdamState.for_params(params, learning_rate=0.01)
     ref = [t.copy() for t in params.tensors()]
     ref_m = [np.zeros_like(t) for t in ref]
     ref_v = [np.zeros_like(t) for t in ref]
     clipped = 0
     for step in range(1, 7):
-        raw = [rng.normal(size=t.shape) * (10.0 if step % 2 else 0.01) for t in ref]
+        raw = [rng.normal(size=t.shape) * (10.0 if step % 2 else small_scale)
+               for t in ref]
         grads = MlpParams(params.sizes, raw[0::2], raw[1::2])
         norm = clip_grad_norm(grads, 0.5)
         adam_step(params, grads, state)

@@ -22,18 +22,21 @@ from motorgame.errors import (
     TrainingDivergedError,
 )
 from motorgame.kvtext import parse_array, read_sections
-from motorgame.neural import AdamState, Categorical, forward, init
+from motorgame.neural import AdamState, Categorical, MlpParams, adam_step, forward, init
 from motorgame.ppo import (
     _CAUSE_CODES,
     ACTOR_SIZES,
     CHECKPOINT_VERSION_LINE,
     CRITIC_SIZES,
+    GRAD_CLIP_NORM,
     EnvPool,
     Hyperparams,
+    UpdateStats,
     clipped_objective,
     collect_rollout,
     derive_seed,
     evaluate,
+    explained_variance,
     format_eval_table,
     gae,
     load_checkpoint,
@@ -455,6 +458,119 @@ def test_ppo_update_detects_divergence():
                    buf, SMALL, np.random.default_rng(3))
 
 
+def _reference_forward(params, x):
+    a, cache = x, [x]
+    last = len(params.weights) - 1
+    for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = a @ w + b
+        a = z if layer == last else np.tanh(z)
+        if layer != last:
+            cache.append(a)
+    return a, cache
+
+
+def _reference_backward(params, cache, g):
+    grads = MlpParams(params.sizes)
+    for layer in range(len(params.weights) - 1, -1, -1):
+        a_in = cache[layer]
+        np.matmul(a_in.T, g, out=grads.weights[layer])
+        g.sum(axis=0, out=grads.biases[layer])
+        if layer > 0:
+            g = (g @ params.weights[layer].T) * (1.0 - a_in * a_in)
+    return grads
+
+
+def _reference_clip(grads):
+    total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.tensors())))
+    if total > GRAD_CLIP_NORM:
+        grads.flat *= GRAD_CLIP_NORM / total
+    return total
+
+
+def _reference_update(actor, critic, actor_opt, critic_opt, buffer, hyper, rng, norms):
+    """The update as a loop over fancy-indexed minibatches, with np.mean,
+    a fresh gradient per backward and a per-tensor clip norm; kept as the
+    reference that ppo_update must match bit for bit.  Appends each
+    minibatch's (actor, critic) pre-clip norms to ``norms``."""
+    batch = len(buffer)
+    obs = buffer.observations.reshape(batch, OBSERVATION_DIM)
+    acts = buffer.actions.reshape(batch)
+    old_log_probs = buffer.log_probs.reshape(batch)
+    advantages = normalize_advantages(buffer.advantages.reshape(batch))
+    returns = buffer.returns.reshape(batch)
+    pol_losses, val_losses, entropies, clip_fracs, grad_norms, kls = [], [], [], [], [], []
+    for _ in range(hyper.epochs):
+        perm = rng.permutation(batch)
+        for start in range(0, batch, hyper.minibatch_size):
+            idx = perm[start:start + hyper.minibatch_size]
+            b = idx.size
+            mb_adv = advantages[idx]
+            logits, actor_cache = _reference_forward(actor, obs[idx])
+            dist = Categorical(logits)
+            new_log_prob = dist.log_prob(acts[idx])
+            entropy = dist.entropy()
+            ratio = np.exp(new_log_prob - old_log_probs[idx])
+            objective = clipped_objective(ratio, mb_adv, hyper.clip_ratio)
+            live = (ratio * mb_adv == objective).astype(np.float64)
+            onehot = np.zeros((b, NUM_ACTIONS))
+            onehot[np.arange(b), acts[idx]] = 1.0
+            coeff = -(live * mb_adv * ratio) / b
+            logit_grad = coeff[:, None] * (onehot - dist.probs)
+            logit_grad += (hyper.entropy_coef / b) * dist.probs * (
+                dist.logits_log_probs + entropy[:, None])
+            vals, critic_cache = _reference_forward(critic, obs[idx])
+            err = vals[:, 0] - returns[idx]
+
+            actor_grads = _reference_backward(actor, actor_cache, logit_grad)
+            actor_norm = _reference_clip(actor_grads)
+            adam_step(actor, actor_grads, actor_opt)
+            critic_grads = _reference_backward(
+                critic, critic_cache, ((2.0 * hyper.value_coef / b) * err)[:, None])
+            norms.append((actor_norm, _reference_clip(critic_grads)))
+            adam_step(critic, critic_grads, critic_opt)
+
+            pol_losses.append(-float(np.mean(objective)))
+            val_losses.append(float(np.mean(err * err)))
+            entropies.append(float(np.mean(entropy)))
+            clip_fracs.append(float(np.mean(np.abs(ratio - 1.0) > hyper.clip_ratio)))
+            grad_norms.append(actor_norm)
+            kls.append(float(np.mean(old_log_probs[idx] - new_log_prob)))
+    return UpdateStats(*(float(np.mean(x)) for x in (
+        pol_losses, val_losses, entropies, clip_fracs, grad_norms, kls)))
+
+
+# stock, wide, and a minibatch that leaves a short last slice of 1024
+@pytest.mark.parametrize("minibatch_size", [64, 512, 300])
+def test_ppo_update_matches_the_minibatch_loop_reference(minibatch_size):
+    # a learning rate and entropy bonus high enough that both the PPO clip
+    # and the gradient-norm clip fire
+    hyper = Hyperparams(horizon=128, env_count=8, minibatch_size=minibatch_size,
+                        learning_rate=0.05, entropy_coef=1.0, seed=9)
+    ckpt, ref = new_checkpoint(hyper), new_checkpoint(hyper)
+    pool = EnvPool(TRAIN_VARIANTS, hyper.env_count)
+    norms, clip_fractions = [], []
+    for update in range(3):
+        buf = collect_rollout(pool, ckpt.actor, ckpt.critic, hyper.horizon,
+                              np.random.default_rng(update))
+        buf.compute_advantages(hyper.discount, hyper.gae_lambda)
+        got = ppo_update(ckpt.actor, ckpt.critic, ckpt.actor_opt, ckpt.critic_opt,
+                         buf, hyper, np.random.default_rng([9, update]))
+        want = _reference_update(ref.actor, ref.critic, ref.actor_opt, ref.critic_opt,
+                                 buf, hyper, np.random.default_rng([9, update]), norms)
+        assert got == want
+        for a, b in ((ckpt.actor, ref.actor), (ckpt.critic, ref.critic),
+                     (ckpt.actor_opt.m, ref.actor_opt.m), (ckpt.actor_opt.v, ref.actor_opt.v),
+                     (ckpt.critic_opt.m, ref.critic_opt.m),
+                     (ckpt.critic_opt.v, ref.critic_opt.v)):
+            assert np.array_equal(a.flat, b.flat)
+        assert ckpt.actor_opt.step == ref.actor_opt.step == ckpt.critic_opt.step
+        clip_fractions.append(got.clip_fraction)
+    assert ckpt.actor_opt.step == 3 * hyper.epochs * -(-len(buf) // minibatch_size)
+    assert max(clip_fractions) > 0
+    assert any(a > GRAD_CLIP_NORM for a, _ in norms)
+    assert any(c > GRAD_CLIP_NORM for _, c in norms)
+
+
 # --- training loop -----------------------------------------------------------------
 
 
@@ -488,9 +604,43 @@ def test_train_rows_carry_grad_norm_and_approx_kl(monkeypatch, hyper):
         assert row.approx_kl == stats.approx_kl
         assert np.isfinite(row.approx_kl)
         assert row.as_line().endswith(
-            f"grad_norm={row.grad_norm!r} approx_kl={row.approx_kl!r}")
+            f"grad_norm={row.grad_norm!r} approx_kl={row.approx_kl!r} "
+            f"explained_variance={row.explained_variance!r}")
         if hyper.epochs == 1:
             assert abs(row.approx_kl) < 1e-12
+
+
+def test_train_rows_carry_explained_variance(monkeypatch):
+    buffers = []
+
+    def recorded(*args):
+        buffers.append(collect_rollout(*args))
+        return buffers[-1]
+
+    monkeypatch.setattr("motorgame.ppo.collect_rollout", recorded)
+    _, report = train(TRAIN_VARIANTS, replace(SMALL, total_steps=64))
+    assert len(report.rows) == len(buffers) == 2
+    for row, buf in zip(report.rows, buffers):
+        returns = buf.returns.ravel().tolist()
+        errors = [r - v for r, v in zip(returns, buf.values.ravel().tolist())]
+
+        def variance(xs):
+            mean = sum(xs) / len(xs)
+            return sum((x - mean) ** 2 for x in xs) / len(xs)
+
+        assert variance(returns) > 0
+        assert row.explained_variance == pytest.approx(
+            1.0 - variance(errors) / variance(returns), rel=1e-9, abs=1e-12)
+
+
+def test_explained_variance_cases():
+    returns = np.array([[1.0, -2.0], [0.5, 3.0]])
+    assert explained_variance(returns, returns) == 1.0
+    assert explained_variance(np.full((2, 2), returns.mean()), returns) == \
+        pytest.approx(0.0, abs=1e-12)
+    # values off by a constant explain all of the variance
+    assert explained_variance(returns - 7.0, returns) == 1.0
+    assert np.isnan(explained_variance(np.arange(4.0), np.full(4, 2.0)))
 
 
 def test_train_bit_identical_given_seed():
