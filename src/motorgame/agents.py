@@ -43,13 +43,16 @@ def greedy_agent(env: DesignEnv, log=None) -> EpisodeRecord:
 
     Each step targets the highest-priority nonzero flag and takes the
     action whose one-step move most reduces that flag's band
-    violation; ties go to the lowest action index.
+    violation; ties go to the lowest action index.  A neighbour's
+    performance is evaluated once per episode and read back when a
+    later step looks at it again.
     """
     base = env.base
     bands = env.variant.target_bands.as_tuple()
     weights = env.config.priority_weights
     order = sorted(range(len(weights)), key=lambda i: (-weights[i], i))
     shape = lattice_shape(base)
+    looked = {}  # lattice index -> performance tuple, this episode
 
     def policy(obs: np.ndarray) -> int:
         flag_values = env.flags
@@ -59,8 +62,10 @@ def greedy_agent(env: DesignEnv, log=None) -> EpisodeRecord:
         ijk = env.index
         best_action, best_viol = 0, float("inf")
         for action in range(NUM_ACTIONS):
-            perf = evaluate(design_at(base, *move(ijk, action, shape)), base)
-            viol = _band_violation(perf.as_tuple()[target], bands[target])
+            near = move(ijk, action, shape)
+            if near not in looked:
+                looked[near] = evaluate(design_at(base, *near), base).as_tuple()
+            viol = _band_violation(looked[near][target], bands[target])
             if viol < best_viol:
                 best_action, best_viol = action, viol
         return best_action

@@ -179,22 +179,27 @@ def cmd_catalog(config: RunConfig) -> int:
     return 0
 
 
-def cmd_train(config: RunConfig, resume: bool, overridden: set[str]) -> int:
+def cmd_train(config: RunConfig, resume: bool, overridden: set[str],
+              config_path: str | None) -> int:
     variants = _load_variants(config, "train")
     hyper = _settings(Hyperparams, config)
     checkpoint = None
     if resume:
         checkpoint = load_checkpoint(config.checkpoint_path)
         # the run continues with the checkpoint's hyperparameters; only the
-        # step budget may change
-        changed = [f"--{name.replace('_', '-')}" for name in _keys(Hyperparams)
-                   if name != "total_steps" and name in overridden
+        # step budget may change.  A key of the config file counts as set,
+        # like a flag.
+        set_by = {name: f"{name} in {config_path}"
+                  for name in (load_config_file(config_path) if config_path else ())}
+        set_by.update((name, f"--{name.replace('_', '-')}") for name in overridden)
+        changed = [set_by[name] for name in _keys(Hyperparams)
+                   if name != "total_steps" and name in set_by
                    and getattr(config, name) != getattr(checkpoint.hyper, name)]
         if changed:
             raise ContractViolationError(
                 f"{', '.join(changed)}: the checkpoint was trained with another "
                 "value; only --total-steps can change on --resume")
-        if "total_steps" in overridden:
+        if "total_steps" in set_by:
             checkpoint.hyper = replace(checkpoint.hyper,
                                        total_steps=config.total_steps)
         print(f"resuming from update {checkpoint.update_index} "
@@ -377,7 +382,7 @@ def main(argv=None) -> int:
         if args.command == "catalog":
             return cmd_catalog(config)
         if args.command == "train":
-            return cmd_train(config, args.resume, overridden)
+            return cmd_train(config, args.resume, overridden, args.config)
         if args.command == "eval":
             return cmd_eval(config)
         if args.command == "oracle":

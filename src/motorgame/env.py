@@ -156,7 +156,10 @@ class StepInfo:
 class DesignEnv:
     """Single-episode design game over one machine variant.
 
-    Not thread-safe; run independent instances in parallel instead.
+    Each lattice point's design and performance are computed once per
+    episode, on the first visit, and read back on any revisit; reset()
+    forgets them.  Not thread-safe; run independent instances in
+    parallel instead.
     """
 
     def __init__(self, variant: MachineVariant, base: BaseMachine | None = None,
@@ -180,7 +183,7 @@ class DesignEnv:
 
     @property
     def design(self) -> DesignPoint:
-        return design_at(self.base, *self._ijk)
+        return self._visited[self._ijk][0]
 
     @property
     def performance(self) -> Performance:
@@ -206,10 +209,12 @@ class DesignEnv:
 
     def reset(self) -> np.ndarray:
         self._ijk = lattice_index(self.base, self.variant.initial_design)
-        self._perf = evaluate(self.design, self.base)
+        design = design_at(self.base, *self._ijk)
+        self._perf = evaluate(design, self.base)
         self._flags = flags(self._perf, self.variant.target_bands)
         self._steps = 0
-        self._visited = {self._ijk}
+        # lattice index -> (design, performance) of each point this episode
+        self._visited = {self._ijk: (design, self._perf)}
         self._done = False
         self._started = True
         return encode(self._flags, None)
@@ -232,11 +237,13 @@ class DesignEnv:
 
         prev_perf, prev_flags = self._perf, self._flags
         self._ijk = new_ijk
-        design = self.design
-        self._perf = evaluate(design, self.base)
+        revisit = new_ijk in self._visited
+        if not revisit:
+            design = design_at(self.base, *new_ijk)
+            self._visited[new_ijk] = (design, evaluate(design, self.base))
+        design, self._perf = self._visited[new_ijk]
         self._flags = flags(self._perf, self.variant.target_bands)
 
-        revisit = new_ijk in self._visited
         win = all_flags_zero(self._flags)
         reward = reward_for(prev_perf, self._perf, prev_flags,
                             self.variant.target_bands, self.config)
@@ -245,7 +252,6 @@ class DesignEnv:
         if win:
             reward += self.config.win_reward
 
-        self._visited.add(new_ijk)
         self._steps += 1
         self._done = win or self._steps >= self.config.max_steps
         cause = "win" if win else ("truncation" if self._done else None)

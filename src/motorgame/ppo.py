@@ -635,11 +635,11 @@ def format_eval_table(report: EvalReport, label: str = "policy") -> str:
 
 
 def write_episode_csv(path: str, rows: Sequence[EpisodeRow]) -> None:
-    """Per-episode step series (episode_index, steps, win)."""
-    with open(path, "w") as fh:
-        fh.write("episode_index,steps,win\n")
-        for row in rows:
-            fh.write(f"{row.episode},{row.steps},{int(row.win)}\n")
+    """Per-episode step series (episode_index, steps, win), written
+    atomically."""
+    lines = ["episode_index,steps,win"]
+    lines += [f"{row.episode},{row.steps},{int(row.win)}" for row in rows]
+    write_text(path, "\n".join(lines) + "\n")
 
 
 # --- checkpoint serialization -------------------------------------------------

@@ -1,10 +1,13 @@
 """Baseline agents and the breadth-first shortest-path oracle."""
 
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import motorgame.agents
+import motorgame.env
 from motorgame.agents import greedy_agent, oracle_shortest, random_agent
 from motorgame.catalog import (
     MachineVariant,
@@ -14,7 +17,20 @@ from motorgame.catalog import (
     generate_variants,
     machine_by_id,
 )
-from motorgame.env import ACTION_MOVES, Action, DesignEnv, RewardConfig, flags
+from motorgame.env import (
+    ACTION_MOVES,
+    NUM_ACTIONS,
+    Action,
+    DesignEnv,
+    RewardConfig,
+    StepInfo,
+    all_flags_zero,
+    encode,
+    flags,
+    move,
+    reward_for,
+    run_episode,
+)
 from motorgame.errors import ContractViolationError
 from motorgame.surrogate import design_at, evaluate, lattice_index, lattice_shape
 
@@ -157,6 +173,162 @@ def test_greedy_wins_generated_variants():
         assert record.steps <= 300
         wins += record.win
     assert wins >= 3
+
+
+# --- per-episode memoization against the unmemoized step and look-ahead ------------
+
+
+class _UnmemoizedEnv(DesignEnv):
+    """DesignEnv with its step as it was before memoization: every step
+    evaluates the point it lands on and the visited set holds indices only.
+    Kept as the reference that the memoized DesignEnv must match."""
+
+    @property
+    def design(self):
+        return design_at(self.base, *self._ijk)
+
+    def reset(self):
+        self._ijk = lattice_index(self.base, self.variant.initial_design)
+        self._perf = evaluate(self.design, self.base)
+        self._flags = flags(self._perf, self.variant.target_bands)
+        self._steps = 0
+        self._visited = {self._ijk}
+        self._done = False
+        self._started = True
+        return encode(self._flags, None)
+
+    def step(self, action):
+        action = Action(action)
+        new_ijk = (self._ijk if all_flags_zero(self._flags)
+                   else move(self._ijk, action, self._shape))
+        prev_perf, prev_flags = self._perf, self._flags
+        self._ijk = new_ijk
+        design = self.design
+        self._perf = evaluate(design, self.base)
+        self._flags = flags(self._perf, self.variant.target_bands)
+        revisit = new_ijk in self._visited
+        win = all_flags_zero(self._flags)
+        reward = reward_for(prev_perf, self._perf, prev_flags,
+                            self.variant.target_bands, self.config)
+        if revisit:
+            reward += self.config.revisit_penalty
+        if win:
+            reward += self.config.win_reward
+        self._visited.add(new_ijk)
+        self._steps += 1
+        self._done = win or self._steps >= self.config.max_steps
+        cause = "win" if win else ("truncation" if self._done else None)
+        info = StepInfo(design=design, performance=self._perf, flags=self._flags,
+                        cause=cause, revisit=revisit, win=win)
+        return encode(self._flags, action), reward, self._done, info
+
+
+def _unmemoized_greedy(env, log=None, looked=None):
+    """greedy_agent with its look-ahead as it was before memoization: six
+    evaluate() calls per step.  Adds each neighbour looked at to ``looked``."""
+    bands = env.variant.target_bands.as_tuple()
+    weights = env.config.priority_weights
+    order = sorted(range(len(weights)), key=lambda i: (-weights[i], i))
+    shape = lattice_shape(env.base)
+
+    def policy(obs):
+        target = next((i for i in order if env.flags[i] != 0), None)
+        if target is None:
+            return 0
+        best_action, best_viol = 0, float("inf")
+        for action in range(NUM_ACTIONS):
+            near = move(env.index, action, shape)
+            if looked is not None:
+                looked.add(near)
+            lo, hi = bands[target]
+            value = evaluate(design_at(env.base, *near), env.base).as_tuple()[target]
+            viol = max(value - hi, lo - value, 0.0)
+            if viol < best_viol:
+                best_action, best_viol = action, viol
+        return best_action
+
+    return run_episode(env, policy, log)
+
+
+def _bits(*values):
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+def _memo_variants():
+    """Generated variants of all three machines, each also started on a
+    feasible point and at both lattice corners, machines interleaved so
+    that equal lattice indices of different machines follow each other."""
+    per_machine = []
+    for base in builtin_catalog():
+        shape = lattice_shape(base)
+        out = []
+        for v in generate_variants(base, 3, 4):
+            feasible = tuple(np.argwhere(feasible_mask(base, v.target_bands))[0])
+            out += [v] + [replace(v, initial_design=design_at(base, *ijk))
+                          for ijk in (feasible, (0, 0, 0), tuple(n - 1 for n in shape))]
+        per_machine.append(out)
+    return [v for group in zip(*per_machine) for v in group]
+
+
+def _logger(out):
+    def log(step, action, reward, info):
+        out.append((step, action, reward, _bits(reward), info,
+                    _bits(*info.performance.as_tuple())))
+    return log
+
+
+@pytest.mark.parametrize("max_steps", [300, 6])
+def test_memoized_episodes_match_the_unmemoized_reference(max_steps):
+    """Random and greedy episodes log the same StepInfos, rewards (by value
+    and by float bits) and EpisodeRecords as the unmemoized env step and
+    look-ahead.  Each env plays two episodes of each kind, so a memo that
+    outlives reset() or is shared across machines shows."""
+    config = RewardConfig(max_steps=max_steps)
+    causes = set()
+    for variant in _memo_variants():
+        env, reference = DesignEnv(variant, config=config), _UnmemoizedEnv(variant, config=config)
+        for episode in range(2):
+            plays = (
+                (lambda log: greedy_agent(env, log),
+                 lambda log: _unmemoized_greedy(reference, log)),
+                (lambda log: random_agent(env, np.random.default_rng(episode), log),
+                 lambda log: random_agent(reference, np.random.default_rng(episode), log)))
+            for play, play_reference in plays:
+                got, want = [], []
+                record, expected = play(_logger(got)), play_reference(_logger(want))
+                assert got == want
+                assert record == expected
+                assert _bits(record.total_reward) == _bits(expected.total_reward)
+                assert env.visited == reference.visited
+                causes.add(expected.cause)
+    assert causes == {"win", "truncation"}
+
+
+def test_each_point_is_evaluated_once_per_episode(monkeypatch):
+    """The greedy look-ahead makes one agents.evaluate call per distinct
+    neighbour it looks at in an episode, and the env one env.evaluate call
+    per distinct point it visits; a second episode on the same env starts
+    afresh."""
+    look_calls, env_calls = [], []
+
+    def counting(calls):
+        return lambda design, base: calls.append((base.id, design)) or evaluate(design, base)
+
+    monkeypatch.setattr(motorgame.agents, "evaluate", counting(look_calls))
+    monkeypatch.setattr(motorgame.env, "evaluate", counting(env_calls))
+    steps = looks = 0
+    for variant in _memo_variants():
+        base, env = machine_by_id(variant.base_id), DesignEnv(variant)
+        for episode in range(2):
+            look_calls.clear(), env_calls.clear()
+            looked = set()
+            record = greedy_agent(env)
+            _unmemoized_greedy(_UnmemoizedEnv(variant), looked=looked)
+            assert len(look_calls) == len(set(look_calls)) == len(looked)
+            assert set(look_calls) == {(base.id, design_at(base, *ijk)) for ijk in looked}
+            assert len(env_calls) == len(set(env_calls)) == len(env.visited)
+            steps, looks = steps + record.steps, looks + len(look_calls)
+    assert looks < steps  # episodes that bounce among a few points re-read them
 
 
 # --- oracle ------------------------------------------------------------------------

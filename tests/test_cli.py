@@ -23,7 +23,13 @@ from motorgame.cli import (
 from motorgame.env import NUM_ACTIONS, OBSERVATION_DIM
 from motorgame.errors import ContractViolationError
 from motorgame.neural import AdamState, init
-from motorgame.ppo import Hyperparams, load_checkpoint, new_checkpoint, save_checkpoint
+from motorgame.ppo import (
+    Hyperparams,
+    load_checkpoint,
+    new_checkpoint,
+    save_checkpoint,
+    write_episode_csv,
+)
 
 
 SMALL_TRAIN = ["--horizon", "16", "--env-count", "2", "--total-steps", "32",
@@ -211,6 +217,43 @@ def test_train_resume_accepts_the_checkpoints_own_hyperparams(tmp_path, capsys):
     assert load_checkpoint(str(ckpt_path)).update_index == 2
 
 
+def test_train_resume_rejects_changed_hyperparams_from_the_config_file(tmp_path, capsys):
+    catalog = _make_catalog(tmp_path)
+    ckpt_path, metrics_path = _train_small(tmp_path, catalog)
+    before = ckpt_path.read_text()
+    config = tmp_path / "run.cfg"
+    config.write_text("learning_rate = 0.05\nhorizon = 16\n")
+    capsys.readouterr()
+    code = main(["--config", str(config), "train", "--catalog-path", str(catalog),
+                 "--checkpoint-path", str(ckpt_path),
+                 "--metrics-path", str(metrics_path),
+                 "--total-steps", "64", "--resume"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: learning_rate in {config}:")
+    assert "horizon" not in err  # the checkpoint's own value
+    assert ckpt_path.read_text() == before
+    assert len(metrics_path.read_text().splitlines()) == 1
+
+
+def test_train_resume_accepts_a_config_file_of_the_checkpoints_values(tmp_path, capsys):
+    """A file that repeats the checkpoint's hyperparameters is accepted, and
+    its total_steps sets the new budget as --total-steps would."""
+    catalog = _make_catalog(tmp_path)
+    ckpt_path, metrics_path = _train_small(tmp_path, catalog)
+    config = tmp_path / "run.cfg"
+    pairs = zip(SMALL_TRAIN[::2], SMALL_TRAIN[1::2])
+    config.write_text("".join(f"{flag[2:].replace('-', '_')} = {value}\n"
+                              for flag, value in pairs if flag != "--total-steps")
+                      + "total_steps = 64\n")
+    code = main(["--config", str(config), "train", "--catalog-path", str(catalog),
+                 "--checkpoint-path", str(ckpt_path),
+                 "--metrics-path", str(metrics_path), "--resume"])
+    assert code == 0
+    ckpt = load_checkpoint(str(ckpt_path))
+    assert ckpt.update_index == 2 and ckpt.hyper.total_steps == 64
+
+
 def test_train_without_catalog_fails_validation(tmp_path, capsys):
     code = main(["train", "--catalog-path", str(tmp_path / "missing.txt"),
                  *SMALL_TRAIN])
@@ -219,9 +262,14 @@ def test_train_without_catalog_fails_validation(tmp_path, capsys):
 
 
 def test_failed_write_leaves_old_checkpoint_and_catalog(tmp_path, monkeypatch):
+    """A failed rename leaves the old catalog, checkpoint and episodes.csv
+    byte-unchanged."""
     catalog = _make_catalog(tmp_path)
     ckpt, _ = _train_small(tmp_path, catalog)
+    assert main(_eval_args(tmp_path, catalog, ckpt, agent="greedy")) == 0
+    episodes_csv = tmp_path / "episodes_greedy.csv"
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert before[episodes_csv.name].startswith(b"episode_index,steps,win\n")
 
     def fail(src, dst):
         raise OSError("disk full")
@@ -231,6 +279,8 @@ def test_failed_write_leaves_old_checkpoint_and_catalog(tmp_path, monkeypatch):
         save_catalog(load_catalog(catalog)[:1], catalog)
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(new_checkpoint(Hyperparams(seed=9)), str(ckpt))
+    with pytest.raises(OSError, match="disk full"):
+        write_episode_csv(str(episodes_csv), [])
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
