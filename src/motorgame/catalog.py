@@ -181,10 +181,11 @@ def feasible_mask(base: BaseMachine, bands: TargetBands) -> np.ndarray:
     return mask
 
 
-def _index_window(lo_pu: float, hi_pu: float, axis_lo_pu: float, step_pu: float) -> tuple[int, int]:
-    i_lo = int(round((lo_pu - axis_lo_pu) / step_pu))
-    i_hi = int(round((hi_pu - axis_lo_pu) / step_pu))
-    return i_lo, i_hi
+def _index_window(window_pu: tuple[float, float], unit: float, axis_lo: float,
+                  step: float) -> tuple[int, int]:
+    """Lattice indices of a per-unit window on an axis starting at
+    ``axis_lo`` with spacing ``step``; ``unit`` is the base design's value."""
+    return tuple(int(round((pu * unit - axis_lo) / step)) for pu in window_pu)
 
 
 def generate_variants(base: BaseMachine, count: int, seed: int) -> list[MachineVariant]:
@@ -195,8 +196,10 @@ def generate_variants(base: BaseMachine, count: int, seed: int) -> list[MachineV
     """
     if count < 1:
         raise ContractViolationError("count must be >= 1")
-    i_window = _index_window(*INITIAL_LENGTH_PU, axis_lo_pu=0.5, step_pu=0.05)
-    k_window = _index_window(*INITIAL_TOOTH_PU, axis_lo_pu=0.5, step_pu=0.1)
+    d0, bounds, step = base.base_design, base.bounds, base.step_sizes
+    i_window = _index_window(INITIAL_LENGTH_PU, d0.length, bounds.length[0], step.length)
+    k_window = _index_window(INITIAL_TOOTH_PU, d0.tooth_tip, bounds.tooth_tip[0],
+                             step.tooth_tip)
     turns_mid = (base.bounds.turns[1] + base.bounds.turns[0]) // 2
 
     variants = []

@@ -115,19 +115,20 @@ def load_config_file(path: str) -> dict[str, object]:
     return values
 
 
-def resolve_config(args: argparse.Namespace) -> tuple[RunConfig, set[str]]:
+def resolve_config(args: argparse.Namespace) -> tuple[RunConfig, dict[str, str]]:
     """Defaults, then config file, then explicit flags; returns the
-    resolved config plus the set of keys set explicitly by flags."""
+    resolved config plus where each key not left at its default was set:
+    ``--flag`` or ``key in PATH`` of the config file."""
     merged: dict[str, object] = {}
     if getattr(args, "config", None):
         merged.update(load_config_file(args.config))
-    overridden: set[str] = set()
+    set_by = {name: f"{name} in {args.config}" for name in merged}
     for name in _FIELD_TYPES:
         value = getattr(args, name, None)
         if value is not None:
             merged[name] = value
-            overridden.add(name)
-    return RunConfig(**merged), overridden
+            set_by[name] = f"--{name.replace('_', '-')}"
+    return RunConfig(**merged), set_by
 
 
 def print_config(config: RunConfig) -> None:
@@ -179,8 +180,7 @@ def cmd_catalog(config: RunConfig) -> int:
     return 0
 
 
-def cmd_train(config: RunConfig, resume: bool, overridden: set[str],
-              config_path: str | None) -> int:
+def cmd_train(config: RunConfig, resume: bool, set_by: dict[str, str]) -> int:
     variants = _load_variants(config, "train")
     hyper = _settings(Hyperparams, config)
     checkpoint = None
@@ -189,9 +189,6 @@ def cmd_train(config: RunConfig, resume: bool, overridden: set[str],
         # the run continues with the checkpoint's hyperparameters; only the
         # step budget may change.  A key of the config file counts as set,
         # like a flag.
-        set_by = {name: f"{name} in {config_path}"
-                  for name in (load_config_file(config_path) if config_path else ())}
-        set_by.update((name, f"--{name.replace('_', '-')}") for name in overridden)
         changed = [set_by[name] for name in _keys(Hyperparams)
                    if name != "total_steps" and name in set_by
                    and getattr(config, name) != getattr(checkpoint.hyper, name)]
@@ -376,13 +373,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        config, overridden = resolve_config(args)
+        config, set_by = resolve_config(args)
         if args.print_config:
             print_config(config)
         if args.command == "catalog":
             return cmd_catalog(config)
         if args.command == "train":
-            return cmd_train(config, args.resume, overridden, args.config)
+            return cmd_train(config, args.resume, set_by)
         if args.command == "eval":
             return cmd_eval(config)
         if args.command == "oracle":

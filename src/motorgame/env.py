@@ -261,28 +261,32 @@ class DesignEnv:
         return encode(self._flags, action), reward, self._done, info
 
 
-class DesignBatch:
-    """Many design-game episodes held as arrays and stepped together.
+class EnvPool:
+    """A fixed set of design-game episodes held as arrays and stepped together.
 
-    The array twin of DesignEnv for training pools.  Row e plays
-    ``variants[variant_ids[e]]`` and has taken ``steps[e]`` steps of its
-    episode; step() applies DesignEnv.step's rule to every row with the
-    same float operations in the same order, so a row's observations,
-    rewards and episode ends equal, bit for bit, those of a DesignEnv
-    given the same variant and actions.  Rows hold no episode until
-    reset() starts one.
+    The array twin of DesignEnv for training.  The envs start on the
+    variants in order, and step() restarts each finished env at once on
+    the next variant, round-robin.  step() applies DesignEnv.step's rule to every
+    env with the same float operations in the same order, so an env's
+    observations, rewards and episode ends equal, bit for bit, those of
+    a DesignEnv given the same variant and actions.
 
     The lattice axes of every machine in play lie end to end in one axis
-    table, and a row's three lattice coordinates are positions in it.
+    table, and an env's three lattice coordinates are positions in it.
     Per position the table holds the axis value; its per-unit form, the
     input of the surrogate's formula; the position each action leads to,
     as move() gives it; and the position's share of its lattice point
-    number, which indexes the row's visited bitmap.
+    number, which indexes the env's visited bitmap.
     """
 
-    def __init__(self, variants: Sequence[MachineVariant], rows: int,
-                 config: RewardConfig | None = None):
-        self.config = config if config is not None else RewardConfig()
+    def __init__(self, variants: Sequence[MachineVariant], env_count: int,
+                 reward_config: RewardConfig | None = None):
+        variants = tuple(variants)
+        if not variants:
+            raise ContractViolationError("need at least one variant")
+        if env_count < 1:
+            raise ContractViolationError("env_count must be >= 1")
+        self.config = reward_config if reward_config is not None else RewardConfig()
         value, per_unit, share = [], [], []
         after = [[] for _ in Action]  # after[a][p]: where action a takes position p
         starts = {}  # machine id -> position of each axis's first point
@@ -309,6 +313,7 @@ class DesignBatch:
         self._value, self._per_unit = np.array(value), np.array(per_unit)
         self._share, self._after = np.array(share), np.array(after)
         # per variant: start positions and band limits
+        self._variants = variants
         self._start = np.array([np.add(starts[v.base_id],
                                        lattice_index(machine_by_id(v.base_id), v.initial_design))
                                 for v in variants])
@@ -316,49 +321,71 @@ class DesignBatch:
         self._lo, self._hi = bands[..., 0], bands[..., 1]
         self._weights = np.array(self.config.priority_weights, dtype=np.float64)[:, None]
 
-        self._rows = np.arange(rows)
-        self.variant_ids = np.zeros(rows, dtype=np.intp)
-        self.steps = np.zeros(rows, dtype=np.intp)
-        self._at = np.zeros((rows, 3), dtype=np.intp)
-        self._perf = np.zeros((5, rows))   # flag-major, as are the flags
-        self._flags = np.zeros((5, rows))
-        self._visited = np.zeros((rows, -(-points // 64)), dtype=np.int64)
+        self._rows = np.arange(env_count)
+        self._cursor = 0  # how many episodes have been started
+        self._variant_ids = np.zeros(env_count, dtype=np.intp)
+        self._steps = np.zeros(env_count, dtype=np.intp)
+        self._at = np.zeros((env_count, 3), dtype=np.intp)
+        self._perf = np.zeros((5, env_count))   # flag-major, as are the flags
+        self._flags = np.zeros((5, env_count))
+        self._visited = np.zeros((env_count, -(-points // 64)), dtype=np.int64)
+        self._obs = np.zeros((env_count, OBSERVATION_DIM))
+        self._episode_reward = np.zeros(env_count)
+        self._finished: list[tuple[int, float, bool]] = []  # (steps, reward, win)
+        self._restart(self._rows)
+
+    @property
+    def env_count(self) -> int:
+        return len(self._rows)
+
+    @property
+    def variants(self) -> tuple[MachineVariant, ...]:
+        """The variant each env is playing now."""
+        return tuple(self._variants[i] for i in self._variant_ids)
+
+    def observations(self) -> np.ndarray:
+        return self._obs.copy()
 
     def _evaluate(self, rows) -> tuple[np.ndarray, np.ndarray]:
-        """Performance and flags, each (5, rows), at the rows' lattice points."""
+        """Performance and flags, each (5, rows), at the envs' lattice points."""
         at = self._at[rows].T
         perf = np.empty((5, len(at[0])))
         perf[:4] = _perf_values(*self._per_unit[at])
         perf[4] = self._value[at[2]]
-        vid = self.variant_ids[rows]
+        vid = self._variant_ids[rows]
         return perf, (perf > self._hi[vid].T).astype(np.float64) - (perf < self._lo[vid].T)
 
     def _visit(self, rows) -> np.ndarray:
-        """Mark the rows' lattice points visited; True where one already was."""
+        """Mark the envs' lattice points visited; True where one already was."""
         point = self._share[self._at[rows]].sum(axis=1)
         word, bit = point >> 6, np.left_shift(1, point & 63)
         seen = (self._visited[rows, word] & bit).astype(bool)
         self._visited[rows, word] |= bit
         return seen
 
-    def reset(self, rows: np.ndarray, variant_ids: np.ndarray) -> np.ndarray:
-        """Start the given rows on the given variants; their observations."""
-        self.variant_ids[rows] = variant_ids
-        self._at[rows] = self._start[variant_ids]
+    def _restart(self, rows: np.ndarray) -> None:
+        """Start a new episode in each of the given envs, on the next
+        variants round-robin."""
+        ids = (self._cursor + np.arange(len(rows))) % len(self._variants)
+        self._cursor += len(rows)
+        self._variant_ids[rows] = ids
+        self._at[rows] = self._start[ids]
         self._perf[:, rows], self._flags[:, rows] = self._evaluate(rows)
-        self.steps[rows] = 0
+        self._steps[rows] = 0
         self._visited[rows] = 0
         self._visit(rows)
-        obs = np.zeros((len(rows), OBSERVATION_DIM))
-        obs[:, :5] = self._flags[:, rows].T
-        return obs
+        self._episode_reward[rows] = 0.0
+        self._obs[rows] = 0.0
+        self._obs[rows, :5] = self._flags[:, rows].T
 
-    def step(self, actions: np.ndarray,
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Advance every row by its action, one integer in 0..5 per row.
+    def step(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Advance every env by its action, one integer in 0..5 per env,
+        and restart the envs whose episode ended.
 
-        Returns (observations, rewards, done, win) per row.  Bad actions
-        raise ContractViolationError before any row moves.
+        Returns (rewards, dones) for the step just taken, dones as float
+        0/1; afterwards observations() holds the restarted envs' first
+        observations.  Bad actions raise ContractViolationError before
+        any env moves.
         """
         actions = np.asarray(actions)
         if (actions.shape != self._rows.shape or actions.dtype.kind not in "iu"
@@ -368,7 +395,7 @@ class DesignBatch:
                 f"got {actions.dtype} array of shape {actions.shape}: {actions}")
         cfg, rows = self.config, self._rows
 
-        # an already-feasible row (only possible before its first move)
+        # an already-feasible env (only possible before its first move)
         # closes out as a win without moving
         prev_perf, prev_flags = self._perf, self._flags
         moves = prev_flags.any(axis=0)
@@ -391,12 +418,25 @@ class DesignBatch:
         rewards[revisit] += cfg.revisit_penalty
         rewards[win] += cfg.win_reward
 
-        self.steps += 1
-        done = win | (self.steps >= cfg.max_steps)
-        obs = np.zeros((len(rows), OBSERVATION_DIM))
-        obs[:, :5] = flags.T
-        obs[rows, 5 + actions] = 1.0
-        return obs, rewards, done, win
+        self._steps += 1
+        self._episode_reward += rewards
+        done = win | (self._steps >= cfg.max_steps)
+        self._obs[:] = 0.0
+        self._obs[:, :5] = flags.T
+        self._obs[rows, 5 + actions] = 1.0
+        finished = np.flatnonzero(done)
+        if finished.size:
+            self._finished += zip(self._steps[finished].tolist(),
+                                  self._episode_reward[finished].tolist(),
+                                  win[finished].tolist())
+            self._restart(finished)
+        return rewards, done.astype(np.float64)
+
+    def drain_finished(self) -> list[tuple[int, float, bool]]:
+        """(steps, total reward, win) of each episode finished since the
+        last drain, in the order they ended."""
+        out, self._finished = self._finished, []
+        return out
 
 
 @dataclass(frozen=True)
@@ -422,19 +462,3 @@ def run_episode(env: DesignEnv, policy: Callable[[np.ndarray], int],
         if done:
             return EpisodeRecord(steps=env.steps, total_reward=total,
                                  win=info.win, cause=info.cause)
-
-
-def format_step_record(episode: int, step: int, action: Action, reward: float,
-                       info: StepInfo) -> str:
-    """One line-delimited log record per step; floats keep full precision."""
-    p = info.performance
-    flag_text = ",".join(str(f) for f in info.flags)
-    return (
-        f"episode={episode} step={step} "
-        f"length={info.design.length!r} turns={info.design.turns} "
-        f"tooth_tip={info.design.tooth_tip!r} "
-        f"b_gap={p.b_gap!r} t_break={p.t_break!r} i_start={p.i_start!r} "
-        f"d_temp={p.d_temp!r} "
-        f"flags={flag_text} action={int(action)} reward={reward!r} "
-        f"cause={info.cause or '-'}"
-    )

@@ -10,8 +10,7 @@ derivation, so training, resuming, and evaluation are bit-reproducible.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -20,8 +19,8 @@ from .catalog import MachineVariant, machine_by_id
 from .env import (
     NUM_ACTIONS,
     OBSERVATION_DIM,
-    DesignBatch,
     DesignEnv,
+    EnvPool,
     EpisodeRecord,
     RewardConfig,
     run_episode,
@@ -54,9 +53,6 @@ GRAD_CLIP_NORM = 0.5
 # Reference mean winning step counts for the three stock machines, used
 # for side-by-side evaluation reports.
 REFERENCE_MEAN_STEPS = {1: 11.0, 2: 12.0, 3: 5.0}
-
-# RolloutBuffer.causes codes; 0 marks a step that did not end its episode
-_CAUSE_CODES = {"win": 1, "truncation": 2}
 
 
 def derive_seed(*parts: int) -> int:
@@ -97,10 +93,6 @@ class Hyperparams:
             if getattr(self, name) < 1:
                 raise ContractViolationError(f"{name} must be >= 1")
 
-    @property
-    def updates(self) -> int:
-        return math.ceil(self.total_steps / (self.horizon * self.env_count))
-
 
 @dataclass
 class RolloutBuffer:
@@ -112,7 +104,6 @@ class RolloutBuffer:
     rewards: np.ndarray       # (T, E)
     values: np.ndarray        # (T, E)
     dones: np.ndarray         # (T, E) float 0/1
-    causes: np.ndarray        # (T, E) int8 cause codes
     bootstrap: np.ndarray     # (E,) value of the observation after the last step
     advantages: np.ndarray | None = None
     returns: np.ndarray | None = None
@@ -124,74 +115,6 @@ class RolloutBuffer:
         self.advantages, self.returns = gae(
             self.rewards, self.values, self.dones, self.bootstrap,
             discount, gae_lambda)
-
-
-class EnvPool:
-    """Fixed set of design-game environments cycling round-robin through
-    the training variants on episode reset.
-
-    The envs are the rows of one env.DesignBatch, so a step is one array
-    operation over the whole pool; each env plays exactly as a DesignEnv
-    would.
-    """
-
-    def __init__(self, variants: Sequence[MachineVariant], env_count: int,
-                 reward_config: RewardConfig | None = None):
-        variants = tuple(variants)
-        if not variants:
-            raise ContractViolationError("need at least one variant")
-        if env_count < 1:
-            raise ContractViolationError("env_count must be >= 1")
-        self._variants = variants
-        self._cursor = 0
-        self._game = DesignBatch(variants, env_count, reward_config)
-        self._episode_reward = np.zeros(env_count)
-        self._finished: list[tuple[int, float, bool]] = []  # (steps, reward, win)
-        self._obs = self._game.reset(np.arange(env_count), self._next_variants(env_count))
-
-    def _next_variants(self, count: int) -> np.ndarray:
-        ids = (self._cursor + np.arange(count)) % len(self._variants)
-        self._cursor += count
-        return ids
-
-    @property
-    def env_count(self) -> int:
-        return len(self._obs)
-
-    @property
-    def variants(self) -> tuple[MachineVariant, ...]:
-        """The variant each env is playing now."""
-        return tuple(self._variants[i] for i in self._game.variant_ids)
-
-    def observations(self) -> np.ndarray:
-        return self._obs.copy()
-
-    def step(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Advance every env by one action; auto-reset finished episodes.
-
-        ``actions`` holds one integer in 0..5 per env; anything else
-        raises ContractViolationError and leaves the pool as it was.
-        Returns (rewards, dones, cause codes) for the step just taken;
-        afterwards observations() reflects post-reset states.
-        """
-        obs, rewards, done, win = self._game.step(actions)
-        self._episode_reward += rewards
-        finished = np.flatnonzero(done)
-        if finished.size:
-            self._finished += zip(self._game.steps[finished].tolist(),
-                                  self._episode_reward[finished].tolist(),
-                                  win[finished].tolist())
-            self._episode_reward[finished] = 0.0
-            obs[finished] = self._game.reset(finished, self._next_variants(finished.size))
-        self._obs = obs
-        causes = np.zeros(len(done), dtype=np.int8)
-        causes[done] = _CAUSE_CODES["truncation"]
-        causes[win] = _CAUSE_CODES["win"]
-        return rewards, done.astype(np.float64), causes
-
-    def drain_finished(self) -> list[tuple[int, float, bool]]:
-        out, self._finished = self._finished, []
-        return out
 
 
 def collect_rollout(pool: EnvPool, actor: MlpParams, critic: MlpParams,
@@ -206,7 +129,6 @@ def collect_rollout(pool: EnvPool, actor: MlpParams, critic: MlpParams,
     rewards = np.zeros((horizon, e_count))
     values = np.zeros((horizon, e_count))
     dones = np.zeros((horizon, e_count))
-    causes = np.zeros((horizon, e_count), dtype=np.int8)
 
     for t in range(horizon):
         obs = pool.observations()
@@ -218,11 +140,11 @@ def collect_rollout(pool: EnvPool, actor: MlpParams, critic: MlpParams,
         actions[t] = act
         log_probs[t] = dist.log_prob(act)
         values[t] = vals[:, 0]
-        rewards[t], dones[t], causes[t] = pool.step(act)
+        rewards[t], dones[t] = pool.step(act)
 
     tail_values, _ = forward(critic, pool.observations())
     return RolloutBuffer(observations, actions, log_probs, rewards, values,
-                         dones, causes, bootstrap=tail_values[:, 0].copy())
+                         dones, bootstrap=tail_values[:, 0].copy())
 
 
 def gae(rewards, values, dones, bootstrap, discount: float, gae_lambda: float,
@@ -446,13 +368,13 @@ def train(variants: Sequence[MachineVariant], hyper: Hyperparams,
     Deterministic in hyper.seed: every RNG stream is derived from it and
     the update index.  Resuming from a checkpoint continues the update
     numbering and RNG streams, but does not yet reproduce an uninterrupted
-    run: the env pool is not checkpointed, so its episodes and round-robin
-    cursor restart.  ``metrics_path`` is truncated on a fresh run and
-    appended to on resume.
+    run: the env.EnvPool's arrays are not checkpointed, so its episodes,
+    episode rewards and round-robin cursor restart.  ``metrics_path`` is
+    truncated on a fresh run and appended to on resume.
 
-    The pool steps all its envs as one array operation, so
-    ``hyper.env_count`` is cheap to raise: the cost per env step falls
-    as the pool grows.
+    The pool steps all its envs as one array operation and restarts
+    finished episodes within that step, so ``hyper.env_count`` is cheap
+    to raise: the cost per env step falls as the pool grows.
     """
     if not variants:
         raise ContractViolationError("need at least one training variant")
@@ -500,12 +422,7 @@ def train(variants: Sequence[MachineVariant], hyper: Hyperparams,
                           if finished else float("nan")),
                 mean_winning_steps=(float(np.mean(wins))
                                     if wins else float("nan")),
-                policy_loss=stats.policy_loss,
-                value_loss=stats.value_loss,
-                entropy=stats.entropy,
-                clip_fraction=stats.clip_fraction,
-                grad_norm=stats.grad_norm,
-                approx_kl=stats.approx_kl,
+                **asdict(stats),
                 explained_variance=critic_fit,
             )
             report.rows.append(row)

@@ -1,6 +1,8 @@
 """Base-machine catalog: stock machine data, variant sampling with
 feasibility certification, and the versioned text persistence format."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ from motorgame import catalog as catalog_mod
 from motorgame.catalog import (
     BAND_HALF_WIDTH,
     CATALOG_VERSION_LINE,
+    INITIAL_LENGTH_PU,
+    INITIAL_TOOTH_PU,
     MAX_DRAW_ATTEMPTS,
     TOOTH_BAND_PU,
     BaseMachine,
@@ -139,6 +143,23 @@ def test_variant_fields_and_sampler_windows():
                 assert lo <= 1.0 <= hi  # center drawn within the half-width
             assert v.target_bands.tooth_tip == (TOOTH_BAND_PU[0] * h0,
                                                 TOOTH_BAND_PU[1] * h0)
+
+
+def test_sampler_windows_follow_the_machines_lattice():
+    """The start windows are per-unit of the base design wherever the
+    lattice begins: here at 0.7 pu on the length and tooth-tip axes, where
+    the stock lattices begin at 0.5 pu."""
+    stock = machine_by_id(1)
+    d0, step = stock.base_design, stock.step_sizes
+    lo_l, lo_h = 0.7 * d0.length, 0.7 * d0.tooth_tip
+    base = replace(stock, bounds=Bounds(length=(lo_l, lo_l + 26 * step.length),
+                                        turns=stock.bounds.turns,
+                                        tooth_tip=(lo_h, lo_h + 15 * step.tooth_tip)))
+    for v in generate_variants(base, 30, 3):
+        lam = v.initial_design.length / d0.length
+        eta = v.initial_design.tooth_tip / d0.tooth_tip
+        assert INITIAL_LENGTH_PU[0] - 1e-9 <= lam <= INITIAL_LENGTH_PU[1] + 1e-9
+        assert INITIAL_TOOTH_PU[0] - 1e-9 <= eta <= INITIAL_TOOTH_PU[1] + 1e-9
 
 
 def test_certified_feasibility_independent_scan():

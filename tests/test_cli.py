@@ -91,10 +91,10 @@ def test_flags_override_config_file(tmp_path):
     path.write_text("seed = 3\nhorizon = 128\n")
     args = build_parser().parse_args(
         ["--config", str(path), "train", "--seed", "4"])
-    config, overridden = resolve_config(args)
+    config, set_by = resolve_config(args)
     assert config.seed == 4          # flag beats file
     assert config.horizon == 128     # file beats default
-    assert "seed" in overridden and "horizon" not in overridden
+    assert set_by == {"seed": "--seed", "horizon": f"horizon in {path}"}
 
 
 def test_print_config_echoes_resolved_values(tmp_path, capsys):

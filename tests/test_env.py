@@ -18,7 +18,6 @@ from motorgame.env import (
     all_flags_zero,
     encode,
     flags,
-    format_step_record,
     move,
     reward_for,
     run_episode,
@@ -319,17 +318,15 @@ def test_action_moves_cover_all_axes():
 
 
 def test_run_episode_and_step_log():
-    lines = []
+    logged = []
     env = DesignEnv(TORQUE_LOW)
     record = run_episode(env, lambda obs: Action.LENGTH_UP,
                          log=lambda step, action, reward, info:
-                         lines.append(format_step_record(0, step, action, reward, info)))
+                         logged.append((step, action, reward, info.cause, info.flags)))
     assert record.steps == 1
     assert record.total_reward == 104.0
     assert record.win and record.cause == "win"
-    assert len(lines) == 1
-    assert "action=0" in lines[0] and "cause=win" in lines[0]
-    assert "flags=0,0,0,0,0" in lines[0]
+    assert logged == [(1, Action.LENGTH_UP, 104.0, "win", (0, 0, 0, 0, 0))]
 
 
 def test_run_episode_truncates():

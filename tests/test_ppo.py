@@ -24,7 +24,6 @@ from motorgame.errors import (
 from motorgame.kvtext import parse_array, read_sections
 from motorgame.neural import AdamState, Categorical, MlpParams, adam_step, forward, init
 from motorgame.ppo import (
-    _CAUSE_CODES,
     ACTOR_SIZES,
     CHECKPOINT_VERSION_LINE,
     CRITIC_SIZES,
@@ -94,7 +93,6 @@ def test_hyperparams_defaults():
     assert (h.epochs, h.minibatch_size, h.horizon) == (4, 64, 1024)
     assert (h.value_coef, h.entropy_coef) == (0.5, 0.01)
     assert (h.total_steps, h.env_count) == (400_000, 8)
-    assert h.updates == 49  # ceil(400000 / 8192)
 
 
 def test_hyperparams_validation():
@@ -224,7 +222,7 @@ def test_pool_round_robin_and_autoreset():
     assert pool.variants[0] is FEASIBLE_A
     # the feasible start makes every step a win, cycling the variants
     for expected in (FEASIBLE_B, FEASIBLE_A, FEASIBLE_B):
-        rewards, dones, causes = pool.step(np.zeros(1, dtype=int))
+        rewards, dones = pool.step(np.zeros(1, dtype=int))
         assert rewards[0] == 98.0 and dones[0] == 1.0
         assert pool.variants[0] is expected
     finished = pool.drain_finished()
@@ -241,7 +239,11 @@ def test_pool_validation():
 
 class _LoopPool:
     """The env pool as a Python loop over DesignEnvs, one env at a time;
-    kept as the reference that EnvPool's array step must match."""
+    kept as the reference that EnvPool's array step must match.  Its step
+    also returns each env's cause code, so a replay can check that it saw
+    wins and truncations."""
+
+    CAUSE_CODES = {"win": 1, "truncation": 2}  # 0: the episode goes on
 
     def __init__(self, variants, env_count, reward_config):
         self._variants, self._cursor, self._config = tuple(variants), 0, reward_config
@@ -269,7 +271,7 @@ class _LoopPool:
             self._episode_reward[e] += reward
             if done:
                 dones[e] = 1.0
-                causes[e] = _CAUSE_CODES[info.cause]
+                causes[e] = self.CAUSE_CODES[info.cause]
                 self._finished.append(
                     (self.envs[e].steps, float(self._episode_reward[e]), info.win))
                 self._episode_reward[e] = 0.0
@@ -315,12 +317,13 @@ def test_pool_replays_the_loop_over_design_envs(env_count, steps):
     seen_causes = set()
     for t in range(steps):
         actions = rng.integers(NUM_ACTIONS, size=env_count)
-        got, want = pool.step(actions), reference.step(actions)
+        got, (*want, causes) = pool.step(actions), reference.step(actions)
+        assert len(got) == len(want)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         assert np.array_equal(pool.observations(), reference.observations())
         assert pool.variants == tuple(env.variant for env in reference.envs)
-        seen_causes.update(want[2].tolist())
+        seen_causes.update(causes.tolist())
         if t % 10 == 9:
             assert pool.drain_finished() == reference.drain_finished()
     assert pool.drain_finished() == reference.drain_finished()
@@ -352,7 +355,6 @@ def test_collect_rollout_minimal():
     assert len(buf) == 1
     assert buf.observations.shape == (1, 1, 11)
     assert buf.dones[0, 0] == 1.0
-    assert buf.causes[0, 0] == 1  # win
     assert buf.rewards[0, 0] == 98.0
 
 
@@ -364,7 +366,7 @@ def test_collect_rollout_deterministic():
         bufs.append(collect_rollout(pool, ckpt.actor, ckpt.critic, horizon=12,
                                     rng=np.random.default_rng(9)))
     for name in ("observations", "actions", "log_probs", "rewards", "values",
-                 "dones", "causes", "bootstrap"):
+                 "dones", "bootstrap"):
         assert np.array_equal(getattr(bufs[0], name), getattr(bufs[1], name))
 
 
@@ -389,7 +391,7 @@ def test_collect_rollout_rewards_replayable():
                           rng=np.random.default_rng(2))
     pool_b = EnvPool(TRAIN_VARIANTS, env_count=2)
     for t in range(10):
-        rewards, dones, _ = pool_b.step(buf.actions[t])
+        rewards, dones = pool_b.step(buf.actions[t])
         assert np.array_equal(rewards, buf.rewards[t])
         assert np.array_equal(dones, buf.dones[t])
 
