@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from dataclasses import dataclass, field, fields, make_dataclass, replace
 
 import numpy as np
@@ -41,6 +42,7 @@ from .errors import (
 from .kvtext import format_value, parse_value, read_sections
 from .ppo import (
     Hyperparams,
+    UpdateRow,
     evaluate,
     evaluate_agent,
     format_eval_table,
@@ -201,10 +203,22 @@ def cmd_train(config: RunConfig, resume: bool, set_by: dict[str, str]) -> int:
                                        total_steps=config.total_steps)
         print(f"resuming from update {checkpoint.update_index} "
               f"({checkpoint.env_steps} env steps)")
+    last_time = time.perf_counter()
+    last_steps = checkpoint.env_steps if checkpoint is not None else 0
+
+    def progress(row: UpdateRow) -> None:
+        # the rate goes to stdout only, so metrics.txt stays comparable
+        # between runs
+        nonlocal last_time, last_steps
+        now = time.perf_counter()
+        rate = (row.env_steps - last_steps) / (now - last_time)
+        last_time, last_steps = now, row.env_steps
+        print(f"{row.as_line()} steps_per_s={rate:.0f}")
+
     ckpt, report = train(
         variants, hyper, reward_config=_settings(RewardConfig, config),
         checkpoint=checkpoint, metrics_path=config.metrics_path,
-        progress=lambda row: print(row.as_line()))
+        progress=progress)
     save_checkpoint(ckpt, config.checkpoint_path)
     print(f"checkpoint written to {config.checkpoint_path} "
           f"after {ckpt.update_index} updates ({ckpt.env_steps} env steps)")

@@ -15,6 +15,7 @@ training loop allocates one per network and reuses it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,13 +190,18 @@ class Categorical:
         self.logits_log_probs = shifted - lse
         self.probs = np.exp(self.logits_log_probs)
 
+    def cdf(self) -> np.ndarray:
+        """Cumulative probabilities per row; rounding can leave the last
+        entry below 1."""
+        return np.cumsum(self.probs, axis=-1)
+
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """Inverse-CDF sample, one action per row; deterministic in the
-        generator state."""
-        cdf = np.cumsum(self.probs, axis=-1)
-        u = rng.random(self.probs.shape[0])
-        idx = (cdf < u[:, None]).sum(axis=-1)
-        return np.minimum(idx, self.probs.shape[-1] - 1)
+        """One action per row by ``inverse_cdf`` on one ``rng.random`` draw
+        per row; deterministic in the generator state."""
+        rows = self.probs.shape[0]
+        u = rng.random(rows)
+        return np.fromiter(map(inverse_cdf, self.cdf().tolist(), u.tolist()),
+                           np.intp, rows)
 
     def log_prob(self, actions) -> np.ndarray:
         actions = np.asarray(actions, dtype=np.intp)
@@ -203,3 +209,10 @@ class Categorical:
 
     def entropy(self) -> np.ndarray:
         return -(self.probs * self.logits_log_probs).sum(axis=-1)
+
+
+def inverse_cdf(cdf: list[float], u: float) -> int:
+    """The inverse-CDF rule: the number of entries of the non-decreasing
+    ``cdf`` below ``u``, clipped to the last action because rounding can
+    leave ``cdf[-1]`` below 1.  An entry equal to ``u`` is not below it."""
+    return min(bisect_left(cdf, u), len(cdf) - 1)

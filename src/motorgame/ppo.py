@@ -41,6 +41,7 @@ from .neural import (
     clip_grad_norm,
     forward,
     init,
+    inverse_cdf,
 )
 
 CHECKPOINT_VERSION_LINE = "motor-design-ckpt v2"
@@ -515,17 +516,28 @@ def evaluate(actor: MlpParams, variants: Sequence[MachineVariant],
     """Frozen-policy evaluation grouped per base machine.
 
     mode "argmax" takes the highest-logit action; mode "stochastic"
-    samples from the policy head (deterministic in seed).
+    samples from the policy head (deterministic in seed).  The actor is
+    frozen for the call, so the policy is computed once per distinct
+    observation per call: the first visit runs the forward pass and keeps
+    the argmax action or the CDF row, and every visit in stochastic mode
+    draws its own ``rng.random()`` for ``inverse_cdf``, the draw that
+    ``Categorical.sample`` takes for one row.
     """
     if mode not in ("stochastic", "argmax"):
         raise ContractViolationError(f"unknown evaluation mode {mode!r}")
+    memo: dict[bytes, int | list[float]] = {}  # obs bytes -> action or CDF row
 
     def play(env: DesignEnv, rng: np.random.Generator) -> EpisodeRecord:
         def policy(obs: np.ndarray) -> int:
-            logits, _ = forward(actor, obs[None])
+            key = obs.tobytes()
+            choice = memo.get(key)
+            if choice is None:
+                logits, _ = forward(actor, obs[None])
+                choice = memo[key] = (int(np.argmax(logits[0])) if mode == "argmax"
+                                      else Categorical(logits).cdf()[0].tolist())
             if mode == "argmax":
-                return int(np.argmax(logits[0]))
-            return int(Categorical(logits).sample(rng)[0])
+                return choice
+            return inverse_cdf(choice, rng.random())
 
         return run_episode(env, policy)
 

@@ -171,6 +171,16 @@ def test_train_smoke_writes_checkpoint_and_metrics(tmp_path, capsys):
     assert len(metrics_path.read_text().splitlines()) == 1
 
 
+def test_train_progress_line_adds_steps_per_s_to_the_metrics_row(tmp_path, capsys):
+    catalog = _make_catalog(tmp_path)
+    _, metrics_path = _train_small(tmp_path, catalog)
+    printed = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("update=")]
+    row, rate = printed[0].rsplit(" steps_per_s=", 1)
+    assert metrics_path.read_text() == row + "\n"
+    assert int(rate) > 0
+
+
 def test_train_resume_continues_numbering(tmp_path, capsys):
     catalog = _make_catalog(tmp_path)
     ckpt_path, metrics_path = _train_small(tmp_path, catalog)

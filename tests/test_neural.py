@@ -15,6 +15,7 @@ from motorgame.neural import (
     clip_grad_norm,
     forward,
     init,
+    inverse_cdf,
 )
 
 
@@ -429,6 +430,50 @@ def test_categorical_batch_mode():
         assert ent[row] == single.entropy()[0]
     samples = dist.sample(np.random.default_rng(0))
     assert samples.shape == (4,)
+
+
+
+class _FixedDraw:
+    """A generator stub: ``random()`` returns ``u``, ``random(n)`` n copies."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self, size=None):
+        return self.u if size is None else np.full(size, self.u)
+
+
+def _counted(cdf, u):
+    """The rule written out: count the CDF entries below u, clip to the last."""
+    return min(sum(c < u for c in cdf), len(cdf) - 1)
+
+
+@pytest.mark.parametrize("logits, draws", [
+    # u exactly equal to each CDF entry
+    ([0.3, -1.2, 2.0, 0.0, 1.1, -0.4], "entries"),
+    # zero-probability actions 1, 3 and 4 repeat CDF values
+    ([0.0, -np.inf, 1.0, -np.inf, -np.inf, 0.5], "entries"),
+    # rounding leaves cdf[-1] = 1 - 2**-53, so u can land above it
+    ([-2.3, -0.2, -1.2, -0.7, -0.5, -0.3], "above_last"),
+])
+def test_inverse_cdf_lookup_matches_categorical_sample(logits, draws):
+    dist = Categorical(np.array([logits]))
+    cdf = dist.cdf()[0]
+    if draws == "entries":  # each entry, and the next double above it
+        us = [float(c) for c in cdf] + [float(np.nextafter(c, 2.0)) for c in cdf[:-1]]
+    else:
+        assert cdf[-1] < 1.0
+        us = [float(np.nextafter(cdf[-1], 2.0)), float(np.nextafter(1.0, 0.0))]
+    for u in us:
+        want = _counted(cdf, u)
+        assert inverse_cdf(cdf.tolist(), u) == want
+        assert int(dist.sample(_FixedDraw(u))[0]) == want
+    if draws == "above_last":
+        assert want == len(logits) - 1
+    else:
+        # a zero-probability action's repeated entry is skipped past
+        chosen = {_counted(cdf, u) for u in us}
+        assert chosen == {a for a, z in enumerate(logits) if z > -np.inf}
 
 
 # --- text serialization --------------------------------------------------------------

@@ -14,7 +14,15 @@ from motorgame.catalog import (
     generate_variants,
     machine_by_id,
 )
-from motorgame.env import NUM_ACTIONS, OBSERVATION_DIM, Action, DesignEnv, RewardConfig, move
+from motorgame.env import (
+    NUM_ACTIONS,
+    OBSERVATION_DIM,
+    Action,
+    DesignEnv,
+    RewardConfig,
+    move,
+    run_episode,
+)
 from motorgame.errors import (
     CheckpointFormatError,
     CheckpointVersionError,
@@ -35,6 +43,7 @@ from motorgame.ppo import (
     collect_rollout,
     derive_seed,
     evaluate,
+    evaluate_agent,
     explained_variance,
     format_eval_table,
     gae,
@@ -800,6 +809,73 @@ def test_write_episode_csv(tmp_path):
     assert lines[0] == "episode_index,steps,win"
     assert len(lines) == 4
     assert lines[1] == "0,1,1"
+
+
+
+def _reference_evaluate(actor, variants, episodes_per_variant, mode, seed):
+    """evaluate with a forward pass and a fresh Categorical on every step,
+    and the sampling rule spelled out in numpy; kept as the reference that
+    the per-call memo must match bit for bit."""
+    def play(env, rng):
+        def policy(obs):
+            logits, _ = forward(actor, obs[None])
+            if mode == "argmax":
+                return int(np.argmax(logits[0]))
+            cdf = np.cumsum(Categorical(logits).probs, axis=-1)
+            u = rng.random(1)
+            return int(np.minimum((cdf < u[:, None]).sum(axis=-1), NUM_ACTIONS - 1)[0])
+
+        return run_episode(env, policy)
+
+    return evaluate_agent(play, variants, episodes_per_variant, mode, seed)
+
+
+def _assert_same_report(got, want):
+    assert got.rows == want.rows
+    # repr tells floats apart bit for bit and prints every nan alike
+    assert repr(got.per_machine) == repr(want.per_machine)
+
+
+# two variants of each stock machine, so one call spans all three
+EVAL_VARIANTS = [v for machine in builtin_catalog() for v in generate_variants(machine, 2, 3)]
+
+
+@pytest.mark.parametrize("seed", [0, 4, 11])
+@pytest.mark.parametrize("mode", ["stochastic", "argmax"])
+def test_evaluate_matches_the_per_step_reference(mode, seed):
+    actor = _trained_checkpoint().actor
+    got = evaluate(actor, EVAL_VARIANTS, episodes_per_variant=3, mode=mode, seed=seed)
+    assert set(got.per_machine) == {1, 2, 3}
+    _assert_same_report(got, _reference_evaluate(actor, EVAL_VARIANTS, 3, mode, seed))
+
+
+@pytest.mark.parametrize("mode", ["stochastic", "argmax"])
+def test_evaluate_runs_the_actor_once_per_distinct_observation(monkeypatch, mode):
+    forwarded, seen = [], []
+
+    def counting_forward(params, x):
+        forwarded.append(x.tobytes())
+        return forward(params, x)
+
+    def recording_run_episode(env, policy):
+        return run_episode(env, lambda obs: seen.append(obs.tobytes()) or policy(obs))
+
+    monkeypatch.setattr("motorgame.ppo.forward", counting_forward)
+    monkeypatch.setattr("motorgame.ppo.run_episode", recording_run_episode)
+    evaluate(new_checkpoint(SMALL).actor, EVAL_VARIANTS, episodes_per_variant=3,
+             mode=mode, seed=2)
+    assert sorted(forwarded) == sorted(set(seen))
+    assert len(seen) > len(forwarded)  # the memo was hit
+
+
+@pytest.mark.parametrize("mode", ["stochastic", "argmax"])
+def test_evaluate_keeps_no_policy_across_calls(mode):
+    actor = new_checkpoint(SMALL).actor
+    before = evaluate(actor, EVAL_VARIANTS, episodes_per_variant=3, mode=mode, seed=5)
+    actor.flat += np.random.default_rng(6).normal(scale=0.5, size=actor.flat.shape)
+    after = evaluate(actor, EVAL_VARIANTS, episodes_per_variant=3, mode=mode, seed=5)
+    assert after.rows != before.rows  # the perturbed actor plays differently
+    _assert_same_report(after, _reference_evaluate(actor, EVAL_VARIANTS, 3, mode, 5))
 
 
 # --- checkpoint persistence -----------------------------------------------------------
