@@ -24,7 +24,6 @@ from .errors import ContractViolationError
 from .surrogate import (
     DesignPoint,
     Performance,
-    _perf_values,
     design_at,
     evaluate,
     evaluate_grid,
@@ -271,12 +270,12 @@ class EnvPool:
     observations, rewards and episode ends equal, bit for bit, those of
     a DesignEnv given the same variant and actions.
 
-    The lattice axes of every machine in play lie end to end in one axis
-    table, and an env's three lattice coordinates are positions in it.
-    Per position the table holds the axis value; its per-unit form, the
-    input of the surrogate's formula; the position each action leads to,
-    as move() gives it; and the position's share of its lattice point
-    number, which indexes the env's visited bitmap.
+    The lattices of the machines in play lie end to end, and an env's
+    state is one point index into them.  A (5, points) table holds each
+    point's performance, copied from its machine's evaluate_grid.  Per
+    lattice shape, a move table holds the point within the machine that
+    each action leads to, as move() gives it; that point within the
+    machine also indexes the env's visited bitmap.
     """
 
     def __init__(self, variants: Sequence[MachineVariant], env_count: int,
@@ -287,48 +286,51 @@ class EnvPool:
         if env_count < 1:
             raise ContractViolationError("env_count must be >= 1")
         self.config = reward_config if reward_config is not None else RewardConfig()
-        value, per_unit, share = [], [], []
-        after = [[] for _ in Action]  # after[a][p]: where action a takes position p
-        starts = {}  # machine id -> position of each axis's first point
-        points = 0   # most lattice points of any machine
-        for base_id in dict.fromkeys(v.base_id for v in variants):
-            base = machine_by_id(base_id)
-            grid, d0 = evaluate_grid(base), base.base_design
-            shape = grid.shape
-            starts[base_id] = []
-            for axis, (values, unit) in enumerate(((grid.lengths, d0.length),
-                                                   (grid.turns, d0.turns),
-                                                   (grid.tooth_tips, d0.tooth_tip))):
-                first = len(value)
-                starts[base_id].append(first)
-                value += values.tolist()
-                per_unit += (values / unit).tolist()
-                stride = int(np.prod(shape[axis + 1:]))
-                for i in range(shape[axis]):
-                    ijk = tuple(i if d == axis else 0 for d in range(3))
-                    share.append(i * stride)
-                    for action, moved in zip(Action, after):
-                        moved.append(first + move(ijk, action, shape)[axis])
-            points = max(points, int(np.prod(shape)))
-        self._value, self._per_unit = np.array(value), np.array(per_unit)
-        self._share, self._after = np.array(share), np.array(after)
-        # per variant: start positions and band limits
+        grids = {i: evaluate_grid(machine_by_id(i))
+                 for i in dict.fromkeys(v.base_id for v in variants)}
+        size = {shape: int(np.prod(shape)) for shape in (g.shape for g in grids.values())}
+        # machine id -> its first point in the performance table, and
+        # lattice shape -> its first column in the move table
+        offsets = dict(zip(grids, np.cumsum([0] + [size[g.shape] for g in grids.values()])))
+        move_starts = dict(zip(size, np.cumsum([0, *size.values()])))
+        self._perf_table = np.empty((5, sum(size[g.shape] for g in grids.values())))
+        for base_id, grid in grids.items():
+            at = slice(offsets[base_id], offsets[base_id] + size[grid.shape])
+            for row, values in zip(self._perf_table, grid.perf_arrays()):
+                row[at].reshape(grid.shape)[...] = values
+        # after[a, move_start + p] is the point that action a takes point p
+        # of a lattice of that shape to; an action moves one axis, so it is
+        # move() along each axis, composed
+        self._after = np.empty((len(Action), sum(size.values())),
+                               dtype=np.min_scalar_type(max(size.values())))
+        for shape, start in move_starts.items():
+            for action, moved in zip(Action, self._after[:, start:start + size[shape]]):
+                axes = [[move(tuple(i if d == axis else 0 for d in range(3)), action,
+                              shape)[axis] for i in range(n)]
+                        for axis, n in enumerate(shape)]
+                moved.reshape(shape)[...] = np.ravel_multi_index(np.ix_(*axes), shape)
+        # per variant: its machine's offset and move table start, its start
+        # point within the machine, band limits and start flags
         self._variants = variants
-        self._start = np.array([np.add(starts[v.base_id],
-                                       lattice_index(machine_by_id(v.base_id), v.initial_design))
-                                for v in variants])
+        self._offset = np.array([offsets[v.base_id] for v in variants])
+        self._move_start = np.array([move_starts[grids[v.base_id].shape] for v in variants])
+        self._start = np.array([
+            np.ravel_multi_index(lattice_index(machine_by_id(v.base_id), v.initial_design),
+                                 grids[v.base_id].shape) for v in variants])
         bands = np.array([v.target_bands.as_tuple() for v in variants])
-        self._lo, self._hi = bands[..., 0], bands[..., 1]
+        self._lo, self._hi = bands[..., 0].T.copy(), bands[..., 1].T.copy()
+        self._start_flags = self._flags_of(self._perf_table[:, self._offset + self._start],
+                                           np.arange(len(variants)))
         self._weights = np.array(self.config.priority_weights, dtype=np.float64)[:, None]
 
         self._rows = np.arange(env_count)
         self._cursor = 0  # how many episodes have been started
         self._variant_ids = np.zeros(env_count, dtype=np.intp)
         self._steps = np.zeros(env_count, dtype=np.intp)
-        self._at = np.zeros((env_count, 3), dtype=np.intp)
+        self._point = np.zeros(env_count, dtype=np.intp)
         self._perf = np.zeros((5, env_count))   # flag-major, as are the flags
         self._flags = np.zeros((5, env_count))
-        self._visited = np.zeros((env_count, -(-points // 64)), dtype=np.int64)
+        self._visited = np.zeros((env_count, -(-max(size.values()) // 64)), dtype=np.int64)
         self._obs = np.zeros((env_count, OBSERVATION_DIM))
         self._episode_reward = np.zeros(env_count)
         self._finished: list[tuple[int, float, bool]] = []  # (steps, reward, win)
@@ -346,22 +348,10 @@ class EnvPool:
     def observations(self) -> np.ndarray:
         return self._obs.copy()
 
-    def _evaluate(self, rows) -> tuple[np.ndarray, np.ndarray]:
-        """Performance and flags, each (5, rows), at the envs' lattice points."""
-        at = self._at[rows].T
-        perf = np.empty((5, len(at[0])))
-        perf[:4] = _perf_values(*self._per_unit[at])
-        perf[4] = self._value[at[2]]
-        vid = self._variant_ids[rows]
-        return perf, (perf > self._hi[vid].T).astype(np.float64) - (perf < self._lo[vid].T)
-
-    def _visit(self, rows) -> np.ndarray:
-        """Mark the envs' lattice points visited; True where one already was."""
-        point = self._share[self._at[rows]].sum(axis=1)
-        word, bit = point >> 6, np.left_shift(1, point & 63)
-        seen = (self._visited[rows, word] & bit).astype(bool)
-        self._visited[rows, word] |= bit
-        return seen
+    def _flags_of(self, perf: np.ndarray, variant_ids: np.ndarray) -> np.ndarray:
+        """Flags, (5, n), of performance (5, n) against the variants' bands."""
+        return ((perf > self._hi[:, variant_ids]).astype(np.float64)
+                - (perf < self._lo[:, variant_ids]))
 
     def _restart(self, rows: np.ndarray) -> None:
         """Start a new episode in each of the given envs, on the next
@@ -369,14 +359,16 @@ class EnvPool:
         ids = (self._cursor + np.arange(len(rows))) % len(self._variants)
         self._cursor += len(rows)
         self._variant_ids[rows] = ids
-        self._at[rows] = self._start[ids]
-        self._perf[:, rows], self._flags[:, rows] = self._evaluate(rows)
+        self._point[rows] = point = self._offset[ids] + self._start[ids]
+        self._perf[:, rows] = self._perf_table[:, point]
+        self._flags[:, rows] = flags = self._start_flags[:, ids]
         self._steps[rows] = 0
         self._visited[rows] = 0
-        self._visit(rows)
+        local = self._start[ids]
+        self._visited[rows, local >> 6] = np.left_shift(1, local & 63)
         self._episode_reward[rows] = 0.0
         self._obs[rows] = 0.0
-        self._obs[rows, :5] = self._flags[:, rows].T
+        self._obs[rows, :5] = flags.T
 
     def step(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Advance every env by its action, one integer in 0..5 per env,
@@ -398,9 +390,14 @@ class EnvPool:
         # an already-feasible env (only possible before its first move)
         # closes out as a win without moving
         prev_perf, prev_flags = self._perf, self._flags
-        moves = prev_flags.any(axis=0)
-        self._at[moves] = self._after[actions[moves, None], self._at[moves]]
-        perf, flags = self._evaluate(rows)
+        vid = self._variant_ids
+        offset = self._offset[vid]
+        local = self._point - offset
+        local = np.where(prev_flags.any(axis=0),
+                         self._after[actions, self._move_start[vid] + local], local)
+        self._point = point = offset + local
+        perf = self._perf_table[:, point]
+        flags = self._flags_of(perf, vid)
         self._perf, self._flags = perf, flags
 
         # reward_for(): the weighted terms summed one flag at a time in
@@ -413,7 +410,10 @@ class EnvPool:
         rewards = np.zeros(len(rows))
         for term in terms * self._weights:
             rewards += term
-        revisit = self._visit(rows)
+        word, bit = local >> 6, np.left_shift(1, local & 63)
+        visited = self._visited[rows, word]
+        self._visited[rows, word] = visited | bit
+        revisit = (visited & bit) != 0
         win = ~flags.any(axis=0)
         rewards[revisit] += cfg.revisit_penalty
         rewards[win] += cfg.win_reward

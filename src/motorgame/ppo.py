@@ -11,6 +11,7 @@ derivation, so training, resuming, and evaluation are bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
+from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -19,10 +20,12 @@ from .catalog import MachineVariant, machine_by_id
 from .env import (
     NUM_ACTIONS,
     OBSERVATION_DIM,
+    Action,
     DesignEnv,
     EnvPool,
     EpisodeRecord,
     RewardConfig,
+    encode,
     run_episode,
 )
 from .errors import (
@@ -95,11 +98,26 @@ class Hyperparams:
                 raise ContractViolationError(f"{name} must be >= 1")
 
 
+# Every observation, at its code: 7 * (the flags + 1 as base-3 digits) +
+# (0 without a previous action, else the action + 1).
+ALL_OBSERVATIONS = np.array([encode(f, a) for f in product((-1, 0, 1), repeat=5)
+                             for a in (None, *Action)])
+ALL_OBSERVATIONS.setflags(write=False)
+_CODE_WEIGHTS = np.concatenate([7.0 * 3 ** np.arange(4, -1, -1), 1.0 + np.arange(NUM_ACTIONS)])
+_CODE_SHIFT = int(_CODE_WEIGHTS[:5].sum())  # flags -1, 0, 1 to digits 0, 1, 2
+
+
+def observation_codes(observations: np.ndarray) -> np.ndarray:
+    """Each observation's row of ALL_OBSERVATIONS; exact, as the product
+    sums small integers."""
+    return (observations @ _CODE_WEIGHTS).astype(np.intp) + _CODE_SHIFT
+
+
 @dataclass
 class RolloutBuffer:
     """Struct-of-arrays rollout storage, time-major (horizon, env_count)."""
 
-    observations: np.ndarray  # (T, E, OBSERVATION_DIM)
+    codes: np.ndarray         # (T, E) observation codes, rows of ALL_OBSERVATIONS
     actions: np.ndarray       # (T, E) int
     log_probs: np.ndarray     # (T, E)
     rewards: np.ndarray       # (T, E)
@@ -108,6 +126,10 @@ class RolloutBuffer:
     bootstrap: np.ndarray     # (E,) value of the observation after the last step
     advantages: np.ndarray | None = None
     returns: np.ndarray | None = None
+
+    @property
+    def observations(self) -> np.ndarray:  # (T, E, OBSERVATION_DIM)
+        return ALL_OBSERVATIONS[self.codes]
 
     def __len__(self) -> int:
         return int(self.rewards.size)
@@ -120,11 +142,16 @@ class RolloutBuffer:
 
 def collect_rollout(pool: EnvPool, actor: MlpParams, critic: MlpParams,
                     horizon: int, rng: np.random.Generator) -> RolloutBuffer:
-    """Gather horizon steps from every env in the pool under the actor."""
+    """Gather horizon steps from every env in the pool under the actor.
+
+    The actor and critic are frozen for the rollout, so each runs once, on
+    ALL_OBSERVATIONS, and a step reads its rows by observation code."""
     if horizon < 1:
         raise ContractViolationError("horizon must be >= 1")
+    table_logits = forward(actor, ALL_OBSERVATIONS)[0]
+    table_values = forward(critic, ALL_OBSERVATIONS)[0][:, 0]
     e_count = pool.env_count
-    observations = np.zeros((horizon, e_count, OBSERVATION_DIM))
+    codes = np.zeros((horizon, e_count), dtype=np.intp)
     actions = np.zeros((horizon, e_count), dtype=np.intp)
     log_probs = np.zeros((horizon, e_count))
     rewards = np.zeros((horizon, e_count))
@@ -132,20 +159,15 @@ def collect_rollout(pool: EnvPool, actor: MlpParams, critic: MlpParams,
     dones = np.zeros((horizon, e_count))
 
     for t in range(horizon):
-        obs = pool.observations()
-        logits, _ = forward(actor, obs)
-        vals, _ = forward(critic, obs)
-        dist = Categorical(logits)
-        act = dist.sample(rng)
-        observations[t] = obs
-        actions[t] = act
+        codes[t] = code = observation_codes(pool.observations())
+        dist = Categorical(table_logits[code])
+        actions[t] = act = dist.sample(rng)
         log_probs[t] = dist.log_prob(act)
-        values[t] = vals[:, 0]
+        values[t] = table_values[code]
         rewards[t], dones[t] = pool.step(act)
 
-    tail_values, _ = forward(critic, pool.observations())
-    return RolloutBuffer(observations, actions, log_probs, rewards, values,
-                         dones, bootstrap=tail_values[:, 0].copy())
+    bootstrap = table_values[observation_codes(pool.observations())]
+    return RolloutBuffer(codes, actions, log_probs, rewards, values, dones, bootstrap)
 
 
 def gae(rewards, values, dones, bootstrap, discount: float, gae_lambda: float,
@@ -230,7 +252,7 @@ def ppo_update(actor: MlpParams, critic: MlpParams,
         raise ContractViolationError("advantages not computed")
 
     batch = len(buffer)
-    obs = buffer.observations.reshape(batch, OBSERVATION_DIM)
+    codes = buffer.codes.reshape(batch)
     acts = buffer.actions.reshape(batch)
     old_log_probs = buffer.log_probs.reshape(batch)
     advantages = normalize_advantages(buffer.advantages.reshape(batch))
@@ -244,11 +266,11 @@ def ppo_update(actor: MlpParams, critic: MlpParams,
         perm = rng.permutation(batch)
         # gathered once per epoch; each minibatch is a contiguous slice,
         # and the last one may be short
-        ep_obs, ep_acts, ep_old_log_probs, ep_adv, ep_returns = (
-            obs[perm], acts[perm], old_log_probs[perm], advantages[perm], returns[perm])
+        ep_codes, ep_acts, ep_old_log_probs, ep_adv, ep_returns = (
+            codes[perm], acts[perm], old_log_probs[perm], advantages[perm], returns[perm])
         for start in range(0, batch, hyper.minibatch_size):
             mb = slice(start, start + hyper.minibatch_size)
-            mb_obs, mb_acts, mb_adv = ep_obs[mb], ep_acts[mb], ep_adv[mb]
+            mb_obs, mb_acts, mb_adv = ALL_OBSERVATIONS[ep_codes[mb]], ep_acts[mb], ep_adv[mb]
             mb_old_log_prob = ep_old_log_probs[mb]
             b = len(mb_acts)
 
@@ -407,6 +429,7 @@ def train(variants: Sequence[MachineVariant], hyper: Hyperparams,
                 exc.update_index = update_index
                 raise
 
+            del buf  # spent: free it before the next rollout's policy table
             ckpt.update_index = update_index + 1
             ckpt.env_steps += steps_per_update
 
@@ -521,7 +544,9 @@ def evaluate(actor: MlpParams, variants: Sequence[MachineVariant],
     observation per call: the first visit runs the forward pass and keeps
     the argmax action or the CDF row, and every visit in stochastic mode
     draws its own ``rng.random()`` for ``inverse_cdf``, the draw that
-    ``Categorical.sample`` takes for one row.
+    ``Categorical.sample`` takes for one row.  A call of a few episodes
+    plays fewer steps than collect_rollout's table has rows, so it keeps
+    this memo.
     """
     if mode not in ("stochastic", "argmax"):
         raise ContractViolationError(f"unknown evaluation mode {mode!r}")

@@ -166,8 +166,6 @@ class LatticeGrid:
     path, so grid[idx] equals evaluate(design_at(idx)) bitwise.
     """
 
-    lengths: np.ndarray    # (n_l,)
-    turns: np.ndarray      # (n_n,)
     tooth_tips: np.ndarray  # (n_h,)
     b_gap: np.ndarray
     t_break: np.ndarray
@@ -201,8 +199,7 @@ def evaluate_grid(base: "BaseMachine") -> LatticeGrid:
     b_gap, t_break, i_start = np.broadcast_arrays(b_gap, t_break, i_start)
     d_temp = np.broadcast_to(d_temp, b_gap.shape)
 
-    arrays = [lengths, turns, tooths]
     full = [np.ascontiguousarray(a) for a in (b_gap, t_break, i_start, d_temp)]
-    for a in arrays + full:
+    for a in [tooths] + full:
         a.setflags(write=False)
-    return LatticeGrid(lengths, turns, tooths, *full)
+    return LatticeGrid(tooths, *full)

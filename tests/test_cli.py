@@ -2,6 +2,9 @@
 and the machine-parseable exit codes (0 ok, 1 validation, 2 runtime)."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -473,3 +476,16 @@ def test_missing_subcommand_exits_one(capsys):
 
 def test_unknown_machine_id_inspect(capsys):
     assert main(["inspect", "9"]) == 1
+
+
+# --- python -m motorgame -----------------------------------------------------------
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "motorgame", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: motorgame")

@@ -2,11 +2,14 @@
 surrogate update, deterministic training/resume, and evaluation."""
 
 from dataclasses import fields, replace
+from itertools import product
 
 import numpy as np
 import pytest
 
+from motorgame import catalog as catalog_module
 from motorgame.catalog import (
+    Bounds,
     MachineVariant,
     TargetBands,
     builtin_catalog,
@@ -20,6 +23,7 @@ from motorgame.env import (
     Action,
     DesignEnv,
     RewardConfig,
+    encode,
     move,
     run_episode,
 )
@@ -33,6 +37,7 @@ from motorgame.kvtext import parse_array, read_sections
 from motorgame.neural import AdamState, Categorical, MlpParams, adam_step, forward, init
 from motorgame.ppo import (
     ACTOR_SIZES,
+    ALL_OBSERVATIONS,
     CHECKPOINT_VERSION_LINE,
     CRITIC_SIZES,
     GRAD_CLIP_NORM,
@@ -50,6 +55,7 @@ from motorgame.ppo import (
     load_checkpoint,
     new_checkpoint,
     normalize_advantages,
+    observation_codes,
     ppo_update,
     save_checkpoint,
     train,
@@ -339,6 +345,74 @@ def test_pool_replays_the_loop_over_design_envs(env_count, steps):
     assert seen_causes == {0, 1, 2}
 
 
+def _assert_replays(variants, env_count, steps, seed):
+    """EnvPool and _LoopPool agree, bit for bit, over random actions."""
+    rng = np.random.default_rng(seed)
+    pool = EnvPool(variants, env_count, REPLAY_CONFIG)
+    reference = _LoopPool(variants, env_count, REPLAY_CONFIG)
+    for _ in range(steps):
+        actions = rng.integers(NUM_ACTIONS, size=env_count)
+        (rewards, dones), (want_rewards, want_dones, _) = (
+            pool.step(actions), reference.step(actions))
+        assert np.array_equal(rewards, want_rewards) and np.array_equal(dones, want_dones)
+        assert np.array_equal(pool.observations(), reference.observations())
+    assert pool.drain_finished() == reference.drain_finished()
+
+
+@pytest.mark.parametrize("machine_id", [1, 2, 3])
+def test_pool_over_one_machine_replays_the_loop(machine_id):
+    variants = [v for v in _replay_variants() if v.base_id == machine_id]
+    _assert_replays(variants, 8, 120, machine_id)
+
+
+def test_pool_over_lattices_of_two_shapes_replays_the_loop(monkeypatch):
+    """Machine 2 with fewer turns steps (shape 31 x 13 x 21) beside the
+    stock machines 1 and 3: two move tables, at their own offsets."""
+    stock = machine_by_id(2)
+    turns = stock.base_design.turns
+    narrow = replace(stock, bounds=Bounds(stock.bounds.length, (turns - 6, turns + 6),
+                                          stock.bounds.tooth_tip))
+    monkeypatch.setitem(catalog_module._MACHINES, 2, narrow)
+    variants = _replay_variants()
+    assert {lattice_shape(machine_by_id(v.base_id)) for v in variants} == {
+        (31, 21, 21), (31, 13, 21)}
+    np.random.default_rng(5).shuffle(variants)
+    _assert_replays(variants, 8, 150, 5)
+
+
+def test_pool_move_table_is_the_move_rule():
+    """Per machine, the pool's move table is move() through the linear
+    point index, for every point and action."""
+    pool = EnvPool([v for base in builtin_catalog() for v in generate_variants(base, 1, 3)], 1)
+    for vid, variant in enumerate(pool._variants):
+        shape = lattice_shape(machine_by_id(variant.base_id))
+        start = pool._move_start[vid]
+        table = pool._after[:, start:start + np.prod(shape)]
+        want = [[np.ravel_multi_index(move(ijk, action, shape), shape)
+                 for ijk in np.ndindex(*shape)] for action in Action]
+        assert np.array_equal(table, want)
+
+
+def test_observation_codes_index_all_observations():
+    pairs = [(f, a) for f in product((-1, 0, 1), repeat=5) for a in (None, *Action)]
+    observations = np.array([encode(f, a) for f, a in pairs])
+    codes = observation_codes(observations)
+    assert sorted(codes.tolist()) == list(range(len(pairs))) == list(range(1701))
+    assert np.array_equal(ALL_OBSERVATIONS[codes], observations)
+    for (f, a), code in zip(pairs, codes):
+        assert observation_codes(encode(f, a)[None]).tolist() == [code]
+
+
+@pytest.mark.parametrize("env_count", [1, 8, 64])
+def test_observation_codes_are_exact_for_pool_observations(env_count):
+    pool = EnvPool(_replay_variants(), env_count, REPLAY_CONFIG)
+    rng = np.random.default_rng(env_count)
+    for _ in range(60):
+        obs = pool.observations()
+        assert np.array_equal(ALL_OBSERVATIONS[observation_codes(obs)], obs)
+        pool.step(rng.integers(NUM_ACTIONS, size=env_count))
+
+
 @pytest.mark.parametrize("actions", [
     [0, 1, 6], [0, 1, -1], [0, 1, 2, 3], [0, 1], [[0, 1, 2]], [0.0, 1.0, 2.0]])
 def test_pool_rejects_bad_actions_before_any_env_moves(actions):
@@ -390,6 +464,28 @@ def test_collect_rollout_is_on_policy():
     logits, _ = forward(ckpt.actor, flat_obs)
     recomputed = Categorical(logits).log_prob(flat_act)
     assert np.max(np.abs(recomputed - buf.log_probs.reshape(-1))) < 1e-12
+
+
+@pytest.mark.parametrize("horizon", [1, 7, 40])
+def test_collect_rollout_runs_each_net_once_and_samples_once_per_step(monkeypatch, horizon):
+    forwarded, sampled = [], []
+    sample = Categorical.sample
+
+    def counting_forward(params, x):
+        forwarded.append((params.sizes[-1], len(x)))
+        return forward(params, x)
+
+    def counting_sample(dist, rng):
+        sampled.append(len(dist.probs))
+        return sample(dist, rng)
+
+    monkeypatch.setattr("motorgame.ppo.forward", counting_forward)
+    monkeypatch.setattr(Categorical, "sample", counting_sample)
+    ckpt = new_checkpoint(SMALL)
+    collect_rollout(EnvPool(TRAIN_VARIANTS, env_count=3), ckpt.actor, ckpt.critic,
+                    horizon, rng=np.random.default_rng(4))
+    assert sorted(forwarded) == [(1, len(ALL_OBSERVATIONS)), (NUM_ACTIONS, len(ALL_OBSERVATIONS))]
+    assert sampled == [3] * horizon
 
 
 def test_collect_rollout_rewards_replayable():
