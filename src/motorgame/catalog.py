@@ -175,10 +175,8 @@ def variant_seed_for(catalog_seed: int, base_id: int, index: int) -> int:
 def feasible_mask(base: BaseMachine, bands: TargetBands) -> np.ndarray:
     """Boolean grid marking lattice points that satisfy all five bands."""
     grid = evaluate_grid(base)
-    mask = np.ones(grid.shape, dtype=bool)
-    for values, (lo, hi) in zip(grid.perf_arrays(), bands.as_tuple()):
-        mask &= (values >= lo) & (values <= hi)
-    return mask
+    lo, hi = np.array(bands.as_tuple()).T[..., None, None, None]
+    return ((grid >= lo) & (grid <= hi)).all(axis=0)
 
 
 def _index_window(window_pu: tuple[float, float], unit: float, axis_lo: float,

@@ -167,6 +167,9 @@ def _load_variants(config: RunConfig, split: str):
 
 
 def cmd_catalog(config: RunConfig) -> int:
+    if config.train_per_machine < 0 or config.holdout_per_machine < 0:
+        raise ContractViolationError(
+            "train_per_machine and holdout_per_machine must be >= 0")
     per_machine = config.train_per_machine + config.holdout_per_machine
     variants = []
     for machine_id in _machine_ids(config):

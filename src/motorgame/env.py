@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import product
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -140,6 +141,15 @@ def encode(flag_values: tuple[int, ...], prev_action: Action | int | None) -> np
     if prev_action is not None:
         obs[5 + int(prev_action)] = 1.0
     return obs
+
+
+# Every observation, at its code: 7 * (the flags + 1 as base-3 digits, the
+# first flag highest) + (0 without a previous action, else the action + 1).
+# The first term is FLAG_CODE_WEIGHTS @ (flags + 1).
+ALL_OBSERVATIONS = np.array([encode(f, a) for f in product((-1, 0, 1), repeat=5)
+                             for a in (None, *Action)])
+ALL_OBSERVATIONS.setflags(write=False)
+FLAG_CODE_WEIGHTS = 7 * 3 ** np.arange(4, -1, -1)
 
 
 @dataclass(frozen=True)
@@ -271,11 +281,11 @@ class EnvPool:
     a DesignEnv given the same variant and actions.
 
     The lattices of the machines in play lie end to end, and an env's
-    state is one point index into them.  A (5, points) table holds each
-    point's performance, copied from its machine's evaluate_grid.  Per
-    lattice shape, a move table holds the point within the machine that
-    each action leads to, as move() gives it; that point within the
-    machine also indexes the env's visited bitmap.
+    state is one point index into them, which also indexes the env's
+    visited bitmap.  A (5, points) table holds each point's performance,
+    its machine's evaluate_grid laid flat, and a move table the point
+    each action leads to, as move() gives it on the point's machine.  An
+    env's observation is held as its code, its row of ALL_OBSERVATIONS.
     """
 
     def __init__(self, variants: Sequence[MachineVariant], env_count: int,
@@ -288,38 +298,30 @@ class EnvPool:
         self.config = reward_config if reward_config is not None else RewardConfig()
         grids = {i: evaluate_grid(machine_by_id(i))
                  for i in dict.fromkeys(v.base_id for v in variants)}
-        size = {shape: int(np.prod(shape)) for shape in (g.shape for g in grids.values())}
-        # machine id -> its first point in the performance table, and
-        # lattice shape -> its first column in the move table
-        offsets = dict(zip(grids, np.cumsum([0] + [size[g.shape] for g in grids.values()])))
-        move_starts = dict(zip(size, np.cumsum([0, *size.values()])))
-        self._perf_table = np.empty((5, sum(size[g.shape] for g in grids.values())))
+        self._perf_table = np.concatenate([g.reshape(5, -1) for g in grids.values()], axis=1)
+        points = self._perf_table.shape[1]
+        # machine id -> its first point
+        offsets = dict(zip(grids, np.cumsum([0] + [g[0].size for g in grids.values()])))
+        # after[a, p] is the point that action a takes point p to; an action
+        # moves one axis of p's machine, so it is move() along each axis,
+        # composed
+        self._after = np.empty((len(Action), points), dtype=np.min_scalar_type(points - 1))
         for base_id, grid in grids.items():
-            at = slice(offsets[base_id], offsets[base_id] + size[grid.shape])
-            for row, values in zip(self._perf_table, grid.perf_arrays()):
-                row[at].reshape(grid.shape)[...] = values
-        # after[a, move_start + p] is the point that action a takes point p
-        # of a lattice of that shape to; an action moves one axis, so it is
-        # move() along each axis, composed
-        self._after = np.empty((len(Action), sum(size.values())),
-                               dtype=np.min_scalar_type(max(size.values())))
-        for shape, start in move_starts.items():
-            for action, moved in zip(Action, self._after[:, start:start + size[shape]]):
+            shape, offset = grid.shape[1:], offsets[base_id]
+            for action, moved in zip(Action, self._after[:, offset:offset + grid[0].size]):
                 axes = [[move(tuple(i if d == axis else 0 for d in range(3)), action,
                               shape)[axis] for i in range(n)]
                         for axis, n in enumerate(shape)]
-                moved.reshape(shape)[...] = np.ravel_multi_index(np.ix_(*axes), shape)
-        # per variant: its machine's offset and move table start, its start
-        # point within the machine, band limits and start flags
+                moved.reshape(shape)[...] = offset + np.ravel_multi_index(np.ix_(*axes), shape)
+        # per variant: its start point, band limits and start flags
         self._variants = variants
-        self._offset = np.array([offsets[v.base_id] for v in variants])
-        self._move_start = np.array([move_starts[grids[v.base_id].shape] for v in variants])
         self._start = np.array([
-            np.ravel_multi_index(lattice_index(machine_by_id(v.base_id), v.initial_design),
-                                 grids[v.base_id].shape) for v in variants])
+            offsets[v.base_id] + np.ravel_multi_index(
+                lattice_index(machine_by_id(v.base_id), v.initial_design),
+                grids[v.base_id].shape[1:]) for v in variants])
         bands = np.array([v.target_bands.as_tuple() for v in variants])
         self._lo, self._hi = bands[..., 0].T.copy(), bands[..., 1].T.copy()
-        self._start_flags = self._flags_of(self._perf_table[:, self._offset + self._start],
+        self._start_flags = self._flags_of(self._perf_table[:, self._start],
                                            np.arange(len(variants)))
         self._weights = np.array(self.config.priority_weights, dtype=np.float64)[:, None]
 
@@ -329,9 +331,9 @@ class EnvPool:
         self._steps = np.zeros(env_count, dtype=np.intp)
         self._point = np.zeros(env_count, dtype=np.intp)
         self._perf = np.zeros((5, env_count))   # flag-major, as are the flags
-        self._flags = np.zeros((5, env_count))
-        self._visited = np.zeros((env_count, -(-max(size.values()) // 64)), dtype=np.int64)
-        self._obs = np.zeros((env_count, OBSERVATION_DIM))
+        self._flags = np.zeros((5, env_count), dtype=np.int8)
+        self._visited = np.zeros((env_count, -(-points // 64)), dtype=np.int64)
+        self._code = np.zeros(env_count, dtype=np.intp)
         self._episode_reward = np.zeros(env_count)
         self._finished: list[tuple[int, float, bool]] = []  # (steps, reward, win)
         self._restart(self._rows)
@@ -345,13 +347,16 @@ class EnvPool:
         """The variant each env is playing now."""
         return tuple(self._variants[i] for i in self._variant_ids)
 
+    def codes(self) -> np.ndarray:
+        """Each env's observation code, its row of ALL_OBSERVATIONS."""
+        return self._code.copy()
+
     def observations(self) -> np.ndarray:
-        return self._obs.copy()
+        return ALL_OBSERVATIONS[self._code]
 
     def _flags_of(self, perf: np.ndarray, variant_ids: np.ndarray) -> np.ndarray:
-        """Flags, (5, n), of performance (5, n) against the variants' bands."""
-        return ((perf > self._hi[:, variant_ids]).astype(np.float64)
-                - (perf < self._lo[:, variant_ids]))
+        """Flags, (5, n) int8, of performance (5, n) against the variants' bands."""
+        return (perf > self._hi[:, variant_ids]).astype(np.int8) - (perf < self._lo[:, variant_ids])
 
     def _restart(self, rows: np.ndarray) -> None:
         """Start a new episode in each of the given envs, on the next
@@ -359,25 +364,23 @@ class EnvPool:
         ids = (self._cursor + np.arange(len(rows))) % len(self._variants)
         self._cursor += len(rows)
         self._variant_ids[rows] = ids
-        self._point[rows] = point = self._offset[ids] + self._start[ids]
+        self._point[rows] = point = self._start[ids]
         self._perf[:, rows] = self._perf_table[:, point]
         self._flags[:, rows] = flags = self._start_flags[:, ids]
         self._steps[rows] = 0
         self._visited[rows] = 0
-        local = self._start[ids]
-        self._visited[rows, local >> 6] = np.left_shift(1, local & 63)
+        self._visited[rows, point >> 6] = np.left_shift(1, point & 63)
         self._episode_reward[rows] = 0.0
-        self._obs[rows] = 0.0
-        self._obs[rows, :5] = flags.T
+        self._code[rows] = FLAG_CODE_WEIGHTS @ (flags + 1)
 
     def step(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Advance every env by its action, one integer in 0..5 per env,
         and restart the envs whose episode ended.
 
         Returns (rewards, dones) for the step just taken, dones as float
-        0/1; afterwards observations() holds the restarted envs' first
-        observations.  Bad actions raise ContractViolationError before
-        any env moves.
+        0/1; afterwards codes() and observations() hold the restarted
+        envs' first observations.  Bad actions raise
+        ContractViolationError before any env moves.
         """
         actions = np.asarray(actions)
         if (actions.shape != self._rows.shape or actions.dtype.kind not in "iu"
@@ -390,14 +393,10 @@ class EnvPool:
         # an already-feasible env (only possible before its first move)
         # closes out as a win without moving
         prev_perf, prev_flags = self._perf, self._flags
-        vid = self._variant_ids
-        offset = self._offset[vid]
-        local = self._point - offset
-        local = np.where(prev_flags.any(axis=0),
-                         self._after[actions, self._move_start[vid] + local], local)
-        self._point = point = offset + local
+        self._point = point = np.where(prev_flags.any(axis=0),
+                                       self._after[actions, self._point], self._point)
         perf = self._perf_table[:, point]
-        flags = self._flags_of(perf, vid)
+        flags = self._flags_of(perf, self._variant_ids)
         self._perf, self._flags = perf, flags
 
         # reward_for(): the weighted terms summed one flag at a time in
@@ -410,7 +409,7 @@ class EnvPool:
         rewards = np.zeros(len(rows))
         for term in terms * self._weights:
             rewards += term
-        word, bit = local >> 6, np.left_shift(1, local & 63)
+        word, bit = point >> 6, np.left_shift(1, point & 63)
         visited = self._visited[rows, word]
         self._visited[rows, word] = visited | bit
         revisit = (visited & bit) != 0
@@ -421,9 +420,7 @@ class EnvPool:
         self._steps += 1
         self._episode_reward += rewards
         done = win | (self._steps >= cfg.max_steps)
-        self._obs[:] = 0.0
-        self._obs[:, :5] = flags.T
-        self._obs[rows, 5 + actions] = 1.0
+        self._code[:] = FLAG_CODE_WEIGHTS @ (flags + 1) + actions + 1
         finished = np.flatnonzero(done)
         if finished.size:
             self._finished += zip(self._steps[finished].tolist(),

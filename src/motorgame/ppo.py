@@ -11,21 +11,19 @@ derivation, so training, resuming, and evaluation are bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
-from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .catalog import MachineVariant, machine_by_id
 from .env import (
+    ALL_OBSERVATIONS,
     NUM_ACTIONS,
     OBSERVATION_DIM,
-    Action,
     DesignEnv,
     EnvPool,
     EpisodeRecord,
     RewardConfig,
-    encode,
     run_episode,
 )
 from .errors import (
@@ -98,21 +96,6 @@ class Hyperparams:
                 raise ContractViolationError(f"{name} must be >= 1")
 
 
-# Every observation, at its code: 7 * (the flags + 1 as base-3 digits) +
-# (0 without a previous action, else the action + 1).
-ALL_OBSERVATIONS = np.array([encode(f, a) for f in product((-1, 0, 1), repeat=5)
-                             for a in (None, *Action)])
-ALL_OBSERVATIONS.setflags(write=False)
-_CODE_WEIGHTS = np.concatenate([7.0 * 3 ** np.arange(4, -1, -1), 1.0 + np.arange(NUM_ACTIONS)])
-_CODE_SHIFT = int(_CODE_WEIGHTS[:5].sum())  # flags -1, 0, 1 to digits 0, 1, 2
-
-
-def observation_codes(observations: np.ndarray) -> np.ndarray:
-    """Each observation's row of ALL_OBSERVATIONS; exact, as the product
-    sums small integers."""
-    return (observations @ _CODE_WEIGHTS).astype(np.intp) + _CODE_SHIFT
-
-
 @dataclass
 class RolloutBuffer:
     """Struct-of-arrays rollout storage, time-major (horizon, env_count)."""
@@ -159,14 +142,14 @@ def collect_rollout(pool: EnvPool, actor: MlpParams, critic: MlpParams,
     dones = np.zeros((horizon, e_count))
 
     for t in range(horizon):
-        codes[t] = code = observation_codes(pool.observations())
+        codes[t] = code = pool.codes()
         dist = Categorical(table_logits[code])
         actions[t] = act = dist.sample(rng)
         log_probs[t] = dist.log_prob(act)
         values[t] = table_values[code]
         rewards[t], dones[t] = pool.step(act)
 
-    bootstrap = table_values[observation_codes(pool.observations())]
+    bootstrap = table_values[pool.codes()]
     return RolloutBuffer(codes, actions, log_probs, rewards, values, dones, bootstrap)
 
 
@@ -627,13 +610,27 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
     write_text(path, "\n".join(lines) + "\n")
 
 
+def _parse_count(section: dict[str, str], key: str) -> int:
+    count = int(section[key])
+    if count < 0:
+        raise ValueError(f"{key} = {count} is negative")
+    return count
+
+
+def _parse_finite(section: dict[str, str], key: str, shape: tuple[int, ...]) -> np.ndarray:
+    values = parse_array(section[key], shape)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{key} holds a non-finite value")
+    return values
+
+
 def _load_params(section: dict[str, str], where: str, outputs: int) -> MlpParams:
     try:
         params = MlpParams(tuple(int(tok) for tok in section["sizes"].split()))
         if (params.sizes[0], params.sizes[-1]) != (OBSERVATION_DIM, outputs):
             raise ValueError(
                 f"sizes {params.sizes} do not map {OBSERVATION_DIM} -> {outputs}")
-        params.flat[:] = parse_array(section["flat"], params.flat.shape)
+        params.flat[:] = _parse_finite(section, "flat", params.flat.shape)
     except (ValueError, ContractViolationError) as exc:
         raise CheckpointFormatError(f"bad [{where}] section: {exc}") from exc
     return params
@@ -643,9 +640,9 @@ def _load_opt(section: dict[str, str], where: str, params: MlpParams,
               learning_rate: float) -> AdamState:
     try:
         opt = AdamState.for_params(params, learning_rate)
-        opt.step = int(section["step"])
-        opt.m.flat[:] = parse_array(section["m"], params.flat.shape)
-        opt.v.flat[:] = parse_array(section["v"], params.flat.shape)
+        opt.step = _parse_count(section, "step")
+        opt.m.flat[:] = _parse_finite(section, "m", params.flat.shape)
+        opt.v.flat[:] = _parse_finite(section, "v", params.flat.shape)
     except (ValueError, ContractViolationError) as exc:
         raise CheckpointFormatError(f"bad [{where}] section: {exc}") from exc
     return opt
@@ -678,8 +675,8 @@ def load_checkpoint(path: str) -> Checkpoint:
     try:
         hyper = Hyperparams(**{f.name: parse_value(sections["hyper"][f.name], f.type)
                                for f in fields(Hyperparams)})
-        update_index = int(sections["meta"]["update_index"])
-        env_steps = int(sections["meta"]["env_steps"])
+        update_index = _parse_count(sections["meta"], "update_index")
+        env_steps = _parse_count(sections["meta"], "env_steps")
     except (ValueError, ContractViolationError) as exc:
         raise CheckpointFormatError(f"bad [meta]/[hyper] section: {exc}") from exc
     actor = _load_params(sections["actor"], "actor", NUM_ACTIONS)

@@ -157,49 +157,25 @@ def lattice_index(base: "BaseMachine", design: DesignPoint) -> tuple[int, int, i
     return (i, j, k)
 
 
-@dataclass(frozen=True)
-class LatticeGrid:
-    """Performance values over the whole design lattice of one machine.
-
-    Arrays are indexed [i_length, j_turns, k_tooth] and marked read-only;
-    they are computed with exactly the same expressions as the scalar
-    path, so grid[idx] equals evaluate(design_at(idx)) bitwise.
-    """
-
-    tooth_tips: np.ndarray  # (n_h,)
-    b_gap: np.ndarray
-    t_break: np.ndarray
-    i_start: np.ndarray
-    d_temp: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.b_gap.shape
-
-    def perf_arrays(self) -> tuple[np.ndarray, ...]:
-        """The five performance arrays in flag order, tooth-tip broadcast."""
-        tooth = np.broadcast_to(self.tooth_tips[None, None, :], self.shape)
-        return (self.b_gap, self.t_break, self.i_start, self.d_temp, tooth)
-
-
 @lru_cache(maxsize=None)
-def evaluate_grid(base: "BaseMachine") -> LatticeGrid:
-    """Vectorized evaluate() over every lattice point (cached per machine)."""
+def evaluate_grid(base: "BaseMachine") -> np.ndarray:
+    """Vectorized evaluate() over every lattice point (cached per machine).
+
+    One read-only float64 array of shape (5, n_length, n_turns, n_tooth),
+    the five performance values in flag order, computed with exactly the
+    same expressions as the scalar path: grid[:, i, j, k] equals
+    evaluate(design_at(base, i, j, k)).as_tuple() bitwise.
+    """
     n_l, n_n, n_h = lattice_shape(base)
     b, s = base.bounds, base.step_sizes
-    lengths = b.length[0] + np.arange(n_l) * s.length
-    turns = b.turns[0] + np.arange(n_n) * s.turns
-    tooths = b.tooth_tip[0] + np.arange(n_h) * s.tooth_tip
+    lengths = (b.length[0] + np.arange(n_l) * s.length)[:, None, None]
+    turns = (b.turns[0] + np.arange(n_n) * s.turns)[None, :, None]
+    tooths = (b.tooth_tip[0] + np.arange(n_h) * s.tooth_tip)[None, None, :]
 
     d0 = base.base_design
-    lam = (lengths / d0.length)[:, None, None]
-    nu = (turns / d0.turns)[None, :, None]
-    eta = (tooths / d0.tooth_tip)[None, None, :]
-    b_gap, t_break, i_start, d_temp = _perf_values(lam, nu, eta)
-    b_gap, t_break, i_start = np.broadcast_arrays(b_gap, t_break, i_start)
-    d_temp = np.broadcast_to(d_temp, b_gap.shape)
-
-    full = [np.ascontiguousarray(a) for a in (b_gap, t_break, i_start, d_temp)]
-    for a in [tooths] + full:
-        a.setflags(write=False)
-    return LatticeGrid(tooths, *full)
+    grid = np.empty((5, n_l, n_n, n_h))
+    grid[:4] = np.broadcast_arrays(*_perf_values(
+        lengths / d0.length, turns / d0.turns, tooths / d0.tooth_tip))
+    grid[4] = tooths
+    grid.setflags(write=False)
+    return grid

@@ -103,7 +103,7 @@ def test_acceptance_surrogate_couplings(capsys):
     ok = True
     saw_interior_min = False
     for base in builtin_catalog():
-        b_gap, t_break, i_start, d_temp, tooth = evaluate_grid(base).perf_arrays()
+        b_gap, t_break, i_start, d_temp, tooth = evaluate_grid(base)
         ok &= bool(np.all(np.diff(b_gap, axis=0) < 0))
         ok &= bool(np.all(np.diff(b_gap, axis=1) < 0))
         ok &= bool(np.all(np.diff(b_gap, axis=2) == 0))

@@ -28,13 +28,21 @@ from motorgame.catalog import (
     variant_seed_for,
     with_split,
 )
+from motorgame.env import all_flags_zero, flags
 from motorgame.errors import (
     CatalogVersionError,
     ContractViolationError,
     GenerationExhaustedError,
     MalformedCatalogError,
 )
-from motorgame.surrogate import DesignPoint, check_bounds, evaluate, lattice_index, lattice_shape
+from motorgame.surrogate import (
+    DesignPoint,
+    check_bounds,
+    design_at,
+    evaluate,
+    lattice_index,
+    lattice_shape,
+)
 
 
 # --- stock machines ------------------------------------------------------------
@@ -189,6 +197,25 @@ def test_feasible_mask_matches_certification():
     for base in builtin_catalog():
         for v in generate_variants(base, 25, 0):
             assert bool(feasible_mask(base, v.target_bands).any())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_feasible_mask_is_the_scalar_flag_rule_at_every_point(seed):
+    """On every machine and at every lattice point, feasible_mask equals
+    all_flags_zero(flags(evaluate(...))).  Each band runs between the
+    values of two lattice points, which both lie on band edges, so an
+    inclusive edge read as exclusive changes the mask."""
+    rng = np.random.default_rng(seed)
+    for base in builtin_catalog():
+        shape = lattice_shape(base)
+        p, q = (evaluate(design_at(base, *(int(rng.integers(n)) for n in shape)), base)
+                for _ in range(2))
+        bands = TargetBands(*((min(a, b), max(a, b))
+                              for a, b in zip(p.as_tuple(), q.as_tuple())))
+        want = [all_flags_zero(flags(evaluate(design_at(base, *ijk), base), bands))
+                for ijk in np.ndindex(*shape)]
+        mask = feasible_mask(base, bands)
+        assert mask.shape == shape and np.array_equal(mask.ravel(), want)
 
 
 def test_75_variant_protocol():

@@ -137,6 +137,15 @@ def test_catalog_command_counts(tmp_path, capsys):
     assert sum(v.split == "holdout" for v in variants) == 15
 
 
+@pytest.mark.parametrize("train,holdout", [("-1", "3"), ("2", "-1")])
+def test_catalog_rejects_negative_counts(tmp_path, capsys, train, holdout):
+    path = tmp_path / "catalog.txt"
+    assert main(["catalog", "--catalog-path", str(path), "--train-per-machine", train,
+                 "--holdout-per-machine", holdout]) == 1
+    assert "must be >= 0" in capsys.readouterr().err
+    assert not path.exists()
+
+
 def test_catalog_rerun_byte_identical(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     assert main(["catalog", "--catalog-path", str(a)]) == 0
@@ -355,6 +364,18 @@ def test_eval_rejects_checkpoint_with_wrong_action_count(tmp_path, capsys):
     capsys.readouterr()
     assert main(_eval_args(tmp_path, catalog, ckpt_path)) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_eval_rejects_checkpoint_with_a_nan_weight(tmp_path, capsys):
+    catalog = _make_catalog(tmp_path)
+    ckpt_path, _ = _train_small(tmp_path, catalog)
+    ckpt = load_checkpoint(str(ckpt_path))
+    ckpt.actor.flat[7] = np.nan
+    save_checkpoint(ckpt, str(ckpt_path))
+    capsys.readouterr()
+    assert main(_eval_args(tmp_path, catalog, ckpt_path)) == 1
+    assert "error: bad [actor] section: flat holds a non-finite value" in (
+        capsys.readouterr().err)
 
 
 def test_v1_checkpoint_fails_eval_and_resume(tmp_path, capsys):

@@ -18,6 +18,8 @@ from motorgame.catalog import (
     machine_by_id,
 )
 from motorgame.env import (
+    ALL_OBSERVATIONS,
+    FLAG_CODE_WEIGHTS,
     NUM_ACTIONS,
     OBSERVATION_DIM,
     Action,
@@ -37,7 +39,6 @@ from motorgame.kvtext import parse_array, read_sections
 from motorgame.neural import AdamState, Categorical, MlpParams, adam_step, forward, init
 from motorgame.ppo import (
     ACTOR_SIZES,
-    ALL_OBSERVATIONS,
     CHECKPOINT_VERSION_LINE,
     CRITIC_SIZES,
     GRAD_CLIP_NORM,
@@ -55,7 +56,6 @@ from motorgame.ppo import (
     load_checkpoint,
     new_checkpoint,
     normalize_advantages,
-    observation_codes,
     ppo_update,
     save_checkpoint,
     train,
@@ -380,37 +380,62 @@ def test_pool_over_lattices_of_two_shapes_replays_the_loop(monkeypatch):
     _assert_replays(variants, 8, 150, 5)
 
 
+def test_pool_over_more_points_than_uint16_holds_replays_the_loop(monkeypatch):
+    """Machine 2 with a 100-point length axis puts the three lattices past
+    65,535 points together: the move table must hold the largest point."""
+    stock = machine_by_id(2)
+    lo, step = stock.bounds.length[0], stock.step_sizes.length
+    long = replace(stock, bounds=Bounds((lo, lo + 99 * step), stock.bounds.turns,
+                                        stock.bounds.tooth_tip))
+    monkeypatch.setitem(catalog_module._MACHINES, 2, long)
+    variants = _replay_variants()
+    np.random.default_rng(6).shuffle(variants)
+    pool = EnvPool(variants, 8, REPLAY_CONFIG)
+    points = sum(np.prod(lattice_shape(base)) for base in builtin_catalog())
+    assert pool._after.shape == (NUM_ACTIONS, points) and points > 65_535
+    assert np.iinfo(pool._after.dtype).max >= points - 1
+    _assert_replays(variants, 8, 150, 6)
+
+
 def test_pool_move_table_is_the_move_rule():
-    """Per machine, the pool's move table is move() through the linear
-    point index, for every point and action."""
+    """The pool's move table is move() on each machine's lattice, through
+    the point index over the machines end to end, for every point and
+    action."""
     pool = EnvPool([v for base in builtin_catalog() for v in generate_variants(base, 1, 3)], 1)
-    for vid, variant in enumerate(pool._variants):
-        shape = lattice_shape(machine_by_id(variant.base_id))
-        start = pool._move_start[vid]
-        table = pool._after[:, start:start + np.prod(shape)]
-        want = [[np.ravel_multi_index(move(ijk, action, shape), shape)
-                 for ijk in np.ndindex(*shape)] for action in Action]
-        assert np.array_equal(table, want)
+    want, offset = [], 0
+    for base in builtin_catalog():
+        shape = lattice_shape(base)
+        want.append([[offset + np.ravel_multi_index(move(ijk, action, shape), shape)
+                      for ijk in np.ndindex(*shape)] for action in Action])
+        offset += np.prod(shape)
+    assert pool._after.dtype == np.uint16
+    assert np.array_equal(pool._after, np.concatenate(want, axis=1))
 
 
 def test_observation_codes_index_all_observations():
-    pairs = [(f, a) for f in product((-1, 0, 1), repeat=5) for a in (None, *Action)]
-    observations = np.array([encode(f, a) for f, a in pairs])
-    codes = observation_codes(observations)
-    assert sorted(codes.tolist()) == list(range(len(pairs))) == list(range(1701))
-    assert np.array_equal(ALL_OBSERVATIONS[codes], observations)
-    for (f, a), code in zip(pairs, codes):
-        assert observation_codes(encode(f, a)[None]).tolist() == [code]
+    """7 * (the flags + 1 as base-3 digits) + (0 or the previous action + 1)
+    is the row of ALL_OBSERVATIONS holding encode(flags, previous action)."""
+    codes = [FLAG_CODE_WEIGHTS @ (np.array(f) + 1) + (0 if a is None else a + 1)
+             for f in product((-1, 0, 1), repeat=5) for a in (None, *Action)]
+    assert sorted(codes) == list(range(len(ALL_OBSERVATIONS))) == list(range(1701))
+    for (f, a), code in zip(product(product((-1, 0, 1), repeat=5), (None, *Action)), codes):
+        assert np.array_equal(ALL_OBSERVATIONS[code], encode(f, a))
 
 
 @pytest.mark.parametrize("env_count", [1, 8, 64])
 def test_observation_codes_are_exact_for_pool_observations(env_count):
-    pool = EnvPool(_replay_variants(), env_count, REPLAY_CONFIG)
+    variants = _replay_variants()
+    pool = EnvPool(variants, env_count, REPLAY_CONFIG)
+    reference = _LoopPool(variants, env_count, REPLAY_CONFIG)
     rng = np.random.default_rng(env_count)
     for _ in range(60):
-        obs = pool.observations()
-        assert np.array_equal(ALL_OBSERVATIONS[observation_codes(obs)], obs)
-        pool.step(rng.integers(NUM_ACTIONS, size=env_count))
+        codes = pool.codes()
+        assert codes.dtype == np.intp
+        assert np.array_equal(ALL_OBSERVATIONS[codes], reference.observations())
+        codes[:] = 0  # a copy: the pool's state is untouched
+        actions = rng.integers(NUM_ACTIONS, size=env_count)
+        pool.step(actions)
+        reference.step(actions)
 
 
 @pytest.mark.parametrize("actions", [
@@ -1098,6 +1123,44 @@ def test_checkpoint_rejects_actor_without_layers(tmp_path):
     path.write_text(path.read_text().replace(actor_sizes,
                                              f"sizes = {OBSERVATION_DIM}", 1))
     with pytest.raises(CheckpointFormatError, match=r"\[actor\]"):
+        load_checkpoint(str(path))
+
+
+def _rewrite_checkpoint_value(path, section, key, rewrite):
+    """Replace the value of ``key`` in ``[section]`` with rewrite(value)."""
+    lines = path.read_text().splitlines()
+    at = lines.index(f"[{section}]") + 1
+    at += [line.split(" = ")[0] for line in lines[at:]].index(key)
+    lines[at] = f"{key} = {rewrite(lines[at].split(' = ')[1])}"
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("section,key", [
+    ("meta", "update_index"), ("meta", "env_steps"),
+    ("actor_opt", "step"), ("critic_opt", "step")])
+def test_checkpoint_rejects_negative_counts(tmp_path, section, key):
+    path = tmp_path / "ckpt.txt"
+    save_checkpoint(new_checkpoint(SMALL), str(path))
+    _rewrite_checkpoint_value(path, section, key, lambda _: "-1")
+    with pytest.raises(CheckpointFormatError, match=f"{key} = -1 is negative"):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section,key", [
+    ("actor", "flat"), ("critic", "flat"), ("actor_opt", "m"), ("actor_opt", "v"),
+    ("critic_opt", "m"), ("critic_opt", "v")])
+def test_checkpoint_rejects_non_finite_arrays(tmp_path, section, key, value):
+    def poison(text):
+        tokens = text.split()
+        tokens[len(tokens) // 2] = value
+        return " ".join(tokens)
+
+    path = tmp_path / "ckpt.txt"
+    save_checkpoint(new_checkpoint(SMALL), str(path))
+    _rewrite_checkpoint_value(path, section, key, poison)
+    with pytest.raises(CheckpointFormatError,
+                       match=rf"\[{section}\] section: {key} holds a non-finite value"):
         load_checkpoint(str(path))
 
 

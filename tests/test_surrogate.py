@@ -115,8 +115,7 @@ def test_evaluate_is_pure():
 
 def test_performance_strictly_positive_everywhere():
     for base in builtin_catalog():
-        for arr in evaluate_grid(base).perf_arrays():
-            assert np.all(arr > 0.0)
+        assert np.all(evaluate_grid(base) > 0.0)
 
 
 # --- directional couplings (spot checks; exhaustive scan in acceptance) ---------
@@ -149,7 +148,7 @@ def test_turns_temperature_tradeoff_is_non_monotone():
     base = machine_by_id(2)
     grid = evaluate_grid(base)
     i = lattice_index(base, base.base_design)[0]
-    column = grid.d_temp[i, :, 0]
+    column = grid[3, i, :, 0]  # d_temp
     diffs = np.diff(column)
     assert np.any(diffs < 0) and np.any(diffs > 0)
 
@@ -206,18 +205,17 @@ def test_grid_matches_scalar_evaluation_bitwise():
     rng = np.random.default_rng(11)
     for base in builtin_catalog():
         grid = evaluate_grid(base)
-        arrays = grid.perf_arrays()
+        assert grid.shape == (5, *lattice_shape(base)) and grid.dtype == np.float64
         for _ in range(40):
-            ijk = tuple(int(rng.integers(n)) for n in grid.shape)
+            ijk = tuple(int(rng.integers(n)) for n in grid.shape[1:])
             perf = evaluate(design_at(base, *ijk), base)
-            for value, arr in zip(perf.as_tuple(), arrays):
-                assert value == arr[ijk]
+            assert perf.as_tuple() == tuple(grid[(slice(None), *ijk)])
 
 
 def test_grid_arrays_are_read_only():
     grid = evaluate_grid(M1)
     with pytest.raises(ValueError):
-        grid.b_gap[0, 0, 0] = 5.0
+        grid[0, 0, 0, 0] = 5.0
 
 
 def test_grid_is_cached_per_machine_value():
