@@ -229,12 +229,14 @@ def cmd_train(config: RunConfig, resume: bool, set_by: dict[str, str]) -> int:
 
 
 def _oracle_episode(env: DesignEnv, rng: np.random.Generator) -> EpisodeRecord:
-    """The BFS shortest path as a one-episode record; -1 steps, not won,
+    """The BFS shortest path as a one-episode record, so it bounds every
+    agent's steps from below: at least one step, because an episode that
+    starts feasible still takes one env step to win.  -1 steps, not won,
     when no feasible point is reachable."""
     steps = oracle_shortest(env.variant, env.base).shortest_steps
     if steps is None:
         return EpisodeRecord(-1, float("nan"), False, "unreachable")
-    return EpisodeRecord(steps, float("nan"), True, "win")
+    return EpisodeRecord(max(1, steps), float("nan"), True, "win")
 
 
 _BASELINES = {

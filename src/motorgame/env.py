@@ -13,6 +13,7 @@ decreased, -1 means below and must be increased, 0 means inside.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import product
@@ -94,6 +95,10 @@ class RewardConfig:
     max_steps: int = 300
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (
+                self.right_direction_reward, self.wrong_direction_reward,
+                self.revisit_penalty, self.win_reward, *self.priority_weights))):
+            raise ContractViolationError("reward values must be finite")
         if not (self.right_direction_reward > 0 > self.wrong_direction_reward):
             raise ContractViolationError("need right_direction_reward > 0 > wrong_direction_reward")
         if self.revisit_penalty >= 0:

@@ -10,6 +10,7 @@ derivation, so training, resuming, and evaluation are bit-reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Sequence
 
@@ -83,6 +84,9 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ContractViolationError(f"{f.name} {getattr(self, f.name)} is not finite")
         if not 0.0 < self.discount <= 1.0:
             raise ContractViolationError(f"discount {self.discount} outside (0, 1]")
         if not 0.0 <= self.gae_lambda <= 1.0:
@@ -91,6 +95,9 @@ class Hyperparams:
             raise ContractViolationError(f"clip_ratio {self.clip_ratio} must be > 0")
         if self.learning_rate <= 0.0:
             raise ContractViolationError(f"learning_rate {self.learning_rate} must be > 0")
+        for name in ("value_coef", "entropy_coef"):
+            if getattr(self, name) < 0.0:
+                raise ContractViolationError(f"{name} {getattr(self, name)} must be >= 0")
         for name in ("epochs", "minibatch_size", "horizon", "total_steps", "env_count"):
             if getattr(self, name) < 1:
                 raise ContractViolationError(f"{name} must be >= 1")
@@ -228,6 +235,12 @@ def ppo_update(actor: MlpParams, critic: MlpParams,
     the clipped branch is flat, and the entropy bonus contributes
     p_j * (log p_j + H) per sample.  The critic follows the squared-error
     gradient to the returns.  Both nets are norm-clipped then Adam-stepped.
+
+    There are only 1,701 observations, so each net runs once per distinct
+    observation in a minibatch: its distinct codes in code order are the
+    forward rows, every sample reads its outputs from its code's row, and
+    the samples' logit and value gradients are summed into that row, in
+    sample order, before backward.
     """
     if len(buffer) == 0:
         raise ContractViolationError("empty rollout buffer")
@@ -240,9 +253,12 @@ def ppo_update(actor: MlpParams, critic: MlpParams,
     old_log_probs = buffer.log_probs.reshape(batch)
     advantages = normalize_advantages(buffer.advantages.reshape(batch))
     returns = buffer.returns.reshape(batch)
-    onehots = np.eye(NUM_ACTIONS)
+    onehots, action_index = np.eye(NUM_ACTIONS), np.arange(NUM_ACTIONS)
     # backward overwrites these on every minibatch
     actor_grads, critic_grads = MlpParams(actor.sizes), MlpParams(critic.sizes)
+    starts = range(0, batch, hyper.minibatch_size)
+    row_minibatch = np.arange(batch) // hyper.minibatch_size  # in epoch order
+    n_codes = len(ALL_OBSERVATIONS)
 
     pol_losses, val_losses, entropies, clip_fracs, grad_norms, kls = [], [], [], [], [], []
     for _ in range(hyper.epochs):
@@ -251,38 +267,56 @@ def ppo_update(actor: MlpParams, critic: MlpParams,
         # and the last one may be short
         ep_codes, ep_acts, ep_old_log_probs, ep_adv, ep_returns = (
             codes[perm], acts[perm], old_log_probs[perm], advantages[perm], returns[perm])
-        for start in range(0, batch, hyper.minibatch_size):
+        # one sorted key per (minibatch, code): minibatch k's distinct codes,
+        # in code order, are distinct_codes[bounds[k]:bounds[k + 1]], and a
+        # row's slot is its code's index among them
+        keys, ep_slots = np.unique(row_minibatch * n_codes + ep_codes, return_inverse=True)
+        bounds = np.searchsorted(keys, np.arange(len(starts) + 1) * n_codes)
+        ep_slots -= bounds[row_minibatch]
+        distinct_codes = keys % n_codes
+        for k, start in enumerate(starts):
             mb = slice(start, start + hyper.minibatch_size)
-            mb_obs, mb_acts, mb_adv = ALL_OBSERVATIONS[ep_codes[mb]], ep_acts[mb], ep_adv[mb]
+            mb_acts, mb_adv, slots = ep_acts[mb], ep_adv[mb], ep_slots[mb]
             mb_old_log_prob = ep_old_log_probs[mb]
             b = len(mb_acts)
+            distinct = ALL_OBSERVATIONS[distinct_codes[bounds[k]:bounds[k + 1]]]
+            d = len(distinct)
 
-            logits, actor_cache = forward(actor, mb_obs)
+            logits, actor_cache = forward(actor, distinct)
             dist = Categorical(logits)
-            log_probs = dist.logits_log_probs
-            probs = dist.probs
-            new_log_prob = dist.log_prob(mb_acts)
+            probs, log_probs = dist.probs, dist.logits_log_probs
             entropy = dist.entropy()
+            new_log_prob = log_probs[slots, mb_acts]
+            mb_entropy = entropy[slots]
 
             # means as sum / b: the arithmetic np.mean does, without its wrapper
             ratio = np.exp(new_log_prob - mb_old_log_prob)
             objective = clipped_objective(ratio, mb_adv, hyper.clip_ratio)
             policy_loss = -float(objective.sum() / b)
-            entropy_mean = float(entropy.sum() / b)
+            entropy_mean = float(mb_entropy.sum() / b)
             clip_frac = float((np.abs(ratio - 1.0) > hyper.clip_ratio).sum() / b)
 
             # flat clipped branch: gradient flows only where min() picked
             # the unclipped term
             live = (ratio * mb_adv == objective).astype(np.float64)
             coeff = -(live * mb_adv * ratio) / b
-            logit_grad = coeff[:, None] * (onehots[mb_acts] - probs)
-            logit_grad += (hyper.entropy_coef / b) * probs * (
-                log_probs + entropy[:, None])
+            logit_grad = coeff[:, None] * (onehots[mb_acts] - probs[slots])
+            # the entropy term is the same for every row of one code
+            logit_grad += ((hyper.entropy_coef / b) * probs * (
+                log_probs + entropy[:, None]))[slots]
+            # bincount adds its weights in input order, so each distinct
+            # row gets its rows' gradients summed in sample order; an
+            # entry's bin is its row's slot and its action
+            bins = slots[:, None] * NUM_ACTIONS + action_index
+            distinct_logit_grad = np.bincount(
+                bins.ravel(), weights=logit_grad.ravel(),
+                minlength=d * NUM_ACTIONS).reshape(d, NUM_ACTIONS)
 
-            vals, critic_cache = forward(critic, mb_obs)
-            err = vals[:, 0] - ep_returns[mb]
+            vals, critic_cache = forward(critic, distinct)
+            err = vals[slots, 0] - ep_returns[mb]
             value_loss = float((err * err).sum() / b)
-            value_grad = (2.0 * hyper.value_coef / b) * err
+            distinct_value_grad = np.bincount(
+                slots, weights=(2.0 * hyper.value_coef / b) * err, minlength=d)
 
             total = policy_loss + hyper.value_coef * value_loss \
                 - hyper.entropy_coef * entropy_mean
@@ -291,11 +325,11 @@ def ppo_update(actor: MlpParams, critic: MlpParams,
                     f"non-finite loss (policy={policy_loss!r}, "
                     f"value={value_loss!r}, entropy={entropy_mean!r})")
 
-            backward(actor, actor_cache, logit_grad, actor_grads)
+            backward(actor, actor_cache, distinct_logit_grad, actor_grads)
             norm = clip_grad_norm(actor_grads, GRAD_CLIP_NORM)
             adam_step(actor, actor_grads, actor_opt)
 
-            backward(critic, critic_cache, value_grad[:, None], critic_grads)
+            backward(critic, critic_cache, distinct_value_grad[:, None], critic_grads)
             clip_grad_norm(critic_grads, GRAD_CLIP_NORM)
             adam_step(critic, critic_grads, critic_opt)
 

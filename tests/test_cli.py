@@ -378,6 +378,18 @@ def test_eval_rejects_checkpoint_with_a_nan_weight(tmp_path, capsys):
         capsys.readouterr().err)
 
 
+def test_eval_rejects_checkpoint_with_a_nan_learning_rate(tmp_path, capsys):
+    catalog = _make_catalog(tmp_path)
+    ckpt_path, _ = _train_small(tmp_path, catalog)
+    text = ckpt_path.read_text()
+    assert "learning_rate = 0.0003\n" in text
+    ckpt_path.write_text(text.replace("learning_rate = 0.0003\n", "learning_rate = nan\n"))
+    capsys.readouterr()
+    assert main(_eval_args(tmp_path, catalog, ckpt_path)) == 1
+    assert "error: bad [meta]/[hyper] section: learning_rate nan is not finite" in (
+        capsys.readouterr().err)
+
+
 def test_v1_checkpoint_fails_eval_and_resume(tmp_path, capsys):
     catalog = _make_catalog(tmp_path)
     ckpt_path, metrics_path = _train_small(tmp_path, catalog)
@@ -398,6 +410,25 @@ def test_eval_rejects_unknown_agent(tmp_path, capsys):
     capsys.readouterr()
     code = main(_eval_args(tmp_path, catalog, ckpt, agent="alphazero"))
     assert code == 1
+
+
+def test_eval_oracle_takes_one_step_on_a_feasible_start(tmp_path, capsys):
+    # the start is inside every band: the BFS needs 0 moves, but every
+    # agent plays one env step to win
+    base = machine_by_id(1)
+    feasible = MachineVariant(
+        base_id=1, variant_seed=11, initial_design=base.base_design,
+        target_bands=TargetBands(b_gap=(0.9, 1.1), t_break=(0.9, 1.1),
+                                 i_start=(0.9, 1.1), d_temp=(0.9, 1.1),
+                                 tooth_tip=(1.0, 4.0)))
+    catalog = tmp_path / "catalog.txt"
+    save_catalog([feasible], catalog)
+    assert main(["oracle", "--catalog-path", str(catalog), "--split", "train"]) == 0
+    assert "shortest_steps=0 witness=-" in capsys.readouterr().out
+    for agent in ("oracle", "greedy", "random"):
+        assert main(_eval_args(tmp_path, catalog, tmp_path / "unused.txt", agent=agent)) == 0
+        assert (tmp_path / f"episodes_{agent}.csv").read_text().splitlines()[1:] == (
+            ["0,1,1"] if agent == "oracle" else ["0,1,1", "1,1,1"])
 
 
 # --- oracle command ----------------------------------------------------------------

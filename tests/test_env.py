@@ -152,6 +152,16 @@ def test_reward_config_validation():
         RewardConfig(max_steps=0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["right_direction_reward", "wrong_direction_reward",
+                                   "revisit_penalty", "win_reward", "priority_weights"])
+def test_reward_config_rejects_non_finite_values(field, value):
+    if field == "priority_weights":
+        value = (value, *DEFAULT_PRIORITY_WEIGHTS[1:])
+    with pytest.raises(ContractViolationError, match="reward values must be finite"):
+        RewardConfig(**{field: value})
+
+
 def test_default_reward_constants():
     config = RewardConfig()
     assert config.right_direction_reward == 1.0

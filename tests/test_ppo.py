@@ -1,7 +1,7 @@
 """PPO trainer: rollout collection, advantage estimation, the clipped
 surrogate update, deterministic training/resume, and evaluation."""
 
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 from itertools import product
 
 import numpy as np
@@ -36,7 +36,15 @@ from motorgame.errors import (
     TrainingDivergedError,
 )
 from motorgame.kvtext import parse_array, read_sections
-from motorgame.neural import AdamState, Categorical, MlpParams, adam_step, forward, init
+from motorgame.neural import (
+    AdamState,
+    Categorical,
+    MlpParams,
+    adam_step,
+    backward,
+    forward,
+    init,
+)
 from motorgame.ppo import (
     ACTOR_SIZES,
     CHECKPOINT_VERSION_LINE,
@@ -121,6 +129,21 @@ def test_hyperparams_validation():
         Hyperparams(learning_rate=-1e-4)
     with pytest.raises(ContractViolationError):
         Hyperparams(env_count=0)
+
+
+@pytest.mark.parametrize("name", ["discount", "gae_lambda", "clip_ratio", "learning_rate",
+                                  "value_coef", "entropy_coef"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_hyperparams_reject_non_finite_values(name, value):
+    with pytest.raises(ContractViolationError, match=f"{name} .* is not finite"):
+        Hyperparams(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["value_coef", "entropy_coef"])
+def test_hyperparams_reject_negative_loss_weights(name):
+    with pytest.raises(ContractViolationError, match=f"{name} -1.0 must be >= 0"):
+        Hyperparams(**{name: -1.0})
+    assert getattr(Hyperparams(**{name: 0.0}), name) == 0.0
 
 
 # --- generalized advantage estimation -------------------------------------------------
@@ -619,13 +642,18 @@ def _reference_clip(grads):
     return total
 
 
-def _reference_update(actor, critic, actor_opt, critic_opt, buffer, hyper, rng, norms):
+def _reference_update(actor, critic, actor_opt, critic_opt, buffer, hyper, rng, norms,
+                      per_row=False):
     """The update as a loop over fancy-indexed minibatches, with np.mean,
-    a fresh gradient per backward and a per-tensor clip norm; kept as the
-    reference that ppo_update must match bit for bit.  Appends each
-    minibatch's (actor, critic) pre-clip norms to ``norms``."""
+    a fresh gradient per backward and a per-tensor clip norm.  Each net
+    runs on a minibatch's distinct codes, in code order (grouped in plain
+    Python), every sample reads its code's row, and the samples' output
+    gradients are summed per code in sample order; ppo_update must match
+    this bit for bit.  With ``per_row`` every sample is its own row, the
+    update before it ran each net once per distinct observation.  Appends
+    each minibatch's (actor, critic) pre-clip norms to ``norms``."""
     batch = len(buffer)
-    obs = buffer.observations.reshape(batch, OBSERVATION_DIM)
+    codes = buffer.codes.reshape(batch)
     acts = buffer.actions.reshape(batch)
     old_log_probs = buffer.log_probs.reshape(batch)
     advantages = normalize_advantages(buffer.advantages.reshape(batch))
@@ -636,28 +664,42 @@ def _reference_update(actor, critic, actor_opt, critic_opt, buffer, hyper, rng, 
         for start in range(0, batch, hyper.minibatch_size):
             idx = perm[start:start + hyper.minibatch_size]
             b = idx.size
+            mb_codes = codes[idx].tolist()
+            if per_row:
+                forward_codes, rows = mb_codes, list(range(b))
+            else:
+                forward_codes = sorted(set(mb_codes))
+                rows = [forward_codes.index(code) for code in mb_codes]
+            obs = ALL_OBSERVATIONS[forward_codes]
+
             mb_adv = advantages[idx]
-            logits, actor_cache = _reference_forward(actor, obs[idx])
+            logits, actor_cache = _reference_forward(actor, obs)
             dist = Categorical(logits)
-            new_log_prob = dist.log_prob(acts[idx])
-            entropy = dist.entropy()
+            probs, log_probs = dist.probs[rows], dist.logits_log_probs[rows]
+            new_log_prob = log_probs[np.arange(b), acts[idx]]
+            entropy = dist.entropy()[rows]
             ratio = np.exp(new_log_prob - old_log_probs[idx])
             objective = clipped_objective(ratio, mb_adv, hyper.clip_ratio)
             live = (ratio * mb_adv == objective).astype(np.float64)
             onehot = np.zeros((b, NUM_ACTIONS))
             onehot[np.arange(b), acts[idx]] = 1.0
             coeff = -(live * mb_adv * ratio) / b
-            logit_grad = coeff[:, None] * (onehot - dist.probs)
-            logit_grad += (hyper.entropy_coef / b) * dist.probs * (
-                dist.logits_log_probs + entropy[:, None])
-            vals, critic_cache = _reference_forward(critic, obs[idx])
-            err = vals[:, 0] - returns[idx]
+            logit_grad = coeff[:, None] * (onehot - probs)
+            logit_grad += (hyper.entropy_coef / b) * probs * (log_probs + entropy[:, None])
+            vals, critic_cache = _reference_forward(critic, obs)
+            err = vals[rows, 0] - returns[idx]
+            value_grad = (2.0 * hyper.value_coef / b) * err
 
-            actor_grads = _reference_backward(actor, actor_cache, logit_grad)
+            summed_logit_grad = np.zeros((len(obs), NUM_ACTIONS))
+            summed_value_grad = np.zeros((len(obs), 1))
+            for row, g, v in zip(rows, logit_grad, value_grad):
+                summed_logit_grad[row] += g
+                summed_value_grad[row] += v
+
+            actor_grads = _reference_backward(actor, actor_cache, summed_logit_grad)
             actor_norm = _reference_clip(actor_grads)
             adam_step(actor, actor_grads, actor_opt)
-            critic_grads = _reference_backward(
-                critic, critic_cache, ((2.0 * hyper.value_coef / b) * err)[:, None])
+            critic_grads = _reference_backward(critic, critic_cache, summed_value_grad)
             norms.append((actor_norm, _reference_clip(critic_grads)))
             adam_step(critic, critic_grads, critic_opt)
 
@@ -671,16 +713,13 @@ def _reference_update(actor, critic, actor_opt, critic_opt, buffer, hyper, rng, 
         pol_losses, val_losses, entropies, clip_fracs, grad_norms, kls)))
 
 
-# stock, wide, and a minibatch that leaves a short last slice of 1024
-@pytest.mark.parametrize("minibatch_size", [64, 512, 300])
-def test_ppo_update_matches_the_minibatch_loop_reference(minibatch_size):
-    # a learning rate and entropy bonus high enough that both the PPO clip
-    # and the gradient-norm clip fire
-    hyper = Hyperparams(horizon=128, env_count=8, minibatch_size=minibatch_size,
-                        learning_rate=0.05, entropy_coef=1.0, seed=9)
+def _update_pairs(hyper, per_row):
+    """Run ppo_update and _reference_update side by side on the same three
+    rollouts; returns each update's (stats, reference stats,
+    [(tensor, reference tensor)]) and the reference's pre-clip norms."""
     ckpt, ref = new_checkpoint(hyper), new_checkpoint(hyper)
     pool = EnvPool(TRAIN_VARIANTS, hyper.env_count)
-    norms, clip_fractions = [], []
+    updates, norms = [], []
     for update in range(3):
         buf = collect_rollout(pool, ckpt.actor, ckpt.critic, hyper.horizon,
                               np.random.default_rng(update))
@@ -688,19 +727,86 @@ def test_ppo_update_matches_the_minibatch_loop_reference(minibatch_size):
         got = ppo_update(ckpt.actor, ckpt.critic, ckpt.actor_opt, ckpt.critic_opt,
                          buf, hyper, np.random.default_rng([9, update]))
         want = _reference_update(ref.actor, ref.critic, ref.actor_opt, ref.critic_opt,
-                                 buf, hyper, np.random.default_rng([9, update]), norms)
+                                 buf, hyper, np.random.default_rng([9, update]), norms,
+                                 per_row=per_row)
+        assert ckpt.actor_opt.step == ref.actor_opt.step == ckpt.critic_opt.step == (
+            (update + 1) * hyper.epochs * -(-len(buf) // hyper.minibatch_size))
+        updates.append((got, want, [(a.flat.copy(), b.flat.copy()) for a, b in (
+            (ckpt.actor, ref.actor), (ckpt.critic, ref.critic),
+            (ckpt.actor_opt.m, ref.actor_opt.m), (ckpt.actor_opt.v, ref.actor_opt.v),
+            (ckpt.critic_opt.m, ref.critic_opt.m), (ckpt.critic_opt.v, ref.critic_opt.v))]))
+    return updates, norms
+
+
+# stock, wide, and a minibatch that leaves a short last slice of 1024
+@pytest.mark.parametrize("minibatch_size", [64, 512, 300])
+def test_ppo_update_matches_the_minibatch_loop_reference(minibatch_size):
+    # a learning rate and entropy bonus high enough that both the PPO clip
+    # and the gradient-norm clip fire
+    hyper = Hyperparams(horizon=128, env_count=8, minibatch_size=minibatch_size,
+                        learning_rate=0.05, entropy_coef=1.0, seed=9)
+    updates, norms = _update_pairs(hyper, per_row=False)
+    for got, want, tensors in updates:
         assert got == want
-        for a, b in ((ckpt.actor, ref.actor), (ckpt.critic, ref.critic),
-                     (ckpt.actor_opt.m, ref.actor_opt.m), (ckpt.actor_opt.v, ref.actor_opt.v),
-                     (ckpt.critic_opt.m, ref.critic_opt.m),
-                     (ckpt.critic_opt.v, ref.critic_opt.v)):
-            assert np.array_equal(a.flat, b.flat)
-        assert ckpt.actor_opt.step == ref.actor_opt.step == ckpt.critic_opt.step
-        clip_fractions.append(got.clip_fraction)
-    assert ckpt.actor_opt.step == 3 * hyper.epochs * -(-len(buf) // minibatch_size)
-    assert max(clip_fractions) > 0
+        for a, b in tensors:
+            assert np.array_equal(a, b)
+    assert max(got.clip_fraction for got, _, _ in updates) > 0
     assert any(a > GRAD_CLIP_NORM for a, _ in norms)
     assert any(c > GRAD_CLIP_NORM for _, c in norms)
+
+
+@pytest.mark.parametrize("minibatch_size", [64, 512, 300])
+def test_ppo_update_agrees_with_the_per_row_update(minibatch_size):
+    """Grouping a minibatch's samples by observation changes only the
+    forward batches and the summation order of the gradients.  At the
+    stock learning rate and entropy bonus: at 0.05 and 1.0, the 192 Adam
+    steps of 64-row minibatches amplify the last-bit differences up to a
+    relative 1e3 in the critic."""
+    hyper = Hyperparams(horizon=128, env_count=8, minibatch_size=minibatch_size, seed=9)
+    updates, norms = _update_pairs(hyper, per_row=True)
+    for got, want, tensors in updates:
+        assert np.allclose(astuple(got), astuple(want), rtol=1e-9, atol=0.0)
+        for a, b in tensors:
+            assert np.allclose(a, b, rtol=1e-9, atol=0.0)
+    assert max(got.clip_fraction for got, _, _ in updates) > 0
+    assert any(c > GRAD_CLIP_NORM for _, c in norms)
+
+
+@pytest.mark.parametrize("minibatch_size", [64, 300])
+def test_ppo_update_runs_each_net_on_the_minibatch_distinct_rows(monkeypatch, minibatch_size):
+    hyper = Hyperparams(horizon=128, env_count=8, minibatch_size=minibatch_size, epochs=2)
+    ckpt = new_checkpoint(hyper)
+    buf = collect_rollout(EnvPool(TRAIN_VARIANTS, hyper.env_count), ckpt.actor, ckpt.critic,
+                          hyper.horizon, rng=np.random.default_rng(2))
+    buf.compute_advantages(hyper.discount, hyper.gae_lambda)
+    codes = buf.codes.reshape(-1)
+    expected, rng = [], np.random.default_rng(6)
+    for _ in range(hyper.epochs):
+        perm = rng.permutation(len(codes))
+        for start in range(0, len(codes), minibatch_size):
+            distinct = ALL_OBSERVATIONS[sorted(set(codes[perm[start:start + minibatch_size]]))]
+            expected += [(NUM_ACTIONS, distinct), (1, distinct)]
+    forwarded, backwarded = [], []
+
+    def recording_forward(params, x):
+        forwarded.append((params.sizes[-1], np.array(x)))
+        return forward(params, x)
+
+    def recording_backward(params, cache, output_grad, grads):
+        backwarded.append((params.sizes[-1], cache[0], output_grad.shape))
+        return backward(params, cache, output_grad, grads)
+
+    monkeypatch.setattr("motorgame.ppo.forward", recording_forward)
+    monkeypatch.setattr("motorgame.ppo.backward", recording_backward)
+    ppo_update(ckpt.actor, ckpt.critic, ckpt.actor_opt, ckpt.critic_opt, buf, hyper,
+               np.random.default_rng(6))
+    assert len(forwarded) == len(backwarded) == len(expected)
+    assert len(expected[0][1]) < minibatch_size
+    for (out, x), (want_out, want_x), (grad_out, cache_x, grad_shape) in zip(
+            forwarded, expected, backwarded):
+        assert out == want_out == grad_out
+        assert np.array_equal(x, want_x)
+        assert np.array_equal(cache_x, want_x) and grad_shape == (len(want_x), out)
 
 
 # --- training loop -----------------------------------------------------------------
