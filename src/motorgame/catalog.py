@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .errors import (
     GenerationExhaustedError,
     MalformedCatalogError,
 )
-from .kvtext import Section, format_value, read_sections, write_text
+from .kvtext import Section, check_layout, format_value, read_sections, write_text
 from .surrogate import DesignPoint, evaluate_grid
 
 CATALOG_VERSION_LINE = "motor-design-catalog v2"
@@ -179,6 +180,14 @@ def feasible_mask(base: BaseMachine, bands: TargetBands) -> np.ndarray:
     return ((grid >= lo) & (grid <= hi)).all(axis=0)
 
 
+def target_bands(base: BaseMachine, centers) -> TargetBands:
+    """Bands ``center +- BAND_HALF_WIDTH`` for the four per-unit values, in
+    flag order, and the TOOTH_BAND_PU window of the base tooth tip."""
+    h0 = base.base_design.tooth_tip
+    return TargetBands(*((c - w, c + w) for c, w in zip(centers, BAND_HALF_WIDTH)),
+                       tooth_tip=(TOOTH_BAND_PU[0] * h0, TOOTH_BAND_PU[1] * h0))
+
+
 def _index_window(window_pu: tuple[float, float], unit: float, axis_lo: float,
                   step: float) -> tuple[int, int]:
     """Lattice indices of a per-unit window on an axis starting at
@@ -211,12 +220,8 @@ def generate_variants(base: BaseMachine, count: int, seed: int) -> list[MachineV
             j = turns_mid + off - base.bounds.turns[0]
             initial = surrogate.design_at(base, i, j, k)
 
-            pu_bands = []
-            for spread, half_width in zip(BAND_CENTER_SPREAD, BAND_HALF_WIDTH):
-                center = rng.uniform(1.0 - spread, 1.0 + spread)
-                pu_bands.append((center - half_width, center + half_width))
-            h0 = base.base_design.tooth_tip
-            bands = TargetBands(*pu_bands, tooth_tip=(TOOTH_BAND_PU[0] * h0, TOOTH_BAND_PU[1] * h0))
+            bands = target_bands(base, [rng.uniform(1.0 - spread, 1.0 + spread)
+                                        for spread in BAND_CENTER_SPREAD])
 
             if feasible_mask(base, bands).any():
                 variants.append(MachineVariant(
@@ -256,40 +261,16 @@ def save_catalog(variants: list[MachineVariant], path) -> None:
     write_text(path, "\n".join(lines))
 
 
-def _parse_band(raw: str, line_no: int) -> tuple[float, float]:
-    parts = [p.strip() for p in raw.split(",")]
-    if len(parts) != 2:
-        raise MalformedCatalogError(f"band needs two comma-separated values, got {raw!r}", line_no)
-    try:
-        return (float(parts[0]), float(parts[1]))
-    except ValueError:
-        raise MalformedCatalogError(f"bad band value in {raw!r}", line_no) from None
+def _parse_band(text: str) -> tuple[float, float]:
+    """``lo, hi``; a ValueError unless the text holds two floats."""
+    lo, hi = map(float, text.split(","))
+    return lo, hi
 
 
 def _build_variant(section: Section) -> MachineVariant:
-    if section.name != "variant":
-        raise MalformedCatalogError(f"unknown section [{section.name}]", section.line)
-    for key, line in section.lines.items():
-        if key not in _REQUIRED_KEYS:
-            raise MalformedCatalogError(f"unknown key {key!r}", line)
-    missing = [k for k in _REQUIRED_KEYS if k not in section.values]
-    if missing:
-        raise MalformedCatalogError(f"variant is missing fields: {', '.join(missing)}", section.line)
-
-    def text(key: str) -> str:
-        return section.values[key]
-
-    def line(key: str) -> int:
-        return section.lines[key]
-
-    def parse(key: str, conv):
-        try:
-            return conv(text(key))
-        except ValueError:
-            raise MalformedCatalogError(f"bad value for {key}: {text(key)!r}", line(key)) from None
-
+    parse = partial(section.parse, error=MalformedCatalogError)
     try:
-        return MachineVariant(
+        variant = MachineVariant(
             base_id=parse("base_id", int),
             variant_seed=parse("variant_seed", int),
             initial_design=DesignPoint(
@@ -297,21 +278,25 @@ def _build_variant(section: Section) -> MachineVariant:
                 turns=parse("turns", int),
                 tooth_tip=parse("tooth_tip", float),
             ),
-            target_bands=TargetBands(*(
-                _parse_band(text(k), line(k)) for k in _BAND_KEYS
-            )),
-            split=text("split"),
+            target_bands=TargetBands(*(parse(k, _parse_band) for k in _BAND_KEYS)),
+            split=section.values["split"],
         )
+        # a start off the lattice would fail later, in every env that plays it
+        surrogate.lattice_index(machine_by_id(variant.base_id), variant.initial_design)
     except ContractViolationError as exc:
         raise MalformedCatalogError(str(exc), section.line) from None
+    return variant
 
 
 def load_catalog(path) -> list[MachineVariant]:
-    """Parse a catalog file; inverse of save_catalog, field-for-field."""
+    """Parse a catalog file; inverse of save_catalog, field-for-field.  Every
+    section's layout is checked before any value is parsed, and a variant
+    whose start is off its machine's lattice fails at its header line."""
     sections = read_sections(path, MalformedCatalogError, CATALOG_VERSION_LINE,
                              CatalogVersionError)
     if not sections:
         raise MalformedCatalogError("catalog contains no variants", 1)
+    check_layout(sections, {"variant": _REQUIRED_KEYS}, MalformedCatalogError)
     return [_build_variant(section) for section in sections]
 
 

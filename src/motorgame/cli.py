@@ -14,19 +14,19 @@ import argparse
 import sys
 import time
 from dataclasses import dataclass, field, fields, make_dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .agents import greedy_agent, oracle_shortest, random_agent
 from .catalog import (
-    BAND_HALF_WIDTH,
-    TOOTH_BAND_PU,
     TargetBands,
     builtin_catalog,
     generate_variants,
     load_catalog,
     machine_by_id,
     save_catalog,
+    target_bands,
     with_split,
 )
 from .env import FLAG_NAMES, DesignEnv, EpisodeRecord, RewardConfig, all_flags_zero, flags
@@ -106,14 +106,10 @@ def load_config_file(path: str) -> dict[str, object]:
 
     section = read_sections(path, error, sectioned=False)[0]
     values: dict[str, object] = {}
-    for key, text in section.values.items():
+    for key, line in section.lines.items():
         if key not in _FIELD_TYPES:
-            raise error(f"unknown config key {key!r}", section.lines[key])
-        try:
-            values[key] = parse_value(text, _FIELD_TYPES[key])
-        except ValueError:
-            raise error(f"bad value for {key!r}: {text!r}",
-                        section.lines[key]) from None
+            raise error(f"unknown config key {key!r}", line)
+        values[key] = section.parse(key, partial(parse_value, kind=_FIELD_TYPES[key]), error)
     return values
 
 
@@ -209,19 +205,20 @@ def cmd_train(config: RunConfig, resume: bool, set_by: dict[str, str]) -> int:
     last_time = time.perf_counter()
     last_steps = checkpoint.env_steps if checkpoint is not None else 0
 
-    def progress(row: UpdateRow) -> None:
-        # the rate goes to stdout only, so metrics.txt stays comparable
-        # between runs
-        nonlocal last_time, last_steps
-        now = time.perf_counter()
-        rate = (row.env_steps - last_steps) / (now - last_time)
-        last_time, last_steps = now, row.env_steps
-        print(f"{row.as_line()} steps_per_s={rate:.0f}")
+    with open(config.metrics_path, "w" if checkpoint is None else "a") as metrics:
+        def progress(row: UpdateRow) -> None:
+            # the rate goes to stdout only, so metrics.txt stays comparable
+            # between runs
+            nonlocal last_time, last_steps
+            metrics.write(row.as_line() + "\n")
+            metrics.flush()
+            now = time.perf_counter()
+            rate = (row.env_steps - last_steps) / (now - last_time)
+            last_time, last_steps = now, row.env_steps
+            print(f"{row.as_line()} steps_per_s={rate:.0f}")
 
-    ckpt, report = train(
-        variants, hyper, reward_config=_settings(RewardConfig, config),
-        checkpoint=checkpoint, metrics_path=config.metrics_path,
-        progress=progress)
+        ckpt, _ = train(variants, hyper, reward_config=_settings(RewardConfig, config),
+                        checkpoint=checkpoint, progress=progress)
     save_checkpoint(ckpt, config.checkpoint_path)
     print(f"checkpoint written to {config.checkpoint_path} "
           f"after {ckpt.update_index} updates ({ckpt.env_steps} env steps)")
@@ -290,14 +287,7 @@ def cmd_oracle(config: RunConfig) -> int:
 
 def _inspect_bands(config_text: str | None, base) -> TargetBands:
     if config_text is None:
-        h_lo, h_hi = TOOTH_BAND_PU
-        return TargetBands(
-            b_gap=(1.0 - BAND_HALF_WIDTH[0], 1.0 + BAND_HALF_WIDTH[0]),
-            t_break=(1.0 - BAND_HALF_WIDTH[1], 1.0 + BAND_HALF_WIDTH[1]),
-            i_start=(1.0 - BAND_HALF_WIDTH[2], 1.0 + BAND_HALF_WIDTH[2]),
-            d_temp=(1.0 - BAND_HALF_WIDTH[3], 1.0 + BAND_HALF_WIDTH[3]),
-            tooth_tip=(h_lo * base.base_design.tooth_tip,
-                       h_hi * base.base_design.tooth_tip))
+        return target_bands(base, (1.0,) * 4)
     parts = [tok for tok in config_text.split(",") if tok.strip()]
     if len(parts) != 10:
         raise ContractViolationError(

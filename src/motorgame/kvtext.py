@@ -26,6 +26,16 @@ class Section:
     values: dict[str, str] = field(default_factory=dict)
     lines: dict[str, int] = field(default_factory=dict)  # key -> line number
 
+    def parse(self, key: str, conv: Callable[[str], object],
+              error: Callable[[str, int], Exception]):
+        """``conv`` of the value of ``key``; a ValueError from it raises
+        ``error("bad value for KEY: 'TEXT'", line)`` at the key's line."""
+        text = self.values[key]
+        try:
+            return conv(text)
+        except ValueError:
+            raise error(f"bad value for {key}: {text!r}", self.lines[key]) from None
+
 
 def read_sections(path, error: Callable[[str, int], Exception],
                   version: str | None = None,
@@ -37,7 +47,7 @@ def read_sections(path, error: Callable[[str, int], Exception],
     the first line that is neither blank nor a comment must equal it; a
     line naming the same format at another version raises
     ``version_error(message)`` instead.  A flat file (``sectioned=False``)
-    has no headers and comes back as one section.  Callers validate keys.
+    has no headers and comes back as one section.  check_layout checks keys.
     """
     with open(path, encoding="utf-8") as fh:
         raw_lines = fh.read().splitlines()
@@ -72,6 +82,23 @@ def read_sections(path, error: Callable[[str, int], Exception],
     if expect_version:
         raise error(f"empty file (missing header {version!r})", 1)
     return sections
+
+
+def check_layout(sections: list[Section], keys: dict[str, tuple[str, ...]],
+                 error: Callable[[str, int], Exception]) -> None:
+    """Check ``sections`` against ``keys`` (section name -> its keys): raise
+    ``error(message, line)`` for an unknown section at its header line, an
+    unknown key at its own line, or a missing key at its section's header."""
+    for section in sections:
+        wanted = keys.get(section.name)
+        if wanted is None:
+            raise error(f"unknown section [{section.name}]", section.line)
+        for key, line in section.lines.items():
+            if key not in wanted:
+                raise error(f"unknown key {key!r} in [{section.name}]", line)
+        missing = [key for key in wanted if key not in section.values]
+        if missing:
+            raise error(f"[{section.name}] is missing {', '.join(missing)}", section.line)
 
 
 def write_text(path, text: str) -> None:

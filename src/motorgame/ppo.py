@@ -11,7 +11,7 @@ derivation, so training, resuming, and evaluation are bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,7 +33,15 @@ from .errors import (
     ContractViolationError,
     TrainingDivergedError,
 )
-from .kvtext import format_array, format_value, parse_array, parse_value, read_sections, write_text
+from .kvtext import (
+    check_layout,
+    format_array,
+    format_value,
+    parse_array,
+    parse_value,
+    read_sections,
+    write_text,
+)
 from .neural import (
     AdamState,
     Categorical,
@@ -400,7 +408,6 @@ def new_checkpoint(hyper: Hyperparams) -> Checkpoint:
 def train(variants: Sequence[MachineVariant], hyper: Hyperparams,
           reward_config: RewardConfig | None = None,
           checkpoint: Checkpoint | None = None,
-          metrics_path: str | None = None,
           progress: Callable[[UpdateRow], None] | None = None,
           ) -> tuple[Checkpoint, TrainReport]:
     """Run collect/update cycles until hyper.total_steps env steps.
@@ -409,8 +416,8 @@ def train(variants: Sequence[MachineVariant], hyper: Hyperparams,
     the update index.  Resuming from a checkpoint continues the update
     numbering and RNG streams, but does not yet reproduce an uninterrupted
     run: the env.EnvPool's arrays are not checkpointed, so its episodes,
-    episode rewards and round-robin cursor restart.  ``metrics_path`` is
-    truncated on a fresh run and appended to on resume.
+    episode rewards and round-robin cursor restart.  Each update's row
+    goes to ``progress`` as it is made, and into the returned report.
 
     The pool steps all its envs as one array operation and restarts
     finished episodes within that step, so ``hyper.env_count`` is cheap
@@ -425,56 +432,41 @@ def train(variants: Sequence[MachineVariant], hyper: Hyperparams,
     report = TrainReport()
     steps_per_update = hyper.horizon * hyper.env_count
 
-    metrics = (open(metrics_path, "w" if checkpoint is None else "a")
-               if metrics_path else None)
-    try:
-        while ckpt.env_steps < hyper.total_steps:
-            update_index = ckpt.update_index
-            rollout_rng = np.random.default_rng(
-                derive_seed(hyper.seed, 3, update_index))
-            shuffle_rng = np.random.default_rng(
-                derive_seed(hyper.seed, 4, update_index))
+    while ckpt.env_steps < hyper.total_steps:
+        update_index = ckpt.update_index
+        rollout_rng = np.random.default_rng(derive_seed(hyper.seed, 3, update_index))
+        shuffle_rng = np.random.default_rng(derive_seed(hyper.seed, 4, update_index))
 
-            buf = collect_rollout(pool, ckpt.actor, ckpt.critic,
-                                  hyper.horizon, rollout_rng)
-            buf.compute_advantages(hyper.discount, hyper.gae_lambda)
-            critic_fit = explained_variance(buf.values, buf.returns)
-            try:
-                stats = ppo_update(ckpt.actor, ckpt.critic, ckpt.actor_opt,
-                                   ckpt.critic_opt, buf, hyper, shuffle_rng)
-            except TrainingDivergedError as exc:
-                exc.update_index = update_index
-                raise
+        buf = collect_rollout(pool, ckpt.actor, ckpt.critic, hyper.horizon, rollout_rng)
+        buf.compute_advantages(hyper.discount, hyper.gae_lambda)
+        critic_fit = explained_variance(buf.values, buf.returns)
+        try:
+            stats = ppo_update(ckpt.actor, ckpt.critic, ckpt.actor_opt,
+                               ckpt.critic_opt, buf, hyper, shuffle_rng)
+        except TrainingDivergedError as exc:
+            exc.update_index = update_index
+            raise
 
-            del buf  # spent: free it before the next rollout's policy table
-            ckpt.update_index = update_index + 1
-            ckpt.env_steps += steps_per_update
+        del buf  # spent: free it before the next rollout's policy table
+        ckpt.update_index = update_index + 1
+        ckpt.env_steps += steps_per_update
 
-            finished = pool.drain_finished()
-            wins = [steps for steps, _, win in finished if win]
-            row = UpdateRow(
-                update=ckpt.update_index,
-                env_steps=ckpt.env_steps,
-                episodes=len(finished),
-                mean_episode_reward=(
-                    float(np.mean([r for _, r, _ in finished]))
-                    if finished else float("nan")),
-                win_rate=(len(wins) / len(finished)
-                          if finished else float("nan")),
-                mean_winning_steps=(float(np.mean(wins))
-                                    if wins else float("nan")),
-                **asdict(stats),
-                explained_variance=critic_fit,
-            )
-            report.rows.append(row)
-            if metrics is not None:
-                metrics.write(row.as_line() + "\n")
-                metrics.flush()
-            if progress is not None:
-                progress(row)
-    finally:
-        if metrics is not None:
-            metrics.close()
+        finished = pool.drain_finished()
+        wins = [steps for steps, _, win in finished if win]
+        row = UpdateRow(
+            update=ckpt.update_index,
+            env_steps=ckpt.env_steps,
+            episodes=len(finished),
+            mean_episode_reward=(float(np.mean([r for _, r, _ in finished]))
+                                 if finished else float("nan")),
+            win_rate=len(wins) / len(finished) if finished else float("nan"),
+            mean_winning_steps=float(np.mean(wins)) if wins else float("nan"),
+            **asdict(stats),
+            explained_variance=critic_fit,
+        )
+        report.rows.append(row)
+        if progress is not None:
+            progress(row)
     return ckpt, report
 
 
@@ -627,20 +619,19 @@ _CHECKPOINT_KEYS = {  # section -> keys, in file order
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
-    """Write ``ckpt`` atomically: each network and Adam moment is one flat
+    """Write ``ckpt`` atomically in the layout of _CHECKPOINT_KEYS, which
+    load_checkpoint checks: each network and Adam moment is one flat
     array, and the learning rate is stored once, in [hyper]."""
-    lines = [CHECKPOINT_VERSION_LINE, "[meta]",
-             f"update_index = {ckpt.update_index}",
-             f"env_steps = {ckpt.env_steps}",
-             "[hyper]"]
-    for f in fields(Hyperparams):
-        lines.append(f"{f.name} = {format_value(getattr(ckpt.hyper, f.name))}")
-    for name, params in (("actor", ckpt.actor), ("critic", ckpt.critic)):
-        lines += [f"[{name}]", "sizes = " + " ".join(str(s) for s in params.sizes),
-                  "flat = " + format_array(params.flat)]
-    for name, opt in (("actor_opt", ckpt.actor_opt), ("critic_opt", ckpt.critic_opt)):
-        lines += [f"[{name}]", f"step = {opt.step}",
-                  "m = " + format_array(opt.m.flat), "v = " + format_array(opt.v.flat)]
+    values = {"meta": (ckpt.update_index, ckpt.env_steps), "hyper": astuple(ckpt.hyper)}
+    for name, params, opt in (("actor", ckpt.actor, ckpt.actor_opt),
+                              ("critic", ckpt.critic, ckpt.critic_opt)):
+        values[name] = (" ".join(map(str, params.sizes)), format_array(params.flat))
+        values[f"{name}_opt"] = (opt.step, format_array(opt.m.flat), format_array(opt.v.flat))
+    lines = [CHECKPOINT_VERSION_LINE]
+    for name, keys in _CHECKPOINT_KEYS.items():
+        lines.append(f"[{name}]")
+        lines += [f"{key} = {format_value(value)}"
+                  for key, value in zip(keys, values[name], strict=True)]
     write_text(path, "\n".join(lines) + "\n")
 
 
@@ -683,25 +674,16 @@ def _load_opt(section: dict[str, str], where: str, params: MlpParams,
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    """Read a checkpoint written by save_checkpoint; an unknown, duplicate
-    or missing section or key raises CheckpointFormatError."""
+    """Read a checkpoint written by save_checkpoint.  Its layout is checked
+    against _CHECKPOINT_KEYS before any value is parsed: an unknown,
+    duplicate or missing section or key raises CheckpointFormatError."""
+    found = read_sections(path, CheckpointFormatError, CHECKPOINT_VERSION_LINE,
+                          CheckpointVersionError)
+    check_layout(found, _CHECKPOINT_KEYS, CheckpointFormatError)
     sections: dict[str, dict[str, str]] = {}
-    for section in read_sections(path, CheckpointFormatError,
-                                 CHECKPOINT_VERSION_LINE, CheckpointVersionError):
-        keys = _CHECKPOINT_KEYS.get(section.name)
-        if keys is None:
-            raise CheckpointFormatError(f"unknown section [{section.name}]", section.line)
+    for section in found:
         if section.name in sections:
-            raise CheckpointFormatError(
-                f"duplicate section [{section.name}]", section.line)
-        for key, line in section.lines.items():
-            if key not in keys:
-                raise CheckpointFormatError(
-                    f"unknown key {key!r} in [{section.name}]", line)
-        missing = [key for key in keys if key not in section.values]
-        if missing:
-            raise CheckpointFormatError(
-                f"[{section.name}] is missing {', '.join(missing)}", section.line)
+            raise CheckpointFormatError(f"duplicate section [{section.name}]", section.line)
         sections[section.name] = section.values
     for name in _CHECKPOINT_KEYS:
         if name not in sections:

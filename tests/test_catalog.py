@@ -388,6 +388,45 @@ def test_load_rejects_nan_band(tmp_path):
     assert err.value.line == lines.index("[variant]") + 1
 
 
+def _one_variant_catalog(tmp_path):
+    path = tmp_path / "catalog.txt"
+    save_catalog(generate_variants(machine_by_id(1), 1, 0), path)
+    return path, path.read_text().splitlines()
+
+
+def test_load_rejects_an_unknown_section_at_its_header(tmp_path):
+    path, lines = _one_variant_catalog(tmp_path)
+    lines += ["[machine]", "id = 4"]
+    path.write_text("\n".join(lines))
+    with pytest.raises(MalformedCatalogError, match=r"unknown section \[machine\]") as err:
+        load_catalog(path)
+    assert err.value.line == len(lines) - 1
+
+
+@pytest.mark.parametrize("key,value", [
+    ("band_b_gap", "0.9"), ("band_t_break", "0.9, 1.0, 1.1"), ("band_d_temp", "0.9, x"),
+    ("turns", "20.5"), ("length", "long")])
+def test_load_reports_a_bad_value_at_its_line(tmp_path, key, value):
+    path, lines = _one_variant_catalog(tmp_path)
+    at = next(i for i, line in enumerate(lines) if line.startswith(f"{key} ="))
+    lines[at] = f"{key} = {value}"
+    path.write_text("\n".join(lines))
+    with pytest.raises(MalformedCatalogError, match=f"bad value for {key}: '{value}'") as err:
+        load_catalog(path)
+    assert err.value.line == at + 1
+
+
+@pytest.mark.parametrize("key", ["length", "tooth_tip"])
+def test_load_rejects_a_start_off_the_lattice_at_its_header(tmp_path, key):
+    path, lines = _one_variant_catalog(tmp_path)
+    at = next(i for i, line in enumerate(lines) if line.startswith(f"{key} ="))
+    lines[at] = f"{key} = {float(lines[at].split(' = ')[1]) + 0.001!r}"
+    path.write_text("\n".join(lines))
+    with pytest.raises(MalformedCatalogError, match="not a lattice point") as err:
+        load_catalog(path)
+    assert err.value.line == lines.index("[variant]") + 1
+
+
 def test_load_ignores_comments_and_blanks(tmp_path):
     variants = generate_variants(machine_by_id(1), 2, 0)
     path = tmp_path / "catalog.txt"

@@ -84,8 +84,8 @@ def test_config_file_rejects_duplicates_and_bad_lines(tmp_path):
     path.write_text("just some words\n")
     with pytest.raises(ContractViolationError):
         load_config_file(str(path))
-    path.write_text("seed = abc\n")
-    with pytest.raises(ContractViolationError):
+    path.write_text("# run\nseed = abc\n")
+    with pytest.raises(ContractViolationError, match=r":2: bad value for seed: 'abc'"):
         load_config_file(str(path))
 
 
@@ -191,6 +191,30 @@ def test_train_progress_line_adds_steps_per_s_to_the_metrics_row(tmp_path, capsy
     row, rate = printed[0].rsplit(" steps_per_s=", 1)
     assert metrics_path.read_text() == row + "\n"
     assert int(rate) > 0
+
+
+def test_train_metrics_file(tmp_path):
+    catalog = _make_catalog(tmp_path)
+    metrics = tmp_path / "metrics.txt"
+    assert main(["train", "--catalog-path", str(catalog),
+                 "--checkpoint-path", str(tmp_path / "ckpt.txt"),
+                 "--metrics-path", str(metrics), *SMALL_TRAIN,
+                 "--total-steps", "64"]) == 0  # two updates
+    lines = metrics.read_text().splitlines()
+    assert len(lines) == 2
+    first = dict(kv.split("=", 1) for kv in lines[0].split())
+    assert first["update"] == "1" and first["env_steps"] == "32"
+    float(first["policy_loss"])  # parses
+    second = dict(kv.split("=", 1) for kv in lines[1].split())
+    assert second["update"] == "2" and second["env_steps"] == "64"
+
+
+def test_train_fresh_run_truncates_metrics(tmp_path):
+    catalog = _make_catalog(tmp_path)
+    for _ in range(2):
+        _, metrics = _train_small(tmp_path, catalog)
+    lines = metrics.read_text().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("update=1 ")
 
 
 def test_train_resume_continues_numbering(tmp_path, capsys):

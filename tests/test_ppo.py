@@ -900,27 +900,6 @@ def test_train_seed_changes_results():
                for x, y in zip(a.actor.tensors(), b.actor.tensors()))
 
 
-def test_train_metrics_file(tmp_path):
-    path = tmp_path / "metrics.txt"
-    hyper = replace(SMALL, total_steps=64)  # two updates
-    train(TRAIN_VARIANTS, hyper, metrics_path=str(path))
-    lines = path.read_text().splitlines()
-    assert len(lines) == 2
-    first = dict(kv.split("=", 1) for kv in lines[0].split())
-    assert first["update"] == "1" and first["env_steps"] == "32"
-    float(first["policy_loss"])  # parses
-    second = dict(kv.split("=", 1) for kv in lines[1].split())
-    assert second["update"] == "2" and second["env_steps"] == "64"
-
-
-def test_train_fresh_run_truncates_metrics(tmp_path):
-    path = tmp_path / "metrics.txt"
-    for _ in range(2):
-        train(TRAIN_VARIANTS, SMALL, metrics_path=str(path))
-    lines = path.read_text().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("update=1 ")
-
-
 def test_train_requires_variants():
     with pytest.raises(ContractViolationError):
         train([], SMALL)
@@ -1187,6 +1166,17 @@ def test_checkpoint_rejects_missing_keys(tmp_path):
     with pytest.raises(CheckpointFormatError, match=r"\[critic_opt\] is missing step") as err:
         load_checkpoint(str(path))
     assert err.value.line == header + 1
+
+
+def test_checkpoint_rejects_a_second_section_at_its_header(tmp_path):
+    path = tmp_path / "ckpt.txt"
+    save_checkpoint(new_checkpoint(SMALL), str(path))
+    lines = path.read_text().splitlines()
+    actor = lines.index("[actor]")
+    path.write_text("\n".join(lines + lines[actor:actor + 3]) + "\n")  # a whole second [actor]
+    with pytest.raises(CheckpointFormatError, match=r"duplicate section \[actor\]") as err:
+        load_checkpoint(str(path))
+    assert err.value.line == len(lines) + 1
 
 
 def test_checkpoint_version_error(tmp_path):
