@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import BaseMachine, MachineVariant, feasible_mask, machine_by_id
+from .catalog import BaseMachine, MachineVariant, feasible_mask
 from .env import NUM_ACTIONS, Action, DesignEnv, EpisodeRecord, move, run_episode
 from .errors import ContractViolationError
 from .surrogate import design_at, evaluate, lattice_index, lattice_shape
@@ -21,8 +21,6 @@ from .surrogate import design_at, evaluate, lattice_index, lattice_shape
 
 @dataclass(frozen=True)
 class OracleResult:
-    base_id: int
-    variant_seed: int
     shortest_steps: int | None  # None: no feasible point reachable
     witness: tuple[Action, ...]
 
@@ -75,7 +73,8 @@ def greedy_agent(env: DesignEnv, log=None) -> EpisodeRecord:
 
 def oracle_shortest(variant: MachineVariant, base: BaseMachine | None = None,
                     ) -> OracleResult:
-    """Minimum number of actions to feasibility, with one optimal witness.
+    """Minimum number of actions to feasibility, with one optimal witness, on
+    the variant's machine; a ``base`` given as well must be that machine.
 
     A breadth-first distance field grows from the feasible points by
     array shifts along each lattice axis until it reaches the start; the
@@ -83,11 +82,10 @@ def oracle_shortest(variant: MachineVariant, base: BaseMachine | None = None,
     lowers the distance by one, so it is the lexicographically first
     shortest path.
     """
-    if base is None:
-        base = machine_by_id(variant.base_id)
-    if base.id != variant.base_id:
+    if base is not None and base != variant.base:
         raise ContractViolationError(
             f"variant base {variant.base_id} does not match machine {base.id}")
+    base = variant.base
     shape = lattice_shape(base)
     start = lattice_index(base, variant.initial_design)
     reached = feasible_mask(base, variant.target_bands)
@@ -105,12 +103,11 @@ def oracle_shortest(variant: MachineVariant, base: BaseMachine | None = None,
         steps += 1
         distance[frontier] = steps
     if not reached[start]:
-        return OracleResult(variant.base_id, variant.variant_seed, None, ())
+        return OracleResult(None, ())
 
     path, ijk = [], start
     for left in range(distance[start] - 1, -1, -1):
         action = next(a for a in Action if distance[move(ijk, a, shape)] == left)
         path.append(action)
         ijk = move(ijk, action, shape)
-    return OracleResult(variant.base_id, variant.variant_seed, len(path),
-                        tuple(path))
+    return OracleResult(len(path), tuple(path))

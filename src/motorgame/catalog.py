@@ -1,9 +1,9 @@
 """Stock machine definitions, variant generation, and catalog persistence.
 
 Three built-in base machines span the study's power/voltage grid.  Each
-training or evaluation case is a MachineVariant: a starting design plus
-target bands for the five performance values, certified at generation
-time to admit at least one feasible lattice point.
+training or evaluation case is a MachineVariant: a machine, a starting
+design on its lattice and target bands for the five performance values,
+certified at generation time to admit at least one feasible point.
 """
 
 from __future__ import annotations
@@ -153,14 +153,20 @@ class TargetBands:
 
 @dataclass(frozen=True)
 class MachineVariant:
-    base_id: int
+    base: BaseMachine
     variant_seed: int
     initial_design: DesignPoint
     target_bands: TargetBands
     split: str = "train"
 
     def __post_init__(self):
-        surrogate.check_bounds(self.initial_design, machine_by_id(self.base_id))
+        surrogate.check_bounds(self.initial_design, self.base)
+        if self.split not in ("train", "holdout"):
+            raise ContractViolationError(f"split {self.split!r} is not 'train' or 'holdout'")
+
+    @property
+    def base_id(self) -> int:
+        return self.base.id
 
 
 def variant_seed_for(catalog_seed: int, base_id: int, index: int) -> int:
@@ -225,7 +231,7 @@ def generate_variants(base: BaseMachine, count: int, seed: int) -> list[MachineV
 
             if feasible_mask(base, bands).any():
                 variants.append(MachineVariant(
-                    base_id=base.id,
+                    base=base,
                     variant_seed=slot_seed,
                     initial_design=initial,
                     target_bands=bands,
@@ -250,6 +256,8 @@ def save_catalog(variants: list[MachineVariant], path) -> None:
     """Write variants atomically as key = value text; floats keep full precision."""
     lines = [CATALOG_VERSION_LINE, ""]
     for v in variants:
+        if v.base != _MACHINES.get(v.base_id):  # the file holds only the machine's id
+            raise ContractViolationError(f"cannot save machine {v.base_id}: not a stock machine")
         d = v.initial_design
         values = (v.base_id, v.variant_seed, v.split, d.length, d.turns, d.tooth_tip,
                   *(f"{format_value(lo)}, {format_value(hi)}"
@@ -271,7 +279,7 @@ def _build_variant(section: Section) -> MachineVariant:
     parse = partial(section.parse, error=MalformedCatalogError)
     try:
         variant = MachineVariant(
-            base_id=parse("base_id", int),
+            base=machine_by_id(parse("base_id", int)),
             variant_seed=parse("variant_seed", int),
             initial_design=DesignPoint(
                 length=parse("length", float),
@@ -282,7 +290,7 @@ def _build_variant(section: Section) -> MachineVariant:
             split=section.values["split"],
         )
         # a start off the lattice would fail later, in every env that plays it
-        surrogate.lattice_index(machine_by_id(variant.base_id), variant.initial_design)
+        surrogate.lattice_index(variant.base, variant.initial_design)
     except ContractViolationError as exc:
         raise MalformedCatalogError(str(exc), section.line) from None
     return variant

@@ -39,7 +39,7 @@ from .errors import (
     MalformedCatalogError,
     TrainingDivergedError,
 )
-from .kvtext import format_value, parse_value, read_sections
+from .kvtext import format_value, parse_value, read_sections, write_text
 from .ppo import (
     Hyperparams,
     UpdateRow,
@@ -202,6 +202,13 @@ def cmd_train(config: RunConfig, resume: bool, set_by: dict[str, str]) -> int:
                                        total_steps=config.total_steps)
         print(f"resuming from update {checkpoint.update_index} "
               f"({checkpoint.env_steps} env steps)")
+        # an interrupted run wrote rows past its checkpoint, the last maybe
+        # cut short: keep the whole rows up to it (a+ reads no file as empty)
+        with open(config.metrics_path, "a+") as old:
+            old.seek(0)
+            kept = [row for row in old if row.endswith("\n") and int(
+                row.split()[0].removeprefix("update=")) <= checkpoint.update_index]
+        write_text(config.metrics_path, "".join(kept))
     last_time = time.perf_counter()
     last_steps = checkpoint.env_steps if checkpoint is not None else 0
 
@@ -230,7 +237,7 @@ def _oracle_episode(env: DesignEnv, rng: np.random.Generator) -> EpisodeRecord:
     agent's steps from below: at least one step, because an episode that
     starts feasible still takes one env step to win.  -1 steps, not won,
     when no feasible point is reachable."""
-    steps = oracle_shortest(env.variant, env.base).shortest_steps
+    steps = oracle_shortest(env.variant).shortest_steps
     if steps is None:
         return EpisodeRecord(-1, float("nan"), False, "unreachable")
     return EpisodeRecord(max(1, steps), float("nan"), True, "win")

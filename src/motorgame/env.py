@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .catalog import BaseMachine, MachineVariant, TargetBands, machine_by_id
+from .catalog import BaseMachine, MachineVariant, TargetBands
 from .errors import ContractViolationError
 from .surrogate import (
     DesignPoint,
@@ -168,7 +168,8 @@ class StepInfo:
 
 
 class DesignEnv:
-    """Single-episode design game over one machine variant.
+    """Single-episode design game over one machine variant, on the variant's
+    machine; a ``base`` given as well must be that machine.
 
     Each lattice point's design and performance are computed once per
     episode, on the first visit, and read back on any revisit; reset()
@@ -178,12 +179,10 @@ class DesignEnv:
 
     def __init__(self, variant: MachineVariant, base: BaseMachine | None = None,
                  config: RewardConfig | None = None):
-        if base is None:
-            base = machine_by_id(variant.base_id)
-        elif base.id != variant.base_id:
+        if base is not None and base != variant.base:
             raise ContractViolationError(
                 f"variant belongs to machine {variant.base_id}, got machine {base.id}")
-        self.base = base
+        self.base = base = variant.base
         self.variant = variant
         self.config = config if config is not None else RewardConfig()
         self._shape = lattice_shape(base)
@@ -301,18 +300,17 @@ class EnvPool:
         if env_count < 1:
             raise ContractViolationError("env_count must be >= 1")
         self.config = reward_config if reward_config is not None else RewardConfig()
-        grids = {i: evaluate_grid(machine_by_id(i))
-                 for i in dict.fromkeys(v.base_id for v in variants)}
+        grids = {m: evaluate_grid(m) for m in dict.fromkeys(v.base for v in variants)}
         self._perf_table = np.concatenate([g.reshape(5, -1) for g in grids.values()], axis=1)
         points = self._perf_table.shape[1]
-        # machine id -> its first point
+        # machine -> its first point
         offsets = dict(zip(grids, np.cumsum([0] + [g[0].size for g in grids.values()])))
         # after[a, p] is the point that action a takes point p to; an action
         # moves one axis of p's machine, so it is move() along each axis,
         # composed
         self._after = np.empty((len(Action), points), dtype=np.min_scalar_type(points - 1))
-        for base_id, grid in grids.items():
-            shape, offset = grid.shape[1:], offsets[base_id]
+        for machine, grid in grids.items():
+            shape, offset = grid.shape[1:], offsets[machine]
             for action, moved in zip(Action, self._after[:, offset:offset + grid[0].size]):
                 axes = [[move(tuple(i if d == axis else 0 for d in range(3)), action,
                               shape)[axis] for i in range(n)]
@@ -321,9 +319,9 @@ class EnvPool:
         # per variant: its start point, band limits and start flags
         self._variants = variants
         self._start = np.array([
-            offsets[v.base_id] + np.ravel_multi_index(
-                lattice_index(machine_by_id(v.base_id), v.initial_design),
-                grids[v.base_id].shape[1:]) for v in variants])
+            offsets[v.base] + np.ravel_multi_index(
+                lattice_index(v.base, v.initial_design), grids[v.base].shape[1:])
+            for v in variants])
         bands = np.array([v.target_bands.as_tuple() for v in variants])
         self._lo, self._hi = bands[..., 0].T.copy(), bands[..., 1].T.copy()
         self._start_flags = self._flags_of(self._perf_table[:, self._start],

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .catalog import MachineVariant, machine_by_id
+from .catalog import BaseMachine, MachineVariant
 from .env import (
     ALL_OBSERVATIONS,
     NUM_ACTIONS,
@@ -122,20 +122,9 @@ class RolloutBuffer:
     values: np.ndarray        # (T, E)
     dones: np.ndarray         # (T, E) float 0/1
     bootstrap: np.ndarray     # (E,) value of the observation after the last step
-    advantages: np.ndarray | None = None
-    returns: np.ndarray | None = None
-
-    @property
-    def observations(self) -> np.ndarray:  # (T, E, OBSERVATION_DIM)
-        return ALL_OBSERVATIONS[self.codes]
 
     def __len__(self) -> int:
         return int(self.rewards.size)
-
-    def compute_advantages(self, discount: float, gae_lambda: float) -> None:
-        self.advantages, self.returns = gae(
-            self.rewards, self.values, self.dones, self.bootstrap,
-            discount, gae_lambda)
 
 
 def collect_rollout(pool: EnvPool, actor: MlpParams, critic: MlpParams,
@@ -234,9 +223,9 @@ class UpdateStats:
 
 def ppo_update(actor: MlpParams, critic: MlpParams,
                actor_opt: AdamState, critic_opt: AdamState,
-               buffer: RolloutBuffer, hyper: Hyperparams,
-               rng: np.random.Generator) -> UpdateStats:
-    """One PPO update: epochs of shuffled minibatches over the buffer.
+               buffer: RolloutBuffer, advantages: np.ndarray, returns: np.ndarray,
+               hyper: Hyperparams, rng: np.random.Generator) -> UpdateStats:
+    """One PPO update: epochs of shuffled minibatches over the buffer and its gae().
 
     The policy gradient with respect to the actor logits is hand-derived:
     for the unclipped branch d(ratio)/dz_j = ratio * (onehot_j - p_j),
@@ -252,15 +241,13 @@ def ppo_update(actor: MlpParams, critic: MlpParams,
     """
     if len(buffer) == 0:
         raise ContractViolationError("empty rollout buffer")
-    if buffer.advantages is None or buffer.returns is None:
-        raise ContractViolationError("advantages not computed")
 
     batch = len(buffer)
     codes = buffer.codes.reshape(batch)
     acts = buffer.actions.reshape(batch)
     old_log_probs = buffer.log_probs.reshape(batch)
-    advantages = normalize_advantages(buffer.advantages.reshape(batch))
-    returns = buffer.returns.reshape(batch)
+    advantages = normalize_advantages(advantages.reshape(batch))
+    returns = returns.reshape(batch)
     onehots, action_index = np.eye(NUM_ACTIONS), np.arange(NUM_ACTIONS)
     # backward overwrites these on every minibatch
     actor_grads, critic_grads = MlpParams(actor.sizes), MlpParams(critic.sizes)
@@ -438,16 +425,17 @@ def train(variants: Sequence[MachineVariant], hyper: Hyperparams,
         shuffle_rng = np.random.default_rng(derive_seed(hyper.seed, 4, update_index))
 
         buf = collect_rollout(pool, ckpt.actor, ckpt.critic, hyper.horizon, rollout_rng)
-        buf.compute_advantages(hyper.discount, hyper.gae_lambda)
-        critic_fit = explained_variance(buf.values, buf.returns)
+        advantages, returns = gae(buf.rewards, buf.values, buf.dones, buf.bootstrap,
+                                  hyper.discount, hyper.gae_lambda)
+        critic_fit = explained_variance(buf.values, returns)
         try:
-            stats = ppo_update(ckpt.actor, ckpt.critic, ckpt.actor_opt,
-                               ckpt.critic_opt, buf, hyper, shuffle_rng)
+            stats = ppo_update(ckpt.actor, ckpt.critic, ckpt.actor_opt, ckpt.critic_opt,
+                               buf, advantages, returns, hyper, shuffle_rng)
         except TrainingDivergedError as exc:
             exc.update_index = update_index
             raise
 
-        del buf  # spent: free it before the next rollout's policy table
+        del buf, advantages, returns  # spent: free them before the next rollout's table
         ckpt.update_index = update_index + 1
         ckpt.env_steps += steps_per_update
 
@@ -484,7 +472,7 @@ class EpisodeRow:
 
 @dataclass(frozen=True)
 class MachineEval:
-    machine_id: int
+    machine: BaseMachine
     episodes: int
     wins: int
     win_rate: float
@@ -526,11 +514,11 @@ def evaluate_agent(play: Callable[[DesignEnv, np.random.Generator], EpisodeRecor
                                    len(rows), record.steps, record.win))
 
     per_machine = {}
-    for machine_id in sorted({r.machine_id for r in rows}):
+    for machine_id, machine in sorted({v.base_id: v.base for v in variants}.items()):
         machine_rows = [r for r in rows if r.machine_id == machine_id]
         wins = [r.steps for r in machine_rows if r.win]
         per_machine[machine_id] = MachineEval(
-            machine_id=machine_id,
+            machine=machine,
             episodes=len(machine_rows),
             wins=len(wins),
             win_rate=len(wins) / len(machine_rows),
@@ -585,7 +573,7 @@ def format_eval_table(report: EvalReport, label: str = "policy") -> str:
     lines = [f"{'machine':>7} {'power_kw':>9} {'voltage_v':>9} "
              f"{'win_rate':>8} {'mean_steps':>10} {'ref_steps':>9} {'mean_all':>9}"]
     for machine_id, stats in sorted(report.per_machine.items()):
-        base = machine_by_id(machine_id)
+        base = stats.machine
         ref = REFERENCE_MEAN_STEPS.get(machine_id)
         lines.append(
             f"{machine_id:>7d} {base.rated_power:>9.0f} {base.line_voltage:>9.0f} "

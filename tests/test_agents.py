@@ -41,7 +41,7 @@ def _variant(base, b_gap=(0.5, 2.5), t_break=(0.2, 2.8), i_start=(0.2, 2.8),
     bands = TargetBands(b_gap=b_gap, t_break=t_break, i_start=i_start,
                         d_temp=d_temp,
                         tooth_tip=(tooth_pu[0] * h0, tooth_pu[1] * h0))
-    return MachineVariant(base_id=base.id, variant_seed=0,
+    return MachineVariant(base=base, variant_seed=0,
                           initial_design=design or base.base_design,
                           target_bands=bands)
 
@@ -338,7 +338,6 @@ def test_oracle_feasible_start():
     result = oracle_shortest(FEASIBLE)
     assert result.shortest_steps == 0
     assert result.witness == ()
-    assert result.base_id == 1 and result.variant_seed == 0
 
 
 def test_oracle_one_step_away():

@@ -248,7 +248,7 @@ def test_target_bands_reject_inverted():
 def test_variant_rejects_out_of_bounds_initial():
     v = generate_variants(machine_by_id(1), 1, 0)[0]
     with pytest.raises(ContractViolationError):
-        MachineVariant(base_id=1, variant_seed=0,
+        MachineVariant(base=machine_by_id(1), variant_seed=0,
                        initial_design=DesignPoint(99.0, 20, 2.0),
                        target_bands=v.target_bands)
 
@@ -259,6 +259,12 @@ def test_with_split():
     assert h.split == "holdout" and v.split == "train"
     assert h.initial_design == v.initial_design
     assert h.target_bands == v.target_bands
+
+
+def test_with_split_rejects_an_unknown_split():
+    v = generate_variants(machine_by_id(1), 1, 0)[0]
+    with pytest.raises(ContractViolationError, match="split 'trian'"):
+        with_split(v, "trian")
 
 
 # --- persistence ------------------------------------------------------------------
@@ -423,6 +429,15 @@ def test_load_rejects_a_start_off_the_lattice_at_its_header(tmp_path, key):
     lines[at] = f"{key} = {float(lines[at].split(' = ')[1]) + 0.001!r}"
     path.write_text("\n".join(lines))
     with pytest.raises(MalformedCatalogError, match="not a lattice point") as err:
+        load_catalog(path)
+    assert err.value.line == lines.index("[variant]") + 1
+
+
+def test_load_rejects_a_misspelled_split_at_its_header(tmp_path):
+    path, lines = _one_variant_catalog(tmp_path)
+    lines[lines.index("split = train")] = "split = trian"
+    path.write_text("\n".join(lines))
+    with pytest.raises(MalformedCatalogError, match="split 'trian'") as err:
         load_catalog(path)
     assert err.value.line == lines.index("[variant]") + 1
 

@@ -234,6 +234,37 @@ def test_train_resume_continues_numbering(tmp_path, capsys):
     assert "update=2" in lines[1]
 
 
+def test_train_resume_drops_the_rows_an_interrupted_run_wrote(tmp_path, capsys):
+    """An interrupted run has written rows past its checkpoint, the last one
+    cut short: the resume keeps the rows up to the checkpoint and writes its
+    own after them."""
+    catalog = _make_catalog(tmp_path)
+    ckpt_path, metrics_path = tmp_path / "ckpt.txt", tmp_path / "metrics.txt"
+    args = ["train", "--catalog-path", str(catalog), "--checkpoint-path", str(ckpt_path),
+            "--metrics-path", str(metrics_path)]
+    assert main([*args, *SMALL_TRAIN, "--total-steps", "64"]) == 0
+    kept = metrics_path.read_text()
+    with open(metrics_path, "a") as metrics:
+        metrics.write("update=3 env_steps=96 fake=1\nupdate=4 env_steps=128 fake=1\nupd")
+    capsys.readouterr()
+    assert main([*args, "--total-steps", "96", "--resume"]) == 0
+    printed = [line.rsplit(" steps_per_s=", 1)[0]
+               for line in capsys.readouterr().out.splitlines() if line.startswith("update=")]
+    assert len(printed) == 1 and printed[0].startswith("update=3 env_steps=96 episodes=")
+    assert metrics_path.read_text() == kept + printed[0] + "\n"
+    assert [row.split()[0] for row in metrics_path.read_text().splitlines()] == [
+        "update=1", "update=2", "update=3"]
+
+
+def test_train_resume_into_a_new_metrics_file(tmp_path):
+    catalog = _make_catalog(tmp_path)
+    ckpt_path, _ = _train_small(tmp_path, catalog)
+    fresh = tmp_path / "fresh-metrics.txt"
+    assert main(["train", "--catalog-path", str(catalog), "--checkpoint-path", str(ckpt_path),
+                 "--metrics-path", str(fresh), "--total-steps", "64", "--resume"]) == 0
+    assert [row.split()[0] for row in fresh.read_text().splitlines()] == ["update=2"]
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--learning-rate", "0.05"), ("--env-count", "4"), ("--seed", "6")])
 def test_train_resume_rejects_changed_hyperparams(tmp_path, capsys, flag, value):
@@ -305,6 +336,18 @@ def test_train_without_catalog_fails_validation(tmp_path, capsys):
                  *SMALL_TRAIN])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_train_rejects_a_misspelled_split(tmp_path, capsys):
+    catalog = _make_catalog(tmp_path)
+    catalog.write_text(catalog.read_text().replace("split = train", "split = trian", 1))
+    capsys.readouterr()
+    code = main(["train", "--catalog-path", str(catalog),
+                 "--checkpoint-path", str(tmp_path / "ckpt.txt"),
+                 "--metrics-path", str(tmp_path / "metrics.txt"), *SMALL_TRAIN])
+    assert code == 1
+    assert "split 'trian'" in capsys.readouterr().err
+    assert not (tmp_path / "ckpt.txt").exists()
 
 
 def test_failed_write_leaves_old_checkpoint_and_catalog(tmp_path, monkeypatch):
@@ -441,7 +484,7 @@ def test_eval_oracle_takes_one_step_on_a_feasible_start(tmp_path, capsys):
     # agent plays one env step to win
     base = machine_by_id(1)
     feasible = MachineVariant(
-        base_id=1, variant_seed=11, initial_design=base.base_design,
+        base=base, variant_seed=11, initial_design=base.base_design,
         target_bands=TargetBands(b_gap=(0.9, 1.1), t_break=(0.9, 1.1),
                                  i_start=(0.9, 1.1), d_temp=(0.9, 1.1),
                                  tooth_tip=(1.0, 4.0)))
@@ -473,7 +516,7 @@ def test_oracle_command_lists_variants(tmp_path, capsys):
 def test_oracle_flags_inconsistent_catalog(tmp_path, capsys):
     base = machine_by_id(1)
     bogus = MachineVariant(
-        base_id=1, variant_seed=7, initial_design=base.base_design,
+        base=base, variant_seed=7, initial_design=base.base_design,
         target_bands=TargetBands(b_gap=(0.05, 0.1), t_break=(0.2, 2.8),
                                  i_start=(0.2, 2.8), d_temp=(0.2, 2.8),
                                  tooth_tip=(1.0, 4.0)))  # has no feasible point

@@ -38,7 +38,7 @@ def _bands(b_gap=(0.5, 2.5), t_break=(0.2, 2.8), i_start=(0.2, 2.8),
 def _variant(design=None, **band_kwargs):
     if design is None:
         design = BASE.base_design
-    return MachineVariant(base_id=BASE.id, variant_seed=0, initial_design=design,
+    return MachineVariant(base=BASE, variant_seed=0, initial_design=design,
                           target_bands=_bands(**band_kwargs))
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from motorgame import catalog as catalog_module
+from motorgame.agents import oracle_shortest
 from motorgame.catalog import (
     Bounds,
     MachineVariant,
@@ -16,6 +17,7 @@ from motorgame.catalog import (
     feasible_mask,
     generate_variants,
     machine_by_id,
+    save_catalog,
 )
 from motorgame.env import (
     ALL_OBSERVATIONS,
@@ -25,6 +27,7 @@ from motorgame.env import (
     Action,
     DesignEnv,
     RewardConfig,
+    all_flags_zero,
     encode,
     move,
     run_episode,
@@ -69,7 +72,7 @@ from motorgame.ppo import (
     train,
     write_episode_csv,
 )
-from motorgame.surrogate import design_at, lattice_shape
+from motorgame.surrogate import design_at, lattice_index, lattice_shape
 
 BASE = machine_by_id(1)
 
@@ -78,7 +81,7 @@ def _variant(b_gap=(0.5, 2.5), t_break=(0.2, 2.8), i_start=(0.2, 2.8),
              d_temp=(0.2, 2.8), tooth_tip=(1.0, 4.0), variant_seed=0):
     bands = TargetBands(b_gap=b_gap, t_break=t_break, i_start=i_start,
                         d_temp=d_temp, tooth_tip=tooth_tip)
-    return MachineVariant(base_id=BASE.id, variant_seed=variant_seed,
+    return MachineVariant(base=BASE, variant_seed=variant_seed,
                           initial_design=BASE.base_design, target_bands=bands)
 
 
@@ -484,7 +487,7 @@ def test_collect_rollout_minimal():
     buf = collect_rollout(pool, ckpt.actor, ckpt.critic, horizon=1,
                           rng=np.random.default_rng(0))
     assert len(buf) == 1
-    assert buf.observations.shape == (1, 1, 11)
+    assert ALL_OBSERVATIONS[buf.codes].shape == (1, 1, 11)
     assert buf.dones[0, 0] == 1.0
     assert buf.rewards[0, 0] == 98.0
 
@@ -496,7 +499,7 @@ def test_collect_rollout_deterministic():
         pool = EnvPool(TRAIN_VARIANTS, env_count=2)
         bufs.append(collect_rollout(pool, ckpt.actor, ckpt.critic, horizon=12,
                                     rng=np.random.default_rng(9)))
-    for name in ("observations", "actions", "log_probs", "rewards", "values",
+    for name in ("codes", "actions", "log_probs", "rewards", "values",
                  "dones", "bootstrap"):
         assert np.array_equal(getattr(bufs[0], name), getattr(bufs[1], name))
 
@@ -507,7 +510,7 @@ def test_collect_rollout_is_on_policy():
     pool = EnvPool(TRAIN_VARIANTS, env_count=3)
     buf = collect_rollout(pool, ckpt.actor, ckpt.critic, horizon=8,
                           rng=np.random.default_rng(1))
-    flat_obs = buf.observations.reshape(-1, 11)
+    flat_obs = ALL_OBSERVATIONS[buf.codes.reshape(-1)]
     flat_act = buf.actions.reshape(-1)
     logits, _ = forward(ckpt.actor, flat_obs)
     recomputed = Categorical(logits).log_prob(flat_act)
@@ -552,32 +555,27 @@ def test_collect_rollout_rewards_replayable():
 # --- ppo update --------------------------------------------------------------------
 
 
+def _advantages(buf, hyper):
+    return gae(buf.rewards, buf.values, buf.dones, buf.bootstrap,
+               hyper.discount, hyper.gae_lambda)
+
+
 def _small_buffer(horizon=16, env_count=2, seed=7):
+    """A checkpoint, a rollout under it, and the rollout's advantages and returns."""
     ckpt = new_checkpoint(SMALL)
     pool = EnvPool(TRAIN_VARIANTS, env_count=env_count)
     buf = collect_rollout(pool, ckpt.actor, ckpt.critic, horizon,
                           rng=np.random.default_rng(seed))
-    buf.compute_advantages(SMALL.discount, SMALL.gae_lambda)
-    return ckpt, buf
-
-
-def test_ppo_update_requires_advantages():
-    ckpt = new_checkpoint(SMALL)
-    pool = EnvPool(TRAIN_VARIANTS, env_count=2)
-    buf = collect_rollout(pool, ckpt.actor, ckpt.critic, 4,
-                          rng=np.random.default_rng(0))
-    with pytest.raises(ContractViolationError):
-        ppo_update(ckpt.actor, ckpt.critic, ckpt.actor_opt, ckpt.critic_opt,
-                   buf, SMALL, np.random.default_rng(0))
+    return ckpt, buf, *_advantages(buf, SMALL)
 
 
 def test_ppo_update_identity_ratio_zero_policy_loss():
     """Whole buffer in one minibatch before any step: ratios are 1 and the
     policy loss is the mean normalized advantage, which is zero."""
-    ckpt, buf = _small_buffer()
+    ckpt, buf, advantages, returns = _small_buffer()
     hyper = replace(SMALL, epochs=1, minibatch_size=len(buf))
-    stats = ppo_update(ckpt.actor, ckpt.critic, ckpt.actor_opt,
-                       ckpt.critic_opt, buf, hyper, np.random.default_rng(3))
+    stats = ppo_update(ckpt.actor, ckpt.critic, ckpt.actor_opt, ckpt.critic_opt,
+                       buf, advantages, returns, hyper, np.random.default_rng(3))
     assert abs(stats.policy_loss) < 1e-9
     assert stats.clip_fraction == 0.0
     assert stats.grad_norm >= 0.0
@@ -585,10 +583,10 @@ def test_ppo_update_identity_ratio_zero_policy_loss():
 
 
 def test_ppo_update_moves_parameters():
-    ckpt, buf = _small_buffer()
+    ckpt, buf, advantages, returns = _small_buffer()
     before = [t.copy() for t in ckpt.actor.tensors() + ckpt.critic.tensors()]
     ppo_update(ckpt.actor, ckpt.critic, ckpt.actor_opt, ckpt.critic_opt,
-               buf, SMALL, np.random.default_rng(3))
+               buf, advantages, returns, SMALL, np.random.default_rng(3))
     after = ckpt.actor.tensors() + ckpt.critic.tensors()
     assert any(not np.array_equal(b, a) for b, a in zip(before, after))
     assert ckpt.actor_opt.step > 0
@@ -597,20 +595,20 @@ def test_ppo_update_moves_parameters():
 def test_ppo_update_deterministic():
     results = []
     for _ in range(2):
-        ckpt, buf = _small_buffer()
+        ckpt, buf, advantages, returns = _small_buffer()
         ppo_update(ckpt.actor, ckpt.critic, ckpt.actor_opt, ckpt.critic_opt,
-                   buf, SMALL, np.random.default_rng(3))
+                   buf, advantages, returns, SMALL, np.random.default_rng(3))
         results.append([t.copy() for t in ckpt.actor.tensors()])
     for x, y in zip(*results):
         assert np.array_equal(x, y)
 
 
 def test_ppo_update_detects_divergence():
-    ckpt, buf = _small_buffer()
-    buf.advantages[:] = np.nan
+    ckpt, buf, advantages, returns = _small_buffer()
     with pytest.raises(TrainingDivergedError):
         ppo_update(ckpt.actor, ckpt.critic, ckpt.actor_opt, ckpt.critic_opt,
-                   buf, SMALL, np.random.default_rng(3))
+                   buf, np.full_like(advantages, np.nan), returns, SMALL,
+                   np.random.default_rng(3))
 
 
 def _reference_forward(params, x):
@@ -642,8 +640,8 @@ def _reference_clip(grads):
     return total
 
 
-def _reference_update(actor, critic, actor_opt, critic_opt, buffer, hyper, rng, norms,
-                      per_row=False):
+def _reference_update(actor, critic, actor_opt, critic_opt, buffer, advantages, returns,
+                      hyper, rng, norms, per_row=False):
     """The update as a loop over fancy-indexed minibatches, with np.mean,
     a fresh gradient per backward and a per-tensor clip norm.  Each net
     runs on a minibatch's distinct codes, in code order (grouped in plain
@@ -656,8 +654,8 @@ def _reference_update(actor, critic, actor_opt, critic_opt, buffer, hyper, rng, 
     codes = buffer.codes.reshape(batch)
     acts = buffer.actions.reshape(batch)
     old_log_probs = buffer.log_probs.reshape(batch)
-    advantages = normalize_advantages(buffer.advantages.reshape(batch))
-    returns = buffer.returns.reshape(batch)
+    advantages = normalize_advantages(advantages.reshape(batch))
+    returns = returns.reshape(batch)
     pol_losses, val_losses, entropies, clip_fracs, grad_norms, kls = [], [], [], [], [], []
     for _ in range(hyper.epochs):
         perm = rng.permutation(batch)
@@ -723,12 +721,12 @@ def _update_pairs(hyper, per_row):
     for update in range(3):
         buf = collect_rollout(pool, ckpt.actor, ckpt.critic, hyper.horizon,
                               np.random.default_rng(update))
-        buf.compute_advantages(hyper.discount, hyper.gae_lambda)
+        advantages, returns = _advantages(buf, hyper)
         got = ppo_update(ckpt.actor, ckpt.critic, ckpt.actor_opt, ckpt.critic_opt,
-                         buf, hyper, np.random.default_rng([9, update]))
+                         buf, advantages, returns, hyper, np.random.default_rng([9, update]))
         want = _reference_update(ref.actor, ref.critic, ref.actor_opt, ref.critic_opt,
-                                 buf, hyper, np.random.default_rng([9, update]), norms,
-                                 per_row=per_row)
+                                 buf, advantages, returns, hyper,
+                                 np.random.default_rng([9, update]), norms, per_row=per_row)
         assert ckpt.actor_opt.step == ref.actor_opt.step == ckpt.critic_opt.step == (
             (update + 1) * hyper.epochs * -(-len(buf) // hyper.minibatch_size))
         updates.append((got, want, [(a.flat.copy(), b.flat.copy()) for a, b in (
@@ -778,7 +776,6 @@ def test_ppo_update_runs_each_net_on_the_minibatch_distinct_rows(monkeypatch, mi
     ckpt = new_checkpoint(hyper)
     buf = collect_rollout(EnvPool(TRAIN_VARIANTS, hyper.env_count), ckpt.actor, ckpt.critic,
                           hyper.horizon, rng=np.random.default_rng(2))
-    buf.compute_advantages(hyper.discount, hyper.gae_lambda)
     codes = buf.codes.reshape(-1)
     expected, rng = [], np.random.default_rng(6)
     for _ in range(hyper.epochs):
@@ -798,8 +795,8 @@ def test_ppo_update_runs_each_net_on_the_minibatch_distinct_rows(monkeypatch, mi
 
     monkeypatch.setattr("motorgame.ppo.forward", recording_forward)
     monkeypatch.setattr("motorgame.ppo.backward", recording_backward)
-    ppo_update(ckpt.actor, ckpt.critic, ckpt.actor_opt, ckpt.critic_opt, buf, hyper,
-               np.random.default_rng(6))
+    ppo_update(ckpt.actor, ckpt.critic, ckpt.actor_opt, ckpt.critic_opt, buf,
+               *_advantages(buf, hyper), hyper, np.random.default_rng(6))
     assert len(forwarded) == len(backwarded) == len(expected)
     assert len(expected[0][1]) < minibatch_size
     for (out, x), (want_out, want_x), (grad_out, cache_x, grad_shape) in zip(
@@ -859,7 +856,7 @@ def test_train_rows_carry_explained_variance(monkeypatch):
     _, report = train(TRAIN_VARIANTS, replace(SMALL, total_steps=64))
     assert len(report.rows) == len(buffers) == 2
     for row, buf in zip(report.rows, buffers):
-        returns = buf.returns.ravel().tolist()
+        returns = _advantages(buf, SMALL)[1].ravel().tolist()
         errors = [r - v for r, v in zip(returns, buf.values.ravel().tolist())]
 
         def variance(xs):
@@ -1082,6 +1079,75 @@ def test_evaluate_keeps_no_policy_across_calls(mode):
     after = evaluate(actor, EVAL_VARIANTS, episodes_per_variant=3, mode=mode, seed=5)
     assert after.rows != before.rows  # the perturbed actor plays differently
     _assert_same_report(after, _reference_evaluate(actor, EVAL_VARIANTS, 3, mode, 5))
+
+
+# --- machines beyond the stock three ------------------------------------------------
+
+# machine 1 under a new id, and machine 1 with its length axis starting at
+# 0.7 pu instead of 0.5, so its lattice points are not the stock ones
+MACHINE_4 = replace(BASE, id=4)
+SHIFTED_1 = replace(BASE, bounds=replace(BASE.bounds, length=(
+    0.7 * BASE.base_design.length, 0.7 * BASE.base_design.length + 30 * BASE.step_sizes.length)))
+
+
+def _witness_replays(variant, result):
+    env = DesignEnv(variant)
+    env.reset()
+    info = None
+    for action in result.witness:
+        _, _, _, info = env.step(action)
+    return (all_flags_zero(env.flags) and env.steps == result.shortest_steps
+            and (info is None or info.win))
+
+
+def test_a_machine_under_a_new_id_plays_trains_and_reports():
+    variants = generate_variants(MACHINE_4, 30, 0)
+    assert {v.base for v in variants} == {MACHINE_4} and variants[0].base_id == 4
+    env = DesignEnv(variants[0])
+    env.reset()
+    env.step(Action.LENGTH_UP)
+    assert env.base is MACHINE_4 and env.index[0] == lattice_index(
+        MACHINE_4, variants[0].initial_design)[0] + 1
+    for v in variants:
+        assert _witness_replays(v, oracle_shortest(v))
+    ckpt, report = train(variants, SMALL)
+    assert len(report.rows) == 1 and ckpt.update_index == 1
+    evaluation = evaluate(ckpt.actor, variants, episodes_per_variant=1, seed=0)
+    assert list(evaluation.per_machine) == [4]
+    assert evaluation.per_machine[4].machine is MACHINE_4
+    table = format_eval_table(evaluation).splitlines()
+    assert table[1].split()[:3] == ["4", "2500", "10000"] and table[1].split()[5] == "-"
+
+
+def test_a_shifted_lattice_plays_its_own_points_beside_the_stock_machine():
+    shifted = generate_variants(SHIFTED_1, 30, 0)
+    assert lattice_shape(SHIFTED_1) == lattice_shape(BASE)
+    for v in shifted:
+        env = DesignEnv(v)
+        env.reset()
+        assert env.base is SHIFTED_1 and env.design == v.initial_design
+        assert _witness_replays(v, oracle_shortest(v))
+    variants = shifted[:10] + generate_variants(BASE, 10, 0)
+    np.random.default_rng(8).shuffle(variants)
+    pool = EnvPool(variants, 8, REPLAY_CONFIG)
+    assert pool._perf_table.shape[1] == 2 * np.prod(lattice_shape(BASE))
+    _assert_replays(variants, 8, 150, 8)
+
+
+@pytest.mark.parametrize("machine", [MACHINE_4, SHIFTED_1], ids=["id_4", "shifted_1"])
+def test_a_machine_that_is_not_stock_is_not_saved_nor_swapped(tmp_path, machine):
+    variant = generate_variants(machine, 1, 0)[0]
+    path = tmp_path / "catalog.txt"
+    with pytest.raises(ContractViolationError, match="not a stock machine"):
+        save_catalog([generate_variants(BASE, 1, 0)[0], variant], path)
+    assert not path.exists()
+    for other in (BASE, machine_by_id(2)):
+        with pytest.raises(ContractViolationError):
+            DesignEnv(variant, other)
+        with pytest.raises(ContractViolationError):
+            oracle_shortest(variant, other)
+    assert DesignEnv(variant, machine).base is machine
+    assert oracle_shortest(variant, machine) == oracle_shortest(variant)
 
 
 # --- checkpoint persistence -----------------------------------------------------------
