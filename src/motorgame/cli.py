@@ -4,8 +4,9 @@ oracle runs, and single-design inspection.
 All knobs live in a flat RunConfig.  Values resolve in order: built-in
 defaults, then a `key = value` config file (--config), then explicit
 command-line flags.  --print-config echoes the fully resolved
-configuration before the command runs.  Exit codes: 0 success,
-1 validation error, 2 runtime/divergence error.
+configuration before the command runs.  Exit codes: 0 success, 2 a
+diverged training run or an oracle-unreachable variant, 1 any other
+package error or a missing file.
 """
 
 from __future__ import annotations
@@ -30,15 +31,7 @@ from .catalog import (
     with_split,
 )
 from .env import FLAG_NAMES, DesignEnv, EpisodeRecord, RewardConfig, all_flags_zero, flags
-from .errors import (
-    CatalogVersionError,
-    CheckpointFormatError,
-    CheckpointVersionError,
-    ContractViolationError,
-    GenerationExhaustedError,
-    MalformedCatalogError,
-    TrainingDivergedError,
-)
+from .errors import ContractViolationError, MotorGameError, TrainingDivergedError
 from .kvtext import format_value, parse_value, read_sections, write_text
 from .ppo import (
     Hyperparams,
@@ -401,16 +394,14 @@ def main(argv=None) -> int:
         if args.command == "oracle":
             return cmd_oracle(config)
         return cmd_inspect(args)
-    except (ContractViolationError, MalformedCatalogError, CatalogVersionError,
-            CheckpointVersionError, CheckpointFormatError,
-            GenerationExhaustedError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except TrainingDivergedError as exc:
         where = (f" at update {exc.update_index}"
                  if exc.update_index is not None else "")
         print(f"error: training diverged{where}: {exc}", file=sys.stderr)
         return 2
+    except (MotorGameError, FileNotFoundError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -354,9 +354,6 @@ class EnvPool:
         """Each env's observation code, its row of ALL_OBSERVATIONS."""
         return self._code.copy()
 
-    def observations(self) -> np.ndarray:
-        return ALL_OBSERVATIONS[self._code]
-
     def _flags_of(self, perf: np.ndarray, variant_ids: np.ndarray) -> np.ndarray:
         """Flags, (5, n) int8, of performance (5, n) against the variants' bands."""
         return (perf > self._hi[:, variant_ids]).astype(np.int8) - (perf < self._lo[:, variant_ids])
@@ -381,9 +378,9 @@ class EnvPool:
         and restart the envs whose episode ended.
 
         Returns (rewards, dones) for the step just taken, dones as float
-        0/1; afterwards codes() and observations() hold the restarted
-        envs' first observations.  Bad actions raise
-        ContractViolationError before any env moves.
+        0/1; afterwards codes() holds the restarted envs' first
+        observations.  Bad actions raise ContractViolationError before any
+        env moves.
         """
         actions = np.asarray(actions)
         if (actions.shape != self._rows.shape or actions.dtype.kind not in "iu"

@@ -43,10 +43,7 @@ class CheckpointFormatError(TextFormatError):
 
 
 class TrainingDivergedError(MotorGameError):
-    """Training produced non-finite losses or gradients."""
+    """Training produced non-finite losses or gradients; ``train`` sets the
+    index of the update that diverged."""
 
-    def __init__(self, message: str, update_index: int | None = None):
-        self.update_index = update_index
-        if update_index is not None:
-            message = f"update {update_index}: {message}"
-        super().__init__(message)
+    update_index: int | None = None

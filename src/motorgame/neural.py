@@ -23,22 +23,16 @@ import numpy as np
 from .errors import ContractViolationError, TrainingDivergedError
 
 
-def _checked_sizes(sizes) -> tuple[int, ...]:
-    sizes = tuple(int(s) for s in sizes)
-    if len(sizes) < 2 or any(s < 1 for s in sizes):
-        raise ContractViolationError(f"invalid layer sizes {sizes}")
-    return sizes
-
-
 class MlpParams:
-    """One network's parameters, gradients or Adam moment: the arrays are
-    copied into one float64 vector ``flat`` (W0, b0, W1, b1, ...), and
-    ``weights[l]`` (sizes[l], sizes[l+1]) and ``biases[l]`` (sizes[l+1],)
-    are C-contiguous views into it.  Without arrays, ``flat`` is zero."""
+    """One network's parameters, gradients or Adam moment, zero at first:
+    one float64 vector ``flat`` (W0, b0, W1, b1, ...), with ``weights[l]``
+    (sizes[l], sizes[l+1]) and ``biases[l]`` (sizes[l+1],) as C-contiguous
+    views into it that are filled in place."""
 
-    def __init__(self, sizes: tuple[int, ...], weights: list[np.ndarray] | None = None,
-                 biases: list[np.ndarray] | None = None):
-        self.sizes = _checked_sizes(sizes)
+    def __init__(self, sizes: tuple[int, ...] | list[int]):
+        self.sizes = tuple(int(s) for s in sizes)
+        if len(self.sizes) < 2 or any(s < 1 for s in self.sizes):
+            raise ContractViolationError(f"invalid layer sizes {self.sizes}")
         shapes = [shape for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:])
                   for shape in ((fan_in, fan_out), (fan_out,))]
         self.flat = np.zeros(sum(math.prod(shape) for shape in shapes))
@@ -47,14 +41,6 @@ class MlpParams:
             views.append(self.flat[start:start + math.prod(shape)].reshape(shape))
             start += views[-1].size
         self.weights, self.biases = views[0::2], views[1::2]
-        if weights is None and biases is None:
-            return
-        arrays = [t for pair in zip(weights, biases) for t in pair]
-        if len(weights) != len(biases) or [np.shape(t) for t in arrays] != shapes:
-            raise ContractViolationError(
-                f"weight/bias shapes do not match sizes {self.sizes}")
-        for view, t in zip(views, arrays):
-            view[...] = t
 
     def tensors(self) -> list[np.ndarray]:
         """All per-layer views in flat order (W0, b0, W1, b1, ...)."""
@@ -63,14 +49,12 @@ class MlpParams:
 
 def init(sizes: tuple[int, ...] | list[int], seed: int) -> MlpParams:
     """Glorot-uniform weights, zero biases; deterministic in ``seed``."""
-    sizes = _checked_sizes(sizes)
+    params = MlpParams(sizes)
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return MlpParams(sizes, weights, biases)
+    for w in params.weights:
+        bound = np.sqrt(6.0 / (w.shape[0] + w.shape[1]))
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return params
 
 
 def forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:

@@ -255,7 +255,7 @@ def ppo_update(actor: MlpParams, critic: MlpParams,
     row_minibatch = np.arange(batch) // hyper.minibatch_size  # in epoch order
     n_codes = len(ALL_OBSERVATIONS)
 
-    pol_losses, val_losses, entropies, clip_fracs, grad_norms, kls = [], [], [], [], [], []
+    rows = []  # one UpdateStats row per minibatch
     for _ in range(hyper.epochs):
         perm = rng.permutation(batch)
         # gathered once per epoch; each minibatch is a contiguous slice,
@@ -328,21 +328,10 @@ def ppo_update(actor: MlpParams, critic: MlpParams,
             clip_grad_norm(critic_grads, GRAD_CLIP_NORM)
             adam_step(critic, critic_grads, critic_opt)
 
-            pol_losses.append(policy_loss)
-            val_losses.append(value_loss)
-            entropies.append(entropy_mean)
-            clip_fracs.append(clip_frac)
-            grad_norms.append(norm)
-            kls.append(float((mb_old_log_prob - new_log_prob).sum() / b))
+            rows.append((policy_loss, value_loss, entropy_mean, clip_frac, norm,
+                         float((mb_old_log_prob - new_log_prob).sum() / b)))
 
-    return UpdateStats(
-        policy_loss=float(np.mean(pol_losses)),
-        value_loss=float(np.mean(val_losses)),
-        entropy=float(np.mean(entropies)),
-        clip_fraction=float(np.mean(clip_fracs)),
-        grad_norm=float(np.mean(grad_norms)),
-        approx_kl=float(np.mean(kls)),
-    )
+    return UpdateStats(*(float(np.mean(column)) for column in zip(*rows)))
 
 
 @dataclass(frozen=True)

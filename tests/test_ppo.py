@@ -354,7 +354,7 @@ def test_pool_replays_the_loop_over_design_envs(env_count, steps):
     rng.shuffle(variants)
     pool = EnvPool(variants, env_count, REPLAY_CONFIG)
     reference = _LoopPool(variants, env_count, REPLAY_CONFIG)
-    assert np.array_equal(pool.observations(), reference.observations())
+    assert np.array_equal(ALL_OBSERVATIONS[pool.codes()], reference.observations())
     seen_causes = set()
     for t in range(steps):
         actions = rng.integers(NUM_ACTIONS, size=env_count)
@@ -362,7 +362,7 @@ def test_pool_replays_the_loop_over_design_envs(env_count, steps):
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
-        assert np.array_equal(pool.observations(), reference.observations())
+        assert np.array_equal(ALL_OBSERVATIONS[pool.codes()], reference.observations())
         assert pool.variants == tuple(env.variant for env in reference.envs)
         seen_causes.update(causes.tolist())
         if t % 10 == 9:
@@ -381,7 +381,7 @@ def _assert_replays(variants, env_count, steps, seed):
         (rewards, dones), (want_rewards, want_dones, _) = (
             pool.step(actions), reference.step(actions))
         assert np.array_equal(rewards, want_rewards) and np.array_equal(dones, want_dones)
-        assert np.array_equal(pool.observations(), reference.observations())
+        assert np.array_equal(ALL_OBSERVATIONS[pool.codes()], reference.observations())
     assert pool.drain_finished() == reference.drain_finished()
 
 
@@ -471,14 +471,14 @@ def test_pool_rejects_bad_actions_before_any_env_moves(actions):
     pool, twin = EnvPool(variants, 3), EnvPool(variants, 3)
     for p in (pool, twin):
         p.step(np.array([4, 2, 5]))  # env 0 wins, so an episode is waiting
-    before = pool.observations()
+    before = pool.codes()
     with pytest.raises(ContractViolationError):
         pool.step(np.array(actions))
-    assert np.array_equal(pool.observations(), before)
+    assert np.array_equal(pool.codes(), before)
     assert pool.drain_finished() == twin.drain_finished() != []
     for a, b in zip(pool.step(np.array([3, 1, 0])), twin.step(np.array([3, 1, 0]))):
         assert np.array_equal(a, b)
-    assert np.array_equal(pool.observations(), twin.observations())
+    assert np.array_equal(pool.codes(), twin.codes())
 
 
 def test_collect_rollout_minimal():
