@@ -487,10 +487,16 @@ def evaluate_agent(play: Callable[[DesignEnv, np.random.Generator], EpisodeRecor
     Each episode's generator is seeded from (seed, variant seed, episode),
     so a variant's episodes do not depend on the other variants.  Mean
     steps are computed over winning episodes; losses show up in the win
-    rate and in mean_steps_all.
+    rate and in mean_steps_all.  The summary is keyed by machine id, so
+    two different machines that share an id are rejected.
     """
     if episodes_per_variant < 1:
         raise ContractViolationError("episodes_per_variant must be >= 1")
+    machines = {}
+    for variant in variants:
+        if machines.setdefault(variant.base_id, variant.base) != variant.base:
+            raise ContractViolationError(
+                f"two different machines share id {variant.base_id}")
     config = reward_config if reward_config is not None else RewardConfig()
     rows: list[EpisodeRow] = []
     for variant in variants:
@@ -503,7 +509,7 @@ def evaluate_agent(play: Callable[[DesignEnv, np.random.Generator], EpisodeRecor
                                    len(rows), record.steps, record.win))
 
     per_machine = {}
-    for machine_id, machine in sorted({v.base_id: v.base for v in variants}.items()):
+    for machine_id, machine in sorted(machines.items()):
         machine_rows = [r for r in rows if r.machine_id == machine_id]
         wins = [r.steps for r in machine_rows if r.win]
         per_machine[machine_id] = MachineEval(

@@ -16,6 +16,7 @@ from motorgame.catalog import (
     machine_by_id,
     save_catalog,
 )
+from motorgame import cli
 from motorgame.cli import (
     RunConfig,
     build_parser,
@@ -24,7 +25,7 @@ from motorgame.cli import (
     resolve_config,
 )
 from motorgame.env import NUM_ACTIONS, OBSERVATION_DIM
-from motorgame.errors import ContractViolationError
+from motorgame.errors import ContractViolationError, MotorGameError, TrainingDivergedError
 from motorgame.neural import AdamState, init
 from motorgame.ppo import (
     Hyperparams,
@@ -595,6 +596,33 @@ def test_missing_subcommand_exits_one(capsys):
 
 def test_unknown_machine_id_inspect(capsys):
     assert main(["inspect", "9"]) == 1
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+@pytest.mark.parametrize("error", [*_subclasses(MotorGameError), FileNotFoundError],
+                         ids=lambda cls: cls.__name__)
+def test_exit_code_per_error_class(monkeypatch, capsys, error):
+    """A diverged run exits 2 and names its update; every other package
+    error and a missing file exit 1."""
+    exc = error("boom")
+    if error is TrainingDivergedError:
+        exc.update_index = 7
+
+    def fail(config):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_oracle", fail)
+    code = main(["oracle"])
+    err = capsys.readouterr().err
+    if error is TrainingDivergedError:
+        assert code == 2 and "error: training diverged at update 7" in err
+    else:
+        assert code == 1 and err == "error: boom\n"
 
 
 # --- python -m motorgame -----------------------------------------------------------

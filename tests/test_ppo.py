@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from motorgame import catalog as catalog_module
-from motorgame.agents import oracle_shortest
+from motorgame.agents import greedy_agent, oracle_shortest
 from motorgame.catalog import (
     Bounds,
     MachineVariant,
@@ -1132,6 +1132,23 @@ def test_a_shifted_lattice_plays_its_own_points_beside_the_stock_machine():
     pool = EnvPool(variants, 8, REPLAY_CONFIG)
     assert pool._perf_table.shape[1] == 2 * np.prod(lattice_shape(BASE))
     _assert_replays(variants, 8, 150, 8)
+
+
+def test_evaluation_rejects_two_machines_that_share_an_id():
+    """The summary is keyed by machine id: machine 1 rated 3000 kW beside
+    the stock machine 1 would merge into one row at the last rating."""
+    rerated = replace(BASE, rated_power=3000.0)
+    variants = generate_variants(BASE, 3, 0) + generate_variants(rerated, 3, 0)
+
+    def greedy(env, rng):
+        return greedy_agent(env)
+
+    with pytest.raises(ContractViolationError, match="two different machines share id 1"):
+        evaluate_agent(greedy, variants, 2, "greedy")
+    with pytest.raises(ContractViolationError, match="share id 1"):
+        evaluate(new_checkpoint(SMALL).actor, variants, episodes_per_variant=1)
+    alone = evaluate_agent(greedy, variants[3:], 2, "greedy").per_machine
+    assert alone[1].machine == rerated and alone[1].episodes == 6
 
 
 @pytest.mark.parametrize("machine", [MACHINE_4, SHIFTED_1], ids=["id_4", "shifted_1"])
