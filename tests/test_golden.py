@@ -89,7 +89,7 @@ def test_golden_session_digests(tmp_path, monkeypatch):
     assert not moved, (
         f"digests differ from {GOLDEN.name}: {', '.join(moved)}; written with "
         f"{recorded}, running {versions()}.  If the bits moved on purpose, "
-        f"regenerate with: python {Path(__file__).name}")
+        "regenerate with: PYTHONPATH=src python tests/test_golden.py")
 
 
 if __name__ == "__main__":
