@@ -19,9 +19,7 @@ from .catalog import (
 )
 from .env import Action, DesignEnv, RewardConfig, run_episode
 from .errors import (
-    CatalogVersionError,
     CheckpointFormatError,
-    CheckpointVersionError,
     ContractViolationError,
     GenerationExhaustedError,
     MalformedCatalogError,
@@ -36,9 +34,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Action",
     "BaseMachine",
-    "CatalogVersionError",
     "CheckpointFormatError",
-    "CheckpointVersionError",
     "ContractViolationError",
     "DesignEnv",
     "DesignPoint",

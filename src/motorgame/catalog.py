@@ -10,17 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
 from . import surrogate
-from .errors import (
-    CatalogVersionError,
-    ContractViolationError,
-    GenerationExhaustedError,
-    MalformedCatalogError,
-)
+from .errors import ContractViolationError, GenerationExhaustedError, MalformedCatalogError
 from .kvtext import Section, check_layout, format_value, read_sections, write_text
 from .surrogate import DesignPoint, evaluate_grid
 
@@ -276,23 +270,22 @@ def _parse_band(text: str) -> tuple[float, float]:
 
 
 def _build_variant(section: Section) -> MachineVariant:
-    parse = partial(section.parse, error=MalformedCatalogError)
     try:
         variant = MachineVariant(
-            base=machine_by_id(parse("base_id", int)),
-            variant_seed=parse("variant_seed", int),
+            base=machine_by_id(section.parse("base_id", int)),
+            variant_seed=section.parse("variant_seed", int),
             initial_design=DesignPoint(
-                length=parse("length", float),
-                turns=parse("turns", int),
-                tooth_tip=parse("tooth_tip", float),
+                length=section.parse("length", float),
+                turns=section.parse("turns", int),
+                tooth_tip=section.parse("tooth_tip", float),
             ),
-            target_bands=TargetBands(*(parse(k, _parse_band) for k in _BAND_KEYS)),
+            target_bands=TargetBands(*(section.parse(k, _parse_band) for k in _BAND_KEYS)),
             split=section.values["split"],
         )
         # a start off the lattice would fail later, in every env that plays it
         surrogate.lattice_index(variant.base, variant.initial_design)
     except ContractViolationError as exc:
-        raise MalformedCatalogError(str(exc), section.line) from None
+        raise section.fail(str(exc)) from None
     return variant
 
 
@@ -300,11 +293,10 @@ def load_catalog(path) -> list[MachineVariant]:
     """Parse a catalog file; inverse of save_catalog, field-for-field.  Every
     section's layout is checked before any value is parsed, and a variant
     whose start is off its machine's lattice fails at its header line."""
-    sections = read_sections(path, MalformedCatalogError, CATALOG_VERSION_LINE,
-                             CatalogVersionError)
+    sections = read_sections(path, MalformedCatalogError, CATALOG_VERSION_LINE)
     if not sections:
-        raise MalformedCatalogError("catalog contains no variants", 1)
-    check_layout(sections, {"variant": _REQUIRED_KEYS}, MalformedCatalogError)
+        raise MalformedCatalogError("catalog contains no variants", path, 1)
+    check_layout(sections, {"variant": _REQUIRED_KEYS})
     return [_build_variant(section) for section in sections]
 
 

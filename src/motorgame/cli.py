@@ -6,12 +6,13 @@ defaults, then a `key = value` config file (--config), then explicit
 command-line flags.  --print-config echoes the fully resolved
 configuration before the command runs.  Exit codes: 0 success, 2 a
 diverged training run or an oracle-unreachable variant, 1 any other
-package error or a missing file.
+package error or a file that cannot be read or written.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 from dataclasses import dataclass, field, fields, make_dataclass, replace
@@ -31,7 +32,7 @@ from .catalog import (
     with_split,
 )
 from .env import FLAG_NAMES, DesignEnv, EpisodeRecord, RewardConfig, all_flags_zero, flags
-from .errors import ContractViolationError, MotorGameError, TrainingDivergedError
+from .errors import ContractViolationError, MotorGameError, TextFormatError, TrainingDivergedError
 from .kvtext import format_value, parse_value, read_sections, write_text
 from .ppo import (
     Hyperparams,
@@ -94,15 +95,12 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 def load_config_file(path: str) -> dict[str, object]:
     """Flat `key = value` text; # comments and blank lines ignored;
     unknown keys rejected."""
-    def error(message: str, line: int) -> ContractViolationError:
-        return ContractViolationError(f"{path}:{line}: {message}")
-
-    section = read_sections(path, error, sectioned=False)[0]
+    section = read_sections(path, TextFormatError, sectioned=False)[0]
     values: dict[str, object] = {}
     for key, line in section.lines.items():
         if key not in _FIELD_TYPES:
-            raise error(f"unknown config key {key!r}", line)
-        values[key] = section.parse(key, partial(parse_value, kind=_FIELD_TYPES[key]), error)
+            raise section.fail(f"unknown config key {key!r}", line)
+        values[key] = section.parse(key, partial(parse_value, kind=_FIELD_TYPES[key]))
     return values
 
 
@@ -199,8 +197,15 @@ def cmd_train(config: RunConfig, resume: bool, set_by: dict[str, str]) -> int:
         # cut short: keep the whole rows up to it (a+ reads no file as empty)
         with open(config.metrics_path, "a+") as old:
             old.seek(0)
-            kept = [row for row in old if row.endswith("\n") and int(
-                row.split()[0].removeprefix("update=")) <= checkpoint.update_index]
+            rows = [row for row in old if row.endswith("\n")]
+        kept = []
+        for number, row in enumerate(rows, start=1):
+            update = re.match(r"update=(\d+)\s", row)
+            if update is None:
+                raise TextFormatError(f"not a metrics row: {row.strip()!r}",
+                                      config.metrics_path, number)
+            if int(update[1]) <= checkpoint.update_index:
+                kept.append(row)
         write_text(config.metrics_path, "".join(kept))
     last_time = time.perf_counter()
     last_steps = checkpoint.env_steps if checkpoint is not None else 0
@@ -361,10 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "hyperparameters; only --total-steps may change")
 
     p_eval = sub.add_parser("eval", help="evaluate a policy or baseline")
-    _add_config_flags(p_eval, _keys(RewardConfig)
-                      + ["catalog_path", "checkpoint_path", "episodes_csv",
-                         "split", "agent", "eval_mode", "eval_seed",
-                         "episodes_per_variant"])
+    # the reward values change none of eval's outputs; max_steps ends episodes
+    _add_config_flags(p_eval, ["max_steps", "catalog_path", "checkpoint_path",
+                               "episodes_csv", "split", "agent", "eval_mode",
+                               "eval_seed", "episodes_per_variant"])
 
     p_oracle = sub.add_parser("oracle", help="BFS shortest paths per variant")
     _add_config_flags(p_oracle, ["catalog_path", "split"])
@@ -399,7 +404,7 @@ def main(argv=None) -> int:
                  if exc.update_index is not None else "")
         print(f"error: training diverged{where}: {exc}", file=sys.stderr)
         return 2
-    except (MotorGameError, FileNotFoundError) as exc:
+    except (MotorGameError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

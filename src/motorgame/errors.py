@@ -11,31 +11,22 @@ class ContractViolationError(MotorGameError):
 
 
 class TextFormatError(MotorGameError):
-    """A text file could not be parsed; ``line`` is the 1-based line
-    number of the fault when known."""
+    """A text file could not be parsed; ``path`` and the 1-based ``line``
+    locate the fault when known, and prefix the message as ``PATH:LINE: ``."""
 
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+    def __init__(self, message: str, path=None, line: int | None = None):
+        self.path, self.line = path, line
+        where = ":".join(str(part) for part in (path, line) if part is not None)
+        super().__init__(f"{where}: {message}" if where else message)
 
 
 class MalformedCatalogError(TextFormatError):
     """A catalog file could not be parsed."""
 
 
-class CatalogVersionError(MotorGameError):
-    """A catalog file declares an unsupported format version."""
-
-
 class GenerationExhaustedError(MotorGameError):
     """Variant sampling failed to produce a feasible variant; the target
     bands are most likely misconfigured."""
-
-
-class CheckpointVersionError(MotorGameError):
-    """A checkpoint file declares an unsupported format version."""
 
 
 class CheckpointFormatError(TextFormatError):

@@ -16,42 +16,48 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, TextFormatError
 
 
 @dataclass
 class Section:
+    path: str | os.PathLike       # the file, named in every fault
+    error: type[TextFormatError]  # the file's error class
     name: str | None  # None for the single section of a flat file
-    line: int         # line number of the header (0 in a flat file)
+    line: int | None  # line number of the header (None in a flat file)
     values: dict[str, str] = field(default_factory=dict)
     lines: dict[str, int] = field(default_factory=dict)  # key -> line number
 
-    def parse(self, key: str, conv: Callable[[str], object],
-              error: Callable[[str, int], Exception]):
-        """``conv`` of the value of ``key``; a ValueError from it raises
-        ``error("bad value for KEY: 'TEXT'", line)`` at the key's line."""
+    def fail(self, message: str, line: int | None = None) -> TextFormatError:
+        """The file's error for ``message`` at ``line``, or at the header."""
+        return self.error(message, self.path, self.line if line is None else line)
+
+    def parse(self, key: str, conv: Callable[[str], object]):
+        """``conv`` of the value of ``key``; a ValueError from it fails as
+        "bad value for KEY: 'TEXT'" at the key's line."""
         text = self.values[key]
         try:
             return conv(text)
         except ValueError:
-            raise error(f"bad value for {key}: {text!r}", self.lines[key]) from None
+            raise self.fail(f"bad value for {key}: {text!r}", self.lines[key]) from None
 
 
-def read_sections(path, error: Callable[[str, int], Exception],
-                  version: str | None = None,
-                  version_error: Callable[[str], Exception] | None = None,
+def read_sections(path, error: type[TextFormatError], version: str | None = None,
                   sectioned: bool = True) -> list[Section]:
     """Parse a file into its sections, in file order.
 
-    Syntax errors raise ``error(message, line_number)``.  With ``version``,
-    the first line that is neither blank nor a comment must equal it; a
-    line naming the same format at another version raises
-    ``version_error(message)`` instead.  A flat file (``sectioned=False``)
+    Every fault found here or through a section is ``error`` at the file's
+    ``path`` and line.  With ``version``, the first line that is neither
+    blank nor a comment must equal it.  A flat file (``sectioned=False``)
     has no headers and comes back as one section.  check_layout checks keys.
     """
-    with open(path, encoding="utf-8") as fh:
-        raw_lines = fh.read().splitlines()
-    sections = [] if sectioned else [Section(None, 0)]
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        raw_lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise error("not UTF-8 text", path, data.count(b"\n", 0, exc.start) + 1) from None
+    sections = [] if sectioned else [Section(path, error, None, None)]
     expect_version = version is not None
     for number, raw in enumerate(raw_lines, start=1):
         line = raw.strip()
@@ -60,45 +66,44 @@ def read_sections(path, error: Callable[[str, int], Exception],
         if expect_version:
             if line != version:
                 if line.split()[0] == version.split()[0]:
-                    raise version_error(
-                        f"unsupported version {line!r}, expected {version!r}")
-                raise error(f"expected header {version!r}, got {line!r}", number)
+                    raise error(f"unsupported version {line!r}, expected {version!r}",
+                                path, number)
+                raise error(f"expected header {version!r}, got {line!r}", path, number)
             expect_version = False
             continue
         if sectioned and line.startswith("[") and line.endswith("]"):
-            sections.append(Section(line[1:-1], number))
+            sections.append(Section(path, error, line[1:-1], number))
             continue
         key, eq, value = line.partition("=")
         if not eq:
-            raise error(f"expected key = value, got {line!r}", number)
+            raise error(f"expected key = value, got {line!r}", path, number)
         if not sections:
-            raise error("key outside a [section]", number)
+            raise error("key outside a [section]", path, number)
         key = key.strip()
         section = sections[-1]
         if key in section.values:
-            raise error(f"duplicate key {key!r}", number)
+            raise section.fail(f"duplicate key {key!r}", number)
         section.values[key] = value.strip()
         section.lines[key] = number
     if expect_version:
-        raise error(f"empty file (missing header {version!r})", 1)
+        raise error(f"empty file (missing header {version!r})", path, 1)
     return sections
 
 
-def check_layout(sections: list[Section], keys: dict[str, tuple[str, ...]],
-                 error: Callable[[str, int], Exception]) -> None:
-    """Check ``sections`` against ``keys`` (section name -> its keys): raise
-    ``error(message, line)`` for an unknown section at its header line, an
-    unknown key at its own line, or a missing key at its section's header."""
+def check_layout(sections: list[Section], keys: dict[str, tuple[str, ...]]) -> None:
+    """Check ``sections`` against ``keys`` (section name -> its keys): fail
+    on an unknown section at its header line, an unknown key at its own
+    line, or a missing key at its section's header."""
     for section in sections:
         wanted = keys.get(section.name)
         if wanted is None:
-            raise error(f"unknown section [{section.name}]", section.line)
+            raise section.fail(f"unknown section [{section.name}]")
         for key, line in section.lines.items():
             if key not in wanted:
-                raise error(f"unknown key {key!r} in [{section.name}]", line)
+                raise section.fail(f"unknown key {key!r} in [{section.name}]", line)
         missing = [key for key in wanted if key not in section.values]
         if missing:
-            raise error(f"[{section.name}] is missing {', '.join(missing)}", section.line)
+            raise section.fail(f"[{section.name}] is missing {', '.join(missing)}")
 
 
 def write_text(path, text: str) -> None:

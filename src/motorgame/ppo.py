@@ -27,13 +27,9 @@ from .env import (
     RewardConfig,
     run_episode,
 )
-from .errors import (
-    CheckpointFormatError,
-    CheckpointVersionError,
-    ContractViolationError,
-    TrainingDivergedError,
-)
+from .errors import CheckpointFormatError, ContractViolationError, TrainingDivergedError
 from .kvtext import (
+    Section,
     check_layout,
     format_array,
     format_value,
@@ -632,58 +628,59 @@ def _parse_finite(section: dict[str, str], key: str, shape: tuple[int, ...]) -> 
     return values
 
 
-def _load_params(section: dict[str, str], where: str, outputs: int) -> MlpParams:
+def _load_params(section: Section, outputs: int) -> MlpParams:
     try:
-        params = MlpParams(tuple(int(tok) for tok in section["sizes"].split()))
+        params = MlpParams(tuple(int(tok) for tok in section.values["sizes"].split()))
         if (params.sizes[0], params.sizes[-1]) != (OBSERVATION_DIM, outputs):
             raise ValueError(
                 f"sizes {params.sizes} do not map {OBSERVATION_DIM} -> {outputs}")
-        params.flat[:] = _parse_finite(section, "flat", params.flat.shape)
+        params.flat[:] = _parse_finite(section.values, "flat", params.flat.shape)
     except (ValueError, ContractViolationError) as exc:
-        raise CheckpointFormatError(f"bad [{where}] section: {exc}") from exc
+        raise section.fail(f"bad [{section.name}] section: {exc}") from exc
     return params
 
 
-def _load_opt(section: dict[str, str], where: str, params: MlpParams,
-              learning_rate: float) -> AdamState:
+def _load_opt(section: Section, params: MlpParams, learning_rate: float) -> AdamState:
     try:
         opt = AdamState.for_params(params, learning_rate)
-        opt.step = _parse_count(section, "step")
-        opt.m.flat[:] = _parse_finite(section, "m", params.flat.shape)
-        opt.v.flat[:] = _parse_finite(section, "v", params.flat.shape)
+        opt.step = _parse_count(section.values, "step")
+        opt.m.flat[:] = _parse_finite(section.values, "m", params.flat.shape)
+        opt.v.flat[:] = _parse_finite(section.values, "v", params.flat.shape)
     except (ValueError, ContractViolationError) as exc:
-        raise CheckpointFormatError(f"bad [{where}] section: {exc}") from exc
+        raise section.fail(f"bad [{section.name}] section: {exc}") from exc
     return opt
 
 
 def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint written by save_checkpoint.  Its layout is checked
     against _CHECKPOINT_KEYS before any value is parsed: an unknown,
-    duplicate or missing section or key raises CheckpointFormatError."""
-    found = read_sections(path, CheckpointFormatError, CHECKPOINT_VERSION_LINE,
-                          CheckpointVersionError)
-    check_layout(found, _CHECKPOINT_KEYS, CheckpointFormatError)
-    sections: dict[str, dict[str, str]] = {}
+    duplicate or missing section or key raises CheckpointFormatError, and
+    a bad value fails at its section's header."""
+    found = read_sections(path, CheckpointFormatError, CHECKPOINT_VERSION_LINE)
+    check_layout(found, _CHECKPOINT_KEYS)
+    sections: dict[str, Section] = {}
     for section in found:
         if section.name in sections:
-            raise CheckpointFormatError(f"duplicate section [{section.name}]", section.line)
-        sections[section.name] = section.values
+            raise section.fail(f"duplicate section [{section.name}]")
+        sections[section.name] = section
     for name in _CHECKPOINT_KEYS:
         if name not in sections:
-            raise CheckpointFormatError(f"missing section [{name}]")
+            raise CheckpointFormatError(f"missing section [{name}]", path)
+    hyper_at, meta_at = sections["hyper"], sections["meta"]
     try:
-        hyper = Hyperparams(**{f.name: parse_value(sections["hyper"][f.name], f.type)
+        hyper = Hyperparams(**{f.name: parse_value(hyper_at.values[f.name], f.type)
                                for f in fields(Hyperparams)})
-        update_index = _parse_count(sections["meta"], "update_index")
-        env_steps = _parse_count(sections["meta"], "env_steps")
     except (ValueError, ContractViolationError) as exc:
-        raise CheckpointFormatError(f"bad [meta]/[hyper] section: {exc}") from exc
-    actor = _load_params(sections["actor"], "actor", NUM_ACTIONS)
-    critic = _load_params(sections["critic"], "critic", 1)
+        raise hyper_at.fail(f"bad [hyper] section: {exc}") from exc
+    try:
+        update_index = _parse_count(meta_at.values, "update_index")
+        env_steps = _parse_count(meta_at.values, "env_steps")
+    except ValueError as exc:
+        raise meta_at.fail(f"bad [meta] section: {exc}") from exc
+    actor = _load_params(sections["actor"], NUM_ACTIONS)
+    critic = _load_params(sections["critic"], 1)
     return Checkpoint(
         actor=actor, critic=critic,
-        actor_opt=_load_opt(sections["actor_opt"], "actor_opt", actor,
-                            hyper.learning_rate),
-        critic_opt=_load_opt(sections["critic_opt"], "critic_opt", critic,
-                             hyper.learning_rate),
+        actor_opt=_load_opt(sections["actor_opt"], actor, hyper.learning_rate),
+        critic_opt=_load_opt(sections["critic_opt"], critic, hyper.learning_rate),
         hyper=hyper, update_index=update_index, env_steps=env_steps)

@@ -30,7 +30,6 @@ from motorgame.catalog import (
 )
 from motorgame.env import all_flags_zero, flags
 from motorgame.errors import (
-    CatalogVersionError,
     ContractViolationError,
     GenerationExhaustedError,
     MalformedCatalogError,
@@ -295,7 +294,7 @@ def test_v1_catalog_is_rejected_and_feasible_exists_is_gone(tmp_path):
     v1_body = path.read_text().replace(
         "\n[variant]", "\n[variant]\nfeasible_exists = true").split("\n", 1)[1]
     path.write_text("motor-design-catalog v1\n" + v1_body)
-    with pytest.raises(CatalogVersionError, match="v1"):
+    with pytest.raises(MalformedCatalogError, match="v1"):
         load_catalog(path)
     path.write_text(CATALOG_VERSION_LINE + "\n" + v1_body)
     with pytest.raises(MalformedCatalogError, match="feasible_exists") as err:
@@ -343,7 +342,7 @@ def test_load_version_mismatch(tmp_path):
     save_catalog(variants, path)
     text = path.read_text().replace(CATALOG_VERSION_LINE, "motor-design-catalog v9", 1)
     path.write_text(text)
-    with pytest.raises(CatalogVersionError):
+    with pytest.raises(MalformedCatalogError):
         load_catalog(path)
 
 

@@ -2,6 +2,7 @@
 and the machine-parseable exit codes (0 ok, 1 validation, 2 runtime)."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 from motorgame.catalog import (
     MachineVariant,
     TargetBands,
+    generate_variants,
     load_catalog,
     machine_by_id,
     save_catalog,
@@ -25,7 +27,12 @@ from motorgame.cli import (
     resolve_config,
 )
 from motorgame.env import NUM_ACTIONS, OBSERVATION_DIM
-from motorgame.errors import ContractViolationError, MotorGameError, TrainingDivergedError
+from motorgame.errors import (
+    ContractViolationError,
+    MotorGameError,
+    TextFormatError,
+    TrainingDivergedError,
+)
 from motorgame.neural import AdamState, init
 from motorgame.ppo import (
     Hyperparams,
@@ -73,20 +80,20 @@ def test_config_file_parsing(tmp_path):
 def test_config_file_rejects_unknown_key(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("not_a_key = 1\n")
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(TextFormatError, match=r":1: unknown config key 'not_a_key'"):
         load_config_file(str(path))
 
 
 def test_config_file_rejects_duplicates_and_bad_lines(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("seed = 1\nseed = 2\n")
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(TextFormatError, match=r":2: duplicate key 'seed'"):
         load_config_file(str(path))
     path.write_text("just some words\n")
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(TextFormatError, match=r":1: expected key = value"):
         load_config_file(str(path))
     path.write_text("# run\nseed = abc\n")
-    with pytest.raises(ContractViolationError, match=r":2: bad value for seed: 'abc'"):
+    with pytest.raises(TextFormatError, match=r":2: bad value for seed: 'abc'"):
         load_config_file(str(path))
 
 
@@ -255,6 +262,24 @@ def test_train_resume_drops_the_rows_an_interrupted_run_wrote(tmp_path, capsys):
     assert metrics_path.read_text() == kept + printed[0] + "\n"
     assert [row.split()[0] for row in metrics_path.read_text().splitlines()] == [
         "update=1", "update=2", "update=3"]
+
+
+@pytest.mark.parametrize("foreign", ["\n", "hello\n"], ids=["blank", "hello"])
+def test_train_resume_rejects_a_line_that_is_not_a_metrics_row(tmp_path, capsys, foreign):
+    """A whole line that is not ``update=N ...`` stops the resume before it
+    trains or writes anything; a cut-short last line alone is dropped."""
+    catalog = _make_catalog(tmp_path)
+    ckpt_path, metrics_path = _train_small(tmp_path, catalog)
+    metrics_path.write_text(metrics_path.read_text() + foreign + "upd")
+    before = metrics_path.read_bytes(), ckpt_path.read_bytes()
+    capsys.readouterr()
+    assert main(["train", "--catalog-path", str(catalog), "--checkpoint-path", str(ckpt_path),
+                 "--metrics-path", str(metrics_path), "--total-steps", "64", "--resume"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: {metrics_path}:2: not a metrics row: {foreign.strip()!r}\n")
+    assert "update=" not in captured.out
+    assert (metrics_path.read_bytes(), ckpt_path.read_bytes()) == before
 
 
 def test_train_resume_into_a_new_metrics_file(tmp_path):
@@ -441,9 +466,10 @@ def test_eval_rejects_checkpoint_with_a_nan_weight(tmp_path, capsys):
     ckpt.actor.flat[7] = np.nan
     save_checkpoint(ckpt, str(ckpt_path))
     capsys.readouterr()
+    header = ckpt_path.read_text().splitlines().index("[actor]") + 1
     assert main(_eval_args(tmp_path, catalog, ckpt_path)) == 1
-    assert "error: bad [actor] section: flat holds a non-finite value" in (
-        capsys.readouterr().err)
+    assert capsys.readouterr().err == (
+        f"error: {ckpt_path}:{header}: bad [actor] section: flat holds a non-finite value\n")
 
 
 def test_eval_rejects_checkpoint_with_a_nan_learning_rate(tmp_path, capsys):
@@ -453,9 +479,10 @@ def test_eval_rejects_checkpoint_with_a_nan_learning_rate(tmp_path, capsys):
     assert "learning_rate = 0.0003\n" in text
     ckpt_path.write_text(text.replace("learning_rate = 0.0003\n", "learning_rate = nan\n"))
     capsys.readouterr()
+    header = ckpt_path.read_text().splitlines().index("[hyper]") + 1
     assert main(_eval_args(tmp_path, catalog, ckpt_path)) == 1
-    assert "error: bad [meta]/[hyper] section: learning_rate nan is not finite" in (
-        capsys.readouterr().err)
+    assert capsys.readouterr().err == (
+        f"error: {ckpt_path}:{header}: bad [hyper] section: learning_rate nan is not finite\n")
 
 
 def test_v1_checkpoint_fails_eval_and_resume(tmp_path, capsys):
@@ -464,12 +491,48 @@ def test_v1_checkpoint_fails_eval_and_resume(tmp_path, capsys):
     ckpt_path.write_text(ckpt_path.read_text().replace(
         "motor-design-ckpt v2", "motor-design-ckpt v1", 1))
     capsys.readouterr()
+    message = (f"error: {ckpt_path}:1: unsupported version 'motor-design-ckpt v1', "
+               "expected 'motor-design-ckpt v2'\n")
     assert main(_eval_args(tmp_path, catalog, ckpt_path)) == 1
-    assert "error: unsupported version 'motor-design-ckpt v1'" in capsys.readouterr().err
+    assert capsys.readouterr().err == message
     assert main(["train", "--catalog-path", str(catalog),
                  "--checkpoint-path", str(ckpt_path),
                  "--metrics-path", str(metrics_path), "--resume"]) == 1
-    assert "error: unsupported version 'motor-design-ckpt v1'" in capsys.readouterr().err
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("flag", ["--right-direction-reward", "--wrong-direction-reward",
+                                  "--revisit-penalty", "--win-reward"])
+def test_eval_takes_no_reward_flags(capsys, flag):
+    assert main(["eval", flag, "200"]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("agent", ["ppo", "greedy", "random"])
+def test_eval_outputs_do_not_depend_on_the_reward_values(tmp_path, capsys, agent):
+    """A config file's reward values reach eval's env but change neither its
+    table nor its episodes file, which is why eval takes no reward flags."""
+    catalog = _make_catalog(tmp_path, extra=["--machines", "1"])
+    ckpt, _ = _train_small(tmp_path, catalog)
+    config = tmp_path / "rewards.cfg"
+    config.write_text("right_direction_reward = 3.0\nwrong_direction_reward = -0.5\n"
+                      "revisit_penalty = -7.0\nwin_reward = 500.0\n")
+    outputs = []
+    for extra in ([], ["--config", str(config)]):
+        capsys.readouterr()
+        assert main([*extra, *_eval_args(tmp_path, catalog, ckpt, agent=agent)]) == 0
+        outputs.append((capsys.readouterr().out,
+                         (tmp_path / f"episodes_{agent}.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_eval_into_a_directory_exits_one(tmp_path, capsys):
+    catalog = _make_catalog(tmp_path, extra=["--machines", "1"])
+    args = _eval_args(tmp_path, catalog, tmp_path / "none.txt", agent="greedy")
+    args[args.index("--episodes-csv") + 1] = str(tmp_path)
+    capsys.readouterr()
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_eval_rejects_unknown_agent(tmp_path, capsys):
@@ -604,11 +667,12 @@ def _subclasses(cls):
         yield from _subclasses(sub)
 
 
-@pytest.mark.parametrize("error", [*_subclasses(MotorGameError), FileNotFoundError],
+@pytest.mark.parametrize("error", [*_subclasses(MotorGameError), FileNotFoundError,
+                                   IsADirectoryError, PermissionError],
                          ids=lambda cls: cls.__name__)
 def test_exit_code_per_error_class(monkeypatch, capsys, error):
     """A diverged run exits 2 and names its update; every other package
-    error and a missing file exit 1."""
+    error and a file that cannot be read or written exit 1."""
     exc = error("boom")
     if error is TrainingDivergedError:
         exc.update_index = 7
@@ -623,6 +687,57 @@ def test_exit_code_per_error_class(monkeypatch, capsys, error):
         assert code == 2 and "error: training diverged at update 7" in err
     else:
         assert code == 1 and err == "error: boom\n"
+
+
+# --- file faults -------------------------------------------------------------------
+
+
+def _spoil(path, pattern, new) -> int:
+    """Replace the first line matching ``pattern`` in the file by ``new``;
+    the number of that line."""
+    text = path.read_text()
+    match = re.search(pattern, text, flags=re.M)
+    path.write_text(text[:match.start()] + new + text[match.end():])
+    return text.count("\n", 0, match.start()) + 1
+
+
+@pytest.mark.parametrize("command,name,pattern,new,at", [
+    (["oracle"], "catalog.txt", r"^length = .*$", "length = x", None),
+    (["oracle"], "catalog.txt", r"^motor-design-catalog v2$", "motor-design-catalog v1", None),
+    (["eval"], "ckpt.txt", r"^\[actor\]$", "[actr]", None),
+    (["eval"], "ckpt.txt", r"^flat = \S+", "flat = nan", "[actor]"),
+    (["eval"], "ckpt.txt", r"^motor-design-ckpt v2$", "motor-design-ckpt v1", None),
+    (["oracle"], "run.cfg", r"^eval_seed = .*$", "eval_seed = abc", None),
+    (["train", "--resume"], "metrics.txt", r"^update=1 .*$", "hello", None),
+], ids=["catalog-value", "catalog-v1", "checkpoint-section", "checkpoint-nan",
+        "checkpoint-v1", "config-value", "metrics-row"])
+def test_every_file_fault_names_its_file_and_line(tmp_path, capsys, command, name,
+                                                  pattern, new, at):
+    """A fault in any file the CLI reads exits 1 with ``error: PATH:LINE:``;
+    ``at`` is the reported line's text when it is not the spoiled line."""
+    catalog, ckpt, metrics, config = (
+        tmp_path / n for n in ("catalog.txt", "ckpt.txt", "metrics.txt", "run.cfg"))
+    save_catalog(generate_variants(machine_by_id(1), 2, 0), catalog)
+    save_checkpoint(new_checkpoint(Hyperparams()), str(ckpt))
+    metrics.write_text("update=1 env_steps=32\n")
+    config.write_text(f"# the run's files\ncatalog_path = {catalog}\n"
+                      f"checkpoint_path = {ckpt}\nmetrics_path = {metrics}\n"
+                      f"episodes_csv = {tmp_path / 'episodes.csv'}\n"
+                      "split = train\neval_seed = 1\n")
+    path = tmp_path / name
+    line = _spoil(path, pattern, new)
+    if at is not None:
+        line = path.read_text().splitlines().index(at) + 1
+    capsys.readouterr()
+    assert main(["--config", str(config), *command]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}:{line}: ")
+
+
+def test_a_file_that_is_not_utf8_names_its_line(tmp_path, capsys):
+    catalog = tmp_path / "catalog.txt"
+    catalog.write_bytes(b"motor-design-catalog v2\n\n[variant]\nsplit = \xff\n")
+    assert main(["oracle", "--catalog-path", str(catalog)]) == 1
+    assert capsys.readouterr().err == f"error: {catalog}:4: not UTF-8 text\n"
 
 
 # --- python -m motorgame -----------------------------------------------------------

@@ -34,7 +34,6 @@ from motorgame.env import (
 )
 from motorgame.errors import (
     CheckpointFormatError,
-    CheckpointVersionError,
     ContractViolationError,
     TrainingDivergedError,
 )
@@ -1270,7 +1269,7 @@ def test_checkpoint_version_error(tmp_path):
     for version in ("v1", "v9"):
         path.write_text(text.replace(CHECKPOINT_VERSION_LINE,
                                      f"motor-design-ckpt {version}", 1))
-        with pytest.raises(CheckpointVersionError, match=version):
+        with pytest.raises(CheckpointFormatError, match=version):
             load_checkpoint(str(path))
 
 
