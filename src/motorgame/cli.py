@@ -95,7 +95,7 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 def load_config_file(path: str) -> dict[str, object]:
     """Flat `key = value` text; # comments and blank lines ignored;
     unknown keys rejected."""
-    section = read_sections(path, TextFormatError, sectioned=False)[0]
+    section = read_sections(path, TextFormatError)[0]
     values: dict[str, object] = {}
     for key, line in section.lines.items():
         if key not in _FIELD_TYPES:
@@ -234,7 +234,7 @@ def _oracle_episode(env: DesignEnv, rng: np.random.Generator) -> EpisodeRecord:
     """The BFS shortest path as a one-episode record, so it bounds every
     agent's steps from below: at least one step, because an episode that
     starts feasible still takes one env step to win.  -1 steps, not won,
-    when no feasible point is reachable."""
+    when no feasible point is reachable: cmd_eval then exits 2."""
     steps = oracle_shortest(env.variant).shortest_steps
     if steps is None:
         return EpisodeRecord(-1, float("nan"), False, "unreachable")
@@ -264,10 +264,19 @@ def cmd_eval(config: RunConfig) -> int:
                                 config.agent, config.eval_seed, reward_config)
     else:
         raise ContractViolationError(f"unknown agent {config.agent!r}")
+    lost = sum(not row.win for row in report.rows)
+    if config.agent == "oracle" and lost:
+        return _inconsistent(lost)
     print(format_eval_table(report, label=config.agent))
     write_episode_csv(config.episodes_csv, report.rows)
     print(f"per-episode steps written to {config.episodes_csv}")
     return 0
+
+
+def _inconsistent(unreachable: int) -> int:
+    print(f"error: {unreachable} certified variants have no feasible "
+          "path (catalog inconsistency)", file=sys.stderr)
+    return 2
 
 
 def cmd_oracle(config: RunConfig) -> int:
@@ -283,11 +292,7 @@ def cmd_oracle(config: RunConfig) -> int:
         witness = ",".join(str(int(a)) for a in result.witness)
         print(f"machine={variant.base_id} variant_seed={variant.variant_seed} "
               f"shortest_steps={steps_text} witness={witness or '-'}")
-    if infeasible:
-        print(f"error: {infeasible} certified variants have no feasible "
-              "path (catalog inconsistency)", file=sys.stderr)
-        return 2
-    return 0
+    return _inconsistent(infeasible) if infeasible else 0
 
 
 def _inspect_bands(config_text: str | None, base) -> TargetBands:

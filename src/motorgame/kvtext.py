@@ -1,14 +1,16 @@
 """The `key = value` text format of catalog, checkpoint and config files.
 
-A file is an optional version line, then `key = value` lines, grouped
-under `[name]` section headers unless the file is flat.  Blank lines and
-lines starting with `#` are ignored, and a key may appear once per
+A catalog or checkpoint starts with its version line, then groups its
+`key = value` lines under `[name]` section headers; a config file has no
+version line and no headers.  Blank lines, lines starting with `#` and a
+leading UTF-8 byte-order mark are ignored, and a key may appear once per
 section.  Floats are written with ``repr``, which reads back every
 float64 bit-exactly; arrays are space-separated floats in row-major order.
 """
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import os
 from dataclasses import dataclass, field
@@ -42,23 +44,24 @@ class Section:
             raise self.fail(f"bad value for {key}: {text!r}", self.lines[key]) from None
 
 
-def read_sections(path, error: type[TextFormatError], version: str | None = None,
-                  sectioned: bool = True) -> list[Section]:
+def read_sections(path, error: type[TextFormatError],
+                  version: str | None = None) -> list[Section]:
     """Parse a file into its sections, in file order.
 
     Every fault found here or through a section is ``error`` at the file's
     ``path`` and line.  With ``version``, the first line that is neither
-    blank nor a comment must equal it.  A flat file (``sectioned=False``)
+    blank nor a comment must equal it.  Without it the file is flat: it
     has no headers and comes back as one section.  check_layout checks keys.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
+        # a BOM is stripped: utf-8-sig's error offsets would skip it
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
     try:
         raw_lines = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise error("not UTF-8 text", path, data.count(b"\n", 0, exc.start) + 1) from None
+    expect_version = sectioned = version is not None
     sections = [] if sectioned else [Section(path, error, None, None)]
-    expect_version = version is not None
     for number, raw in enumerate(raw_lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

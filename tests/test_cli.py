@@ -1,6 +1,7 @@
 """Command-line entry point: config resolution, the five subcommands,
 and the machine-parseable exit codes (0 ok, 1 validation, 2 runtime)."""
 
+import codecs
 import os
 import re
 import subprocess
@@ -577,7 +578,11 @@ def test_oracle_command_lists_variants(tmp_path, capsys):
         assert "shortest_steps=" in line and "witness=" in line
 
 
-def test_oracle_flags_inconsistent_catalog(tmp_path, capsys):
+@pytest.mark.parametrize("command", [["oracle"], ["eval", "--agent", "oracle"]],
+                         ids=["oracle", "eval"])
+def test_oracle_flags_inconsistent_catalog(tmp_path, capsys, monkeypatch, command):
+    """Both commands exit 2 with one error line; eval prints no table and
+    writes no episodes.csv."""
     base = machine_by_id(1)
     bogus = MachineVariant(
         base=base, variant_seed=7, initial_design=base.base_design,
@@ -586,11 +591,16 @@ def test_oracle_flags_inconsistent_catalog(tmp_path, capsys):
                                  tooth_tip=(1.0, 4.0)))  # has no feasible point
     path = tmp_path / "catalog.txt"
     save_catalog([bogus], path)
-    code = main(["oracle", "--catalog-path", str(path), "--split", "train"])
+    monkeypatch.chdir(tmp_path)  # where eval would write episodes.csv
+    code = main([*command, "--catalog-path", str(path), "--split", "train"])
     assert code == 2
     captured = capsys.readouterr()
-    assert "shortest_steps=-" in captured.out
-    assert "catalog inconsistency" in captured.err
+    assert captured.err == ("error: 1 certified variants have no feasible path "
+                            "(catalog inconsistency)\n")
+    if command[0] == "oracle":
+        assert "shortest_steps=-" in captured.out
+    else:
+        assert captured.out == "" and not (tmp_path / "episodes.csv").exists()
 
 
 # --- inspect command ---------------------------------------------------------------
@@ -735,19 +745,59 @@ def test_every_file_fault_names_its_file_and_line(tmp_path, capsys, command, nam
 
 def test_a_file_that_is_not_utf8_names_its_line(tmp_path, capsys):
     catalog = tmp_path / "catalog.txt"
-    catalog.write_bytes(b"motor-design-catalog v2\n\n[variant]\nsplit = \xff\n")
-    assert main(["oracle", "--catalog-path", str(catalog)]) == 1
-    assert capsys.readouterr().err == f"error: {catalog}:4: not UTF-8 text\n"
+    for bom in (b"", codecs.BOM_UTF8):
+        catalog.write_bytes(bom + b"motor-design-catalog v2\n\n[variant]\nsplit = \xff\n")
+        assert main(["oracle", "--catalog-path", str(catalog)]) == 1
+        assert capsys.readouterr().err == f"error: {catalog}:4: not UTF-8 text\n"
+
+
+def test_a_leading_byte_order_mark_is_ignored(tmp_path):
+    """Some editors save a UTF-8 BOM first; each file loads as without it."""
+    def with_bom(path):
+        copy = path.with_name(f"bom-{path.name}")
+        copy.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        return str(copy)
+
+    config = tmp_path / "run.cfg"
+    config.write_text("seed = 3\nagent = greedy\n")
+    assert load_config_file(with_bom(config)) == load_config_file(str(config))
+    catalog = _make_catalog(tmp_path)
+    assert load_catalog(with_bom(catalog)) == load_catalog(catalog)
+    ckpt, again = tmp_path / "ckpt.txt", tmp_path / "again.txt"
+    save_checkpoint(new_checkpoint(Hyperparams(seed=9)), str(ckpt))
+    save_checkpoint(load_checkpoint(with_bom(ckpt)), str(again))
+    assert again.read_bytes() == ckpt.read_bytes()
 
 
 # --- python -m motorgame -----------------------------------------------------------
 
 
-def test_python_dash_m_runs_the_cli():
-    src = str(Path(__file__).resolve().parent.parent / "src")
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _python(*args) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that finds the package under src/."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run([sys.executable, "-m", "motorgame", "--help"], env=env,
-                          capture_output=True, text=True, timeout=60)
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+def test_python_dash_m_runs_the_cli():
+    done = _python("-m", "motorgame", "--help")
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: motorgame")
+
+
+def test_each_module_imports_on_its_own():
+    """`import motorgame` loads no submodule, and every module imports
+    first in a fresh interpreter, so none leans on another's import order."""
+    done = _python("-c", "import sys, motorgame; "
+                   "print(sorted(m for m in sys.modules if m.startswith('motorgame.')))")
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+    names = sorted(p.stem for p in (SRC / "motorgame").glob("*.py")
+                   if not p.stem.startswith("__"))
+    assert len(names) == 9
+    for name in names:
+        done = _python("-c", f"import motorgame.{name}")
+        assert done.returncode == 0, f"motorgame.{name}: {done.stderr}"
