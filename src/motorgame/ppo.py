@@ -19,13 +19,15 @@ import numpy as np
 from .catalog import BaseMachine, MachineVariant
 from .env import (
     ALL_OBSERVATIONS,
+    FLAG_CODE_WEIGHTS,
     NUM_ACTIONS,
     OBSERVATION_DIM,
     DesignEnv,
     EnvPool,
     EpisodeRecord,
     RewardConfig,
-    run_episode,
+    flags,
+    move,
 )
 from .errors import CheckpointFormatError, ContractViolationError, TrainingDivergedError
 from .kvtext import (
@@ -49,6 +51,7 @@ from .neural import (
     init,
     inverse_cdf,
 )
+from .surrogate import Performance, evaluate_grid, lattice_index
 
 CHECKPOINT_VERSION_LINE = "motor-design-ckpt v2"
 
@@ -473,19 +476,9 @@ class EvalReport:
     rows: list[EpisodeRow]
 
 
-def evaluate_agent(play: Callable[[DesignEnv, np.random.Generator], EpisodeRecord],
-                   variants: Sequence[MachineVariant], episodes_per_variant: int,
-                   mode: str, seed: int = 0,
-                   reward_config: RewardConfig | None = None) -> EvalReport:
-    """Play every variant ``episodes_per_variant`` times with
-    ``play(env, rng)`` and summarize the episodes per base machine.
-
-    Each episode's generator is seeded from (seed, variant seed, episode),
-    so a variant's episodes do not depend on the other variants.  Mean
-    steps are computed over winning episodes; losses show up in the win
-    rate and in mean_steps_all.  The summary is keyed by machine id, so
-    two different machines that share an id are rejected.
-    """
+def _evaluate_variants(play_variant: Callable, variants: Sequence[MachineVariant],
+                       episodes_per_variant: int, mode: str, seed: int) -> EvalReport:
+    """evaluate_agent's loop, also evaluate's: play_variant(variant, rngs) yields (steps, win)."""
     if episodes_per_variant < 1:
         raise ContractViolationError("episodes_per_variant must be >= 1")
     machines = {}
@@ -493,16 +486,12 @@ def evaluate_agent(play: Callable[[DesignEnv, np.random.Generator], EpisodeRecor
         if machines.setdefault(variant.base_id, variant.base) != variant.base:
             raise ContractViolationError(
                 f"two different machines share id {variant.base_id}")
-    config = reward_config if reward_config is not None else RewardConfig()
     rows: list[EpisodeRow] = []
     for variant in variants:
-        env = DesignEnv(variant, config=config)
-        for ep in range(episodes_per_variant):
-            rng = np.random.default_rng(
-                derive_seed(seed, variant.variant_seed, ep))
-            record = play(env, rng)
-            rows.append(EpisodeRow(variant.base_id, variant.variant_seed,
-                                   len(rows), record.steps, record.win))
+        rngs = (np.random.default_rng(derive_seed(seed, variant.variant_seed, ep))
+                for ep in range(episodes_per_variant))
+        for steps, win in play_variant(variant, rngs):
+            rows.append(EpisodeRow(variant.base_id, variant.variant_seed, len(rows), steps, win))
 
     per_machine = {}
     for machine_id, machine in sorted(machines.items()):
@@ -520,42 +509,68 @@ def evaluate_agent(play: Callable[[DesignEnv, np.random.Generator], EpisodeRecor
                       per_machine=per_machine, rows=rows)
 
 
+def evaluate_agent(play: Callable[[DesignEnv, np.random.Generator], EpisodeRecord],
+                   variants: Sequence[MachineVariant], episodes_per_variant: int,
+                   mode: str, seed: int = 0,
+                   reward_config: RewardConfig | None = None) -> EvalReport:
+    """Play every variant ``episodes_per_variant`` times with
+    ``play(env, rng)`` and summarize the episodes per base machine.
+
+    Each episode's generator is seeded from (seed, variant seed, episode),
+    so a variant's episodes do not depend on the other variants.  Mean
+    steps are computed over winning episodes; losses show up in the win
+    rate and in mean_steps_all.  The summary is keyed by machine id, so
+    two different machines that share an id are rejected.
+    """
+    def play_variant(variant, rngs):
+        env = DesignEnv(variant, config=reward_config)
+        return ((record.steps, record.win) for record in (play(env, rng) for rng in rngs))
+
+    return _evaluate_variants(play_variant, variants, episodes_per_variant, mode, seed)
+
+
 def evaluate(actor: MlpParams, variants: Sequence[MachineVariant],
              episodes_per_variant: int = 20, mode: str = "stochastic",
              seed: int = 0, reward_config: RewardConfig | None = None,
              ) -> EvalReport:
-    """Frozen-policy evaluation grouped per base machine.
+    """Frozen-policy evaluation grouped per base machine (see evaluate_agent).
 
     mode "argmax" takes the highest-logit action; mode "stochastic"
-    samples from the policy head (deterministic in seed).  The actor is
-    frozen for the call, so the policy is computed once per distinct
-    observation per call: the first visit runs the forward pass and keeps
-    the argmax action or the CDF row, and every visit in stochastic mode
-    draws its own ``rng.random()`` for ``inverse_cdf``, the draw that
-    ``Categorical.sample`` takes for one row.  A call of a few episodes
-    plays fewer steps than collect_rollout's table has rows, so it keeps
-    this memo.
+    samples from the policy head (deterministic in seed), one
+    ``rng.random()`` per step for ``inverse_cdf``.  DesignEnv.step's rules
+    are played on lattice indices with env.move, each point's flags read
+    once per variant from evaluate_grid; ``reward_config`` counts only
+    through max_steps.  A call plays fewer steps than there are observations,
+    so the policy runs once per observation code per call, not on all 1,701.
     """
     if mode not in ("stochastic", "argmax"):
         raise ContractViolationError(f"unknown evaluation mode {mode!r}")
-    memo: dict[bytes, int | list[float]] = {}  # obs bytes -> action or CDF row
+    max_steps = (reward_config or RewardConfig()).max_steps
+    win_code = int(FLAG_CODE_WEIGHTS.sum())  # every flag zero, no previous action
+    memo: dict[int, int | list[float]] = {}  # observation code -> action or CDF row
 
-    def play(env: DesignEnv, rng: np.random.Generator) -> EpisodeRecord:
-        def policy(obs: np.ndarray) -> int:
-            key = obs.tobytes()
-            choice = memo.get(key)
-            if choice is None:
-                logits, _ = forward(actor, obs[None])
-                choice = memo[key] = (int(np.argmax(logits[0])) if mode == "argmax"
-                                      else Categorical(logits).cdf()[0].tolist())
-            if mode == "argmax":
-                return choice
-            return inverse_cdf(choice, rng.random())
+    def play_variant(variant, rngs):
+        points = np.moveaxis(evaluate_grid(variant.base), 0, -1)  # (i, j, k, value)
+        start, flag_codes = lattice_index(variant.base, variant.initial_design), {}
+        for rng in rngs:
+            ijk, action = start, -1  # no previous action
+            for steps in range(max_steps + 1):
+                if ijk not in flag_codes:  # FLAG_CODE_WEIGHTS @ (flags + 1)
+                    flag_codes[ijk] = int(FLAG_CODE_WEIGHTS @ np.add(
+                        flags(Performance(*points[ijk]), variant.target_bands), 1))
+                if steps and flag_codes[ijk] == win_code or steps == max_steps:
+                    break
+                code = flag_codes[ijk] + action + 1
+                if code not in memo:
+                    logits, _ = forward(actor, ALL_OBSERVATIONS[code][None])
+                    memo[code] = (int(np.argmax(logits[0])) if mode == "argmax"
+                                  else Categorical(logits).cdf()[0].tolist())
+                action = memo[code] if mode == "argmax" else inverse_cdf(memo[code], rng.random())
+                if code != win_code:  # a feasible start wins without moving
+                    ijk = move(ijk, action, points.shape[:3])
+            yield steps, flag_codes[ijk] == win_code
 
-        return run_episode(env, policy)
-
-    return evaluate_agent(play, variants, episodes_per_variant, mode, seed,
-                          reward_config)
+    return _evaluate_variants(play_variant, variants, episodes_per_variant, mode, seed)
 
 
 def format_eval_table(report: EvalReport, label: str = "policy") -> str:

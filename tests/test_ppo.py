@@ -1014,12 +1014,17 @@ def test_write_episode_csv(tmp_path):
 
 
 
-def _reference_evaluate(actor, variants, episodes_per_variant, mode, seed):
-    """evaluate with a forward pass and a fresh Categorical on every step,
-    and the sampling rule spelled out in numpy; kept as the reference that
-    the per-call memo must match bit for bit."""
+def _reference_evaluate(actor, variants, episodes_per_variant, mode, seed,
+                        reward_config=None, seen=None):
+    """evaluate played on DesignEnv, with a forward pass and a fresh
+    Categorical on every step, and the sampling rule spelled out in numpy;
+    kept as the reference that the lattice walk and its per-call memo must
+    match bit for bit.  Each observation the policy sees is appended to
+    ``seen``, when given, as bytes."""
     def play(env, rng):
         def policy(obs):
+            if seen is not None:
+                seen.append(obs.tobytes())
             logits, _ = forward(actor, obs[None])
             if mode == "argmax":
                 return int(np.argmax(logits[0]))
@@ -1029,7 +1034,7 @@ def _reference_evaluate(actor, variants, episodes_per_variant, mode, seed):
 
         return run_episode(env, policy)
 
-    return evaluate_agent(play, variants, episodes_per_variant, mode, seed)
+    return evaluate_agent(play, variants, episodes_per_variant, mode, seed, reward_config)
 
 
 def _assert_same_report(got, want):
@@ -1041,31 +1046,49 @@ def _assert_same_report(got, want):
 # two variants of each stock machine, so one call spans all three
 EVAL_VARIANTS = [v for machine in builtin_catalog() for v in generate_variants(machine, 2, 3)]
 
+# machine 1 under a new id, and machine 1 with its length axis starting at
+# 0.7 pu instead of 0.5, so its lattice points are not the stock ones
+MACHINE_4 = replace(BASE, id=4)
+SHIFTED_1 = replace(BASE, bounds=replace(BASE.bounds, length=(
+    0.7 * BASE.base_design.length, 0.7 * BASE.base_design.length + 30 * BASE.step_sizes.length)))
 
-@pytest.mark.parametrize("seed", [0, 4, 11])
-@pytest.mark.parametrize("mode", ["stochastic", "argmax"])
-def test_evaluate_matches_the_per_step_reference(mode, seed):
+# (variants, reward config, machine ids) per case: stock episodes;
+# episodes cut short at 3 steps; a feasible start, which wins without
+# moving; and machines that are not stock, whose episodes run into their
+# lattice edges
+EVAL_CASES = {
+    "stock": (EVAL_VARIANTS, RewardConfig(), {1, 2, 3}),
+    "max_steps_3": (EVAL_VARIANTS, RewardConfig(max_steps=3), {1, 2, 3}),
+    "feasible_start": ([FEASIBLE_A, *EVAL_VARIANTS], RewardConfig(), {1, 2, 3}),
+    "not_stock": (generate_variants(MACHINE_4, 3, 3) + generate_variants(SHIFTED_1, 3, 3),
+                  RewardConfig(), {1, 4}),
+}
+
+
+# the stock case keeps the ids it had before the other cases were added
+@pytest.mark.parametrize("mode, seed, case", [
+    pytest.param(mode, seed, case, id=f"{mode}-{seed}" + (case != "stock") * f"-{case}")
+    for case in EVAL_CASES for mode in ("stochastic", "argmax") for seed in (0, 4, 11)])
+def test_evaluate_matches_the_per_step_reference(mode, seed, case):
+    variants, config, machine_ids = EVAL_CASES[case]
     actor = _trained_checkpoint().actor
-    got = evaluate(actor, EVAL_VARIANTS, episodes_per_variant=3, mode=mode, seed=seed)
-    assert set(got.per_machine) == {1, 2, 3}
-    _assert_same_report(got, _reference_evaluate(actor, EVAL_VARIANTS, 3, mode, seed))
+    got = evaluate(actor, variants, episodes_per_variant=3, mode=mode, seed=seed,
+                   reward_config=config)
+    assert set(got.per_machine) == machine_ids
+    _assert_same_report(got, _reference_evaluate(actor, variants, 3, mode, seed, config))
 
 
 @pytest.mark.parametrize("mode", ["stochastic", "argmax"])
 def test_evaluate_runs_the_actor_once_per_distinct_observation(monkeypatch, mode):
-    forwarded, seen = [], []
+    actor, forwarded, seen = new_checkpoint(SMALL).actor, [], []
 
     def counting_forward(params, x):
         forwarded.append(x.tobytes())
         return forward(params, x)
 
-    def recording_run_episode(env, policy):
-        return run_episode(env, lambda obs: seen.append(obs.tobytes()) or policy(obs))
-
     monkeypatch.setattr("motorgame.ppo.forward", counting_forward)
-    monkeypatch.setattr("motorgame.ppo.run_episode", recording_run_episode)
-    evaluate(new_checkpoint(SMALL).actor, EVAL_VARIANTS, episodes_per_variant=3,
-             mode=mode, seed=2)
+    evaluate(actor, EVAL_VARIANTS, episodes_per_variant=3, mode=mode, seed=2)
+    _reference_evaluate(actor, EVAL_VARIANTS, 3, mode, 2, seen=seen)
     assert sorted(forwarded) == sorted(set(seen))
     assert len(seen) > len(forwarded)  # the memo was hit
 
@@ -1081,13 +1104,6 @@ def test_evaluate_keeps_no_policy_across_calls(mode):
 
 
 # --- machines beyond the stock three ------------------------------------------------
-
-# machine 1 under a new id, and machine 1 with its length axis starting at
-# 0.7 pu instead of 0.5, so its lattice points are not the stock ones
-MACHINE_4 = replace(BASE, id=4)
-SHIFTED_1 = replace(BASE, bounds=replace(BASE.bounds, length=(
-    0.7 * BASE.base_design.length, 0.7 * BASE.base_design.length + 30 * BASE.step_sizes.length)))
-
 
 def _witness_replays(variant, result):
     env = DesignEnv(variant)
