@@ -558,7 +558,7 @@ def evaluate(actor: MlpParams, variants: Sequence[MachineVariant],
                 if ijk not in flag_codes:  # FLAG_CODE_WEIGHTS @ (flags + 1)
                     flag_codes[ijk] = int(FLAG_CODE_WEIGHTS @ np.add(
                         flags(Performance(*points[ijk]), variant.target_bands), 1))
-                if steps and flag_codes[ijk] == win_code or steps == max_steps:
+                if (steps and flag_codes[ijk] == win_code) or steps == max_steps:
                     break
                 code = flag_codes[ijk] + action + 1
                 if code not in memo:
