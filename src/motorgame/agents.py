@@ -41,9 +41,10 @@ def greedy_agent(env: DesignEnv, log=None) -> EpisodeRecord:
 
     Each step targets the highest-priority nonzero flag and takes the
     action whose one-step move most reduces that flag's band
-    violation; ties go to the lowest action index.  A neighbour's
-    performance is evaluated once per episode and read back when a
-    later step looks at it again.
+    violation; ties go to the lowest action index.  The action depends
+    only on the point, so it is chosen once per point per episode and
+    reused on a revisit, and a neighbour's performance is evaluated once
+    per episode and read back when a later look-ahead needs it again.
     """
     base = env.base
     bands = env.variant.target_bands.as_tuple()
@@ -51,13 +52,16 @@ def greedy_agent(env: DesignEnv, log=None) -> EpisodeRecord:
     order = sorted(range(len(weights)), key=lambda i: (-weights[i], i))
     shape = lattice_shape(base)
     looked = {}  # lattice index -> performance tuple, this episode
+    chosen = {}  # lattice index -> the action taken there, this episode
 
     def policy(obs: np.ndarray) -> int:
+        ijk = env.index
+        if ijk in chosen:
+            return chosen[ijk]
         flag_values = env.flags
         target = next((i for i in order if flag_values[i] != 0), None)
         if target is None:
             return 0  # already feasible; any action wins
-        ijk = env.index
         best_action, best_viol = 0, float("inf")
         for action in range(NUM_ACTIONS):
             near = move(ijk, action, shape)
@@ -66,6 +70,7 @@ def greedy_agent(env: DesignEnv, log=None) -> EpisodeRecord:
             viol = _band_violation(looked[near][target], bands[target])
             if viol < best_viol:
                 best_action, best_viol = action, viol
+        chosen[ijk] = best_action
         return best_action
 
     return run_episode(env, policy, log)

@@ -27,7 +27,7 @@ from .surrogate import (
     DesignPoint,
     Performance,
     design_at,
-    evaluate,
+    evaluate,  # not called here; perfbench's traced run patches env.evaluate
     evaluate_grid,
     lattice_index,
     lattice_shape,
@@ -155,6 +155,7 @@ ALL_OBSERVATIONS = np.array([encode(f, a) for f in product((-1, 0, 1), repeat=5)
                              for a in (None, *Action)])
 ALL_OBSERVATIONS.setflags(write=False)
 FLAG_CODE_WEIGHTS = 7 * 3 ** np.arange(4, -1, -1)
+WIN_CODE = int(FLAG_CODE_WEIGHTS.sum())  # every flag zero, no previous action
 
 
 @dataclass(frozen=True)
@@ -171,10 +172,11 @@ class DesignEnv:
     """Single-episode design game over one machine variant, on the variant's
     machine; a ``base`` given as well must be that machine.
 
-    Each lattice point's design and performance are computed once per
-    episode, on the first visit, and read back on any revisit; reset()
-    forgets them.  Not thread-safe; run independent instances in
-    parallel instead.
+    Each lattice point's design, performance (read from evaluate_grid),
+    flags and flag code are found once per episode, on the first visit,
+    and read back on any revisit; reset() forgets them.  Observations are
+    fresh copies of rows of ALL_OBSERVATIONS.  Not thread-safe; run
+    independent instances in parallel instead.
     """
 
     def __init__(self, variant: MachineVariant, base: BaseMachine | None = None,
@@ -186,6 +188,7 @@ class DesignEnv:
         self.variant = variant
         self.config = config if config is not None else RewardConfig()
         self._shape = lattice_shape(base)
+        self._values = np.moveaxis(evaluate_grid(base), 0, -1)  # (i, j, k, value)
         self._started = False
 
     # --- read-only episode state ---
@@ -200,11 +203,11 @@ class DesignEnv:
 
     @property
     def performance(self) -> Performance:
-        return self._perf
+        return self._visited[self._ijk][1]
 
     @property
     def flags(self) -> tuple[int, ...]:
-        return self._flags
+        return self._visited[self._ijk][2]
 
     @property
     def steps(self) -> int:
@@ -220,17 +223,21 @@ class DesignEnv:
 
     # --- game mechanics ---
 
+    def _point(self, ijk: tuple[int, int, int]) -> tuple:
+        """(design, performance, flags, flag code) of lattice point ``ijk``."""
+        perf = Performance(*self._values[ijk].tolist())
+        flag_values = flags(perf, self.variant.target_bands)
+        return (design_at(self.base, *ijk), perf, flag_values,
+                int(FLAG_CODE_WEIGHTS @ np.add(flag_values, 1)))
+
     def reset(self) -> np.ndarray:
         self._ijk = lattice_index(self.base, self.variant.initial_design)
-        design = design_at(self.base, *self._ijk)
-        self._perf = evaluate(design, self.base)
-        self._flags = flags(self._perf, self.variant.target_bands)
+        # lattice index -> _point(index) of each point this episode
+        self._visited = {self._ijk: self._point(self._ijk)}
         self._steps = 0
-        # lattice index -> (design, performance) of each point this episode
-        self._visited = {self._ijk: (design, self._perf)}
         self._done = False
         self._started = True
-        return encode(self._flags, None)
+        return ALL_OBSERVATIONS[self._visited[self._ijk][3]].copy()
 
     def step(self, action: Action | int) -> tuple[np.ndarray, float, bool, StepInfo]:
         if not self._started:
@@ -243,22 +250,18 @@ class DesignEnv:
             raise ContractViolationError(f"invalid action {action!r}")
         action = Action(action)
 
-        # an already-feasible design (only possible before the first
-        # move) closes out as a win without moving
-        new_ijk = (self._ijk if all_flags_zero(self._flags)
-                   else move(self._ijk, action, self._shape))
-
-        prev_perf, prev_flags = self._perf, self._flags
-        self._ijk = new_ijk
-        revisit = new_ijk in self._visited
+        _, prev_perf, prev_flags, code = self._visited[self._ijk]
+        # an already-feasible design (only possible before the first move)
+        # closes out as a win without moving
+        if code != WIN_CODE:
+            self._ijk = move(self._ijk, action, self._shape)
+        revisit = self._ijk in self._visited
         if not revisit:
-            design = design_at(self.base, *new_ijk)
-            self._visited[new_ijk] = (design, evaluate(design, self.base))
-        design, self._perf = self._visited[new_ijk]
-        self._flags = flags(self._perf, self.variant.target_bands)
+            self._visited[self._ijk] = self._point(self._ijk)
+        design, perf, flag_values, code = self._visited[self._ijk]
 
-        win = all_flags_zero(self._flags)
-        reward = reward_for(prev_perf, self._perf, prev_flags,
+        win = code == WIN_CODE
+        reward = reward_for(prev_perf, perf, prev_flags,
                             self.variant.target_bands, self.config)
         if revisit:
             reward += self.config.revisit_penalty
@@ -269,9 +272,9 @@ class DesignEnv:
         self._done = win or self._steps >= self.config.max_steps
         cause = "win" if win else ("truncation" if self._done else None)
 
-        info = StepInfo(design=design, performance=self._perf,
-                        flags=self._flags, cause=cause, revisit=revisit, win=win)
-        return encode(self._flags, action), reward, self._done, info
+        info = StepInfo(design=design, performance=perf,
+                        flags=flag_values, cause=cause, revisit=revisit, win=win)
+        return ALL_OBSERVATIONS[code + action + 1].copy(), reward, self._done, info
 
 
 class EnvPool:

@@ -22,6 +22,7 @@ from .env import (
     FLAG_CODE_WEIGHTS,
     NUM_ACTIONS,
     OBSERVATION_DIM,
+    WIN_CODE,
     DesignEnv,
     EnvPool,
     EpisodeRecord,
@@ -478,7 +479,8 @@ class EvalReport:
 
 def _evaluate_variants(play_variant: Callable, variants: Sequence[MachineVariant],
                        episodes_per_variant: int, mode: str, seed: int) -> EvalReport:
-    """evaluate_agent's loop, also evaluate's: play_variant(variant, rngs) yields (steps, win)."""
+    """evaluate_agent's loop, also evaluate's: play_variant(variant, seeds) yields
+    (steps, win) per episode seed, and seeds a generator only if it draws from one."""
     if episodes_per_variant < 1:
         raise ContractViolationError("episodes_per_variant must be >= 1")
     machines = {}
@@ -488,9 +490,8 @@ def _evaluate_variants(play_variant: Callable, variants: Sequence[MachineVariant
                 f"two different machines share id {variant.base_id}")
     rows: list[EpisodeRow] = []
     for variant in variants:
-        rngs = (np.random.default_rng(derive_seed(seed, variant.variant_seed, ep))
-                for ep in range(episodes_per_variant))
-        for steps, win in play_variant(variant, rngs):
+        seeds = (derive_seed(seed, variant.variant_seed, ep) for ep in range(episodes_per_variant))
+        for steps, win in play_variant(variant, seeds):
             rows.append(EpisodeRow(variant.base_id, variant.variant_seed, len(rows), steps, win))
 
     per_machine = {}
@@ -522,9 +523,10 @@ def evaluate_agent(play: Callable[[DesignEnv, np.random.Generator], EpisodeRecor
     rate and in mean_steps_all.  The summary is keyed by machine id, so
     two different machines that share an id are rejected.
     """
-    def play_variant(variant, rngs):
+    def play_variant(variant, seeds):
         env = DesignEnv(variant, config=reward_config)
-        return ((record.steps, record.win) for record in (play(env, rng) for rng in rngs))
+        return ((record.steps, record.win)
+                for record in (play(env, np.random.default_rng(s)) for s in seeds))
 
     return _evaluate_variants(play_variant, variants, episodes_per_variant, mode, seed)
 
@@ -546,19 +548,19 @@ def evaluate(actor: MlpParams, variants: Sequence[MachineVariant],
     if mode not in ("stochastic", "argmax"):
         raise ContractViolationError(f"unknown evaluation mode {mode!r}")
     max_steps = (reward_config or RewardConfig()).max_steps
-    win_code = int(FLAG_CODE_WEIGHTS.sum())  # every flag zero, no previous action
     memo: dict[int, int | list[float]] = {}  # observation code -> action or CDF row
 
-    def play_variant(variant, rngs):
+    def play_variant(variant, seeds):
         points = np.moveaxis(evaluate_grid(variant.base), 0, -1)  # (i, j, k, value)
         start, flag_codes = lattice_index(variant.base, variant.initial_design), {}
-        for rng in rngs:
+        for episode_seed in seeds:
+            rng = np.random.default_rng(episode_seed) if mode == "stochastic" else None
             ijk, action = start, -1  # no previous action
             for steps in range(max_steps + 1):
                 if ijk not in flag_codes:  # FLAG_CODE_WEIGHTS @ (flags + 1)
                     flag_codes[ijk] = int(FLAG_CODE_WEIGHTS @ np.add(
                         flags(Performance(*points[ijk]), variant.target_bands), 1))
-                if (steps and flag_codes[ijk] == win_code) or steps == max_steps:
+                if (steps and flag_codes[ijk] == WIN_CODE) or steps == max_steps:
                     break
                 code = flag_codes[ijk] + action + 1
                 if code not in memo:
@@ -566,9 +568,9 @@ def evaluate(actor: MlpParams, variants: Sequence[MachineVariant],
                     memo[code] = (int(np.argmax(logits[0])) if mode == "argmax"
                                   else Categorical(logits).cdf()[0].tolist())
                 action = memo[code] if mode == "argmax" else inverse_cdf(memo[code], rng.random())
-                if code != win_code:  # a feasible start wins without moving
+                if code != WIN_CODE:  # a feasible start wins without moving
                     ijk = move(ijk, action, points.shape[:3])
-            yield steps, flag_codes[ijk] == win_code
+            yield steps, flag_codes[ijk] == WIN_CODE
 
     return _evaluate_variants(play_variant, variants, episodes_per_variant, mode, seed)
 

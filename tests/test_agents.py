@@ -178,54 +178,59 @@ def test_greedy_wins_generated_variants():
 # --- per-episode memoization against the unmemoized step and look-ahead ------------
 
 
-class _UnmemoizedEnv(DesignEnv):
-    """DesignEnv with its step as it was before memoization: every step
-    evaluates the point it lands on and the visited set holds indices only.
-    Kept as the reference that the memoized DesignEnv must match."""
+class _UnmemoizedEnv:
+    """The design game as it was before memoization, standalone: every
+    step evaluates the point it lands on with surrogate.evaluate, and the
+    visited set holds indices only.  It shares no state with DesignEnv,
+    only the rules move, flags and reward_for and the encoding, and is kept
+    as the reference that DesignEnv must match."""
+
+    def __init__(self, variant, config=None):
+        self.variant, self.base = variant, variant.base
+        self.config = config if config is not None else RewardConfig()
 
     @property
-    def design(self):
-        return design_at(self.base, *self._ijk)
+    def visited(self):
+        return frozenset(self._visited)
+
+    def _land(self, ijk):
+        self.index = ijk
+        self.design = design_at(self.base, *ijk)
+        self.performance = evaluate(self.design, self.base)
+        self.flags = flags(self.performance, self.variant.target_bands)
 
     def reset(self):
-        self._ijk = lattice_index(self.base, self.variant.initial_design)
-        self._perf = evaluate(self.design, self.base)
-        self._flags = flags(self._perf, self.variant.target_bands)
-        self._steps = 0
-        self._visited = {self._ijk}
-        self._done = False
-        self._started = True
-        return encode(self._flags, None)
+        self._land(lattice_index(self.base, self.variant.initial_design))
+        self.steps, self._visited = 0, {self.index}
+        return encode(self.flags, None)
 
     def step(self, action):
         action = Action(action)
-        new_ijk = (self._ijk if all_flags_zero(self._flags)
-                   else move(self._ijk, action, self._shape))
-        prev_perf, prev_flags = self._perf, self._flags
-        self._ijk = new_ijk
-        design = self.design
-        self._perf = evaluate(design, self.base)
-        self._flags = flags(self._perf, self.variant.target_bands)
-        revisit = new_ijk in self._visited
-        win = all_flags_zero(self._flags)
-        reward = reward_for(prev_perf, self._perf, prev_flags,
+        prev_perf, prev_flags = self.performance, self.flags
+        # a feasible start closes out as a win without moving
+        self._land(self.index if all_flags_zero(prev_flags)
+                   else move(self.index, action, lattice_shape(self.base)))
+        revisit = self.index in self._visited
+        win = all_flags_zero(self.flags)
+        reward = reward_for(prev_perf, self.performance, prev_flags,
                             self.variant.target_bands, self.config)
         if revisit:
             reward += self.config.revisit_penalty
         if win:
             reward += self.config.win_reward
-        self._visited.add(new_ijk)
-        self._steps += 1
-        self._done = win or self._steps >= self.config.max_steps
-        cause = "win" if win else ("truncation" if self._done else None)
-        info = StepInfo(design=design, performance=self._perf, flags=self._flags,
+        self._visited.add(self.index)
+        self.steps += 1
+        done = win or self.steps >= self.config.max_steps
+        cause = "win" if win else ("truncation" if done else None)
+        info = StepInfo(design=self.design, performance=self.performance, flags=self.flags,
                         cause=cause, revisit=revisit, win=win)
-        return encode(self._flags, action), reward, self._done, info
+        return encode(self.flags, action), reward, done, info
 
 
-def _unmemoized_greedy(env, log=None, looked=None):
+def _unmemoized_greedy(env, log=None, looked=None, decided=None):
     """greedy_agent with its look-ahead as it was before memoization: six
-    evaluate() calls per step.  Adds each neighbour looked at to ``looked``."""
+    evaluate() calls per step.  Adds each neighbour looked at to ``looked``
+    and appends each point it looks ahead from to ``decided``."""
     bands = env.variant.target_bands.as_tuple()
     weights = env.config.priority_weights
     order = sorted(range(len(weights)), key=lambda i: (-weights[i], i))
@@ -235,6 +240,8 @@ def _unmemoized_greedy(env, log=None, looked=None):
         target = next((i for i in order if env.flags[i] != 0), None)
         if target is None:
             return 0
+        if decided is not None:
+            decided.append(env.index)
         best_action, best_viol = 0, float("inf")
         for action in range(NUM_ACTIONS):
             near = move(env.index, action, shape)
@@ -305,30 +312,35 @@ def test_memoized_episodes_match_the_unmemoized_reference(max_steps):
 
 
 def test_each_point_is_evaluated_once_per_episode(monkeypatch):
-    """The greedy look-ahead makes one agents.evaluate call per distinct
-    neighbour it looks at in an episode, and the env one env.evaluate call
-    per distinct point it visits; a second episode on the same env starts
-    afresh."""
-    look_calls, env_calls = [], []
+    """The env makes no env.evaluate call: it reads the performance grid.
+    The greedy look-ahead makes one agents.evaluate call per distinct
+    neighbour it looks at in an episode, and runs once per distinct point
+    it decides at, six agents.move calls each; a second episode on the same
+    env starts afresh."""
+    look_calls, env_calls, moves = [], [], []
 
-    def counting(calls):
-        return lambda design, base: calls.append((base.id, design)) or evaluate(design, base)
+    def counting(calls, original):
+        return lambda *args: calls.append(args) or original(*args)
 
-    monkeypatch.setattr(motorgame.agents, "evaluate", counting(look_calls))
-    monkeypatch.setattr(motorgame.env, "evaluate", counting(env_calls))
-    steps = looks = 0
+    monkeypatch.setattr(motorgame.agents, "evaluate", counting(look_calls, evaluate))
+    monkeypatch.setattr(motorgame.env, "evaluate", counting(env_calls, evaluate))
+    monkeypatch.setattr(motorgame.agents, "move", counting(moves, move))
+    steps = looks = looked_at = 0
     for variant in _memo_variants():
-        base, env = machine_by_id(variant.base_id), DesignEnv(variant)
+        base, env = variant.base, DesignEnv(variant)
         for episode in range(2):
-            look_calls.clear(), env_calls.clear()
-            looked = set()
+            look_calls.clear(), moves.clear()
+            looked, decided = set(), []
             record = greedy_agent(env)
-            _unmemoized_greedy(_UnmemoizedEnv(variant), looked=looked)
+            _unmemoized_greedy(_UnmemoizedEnv(variant), looked=looked, decided=decided)
             assert len(look_calls) == len(set(look_calls)) == len(looked)
-            assert set(look_calls) == {(base.id, design_at(base, *ijk)) for ijk in looked}
-            assert len(env_calls) == len(set(env_calls)) == len(env.visited)
+            assert set(look_calls) == {(design_at(base, *ijk), base) for ijk in looked}
+            assert sorted(ijk for ijk, _, _ in moves) == sorted(
+                ijk for ijk in set(decided) for _ in range(NUM_ACTIONS))
             steps, looks = steps + record.steps, looks + len(look_calls)
-    assert looks < steps  # episodes that bounce among a few points re-read them
+            looked_at += len(set(decided))
+    assert env_calls == []
+    assert looks < steps and looked_at < steps  # episodes that bounce among a few points
 
 
 # --- oracle ------------------------------------------------------------------------

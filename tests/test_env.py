@@ -291,6 +291,24 @@ def test_reset_allows_replay():
     assert np.array_equal(first[0], second[0])
 
 
+def test_observations_are_fresh_writable_encodings():
+    """reset() and step() return writable arrays equal, bit for bit, to
+    encode(flags, previous action), and writing into one changes no later
+    observation: not on a revisit, nor in the next episode."""
+    env = DesignEnv(_variant(d_temp=(0.4, 0.6)))  # heat out of band: every action moves
+
+    def check(obs, prev_action):
+        assert obs.flags.writeable
+        assert obs.tobytes() == encode(env.flags, prev_action).tobytes()
+        obs[:] = 7.0  # the caller writes into its observation
+
+    for episode in range(2):
+        check(env.reset(), None)
+        for action in (Action.TURNS_UP, Action.TURNS_DOWN) * 2:
+            check(env.step(action)[0], action)
+    assert len(env.visited) == 2
+
+
 def test_base_variant_mismatch():
     with pytest.raises(ContractViolationError):
         DesignEnv(TORQUE_LOW, base=machine_by_id(2))

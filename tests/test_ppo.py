@@ -1103,6 +1103,17 @@ def test_evaluate_keeps_no_policy_across_calls(mode):
     _assert_same_report(after, _reference_evaluate(actor, EVAL_VARIANTS, 3, mode, 5))
 
 
+@pytest.mark.parametrize("mode", ["stochastic", "argmax"])
+def test_evaluate_seeds_a_generator_only_to_sample(monkeypatch, mode):
+    """Stochastic evaluation seeds one generator per episode from (seed,
+    variant seed, episode); argmax draws nothing and seeds none."""
+    actor, seeded, default_rng = new_checkpoint(SMALL).actor, [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda s: seeded.append(s) or default_rng(s))
+    evaluate(actor, EVAL_VARIANTS, episodes_per_variant=3, mode=mode, seed=2)
+    assert seeded == (mode == "stochastic") * [
+        derive_seed(2, v.variant_seed, ep) for v in EVAL_VARIANTS for ep in range(3)]
+
+
 # --- machines beyond the stock three ------------------------------------------------
 
 def _witness_replays(variant, result):
