@@ -156,6 +156,7 @@ ALL_OBSERVATIONS = np.array([encode(f, a) for f in product((-1, 0, 1), repeat=5)
 ALL_OBSERVATIONS.setflags(write=False)
 FLAG_CODE_WEIGHTS = 7 * 3 ** np.arange(4, -1, -1)
 WIN_CODE = int(FLAG_CODE_WEIGHTS.sum())  # every flag zero, no previous action
+TERM_INDEX_WEIGHTS = 3 ** np.arange(4, -1, -1)
 
 
 @dataclass(frozen=True)
@@ -174,7 +175,8 @@ class DesignEnv:
 
     Each lattice point's design, performance (read from evaluate_grid),
     flags and flag code are found once per episode, on the first visit,
-    and read back on any revisit; reset() forgets them.  Observations are
+    and read back on any revisit; reset() forgets them, except the start
+    point's, which are found once per env.  Observations are
     fresh copies of rows of ALL_OBSERVATIONS.  Not thread-safe; run
     independent instances in parallel instead.
     """
@@ -189,6 +191,8 @@ class DesignEnv:
         self.config = config if config is not None else RewardConfig()
         self._shape = lattice_shape(base)
         self._values = np.moveaxis(evaluate_grid(base), 0, -1)  # (i, j, k, value)
+        self._start = lattice_index(base, variant.initial_design)
+        self._start_point = self._point(self._start)
         self._started = False
 
     # --- read-only episode state ---
@@ -231,13 +235,13 @@ class DesignEnv:
                 int(FLAG_CODE_WEIGHTS @ np.add(flag_values, 1)))
 
     def reset(self) -> np.ndarray:
-        self._ijk = lattice_index(self.base, self.variant.initial_design)
+        self._ijk = self._start
         # lattice index -> _point(index) of each point this episode
-        self._visited = {self._ijk: self._point(self._ijk)}
+        self._visited = {self._start: self._start_point}
         self._steps = 0
         self._done = False
         self._started = True
-        return ALL_OBSERVATIONS[self._visited[self._ijk][3]].copy()
+        return ALL_OBSERVATIONS[self._start_point[3]].copy()
 
     def step(self, action: Action | int) -> tuple[np.ndarray, float, bool, StepInfo]:
         if not self._started:
@@ -292,7 +296,9 @@ class EnvPool:
     visited bitmap.  A (5, points) table holds each point's performance,
     its machine's evaluate_grid laid flat, and a move table the point
     each action leads to, as move() gives it on the point's machine.  An
-    env's observation is held as its code, its row of ALL_OBSERVATIONS.
+    env's observation is held as its code, its row of ALL_OBSERVATIONS,
+    and _restart() copies its variant's bands into its column.  A step's
+    reward_for() sum is one read of a table of all 243 such sums.
     """
 
     def __init__(self, variants: Sequence[MachineVariant], env_count: int,
@@ -302,7 +308,7 @@ class EnvPool:
             raise ContractViolationError("need at least one variant")
         if env_count < 1:
             raise ContractViolationError("env_count must be >= 1")
-        self.config = reward_config if reward_config is not None else RewardConfig()
+        self.config = cfg = reward_config if reward_config is not None else RewardConfig()
         grids = {m: evaluate_grid(m) for m in dict.fromkeys(v.base for v in variants)}
         self._perf_table = np.concatenate([g.reshape(5, -1) for g in grids.values()], axis=1)
         points = self._perf_table.shape[1]
@@ -325,11 +331,14 @@ class EnvPool:
             offsets[v.base] + np.ravel_multi_index(
                 lattice_index(v.base, v.initial_design), grids[v.base].shape[1:])
             for v in variants])
-        bands = np.array([v.target_bands.as_tuple() for v in variants])
-        self._lo, self._hi = bands[..., 0].T.copy(), bands[..., 1].T.copy()
-        self._start_flags = self._flags_of(self._perf_table[:, self._start],
-                                           np.arange(len(variants)))
-        self._weights = np.array(self.config.priority_weights, dtype=np.float64)[:, None]
+        self._variant_bands = np.array([v.target_bands.as_tuple() for v in variants]).T.copy()
+        self._start_flags = self._flags_of(self._perf_table[:, self._start], self._variant_bands)
+        # reward_for()'s sum of per-flag terms (0: nothing, 1: right direction,
+        # 2: wrong) at their base-3 index, first flag highest, in priority order
+        values = np.array([0.0, cfg.right_direction_reward, cfg.wrong_direction_reward])
+        self._reward_table = np.zeros(3 ** 5)
+        for weight, terms in zip(cfg.priority_weights, np.indices((3,) * 5).reshape(5, -1)):
+            self._reward_table += weight * values[terms]
 
         self._rows = np.arange(env_count)
         self._cursor = 0  # how many episodes have been started
@@ -338,6 +347,7 @@ class EnvPool:
         self._point = np.zeros(env_count, dtype=np.intp)
         self._perf = np.zeros((5, env_count))   # flag-major, as are the flags
         self._flags = np.zeros((5, env_count), dtype=np.int8)
+        self._bands = np.zeros((2, 5, env_count))  # (lo/hi, flag, env), as _variant_bands
         self._visited = np.zeros((env_count, -(-points // 64)), dtype=np.int64)
         self._code = np.zeros(env_count, dtype=np.intp)
         self._episode_reward = np.zeros(env_count)
@@ -357,9 +367,10 @@ class EnvPool:
         """Each env's observation code, its row of ALL_OBSERVATIONS."""
         return self._code.copy()
 
-    def _flags_of(self, perf: np.ndarray, variant_ids: np.ndarray) -> np.ndarray:
-        """Flags, (5, n) int8, of performance (5, n) against the variants' bands."""
-        return (perf > self._hi[:, variant_ids]).astype(np.int8) - (perf < self._lo[:, variant_ids])
+    @staticmethod
+    def _flags_of(perf: np.ndarray, bands: np.ndarray) -> np.ndarray:
+        """Flags, (5, n) int8, of performance (5, n) against (lo/hi, 5, n) bands."""
+        return (perf > bands[1]).view(np.int8) - (perf < bands[0])
 
     def _restart(self, rows: np.ndarray) -> None:
         """Start a new episode in each of the given envs, on the next
@@ -367,6 +378,7 @@ class EnvPool:
         ids = (self._cursor + np.arange(len(rows))) % len(self._variants)
         self._cursor += len(rows)
         self._variant_ids[rows] = ids
+        self._bands[..., rows] = self._variant_bands[..., ids]
         self._point[rows] = point = self._start[ids]
         self._perf[:, rows] = self._perf_table[:, point]
         self._flags[:, rows] = flags = self._start_flags[:, ids]
@@ -396,34 +408,29 @@ class EnvPool:
         # an already-feasible env (only possible before its first move)
         # closes out as a win without moving
         prev_perf, prev_flags = self._perf, self._flags
-        self._point = point = np.where(prev_flags.any(axis=0),
+        self._point = point = np.where(self._code != WIN_CODE,
                                        self._after[actions, self._point], self._point)
-        perf = self._perf_table[:, point]
-        flags = self._flags_of(perf, self._variant_ids)
-        self._perf, self._flags = perf, flags
+        self._perf = perf = self._perf_table.take(point, axis=1)
+        self._flags = flags = self._flags_of(perf, self._bands)
 
-        # reward_for(): the weighted terms summed one flag at a time in
-        # priority order, so the sum rounds as it does there
+        # reward_for()'s term per flag as its reward table index digit: 1
+        # where a set flag's value moved its way, 0 where a clear flag
+        # stays clear, else 2
         right_way = np.where(prev_flags > 0, perf < prev_perf, perf > prev_perf)
-        terms = np.where(prev_flags != 0,
-                         np.where(right_way, cfg.right_direction_reward,
-                                  cfg.wrong_direction_reward),
-                         np.where(flags != 0, cfg.wrong_direction_reward, 0.0))
-        rewards = np.zeros(len(rows))
-        for term in terms * self._weights:
-            rewards += term
+        terms = np.where(prev_flags != 0, 2 - right_way, 2 * (flags != 0))
+        rewards = self._reward_table[TERM_INDEX_WEIGHTS @ terms]
         word, bit = point >> 6, np.left_shift(1, point & 63)
         visited = self._visited[rows, word]
         self._visited[rows, word] = visited | bit
-        revisit = (visited & bit) != 0
-        win = ~flags.any(axis=0)
-        rewards[revisit] += cfg.revisit_penalty
+        flag_code = FLAG_CODE_WEIGHTS @ (flags + 1)
+        win = flag_code == WIN_CODE
+        rewards[(visited & bit) != 0] += cfg.revisit_penalty
         rewards[win] += cfg.win_reward
 
         self._steps += 1
         self._episode_reward += rewards
         done = win | (self._steps >= cfg.max_steps)
-        self._code[:] = FLAG_CODE_WEIGHTS @ (flags + 1) + actions + 1
+        self._code[:] = flag_code + actions + 1
         finished = np.flatnonzero(done)
         if finished.size:
             self._finished += zip(self._steps[finished].tolist(),

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -179,13 +180,22 @@ class Categorical:
         entry below 1."""
         return np.cumsum(self.probs, axis=-1)
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """One action per row by ``inverse_cdf`` on one ``rng.random`` draw
-        per row; deterministic in the generator state."""
-        rows = self.probs.shape[0]
-        u = rng.random(rows)
-        return np.fromiter(map(inverse_cdf, self.cdf().tolist(), u.tolist()),
-                           np.intp, rows)
+    def sample(self, rng: np.random.Generator, rows: np.ndarray | None = None) -> np.ndarray:
+        """One action for each given row (default: all) by ``inverse_cdf``'s
+        rule on one ``rng.random(len(rows))`` call; deterministic in the
+        generator state.  The CDF is built once, so a sample gathers rows."""
+        cdf = self._clipped_cdf if rows is None else self._clipped_cdf.take(rows, axis=0)
+        u = rng.random(len(cdf))
+        # the entries below u are a prefix of the row, so the first entry
+        # not below u is their count
+        return (cdf < u[:, None]).argmin(axis=-1)
+
+    @cached_property
+    def _clipped_cdf(self) -> np.ndarray:
+        """cdf() with its last entry at infinity, which clips the count."""
+        cdf = self.cdf()
+        cdf[:, -1] = np.inf
+        return cdf
 
     def log_prob(self, actions) -> np.ndarray:
         actions = np.asarray(actions, dtype=np.intp)

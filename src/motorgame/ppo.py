@@ -132,29 +132,24 @@ def collect_rollout(pool: EnvPool, actor: MlpParams, critic: MlpParams,
     """Gather horizon steps from every env in the pool under the actor.
 
     The actor and critic are frozen for the rollout, so each runs once, on
-    ALL_OBSERVATIONS, and a step reads its rows by observation code."""
+    ALL_OBSERVATIONS, and one Categorical holds the policy at every
+    observation.  A step samples the rows of the pool's observation codes;
+    the log-probs and values of all steps are read after the loop."""
     if horizon < 1:
         raise ContractViolationError("horizon must be >= 1")
-    table_logits = forward(actor, ALL_OBSERVATIONS)[0]
+    policy = Categorical(forward(actor, ALL_OBSERVATIONS)[0])
     table_values = forward(critic, ALL_OBSERVATIONS)[0][:, 0]
-    e_count = pool.env_count
-    codes = np.zeros((horizon, e_count), dtype=np.intp)
-    actions = np.zeros((horizon, e_count), dtype=np.intp)
-    log_probs = np.zeros((horizon, e_count))
-    rewards = np.zeros((horizon, e_count))
-    values = np.zeros((horizon, e_count))
-    dones = np.zeros((horizon, e_count))
+    shape = (horizon, pool.env_count)
+    codes, actions = np.zeros(shape, dtype=np.intp), np.zeros(shape, dtype=np.intp)
+    rewards, dones = np.zeros(shape), np.zeros(shape)
 
     for t in range(horizon):
         codes[t] = code = pool.codes()
-        dist = Categorical(table_logits[code])
-        actions[t] = act = dist.sample(rng)
-        log_probs[t] = dist.log_prob(act)
-        values[t] = table_values[code]
+        actions[t] = act = policy.sample(rng, code)
         rewards[t], dones[t] = pool.step(act)
 
-    bootstrap = table_values[pool.codes()]
-    return RolloutBuffer(codes, actions, log_probs, rewards, values, dones, bootstrap)
+    return RolloutBuffer(codes, actions, policy.logits_log_probs[codes, actions], rewards,
+                         table_values[codes], dones, table_values[pool.codes()])
 
 
 def gae(rewards, values, dones, bootstrap, discount: float, gae_lambda: float,

@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from motorgame.catalog import MachineVariant, TargetBands, machine_by_id
+from motorgame.catalog import MachineVariant, TargetBands, generate_variants, machine_by_id
 from motorgame.env import (
     ACTION_MOVES,
     DEFAULT_PRIORITY_WEIGHTS,
@@ -14,6 +14,7 @@ from motorgame.env import (
     OBSERVATION_DIM,
     Action,
     DesignEnv,
+    EnvPool,
     RewardConfig,
     all_flags_zero,
     encode,
@@ -23,7 +24,7 @@ from motorgame.env import (
     run_episode,
 )
 from motorgame.errors import ContractViolationError
-from motorgame.surrogate import DesignPoint, Performance, lattice_shape
+from motorgame.surrogate import DesignPoint, Performance, lattice_index, lattice_shape
 
 
 BASE = machine_by_id(1)  # length 1.2 m, 20 turns, tooth tip 2.0 mm
@@ -291,6 +292,28 @@ def test_reset_allows_replay():
     assert np.array_equal(first[0], second[0])
 
 
+def test_design_env_finds_its_start_once(monkeypatch):
+    """The start point's lattice index, design, performance and flags are
+    found once per env, not on every reset."""
+    calls = []
+
+    def counting_lattice_index(base, design):
+        calls.append(design)
+        return lattice_index(base, design)
+
+    monkeypatch.setattr("motorgame.env.lattice_index", counting_lattice_index)
+    env = DesignEnv(TORQUE_LOW)
+    episodes = []
+    for _ in range(3):
+        obs = env.reset()
+        episodes.append((obs.tobytes(), env.index, env.design, env.performance, env.flags,
+                         env.step(Action.LENGTH_UP)[1:]))
+        env.reset()
+        env.step(Action.TURNS_UP)
+    assert calls == [TORQUE_LOW.initial_design]
+    assert episodes[0] == episodes[1] == episodes[2]
+
+
 def test_observations_are_fresh_writable_encodings():
     """reset() and step() return writable arrays equal, bit for bit, to
     encode(flags, previous action), and writing into one changes no later
@@ -362,3 +385,49 @@ def test_run_episode_truncates():
     record = run_episode(env, lambda obs: Action.TOOTH_TIP_UP)
     assert record.steps == 5
     assert not record.win and record.cause == "truncation"
+
+
+# --- the training pool's rewards -----------------------------------------------------
+
+# weights and direction rewards whose weighted sum rounds differently when
+# the flags are added in another order
+ORDER_DEPENDENT = RewardConfig(right_direction_reward=0.3, wrong_direction_reward=-1.7,
+                               priority_weights=(0.1, 0.2, 0.3, 0.7, 1e-3), max_steps=40)
+
+
+def test_pool_rewards_equal_design_env_rewards_under_an_order_dependent_sum():
+    """EnvPool's reward table sums each combination of flag terms in
+    priority order, as reward_for() does, so its rewards equal DesignEnv's
+    bit for bit where another order would round differently."""
+    def weighted(terms, weights):
+        total = 0.0
+        for term, weight in zip(terms, weights):
+            total += weight * term
+        return total
+
+    weights, term_values = ORDER_DEPENDENT.priority_weights, (0.0, 0.3, -1.7)
+    assert any(weighted(terms, weights) != weighted(terms[::-1], weights[::-1])
+               for terms in itertools.product(term_values, repeat=5))
+
+    variants = [v for machine_id in (1, 2, 3)
+                for v in generate_variants(machine_by_id(machine_id), 3, machine_id)]
+    env_count, rng = 3, np.random.default_rng(0)
+    pool = EnvPool(variants, env_count, ORDER_DEPENDENT)
+    envs, cursor = [], 0
+    for _ in range(env_count):
+        envs.append(DesignEnv(variants[cursor % len(variants)], config=ORDER_DEPENDENT))
+        envs[-1].reset()
+        cursor += 1
+    ended = 0
+    for _ in range(300):
+        actions = rng.integers(NUM_ACTIONS, size=env_count)
+        rewards, dones = pool.step(actions)
+        for e, env in enumerate(envs):
+            _, reward, done, _ = env.step(int(actions[e]))
+            assert rewards[e].hex() == reward.hex() and dones[e] == done
+            if done:  # the pool restarts a finished env on the next variant
+                envs[e] = DesignEnv(variants[cursor % len(variants)], config=ORDER_DEPENDENT)
+                envs[e].reset()
+                cursor += 1
+                ended += 1
+    assert ended >= len(variants)  # every variant was played

@@ -450,6 +450,12 @@ def _counted(cdf, u):
 def test_inverse_cdf_lookup_matches_categorical_sample(logits, draws):
     dist = Categorical(np.array([logits]))
     cdf = dist.cdf()[0]
+    # the case's row at table rows 1 and 3, between rows of other shapes
+    table = Categorical(np.array([[0.0] * 6, logits, [3.0, -1.0, 0.5, -np.inf, 2.0, 1.0],
+                                  logits, [-4.0, -3.0, -2.0, -1.0, 0.0, 9.0]]))
+    rows = np.array([1, 0, 3, 2, 1, 4, 3])
+    table_cdf = table.cdf()
+    assert np.array_equal(table_cdf[1], cdf) and np.array_equal(table_cdf[3], cdf)
     if draws == "entries":  # each entry, and the next double above it
         us = [float(c) for c in cdf] + [float(np.nextafter(c, 2.0)) for c in cdf[:-1]]
     else:
@@ -459,6 +465,9 @@ def test_inverse_cdf_lookup_matches_categorical_sample(logits, draws):
         want = _counted(cdf, u)
         assert inverse_cdf(cdf.tolist(), u) == want
         assert int(dist.sample(_FixedDraw(u))[0]) == want
+        got = table.sample(_FixedDraw(u), rows)
+        assert got.dtype == np.intp
+        assert got.tolist() == [_counted(table_cdf[r], u) for r in rows]
     if draws == "above_last":
         assert want == len(logits) - 1
     else:
@@ -481,3 +490,21 @@ def test_format_parse_round_trip():
 def test_parse_array_count_mismatch():
     with pytest.raises(ContractViolationError):
         parse_array("1.0 2.0 3.0", (2, 2))
+
+
+def test_sampling_rows_of_a_table_equals_a_categorical_on_the_gathered_rows():
+    """The rollout samples rows of one Categorical over all 1,701
+    observations; that equals, bit for bit, a Categorical built on the
+    gathered logits of each step, drawn from the same generator state."""
+    from motorgame.env import ALL_OBSERVATIONS
+    from motorgame.ppo import ACTOR_SIZES
+
+    logits = forward(init(ACTOR_SIZES, 3), ALL_OBSERVATIONS)[0]
+    table = Categorical(logits)
+    pick, rng_table, rng_rows = (np.random.default_rng(s) for s in (1, 2, 2))
+    for size in (1, 8, 64, 1701) * 10:
+        rows = pick.integers(len(logits), size=size)
+        gathered = Categorical(logits[rows])
+        assert np.array_equal(table.probs[rows], gathered.probs)
+        assert np.array_equal(table.logits_log_probs[rows], gathered.logits_log_probs)
+        assert np.array_equal(table.sample(rng_table, rows), gathered.sample(rng_rows))

@@ -518,24 +518,69 @@ def test_collect_rollout_is_on_policy():
 
 @pytest.mark.parametrize("horizon", [1, 7, 40])
 def test_collect_rollout_runs_each_net_once_and_samples_once_per_step(monkeypatch, horizon):
-    forwarded, sampled = [], []
+    """One forward per net and one Categorical per rollout, over all 1,701
+    observations; each step samples the pool's 3 rows of that table."""
+    forwarded, built, sampled = [], [], []
     sample = Categorical.sample
 
     def counting_forward(params, x):
         forwarded.append((params.sizes[-1], len(x)))
         return forward(params, x)
 
-    def counting_sample(dist, rng):
-        sampled.append(len(dist.probs))
-        return sample(dist, rng)
+    class CountingCategorical(Categorical):
+        def __init__(self, logits):
+            built.append(len(logits))
+            super().__init__(logits)
+
+    def counting_sample(dist, rng, rows=None):
+        sampled.append((len(dist.probs), len(rows)))
+        return sample(dist, rng, rows)
 
     monkeypatch.setattr("motorgame.ppo.forward", counting_forward)
+    monkeypatch.setattr("motorgame.ppo.Categorical", CountingCategorical)
     monkeypatch.setattr(Categorical, "sample", counting_sample)
     ckpt = new_checkpoint(SMALL)
     collect_rollout(EnvPool(TRAIN_VARIANTS, env_count=3), ckpt.actor, ckpt.critic,
                     horizon, rng=np.random.default_rng(4))
     assert sorted(forwarded) == [(1, len(ALL_OBSERVATIONS)), (NUM_ACTIONS, len(ALL_OBSERVATIONS))]
-    assert sampled == [3] * horizon
+    assert built == [len(ALL_OBSERVATIONS)]
+    assert sampled == [(len(ALL_OBSERVATIONS), 3)] * horizon
+
+
+def _reference_rollout(pool, actor, critic, horizon, rng):
+    """collect_rollout as a per-step loop: a Categorical on the step's
+    gathered table rows, its sample and log_prob, and the step's values;
+    kept as the reference that the one-table rollout must match bit for
+    bit."""
+    table_logits = forward(actor, ALL_OBSERVATIONS)[0]
+    table_values = forward(critic, ALL_OBSERVATIONS)[0][:, 0]
+    shape = (horizon, pool.env_count)
+    codes, actions = np.zeros(shape, dtype=np.intp), np.zeros(shape, dtype=np.intp)
+    log_probs, rewards, values, dones = (np.zeros(shape) for _ in range(4))
+    for t in range(horizon):
+        codes[t] = code = pool.codes()
+        dist = Categorical(table_logits[code])
+        actions[t] = act = dist.sample(rng)
+        log_probs[t] = dist.log_prob(act)
+        values[t] = table_values[code]
+        rewards[t], dones[t] = pool.step(act)
+    return codes, actions, log_probs, rewards, values, dones, table_values[pool.codes()]
+
+
+@pytest.mark.parametrize("env_count", [1, 3, 64])
+def test_collect_rollout_matches_the_per_step_loop(env_count):
+    ckpt = new_checkpoint(replace(SMALL, seed=env_count))
+    variants = [v for base in builtin_catalog() for v in generate_variants(base, 4, 11)]
+    # REPLAY_CONFIG's 6-step cap restarts episodes inside the rollout
+    got = collect_rollout(EnvPool(variants, env_count, REPLAY_CONFIG), ckpt.actor,
+                          ckpt.critic, 30, np.random.default_rng(env_count))
+    want = _reference_rollout(EnvPool(variants, env_count, REPLAY_CONFIG), ckpt.actor,
+                              ckpt.critic, 30, np.random.default_rng(env_count))
+    assert got.dones.any()
+    for name, expected in zip(("codes", "actions", "log_probs", "rewards", "values",
+                               "dones", "bootstrap"), want):
+        value = getattr(got, name)
+        assert value.dtype == expected.dtype and np.array_equal(value, expected), name
 
 
 def test_collect_rollout_rewards_replayable():
