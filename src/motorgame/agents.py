@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import BaseMachine, MachineVariant, feasible_mask
-from .env import NUM_ACTIONS, Action, DesignEnv, EpisodeRecord, move, run_episode
+from .env import NUM_ACTIONS, Action, DesignEnv, EpisodeRecord, move, move_table, run_episode
 from .errors import ContractViolationError
 from .surrogate import design_at, evaluate, lattice_index, lattice_shape
 
@@ -81,38 +81,33 @@ def oracle_shortest(variant: MachineVariant, base: BaseMachine | None = None,
     """Minimum number of actions to feasibility, with one optimal witness, on
     the variant's machine; a ``base`` given as well must be that machine.
 
-    A breadth-first distance field grows from the feasible points by
-    array shifts along each lattice axis until it reaches the start; the
-    witness descends it, taking at each point the lowest action that
-    lowers the distance by one, so it is the lexicographically first
-    shortest path.
+    A breadth-first distance field over the lattice's flat points grows
+    from the feasible points, each level the unreached move_table()
+    neighbours of the last, until it reaches the start; the witness
+    descends it, taking at each point the lowest action that lowers the
+    distance by one, so it is the lexicographically first shortest path.
     """
     if base is not None and base != variant.base:
         raise ContractViolationError(
             f"variant base {variant.base_id} does not match machine {base.id}")
     base = variant.base
     shape = lattice_shape(base)
-    start = lattice_index(base, variant.initial_design)
-    reached = feasible_mask(base, variant.target_bands)
-    distance = np.where(reached, 0, -1)
-    frontier = reached
-    steps = 0
-    while not reached[start] and frontier.any():
-        grown = np.zeros_like(frontier)
-        for axis in range(3):
-            g, f = np.moveaxis(grown, axis, 0), np.moveaxis(frontier, axis, 0)
-            g[1:] |= f[:-1]
-            g[:-1] |= f[1:]
-        frontier = grown & ~reached
-        reached |= frontier
+    after = move_table(shape)
+    start = np.ravel_multi_index(lattice_index(base, variant.initial_design), shape)
+    distance = np.where(feasible_mask(base, variant.target_bands).ravel(), 0, -1)
+    frontier, steps = np.flatnonzero(distance == 0), 0
+    while distance[start] < 0 and frontier.size:
+        near = np.zeros(distance.size, dtype=bool)
+        near[after[:, frontier]] = True
+        frontier = np.flatnonzero(near & (distance < 0))
         steps += 1
         distance[frontier] = steps
-    if not reached[start]:
+    if distance[start] < 0:
         return OracleResult(None, ())
 
-    path, ijk = [], start
+    path, point = [], start
     for left in range(distance[start] - 1, -1, -1):
-        action = next(a for a in Action if distance[move(ijk, a, shape)] == left)
+        action = next(a for a in Action if distance[after[a, point]] == left)
         path.append(action)
-        ijk = move(ijk, action, shape)
+        point = after[action, point]
     return OracleResult(len(path), tuple(path))

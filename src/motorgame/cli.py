@@ -230,7 +230,7 @@ def cmd_train(config: RunConfig, resume: bool, set_by: dict[str, str]) -> int:
     return 0
 
 
-def _oracle_episode(env: DesignEnv, rng: np.random.Generator) -> EpisodeRecord:
+def _oracle_episode(env: DesignEnv, seed: int) -> EpisodeRecord:
     """The BFS shortest path as a one-episode record, so it bounds every
     agent's steps from below: at least one step, because an episode that
     starts feasible still takes one env step to win.  -1 steps, not won,
@@ -242,8 +242,8 @@ def _oracle_episode(env: DesignEnv, rng: np.random.Generator) -> EpisodeRecord:
 
 
 _BASELINES = {
-    "random": random_agent,
-    "greedy": lambda env, rng: greedy_agent(env),
+    "random": lambda env, seed: random_agent(env, np.random.default_rng(seed)),
+    "greedy": lambda env, seed: greedy_agent(env),
     "oracle": _oracle_episode,
 }
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterable, Sequence
 
@@ -66,6 +67,20 @@ def move(ijk: tuple[int, int, int], action: Action | int,
     moved = list(ijk)
     moved[axis] += delta
     return tuple(moved) if 0 <= moved[axis] < shape[axis] else tuple(ijk)
+
+
+@lru_cache(maxsize=None)
+def move_table(shape: tuple[int, int, int]) -> np.ndarray:
+    """Read-only (6, points) table of move() on a lattice of ``shape``, its
+    points flat in C order: [a, p] is the point action a takes point p to.
+    An action moves one axis, so a row is move() along each axis, composed."""
+    table = np.empty((NUM_ACTIONS, *shape), dtype=np.min_scalar_type(math.prod(shape) - 1))
+    for action, moved in zip(Action, table):
+        axes = [[move(tuple(i if d == axis else 0 for d in range(3)), action, shape)[axis]
+                 for i in range(n)] for axis, n in enumerate(shape)]
+        moved[...] = np.ravel_multi_index(np.ix_(*axes), shape)
+    table.setflags(write=False)
+    return table.reshape(NUM_ACTIONS, -1)
 
 
 def flags(perf: Performance, bands: TargetBands) -> tuple[int, int, int, int, int]:
@@ -295,7 +310,7 @@ class EnvPool:
     state is one point index into them, which also indexes the env's
     visited bitmap.  A (5, points) table holds each point's performance,
     its machine's evaluate_grid laid flat, and a move table the point
-    each action leads to, as move() gives it on the point's machine.  An
+    each action leads to: each machine's move_table() at its offset.  An
     env's observation is held as its code, its row of ALL_OBSERVATIONS,
     and _restart() copies its variant's bands into its column.  A step's
     reward_for() sum is one read of a table of all 243 such sums.
@@ -312,19 +327,12 @@ class EnvPool:
         grids = {m: evaluate_grid(m) for m in dict.fromkeys(v.base for v in variants)}
         self._perf_table = np.concatenate([g.reshape(5, -1) for g in grids.values()], axis=1)
         points = self._perf_table.shape[1]
-        # machine -> its first point
-        offsets = dict(zip(grids, np.cumsum([0] + [g[0].size for g in grids.values()])))
-        # after[a, p] is the point that action a takes point p to; an action
-        # moves one axis of p's machine, so it is move() along each axis,
-        # composed
-        self._after = np.empty((len(Action), points), dtype=np.min_scalar_type(points - 1))
-        for machine, grid in grids.items():
-            shape, offset = grid.shape[1:], offsets[machine]
-            for action, moved in zip(Action, self._after[:, offset:offset + grid[0].size]):
-                axes = [[move(tuple(i if d == axis else 0 for d in range(3)), action,
-                              shape)[axis] for i in range(n)]
-                        for axis, n in enumerate(shape)]
-                moved.reshape(shape)[...] = offset + np.ravel_multi_index(np.ix_(*axes), shape)
+        # machine -> its first point, a Python int, so adding it keeps a dtype
+        offsets = dict(zip(grids, np.cumsum([0] + [g[0].size for g in grids.values()]).tolist()))
+        # after[a, p] is the point that action a takes point p to
+        dtype = np.min_scalar_type(points - 1)
+        self._after = np.concatenate([move_table(g.shape[1:]).astype(dtype) + offsets[m]
+                                      for m, g in grids.items()], axis=1)
         # per variant: its start point, band limits and start flags
         self._variants = variants
         self._start = np.array([

@@ -197,10 +197,6 @@ class Categorical:
         cdf[:, -1] = np.inf
         return cdf
 
-    def log_prob(self, actions) -> np.ndarray:
-        actions = np.asarray(actions, dtype=np.intp)
-        return self.logits_log_probs[np.arange(self.probs.shape[0]), actions]
-
     def entropy(self) -> np.ndarray:
         return -(self.probs * self.logits_log_probs).sum(axis=-1)
 

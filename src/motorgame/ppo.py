@@ -505,23 +505,22 @@ def _evaluate_variants(play_variant: Callable, variants: Sequence[MachineVariant
                       per_machine=per_machine, rows=rows)
 
 
-def evaluate_agent(play: Callable[[DesignEnv, np.random.Generator], EpisodeRecord],
+def evaluate_agent(play: Callable[[DesignEnv, int], EpisodeRecord],
                    variants: Sequence[MachineVariant], episodes_per_variant: int,
                    mode: str, seed: int = 0,
                    reward_config: RewardConfig | None = None) -> EvalReport:
     """Play every variant ``episodes_per_variant`` times with
-    ``play(env, rng)`` and summarize the episodes per base machine.
+    ``play(env, episode_seed)`` and summarize the episodes per base machine.
 
-    Each episode's generator is seeded from (seed, variant seed, episode),
-    so a variant's episodes do not depend on the other variants.  Mean
+    Each episode's seed is derived from (seed, variant seed, episode), so
+    a variant's episodes do not depend on the other variants.  Mean
     steps are computed over winning episodes; losses show up in the win
     rate and in mean_steps_all.  The summary is keyed by machine id, so
     two different machines that share an id are rejected.
     """
     def play_variant(variant, seeds):
         env = DesignEnv(variant, config=reward_config)
-        return ((record.steps, record.win)
-                for record in (play(env, np.random.default_rng(s)) for s in seeds))
+        return ((record.steps, record.win) for record in (play(env, s) for s in seeds))
 
     return _evaluate_variants(play_variant, variants, episodes_per_variant, mode, seed)
 

@@ -10,6 +10,7 @@ import motorgame.agents
 import motorgame.env
 from motorgame.agents import greedy_agent, oracle_shortest, random_agent
 from motorgame.catalog import (
+    Bounds,
     MachineVariant,
     TargetBands,
     builtin_catalog,
@@ -469,19 +470,33 @@ def _reference_oracle(variant, base):
     return None, ()
 
 
+# machine 2 with fewer turns steps, a (31, 13, 21) lattice, and machine 1
+# with its length axis starting at 0.7 pu instead of 0.5
+M2 = machine_by_id(2)
+NARROW_2 = replace(M2, bounds=Bounds(M2.bounds.length, (M2.base_design.turns - 6,
+                                                        M2.base_design.turns + 6),
+                                     M2.bounds.tooth_tip))
+SHIFTED_1 = replace(M1, bounds=replace(M1.bounds, length=(
+    0.7 * M1.base_design.length, 0.7 * M1.base_design.length + 30 * M1.step_sizes.length)))
+
+
 def test_oracle_matches_reference_search():
     """The distance-field oracle returns the reference search's step count
     and witness (the lexicographically first shortest path) on every
-    generated variant of several catalog seeds, on a feasible start, an
-    unreachable band and starts at two lattice corners."""
+    generated variant of several catalog seeds and of two machines that are
+    not stock, one of another lattice shape, on a feasible start, an
+    unreachable band and starts at the lattice corners of both shapes."""
     cases = [(v, base) for base in builtin_catalog() for seed in (0, 1, 2)
              for v in generate_variants(base, 25, seed)]
-    shape = lattice_shape(M1)
-    corners = [_variant(M1, b_gap=(0.9, 1.1), t_break=(0.9, 1.1),
-                        i_start=(0.9, 1.1), d_temp=(0.9, 1.1),
-                        design=design_at(M1, *ijk))
-               for ijk in ((0, 0, 0), tuple(n - 1 for n in shape))]
-    cases += [(v, M1) for v in (FEASIBLE, IMPOSSIBLE, *corners)]
+    cases += [(v, base) for base in (NARROW_2, SHIFTED_1) for seed in (0, 1)
+              for v in generate_variants(base, 25, seed)]
+    assert lattice_shape(NARROW_2) == (31, 13, 21) != lattice_shape(M1)
+    corners = [(_variant(base, b_gap=(0.9, 1.1), t_break=(0.9, 1.1),
+                         i_start=(0.9, 1.1), d_temp=(0.9, 1.1),
+                         design=design_at(base, *ijk)), base)
+               for base in (M1, NARROW_2)
+               for ijk in ((0, 0, 0), tuple(n - 1 for n in lattice_shape(base)))]
+    cases += [(v, M1) for v in (FEASIBLE, IMPOSSIBLE)] + corners
     lengths = set()
     for variant, base in cases:
         result = oracle_shortest(variant, base)

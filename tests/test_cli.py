@@ -37,6 +37,7 @@ from motorgame.errors import (
 from motorgame.neural import AdamState, init
 from motorgame.ppo import (
     Hyperparams,
+    derive_seed,
     load_checkpoint,
     new_checkpoint,
     save_checkpoint,
@@ -439,6 +440,19 @@ def test_eval_baseline_agents_share_table_shape(tmp_path, capsys):
         csv_lines = (tmp_path / f"episodes_{agent}.csv").read_text().splitlines()
         expected = 2 if agent == "oracle" else 4  # oracle: one row per variant
         assert len(csv_lines) == 1 + expected
+
+
+@pytest.mark.parametrize("agent", ["random", "greedy", "oracle"])
+def test_eval_seeds_a_generator_only_for_the_random_agent(tmp_path, capsys, monkeypatch, agent):
+    """The random baseline seeds one generator per episode from (eval seed,
+    variant seed, episode); greedy and the oracle draw nothing and seed none."""
+    catalog = _make_catalog(tmp_path, extra=["--machines", "1"])
+    seeded, default_rng = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda s: seeded.append(s) or default_rng(s))
+    assert main(_eval_args(tmp_path, catalog, tmp_path / "unused.txt", agent=agent)) == 0
+    train = [v for v in load_catalog(catalog) if v.split == "train"]
+    assert seeded == (agent == "random") * [
+        derive_seed(1, v.variant_seed, ep) for v in train for ep in range(2)]
 
 
 def test_eval_missing_checkpoint(tmp_path, capsys):

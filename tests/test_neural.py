@@ -386,7 +386,7 @@ def test_categorical_log_prob_matches_direct():
     dist = Categorical(logits)
     direct = np.log(np.exp(logits[0]) / np.exp(logits[0]).sum())
     for a in range(6):
-        assert dist.log_prob([a])[0] == pytest.approx(direct[a], abs=1e-12)
+        assert dist.logits_log_probs[0, a] == pytest.approx(direct[a], abs=1e-12)
     assert abs(np.exp(dist.logits_log_probs).sum() - 1.0) < 1e-12
 
 
@@ -412,12 +412,12 @@ def test_categorical_batch_mode():
     dist = Categorical(logits)
     assert dist.probs.shape == (4, 6)
     actions = np.array([0, 3, 5, 2])
-    lp = dist.log_prob(actions)
+    lp = dist.logits_log_probs[np.arange(4), actions]
     ent = dist.entropy()
     assert lp.shape == (4,) and ent.shape == (4,)
     for row in range(4):
         single = Categorical(logits[row:row + 1])
-        assert lp[row] == single.log_prob(actions[row:row + 1])[0]
+        assert lp[row] == single.logits_log_probs[0, actions[row]]
         assert ent[row] == single.entropy()[0]
     samples = dist.sample(np.random.default_rng(0))
     assert samples.shape == (4,)

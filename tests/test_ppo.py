@@ -7,7 +7,9 @@ from itertools import product
 import numpy as np
 import pytest
 
+from motorgame import agents as agents_module
 from motorgame import catalog as catalog_module
+from motorgame import env as env_module
 from motorgame.agents import greedy_agent, oracle_shortest
 from motorgame.catalog import (
     Bounds,
@@ -30,6 +32,7 @@ from motorgame.env import (
     all_flags_zero,
     encode,
     move,
+    move_table,
     run_episode,
 )
 from motorgame.errors import (
@@ -437,6 +440,38 @@ def test_pool_move_table_is_the_move_rule():
     assert np.array_equal(pool._after, np.concatenate(want, axis=1))
 
 
+@pytest.mark.parametrize("shape", [lattice_shape(BASE), (31, 13, 21)],
+                         ids=["stock", "narrow_turns"])
+def test_move_table_is_the_move_rule_and_read_only(shape):
+    """move_table(shape) is move() at every point and action, through the
+    flat C-order point index, and cannot be written to."""
+    table = move_table(shape)
+    want = [[np.ravel_multi_index(move(ijk, action, shape), shape)
+             for ijk in np.ndindex(*shape)] for action in Action]
+    assert np.array_equal(table, want)
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = table[0, 1]
+
+
+def test_pools_and_the_oracle_reuse_one_move_table_per_shape(monkeypatch):
+    """After a warm-up, a second pool over the stock machines and an oracle
+    search call move() nowhere: both read move_table()'s cached tables."""
+    variants = [v for base in builtin_catalog() for v in generate_variants(base, 1, 3)]
+    EnvPool(variants, 1)
+    assert oracle_shortest(variants[0]).shortest_steps >= 1  # the descent moves
+    calls, real_move = [], move
+
+    def counting_move(*args):
+        calls.append(args)
+        return real_move(*args)
+
+    monkeypatch.setattr(env_module, "move", counting_move)
+    monkeypatch.setattr(agents_module, "move", counting_move)
+    EnvPool(variants, 1)
+    oracle_shortest(variants[0])
+    assert calls == []
+
+
 def test_observation_codes_index_all_observations():
     """7 * (the flags + 1 as base-3 digits) + (0 or the previous action + 1)
     is the row of ALL_OBSERVATIONS holding encode(flags, previous action)."""
@@ -512,7 +547,7 @@ def test_collect_rollout_is_on_policy():
     flat_obs = ALL_OBSERVATIONS[buf.codes.reshape(-1)]
     flat_act = buf.actions.reshape(-1)
     logits, _ = forward(ckpt.actor, flat_obs)
-    recomputed = Categorical(logits).log_prob(flat_act)
+    recomputed = Categorical(logits).logits_log_probs[np.arange(len(flat_act)), flat_act]
     assert np.max(np.abs(recomputed - buf.log_probs.reshape(-1))) < 1e-12
 
 
@@ -549,9 +584,9 @@ def test_collect_rollout_runs_each_net_once_and_samples_once_per_step(monkeypatc
 
 def _reference_rollout(pool, actor, critic, horizon, rng):
     """collect_rollout as a per-step loop: a Categorical on the step's
-    gathered table rows, its sample and log_prob, and the step's values;
-    kept as the reference that the one-table rollout must match bit for
-    bit."""
+    gathered table rows, its sample and their log-probs, and the step's
+    values; kept as the reference that the one-table rollout must match
+    bit for bit."""
     table_logits = forward(actor, ALL_OBSERVATIONS)[0]
     table_values = forward(critic, ALL_OBSERVATIONS)[0][:, 0]
     shape = (horizon, pool.env_count)
@@ -561,7 +596,7 @@ def _reference_rollout(pool, actor, critic, horizon, rng):
         codes[t] = code = pool.codes()
         dist = Categorical(table_logits[code])
         actions[t] = act = dist.sample(rng)
-        log_probs[t] = dist.log_prob(act)
+        log_probs[t] = dist.logits_log_probs[np.arange(pool.env_count), act]
         values[t] = table_values[code]
         rewards[t], dones[t] = pool.step(act)
     return codes, actions, log_probs, rewards, values, dones, table_values[pool.codes()]
@@ -1066,7 +1101,9 @@ def _reference_evaluate(actor, variants, episodes_per_variant, mode, seed,
     kept as the reference that the lattice walk and its per-call memo must
     match bit for bit.  Each observation the policy sees is appended to
     ``seen``, when given, as bytes."""
-    def play(env, rng):
+    def play(env, seed):
+        rng = np.random.default_rng(seed)
+
         def policy(obs):
             if seen is not None:
                 seen.append(obs.tobytes())
@@ -1211,7 +1248,7 @@ def test_evaluation_rejects_two_machines_that_share_an_id():
     rerated = replace(BASE, rated_power=3000.0)
     variants = generate_variants(BASE, 3, 0) + generate_variants(rerated, 3, 0)
 
-    def greedy(env, rng):
+    def greedy(env, seed):
         return greedy_agent(env)
 
     with pytest.raises(ContractViolationError, match="two different machines share id 1"):
