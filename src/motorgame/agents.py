@@ -10,11 +10,21 @@ Together they bracket what the trained policy should achieve.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .catalog import BaseMachine, MachineVariant, feasible_mask
-from .env import NUM_ACTIONS, Action, DesignEnv, EpisodeRecord, move, move_table, run_episode
+from .env import (
+    NUM_ACTIONS,
+    Action,
+    DesignEnv,
+    EpisodeRecord,
+    RewardConfig,
+    move,
+    move_table,
+    run_episode,
+)
 from .errors import ContractViolationError
 from .surrogate import design_at, evaluate, lattice_index, lattice_shape
 
@@ -111,3 +121,30 @@ def oracle_shortest(variant: MachineVariant, base: BaseMachine | None = None,
         path.append(action)
         point = after[action, point]
     return OracleResult(len(path), tuple(path))
+
+
+# --- players for ppo.evaluate_agent: (steps, win) per episode seed -----------
+
+
+def play_random(variant: MachineVariant, seeds: Iterable[int], config: RewardConfig):
+    """random_agent on one DesignEnv per variant, with one generator per
+    episode seeded from the episode's seed."""
+    env = DesignEnv(variant, config=config)
+    records = (random_agent(env, np.random.default_rng(seed)) for seed in seeds)
+    return [(record.steps, record.win) for record in records]
+
+
+def play_greedy(variant: MachineVariant, seeds: Iterable[int], config: RewardConfig):
+    """greedy_agent draws nothing, so every episode of a variant is the
+    same: one is played and its row repeated once per episode seed."""
+    record = greedy_agent(DesignEnv(variant, config=config))
+    return [(record.steps, record.win) for _ in seeds]
+
+
+def play_oracle(variant: MachineVariant, seeds: Iterable[int], config: RewardConfig):
+    """The BFS shortest path as each episode's row, so it bounds every
+    agent's steps from below: at least one step, because an episode that
+    starts feasible still takes one env step to win.  -1 steps, not won,
+    when no feasible point is reachable.  No env is built."""
+    steps = oracle_shortest(variant).shortest_steps
+    return [(-1, False) if steps is None else (max(1, steps), True) for _ in seeds]

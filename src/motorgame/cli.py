@@ -18,9 +18,7 @@ import time
 from dataclasses import dataclass, field, fields, make_dataclass, replace
 from functools import partial
 
-import numpy as np
-
-from .agents import greedy_agent, oracle_shortest, random_agent
+from .agents import oracle_shortest, play_greedy, play_oracle, play_random
 from .catalog import (
     TargetBands,
     builtin_catalog,
@@ -31,7 +29,7 @@ from .catalog import (
     target_bands,
     with_split,
 )
-from .env import FLAG_NAMES, DesignEnv, EpisodeRecord, RewardConfig, all_flags_zero, flags
+from .env import FLAG_NAMES, RewardConfig, all_flags_zero, flags
 from .errors import ContractViolationError, MotorGameError, TextFormatError, TrainingDivergedError
 from .kvtext import format_value, parse_value, read_sections, write_text
 from .ppo import (
@@ -230,22 +228,7 @@ def cmd_train(config: RunConfig, resume: bool, set_by: dict[str, str]) -> int:
     return 0
 
 
-def _oracle_episode(env: DesignEnv, seed: int) -> EpisodeRecord:
-    """The BFS shortest path as a one-episode record, so it bounds every
-    agent's steps from below: at least one step, because an episode that
-    starts feasible still takes one env step to win.  -1 steps, not won,
-    when no feasible point is reachable: cmd_eval then exits 2."""
-    steps = oracle_shortest(env.variant).shortest_steps
-    if steps is None:
-        return EpisodeRecord(-1, float("nan"), False, "unreachable")
-    return EpisodeRecord(max(1, steps), float("nan"), True, "win")
-
-
-_BASELINES = {
-    "random": lambda env, seed: random_agent(env, np.random.default_rng(seed)),
-    "greedy": lambda env, seed: greedy_agent(env),
-    "oracle": _oracle_episode,
-}
+_BASELINES = {"random": play_random, "greedy": play_greedy, "oracle": play_oracle}
 
 
 def cmd_eval(config: RunConfig) -> int:

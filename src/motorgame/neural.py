@@ -15,7 +15,6 @@ training loop allocates one per network and reuses it.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -175,34 +174,24 @@ class Categorical:
         self.logits_log_probs = shifted - lse
         self.probs = np.exp(self.logits_log_probs)
 
+    @cached_property
     def cdf(self) -> np.ndarray:
-        """Cumulative probabilities per row; rounding can leave the last
-        entry below 1."""
-        return np.cumsum(self.probs, axis=-1)
+        """Cumulative probabilities per row, the last entry at infinity
+        because rounding can leave it below 1, so below a draw."""
+        cdf = np.cumsum(self.probs, axis=-1)
+        cdf[:, -1] = np.inf
+        return cdf
 
     def sample(self, rng: np.random.Generator, rows: np.ndarray | None = None) -> np.ndarray:
-        """One action for each given row (default: all) by ``inverse_cdf``'s
-        rule on one ``rng.random(len(rows))`` call; deterministic in the
-        generator state.  The CDF is built once, so a sample gathers rows."""
-        cdf = self._clipped_cdf if rows is None else self._clipped_cdf.take(rows, axis=0)
+        """One action for each given row (default: all): the number of its
+        ``cdf`` entries below its draw from one ``rng.random(len(rows))``
+        call.  The CDF is built once, so a sample gathers rows."""
+        cdf = self.cdf if rows is None else self.cdf.take(rows, axis=0)
         u = rng.random(len(cdf))
         # the entries below u are a prefix of the row, so the first entry
         # not below u is their count
         return (cdf < u[:, None]).argmin(axis=-1)
 
-    @cached_property
-    def _clipped_cdf(self) -> np.ndarray:
-        """cdf() with its last entry at infinity, which clips the count."""
-        cdf = self.cdf()
-        cdf[:, -1] = np.inf
-        return cdf
-
     def entropy(self) -> np.ndarray:
         return -(self.probs * self.logits_log_probs).sum(axis=-1)
 
-
-def inverse_cdf(cdf: list[float], u: float) -> int:
-    """The inverse-CDF rule: the number of entries of the non-decreasing
-    ``cdf`` below ``u``, clipped to the last action because rounding can
-    leave ``cdf[-1]`` below 1.  An entry equal to ``u`` is not below it."""
-    return min(bisect_left(cdf, u), len(cdf) - 1)

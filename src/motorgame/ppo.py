@@ -11,8 +11,9 @@ derivation, so training, resuming, and evaluation are bit-reproducible.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import asdict, astuple, dataclass, field, fields
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -23,9 +24,7 @@ from .env import (
     NUM_ACTIONS,
     OBSERVATION_DIM,
     WIN_CODE,
-    DesignEnv,
     EnvPool,
-    EpisodeRecord,
     RewardConfig,
     flags,
     move,
@@ -50,7 +49,6 @@ from .neural import (
     clip_grad_norm,
     forward,
     init,
-    inverse_cdf,
 )
 from .surrogate import Performance, evaluate_grid, lattice_index
 
@@ -472,12 +470,23 @@ class EvalReport:
     rows: list[EpisodeRow]
 
 
-def _evaluate_variants(play_variant: Callable, variants: Sequence[MachineVariant],
-                       episodes_per_variant: int, mode: str, seed: int) -> EvalReport:
-    """evaluate_agent's loop, also evaluate's: play_variant(variant, seeds) yields
-    (steps, win) per episode seed, and seeds a generator only if it draws from one."""
+def evaluate_agent(play: Callable[..., Iterable[tuple[int, bool]]],
+                   variants: Sequence[MachineVariant], episodes_per_variant: int,
+                   mode: str, seed: int = 0,
+                   reward_config: RewardConfig | None = None) -> EvalReport:
+    """Play every variant ``episodes_per_variant`` times and summarize the
+    episodes per base machine.
+
+    ``play(variant, seeds, config)`` yields (steps, win) per episode seed.
+    Each episode's seed is derived from (seed, variant seed, episode), so
+    a variant's episodes do not depend on the other variants.  Mean steps are computed over winning
+    episodes; losses show up in the win rate and in mean_steps_all.  The
+    summary is keyed by machine id, so two different machines that share
+    an id are rejected.
+    """
     if episodes_per_variant < 1:
         raise ContractViolationError("episodes_per_variant must be >= 1")
+    config = reward_config or RewardConfig()
     machines = {}
     for variant in variants:
         if machines.setdefault(variant.base_id, variant.base) != variant.base:
@@ -486,7 +495,7 @@ def _evaluate_variants(play_variant: Callable, variants: Sequence[MachineVariant
     rows: list[EpisodeRow] = []
     for variant in variants:
         seeds = (derive_seed(seed, variant.variant_seed, ep) for ep in range(episodes_per_variant))
-        for steps, win in play_variant(variant, seeds):
+        for steps, win in play(variant, seeds, config):
             rows.append(EpisodeRow(variant.base_id, variant.variant_seed, len(rows), steps, win))
 
     per_machine = {}
@@ -505,26 +514,6 @@ def _evaluate_variants(play_variant: Callable, variants: Sequence[MachineVariant
                       per_machine=per_machine, rows=rows)
 
 
-def evaluate_agent(play: Callable[[DesignEnv, int], EpisodeRecord],
-                   variants: Sequence[MachineVariant], episodes_per_variant: int,
-                   mode: str, seed: int = 0,
-                   reward_config: RewardConfig | None = None) -> EvalReport:
-    """Play every variant ``episodes_per_variant`` times with
-    ``play(env, episode_seed)`` and summarize the episodes per base machine.
-
-    Each episode's seed is derived from (seed, variant seed, episode), so
-    a variant's episodes do not depend on the other variants.  Mean
-    steps are computed over winning episodes; losses show up in the win
-    rate and in mean_steps_all.  The summary is keyed by machine id, so
-    two different machines that share an id are rejected.
-    """
-    def play_variant(variant, seeds):
-        env = DesignEnv(variant, config=reward_config)
-        return ((record.steps, record.win) for record in (play(env, s) for s in seeds))
-
-    return _evaluate_variants(play_variant, variants, episodes_per_variant, mode, seed)
-
-
 def evaluate(actor: MlpParams, variants: Sequence[MachineVariant],
              episodes_per_variant: int = 20, mode: str = "stochastic",
              seed: int = 0, reward_config: RewardConfig | None = None,
@@ -533,40 +522,40 @@ def evaluate(actor: MlpParams, variants: Sequence[MachineVariant],
 
     mode "argmax" takes the highest-logit action; mode "stochastic"
     samples from the policy head (deterministic in seed), one
-    ``rng.random()`` per step for ``inverse_cdf``.  DesignEnv.step's rules
-    are played on lattice indices with env.move, each point's flags read
-    once per variant from evaluate_grid; ``reward_config`` counts only
-    through max_steps.  A call plays fewer steps than there are observations,
-    so the policy runs once per observation code per call, not on all 1,701.
+    ``rng.random()`` per step bisected into a ``Categorical.cdf`` row.
+    DesignEnv.step's rules are played on lattice indices with env.move,
+    each point's flags read once per variant from evaluate_grid;
+    ``reward_config`` counts only through max_steps.  A call plays fewer
+    steps than there are observations, so the policy runs once per
+    observation code per call, not on all 1,701.
     """
     if mode not in ("stochastic", "argmax"):
         raise ContractViolationError(f"unknown evaluation mode {mode!r}")
-    max_steps = (reward_config or RewardConfig()).max_steps
     memo: dict[int, int | list[float]] = {}  # observation code -> action or CDF row
 
-    def play_variant(variant, seeds):
+    def play(variant, seeds, config):
         points = np.moveaxis(evaluate_grid(variant.base), 0, -1)  # (i, j, k, value)
         start, flag_codes = lattice_index(variant.base, variant.initial_design), {}
         for episode_seed in seeds:
             rng = np.random.default_rng(episode_seed) if mode == "stochastic" else None
             ijk, action = start, -1  # no previous action
-            for steps in range(max_steps + 1):
+            for steps in range(config.max_steps + 1):
                 if ijk not in flag_codes:  # FLAG_CODE_WEIGHTS @ (flags + 1)
                     flag_codes[ijk] = int(FLAG_CODE_WEIGHTS @ np.add(
                         flags(Performance(*points[ijk]), variant.target_bands), 1))
-                if (steps and flag_codes[ijk] == WIN_CODE) or steps == max_steps:
+                if (steps and flag_codes[ijk] == WIN_CODE) or steps == config.max_steps:
                     break
                 code = flag_codes[ijk] + action + 1
                 if code not in memo:
                     logits, _ = forward(actor, ALL_OBSERVATIONS[code][None])
                     memo[code] = (int(np.argmax(logits[0])) if mode == "argmax"
-                                  else Categorical(logits).cdf()[0].tolist())
-                action = memo[code] if mode == "argmax" else inverse_cdf(memo[code], rng.random())
+                                  else Categorical(logits).cdf[0].tolist())
+                action = memo[code] if mode == "argmax" else bisect_left(memo[code], rng.random())
                 if code != WIN_CODE:  # a feasible start wins without moving
                     ijk = move(ijk, action, points.shape[:3])
             yield steps, flag_codes[ijk] == WIN_CODE
 
-    return _evaluate_variants(play_variant, variants, episodes_per_variant, mode, seed)
+    return evaluate_agent(play, variants, episodes_per_variant, mode, seed, reward_config)
 
 
 def format_eval_table(report: EvalReport, label: str = "policy") -> str:

@@ -19,7 +19,7 @@ from motorgame.catalog import (
     machine_by_id,
     save_catalog,
 )
-from motorgame import cli
+from motorgame import agents, cli
 from motorgame.cli import (
     RunConfig,
     build_parser,
@@ -27,7 +27,7 @@ from motorgame.cli import (
     main,
     resolve_config,
 )
-from motorgame.env import NUM_ACTIONS, OBSERVATION_DIM
+from motorgame.env import NUM_ACTIONS, OBSERVATION_DIM, DesignEnv
 from motorgame.errors import (
     ContractViolationError,
     MotorGameError,
@@ -575,6 +575,35 @@ def test_eval_oracle_takes_one_step_on_a_feasible_start(tmp_path, capsys):
         assert main(_eval_args(tmp_path, catalog, tmp_path / "unused.txt", agent=agent)) == 0
         assert (tmp_path / f"episodes_{agent}.csv").read_text().splitlines()[1:] == (
             ["0,1,1"] if agent == "oracle" else ["0,1,1", "1,1,1"])
+
+
+def test_eval_oracle_builds_no_env_and_greedy_plays_once_per_variant(
+        tmp_path, capsys, monkeypatch):
+    """On a stock catalog the oracle's rows come from the BFS alone, and
+    greedy, which draws nothing, plays one episode per holdout variant and
+    repeats its row for each of the variant's episodes."""
+    catalog = tmp_path / "catalog.txt"
+    assert main(["catalog", "--catalog-path", str(catalog)]) == 0
+    holdout = [v for v in load_catalog(catalog) if v.split == "holdout"]
+    envs, played = [], []
+    env_init, greedy_agent = DesignEnv.__init__, agents.greedy_agent
+    monkeypatch.setattr(DesignEnv, "__init__",
+                        lambda env, *a, **k: envs.append(env) or env_init(env, *a, **k))
+    monkeypatch.setattr(agents, "greedy_agent",
+                        lambda env, *a: played.append(env.variant) or greedy_agent(env, *a))
+    episodes_csv = tmp_path / "episodes.csv"
+    args = ["eval", "--catalog-path", str(catalog), "--episodes-csv", str(episodes_csv)]
+
+    assert main([*args, "--agent", "oracle"]) == 0
+    assert envs == []
+    assert len(episodes_csv.read_text().splitlines()) == 1 + len(holdout)
+
+    assert main([*args, "--agent", "greedy"]) == 0
+    assert played == holdout and len(envs) == len(holdout)
+    rows = [row.split(",", 1)[1] for row in episodes_csv.read_text().splitlines()[1:]]
+    per_variant = RunConfig().episodes_per_variant
+    assert len(rows) == per_variant * len(holdout)
+    assert rows == [row for row in rows[::per_variant] for _ in range(per_variant)]
 
 
 # --- oracle command ----------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Network kernel: Glorot init, forward/backward against finite
 differences, the adaptive-moment optimizer, and the softmax policy head."""
 
+from bisect import bisect_left
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from motorgame.neural import (
     clip_grad_norm,
     forward,
     init,
-    inverse_cdf,
 )
 
 
@@ -449,12 +450,13 @@ def _counted(cdf, u):
 ])
 def test_inverse_cdf_lookup_matches_categorical_sample(logits, draws):
     dist = Categorical(np.array([logits]))
-    cdf = dist.cdf()[0]
+    cdf = np.cumsum(dist.probs, -1)[0]  # the raw CDF, last entry unclipped
+    row = dist.cdf[0].tolist()  # evaluate's memo row
     # the case's row at table rows 1 and 3, between rows of other shapes
     table = Categorical(np.array([[0.0] * 6, logits, [3.0, -1.0, 0.5, -np.inf, 2.0, 1.0],
                                   logits, [-4.0, -3.0, -2.0, -1.0, 0.0, 9.0]]))
     rows = np.array([1, 0, 3, 2, 1, 4, 3])
-    table_cdf = table.cdf()
+    table_cdf = np.cumsum(table.probs, -1)
     assert np.array_equal(table_cdf[1], cdf) and np.array_equal(table_cdf[3], cdf)
     if draws == "entries":  # each entry, and the next double above it
         us = [float(c) for c in cdf] + [float(np.nextafter(c, 2.0)) for c in cdf[:-1]]
@@ -463,7 +465,7 @@ def test_inverse_cdf_lookup_matches_categorical_sample(logits, draws):
         us = [float(np.nextafter(cdf[-1], 2.0)), float(np.nextafter(1.0, 0.0))]
     for u in us:
         want = _counted(cdf, u)
-        assert inverse_cdf(cdf.tolist(), u) == want
+        assert bisect_left(row, u) == want
         assert int(dist.sample(_FixedDraw(u))[0]) == want
         got = table.sample(_FixedDraw(u), rows)
         assert got.dtype == np.intp

@@ -10,7 +10,7 @@ import pytest
 from motorgame import agents as agents_module
 from motorgame import catalog as catalog_module
 from motorgame import env as env_module
-from motorgame.agents import greedy_agent, oracle_shortest
+from motorgame.agents import oracle_shortest, play_greedy
 from motorgame.catalog import (
     Bounds,
     MachineVariant,
@@ -1100,21 +1100,25 @@ def _reference_evaluate(actor, variants, episodes_per_variant, mode, seed,
     Categorical on every step, and the sampling rule spelled out in numpy;
     kept as the reference that the lattice walk and its per-call memo must
     match bit for bit.  Each observation the policy sees is appended to
-    ``seen``, when given, as bytes."""
-    def play(env, seed):
-        rng = np.random.default_rng(seed)
+    ``seen``, when given, as bytes.  Its player builds one DesignEnv per
+    variant."""
+    def play(variant, seeds, config):
+        env = DesignEnv(variant, config=config)
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
 
-        def policy(obs):
-            if seen is not None:
-                seen.append(obs.tobytes())
-            logits, _ = forward(actor, obs[None])
-            if mode == "argmax":
-                return int(np.argmax(logits[0]))
-            cdf = np.cumsum(Categorical(logits).probs, axis=-1)
-            u = rng.random(1)
-            return int(np.minimum((cdf < u[:, None]).sum(axis=-1), NUM_ACTIONS - 1)[0])
+            def policy(obs):
+                if seen is not None:
+                    seen.append(obs.tobytes())
+                logits, _ = forward(actor, obs[None])
+                if mode == "argmax":
+                    return int(np.argmax(logits[0]))
+                cdf = np.cumsum(Categorical(logits).probs, axis=-1)
+                u = rng.random(1)
+                return int(np.minimum((cdf < u[:, None]).sum(axis=-1), NUM_ACTIONS - 1)[0])
 
-        return run_episode(env, policy)
+            record = run_episode(env, policy)
+            yield record.steps, record.win
 
     return evaluate_agent(play, variants, episodes_per_variant, mode, seed, reward_config)
 
@@ -1247,15 +1251,11 @@ def test_evaluation_rejects_two_machines_that_share_an_id():
     the stock machine 1 would merge into one row at the last rating."""
     rerated = replace(BASE, rated_power=3000.0)
     variants = generate_variants(BASE, 3, 0) + generate_variants(rerated, 3, 0)
-
-    def greedy(env, seed):
-        return greedy_agent(env)
-
     with pytest.raises(ContractViolationError, match="two different machines share id 1"):
-        evaluate_agent(greedy, variants, 2, "greedy")
+        evaluate_agent(play_greedy, variants, 2, "greedy")
     with pytest.raises(ContractViolationError, match="share id 1"):
         evaluate(new_checkpoint(SMALL).actor, variants, episodes_per_variant=1)
-    alone = evaluate_agent(greedy, variants[3:], 2, "greedy").per_machine
+    alone = evaluate_agent(play_greedy, variants[3:], 2, "greedy").per_machine
     assert alone[1].machine == rerated and alone[1].episodes == 6
 
 
