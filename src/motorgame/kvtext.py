@@ -18,7 +18,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ContractViolationError, TextFormatError
+from .errors import TextFormatError
+
+
+class BadValueError(ValueError):
+    """A value that parses but breaks its key's rule (negative, non-finite,
+    a wrong count, ...); a converter raises it with the reason, which
+    Section.parse reports in place of the value's text."""
 
 
 @dataclass
@@ -35,13 +41,18 @@ class Section:
         return self.error(message, self.path, self.line if line is None else line)
 
     def parse(self, key: str, conv: Callable[[str], object]):
-        """``conv`` of the value of ``key``; a ValueError from it fails as
-        "bad value for KEY: 'TEXT'" at the key's line."""
+        """``conv`` of the value of ``key``.  A ValueError from it fails at
+        the key's line as "bad value for KEY: 'TEXT'", TEXT cut after 80
+        characters so that no message copies a whole array, or for a
+        BadValueError as "bad value for KEY: REASON"."""
         text = self.values[key]
         try:
             return conv(text)
+        except BadValueError as exc:
+            shown = str(exc)
         except ValueError:
-            raise self.fail(f"bad value for {key}: {text!r}", self.lines[key]) from None
+            shown = repr(text) if len(text) <= 80 else f"{text[:80]!r}..."
+        raise self.fail(f"bad value for {key}: {shown}", self.lines[key])
 
 
 def read_sections(path, error: type[TextFormatError],
@@ -144,8 +155,11 @@ def format_array(arr: np.ndarray) -> str:
 
 
 def parse_array(text: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Inverse of format_array; a BadValueError for a wrong count or a non-finite value."""
     values = np.array([float(tok) for tok in text.split()], dtype=np.float64)
     if values.size != int(np.prod(shape)):
-        raise ContractViolationError(
-            f"expected {int(np.prod(shape))} values, got {values.size}")
+        raise BadValueError(f"expected {int(np.prod(shape))} values, got {values.size}")
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise BadValueError(f"non-finite value at index {int(np.argmin(finite))}")
     return values.reshape(shape)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import asdict, astuple, dataclass, field, fields
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -31,7 +32,7 @@ from .env import (
 )
 from .errors import CheckpointFormatError, ContractViolationError, TrainingDivergedError
 from .kvtext import (
-    Section,
+    BadValueError,
     check_layout,
     format_array,
     format_value,
@@ -520,9 +521,11 @@ def evaluate(actor: MlpParams, variants: Sequence[MachineVariant],
              ) -> EvalReport:
     """Frozen-policy evaluation grouped per base machine (see evaluate_agent).
 
-    mode "argmax" takes the highest-logit action; mode "stochastic"
-    samples from the policy head (deterministic in seed), one
-    ``rng.random()`` per step bisected into a ``Categorical.cdf`` row.
+    mode "argmax" takes the highest-logit action and draws nothing, so it
+    plays one episode per variant and repeats its row once per episode
+    seed, as agents.play_greedy does; mode "stochastic" samples from the
+    policy head (deterministic in seed), one ``rng.random()`` per step
+    bisected into a ``Categorical.cdf`` row.
     DesignEnv.step's rules are played on lattice indices with env.move,
     each point's flags read once per variant from evaluate_grid;
     ``reward_config`` counts only through max_steps.  A call plays fewer
@@ -536,8 +539,8 @@ def evaluate(actor: MlpParams, variants: Sequence[MachineVariant],
     def play(variant, seeds, config):
         points = np.moveaxis(evaluate_grid(variant.base), 0, -1)  # (i, j, k, value)
         start, flag_codes = lattice_index(variant.base, variant.initial_design), {}
-        for episode_seed in seeds:
-            rng = np.random.default_rng(episode_seed) if mode == "stochastic" else None
+
+        def episode(rng):  # (steps, win); argmax draws nothing and passes no rng
             ijk, action = start, -1  # no previous action
             for steps in range(config.max_steps + 1):
                 if ijk not in flag_codes:  # FLAG_CODE_WEIGHTS @ (flags + 1)
@@ -550,10 +553,14 @@ def evaluate(actor: MlpParams, variants: Sequence[MachineVariant],
                     logits, _ = forward(actor, ALL_OBSERVATIONS[code][None])
                     memo[code] = (int(np.argmax(logits[0])) if mode == "argmax"
                                   else Categorical(logits).cdf[0].tolist())
-                action = memo[code] if mode == "argmax" else bisect_left(memo[code], rng.random())
+                action = memo[code] if rng is None else bisect_left(memo[code], rng.random())
                 if code != WIN_CODE:  # a feasible start wins without moving
                     ijk = move(ijk, action, points.shape[:3])
-            yield steps, flag_codes[ijk] == WIN_CODE
+            return steps, flag_codes[ijk] == WIN_CODE
+
+        if mode == "argmax":  # every episode of the variant is the same
+            return [episode(None)] * len(list(seeds))
+        return [episode(np.random.default_rng(episode_seed)) for episode_seed in seeds]
 
     return evaluate_agent(play, variants, episodes_per_variant, mode, seed, reward_config)
 
@@ -614,73 +621,50 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
     write_text(path, "\n".join(lines) + "\n")
 
 
-def _parse_count(section: dict[str, str], key: str) -> int:
-    count = int(section[key])
+def _count(text: str) -> int:
+    count = int(text)
     if count < 0:
-        raise ValueError(f"{key} = {count} is negative")
+        raise BadValueError(f"{count} is negative")
     return count
 
 
-def _parse_finite(section: dict[str, str], key: str, shape: tuple[int, ...]) -> np.ndarray:
-    values = parse_array(section[key], shape)
-    if not np.isfinite(values).all():
-        raise ValueError(f"{key} holds a non-finite value")
-    return values
-
-
-def _load_params(section: Section, outputs: int) -> MlpParams:
-    try:
-        params = MlpParams(tuple(int(tok) for tok in section.values["sizes"].split()))
-        if (params.sizes[0], params.sizes[-1]) != (OBSERVATION_DIM, outputs):
-            raise ValueError(
-                f"sizes {params.sizes} do not map {OBSERVATION_DIM} -> {outputs}")
-        params.flat[:] = _parse_finite(section.values, "flat", params.flat.shape)
-    except (ValueError, ContractViolationError) as exc:
-        raise section.fail(f"bad [{section.name}] section: {exc}") from exc
-    return params
-
-
-def _load_opt(section: Section, params: MlpParams, learning_rate: float) -> AdamState:
-    try:
-        opt = AdamState.for_params(params, learning_rate)
-        opt.step = _parse_count(section.values, "step")
-        opt.m.flat[:] = _parse_finite(section.values, "m", params.flat.shape)
-        opt.v.flat[:] = _parse_finite(section.values, "v", params.flat.shape)
-    except (ValueError, ContractViolationError) as exc:
-        raise section.fail(f"bad [{section.name}] section: {exc}") from exc
-    return opt
+def _network(text: str, outputs: int) -> MlpParams:
+    """Zero parameters of the layer sizes ``text``, which must map an
+    observation to ``outputs`` values."""
+    sizes = tuple(int(tok) for tok in text.split())
+    if len(sizes) < 2 or min(sizes) < 1 or (sizes[0], sizes[-1]) != (OBSERVATION_DIM, outputs):
+        raise BadValueError(f"{sizes} do not map {OBSERVATION_DIM} -> {outputs}")
+    return MlpParams(sizes)
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    """Read a checkpoint written by save_checkpoint.  Its layout is checked
-    against _CHECKPOINT_KEYS before any value is parsed: an unknown,
-    duplicate or missing section or key raises CheckpointFormatError, and
-    a bad value fails at its section's header."""
+    """Read a checkpoint written by save_checkpoint.  Its sections must be
+    those of _CHECKPOINT_KEYS, once each and in that order, and their keys
+    are checked before any value is parsed.  A bad value fails at its own
+    line, and [hyper]'s cross-field checks at its header."""
     found = read_sections(path, CheckpointFormatError, CHECKPOINT_VERSION_LINE)
     check_layout(found, _CHECKPOINT_KEYS)
-    sections: dict[str, Section] = {}
-    for section in found:
-        if section.name in sections:
-            raise section.fail(f"duplicate section [{section.name}]")
-        sections[section.name] = section
-    for name in _CHECKPOINT_KEYS:
-        if name not in sections:
-            raise CheckpointFormatError(f"missing section [{name}]", path)
-    hyper_at, meta_at = sections["hyper"], sections["meta"]
+    names = list(_CHECKPOINT_KEYS)
+    for at, section in enumerate(found):  # check_layout knows every name
+        if names[at:at + 1] != [section.name]:
+            raise section.fail(f"duplicate section [{section.name}]" if section.name in names[:at]
+                               else f"expected section [{names[at]}], got [{section.name}]")
+    if len(found) < len(names):
+        raise CheckpointFormatError(f"missing section [{names[len(found)]}]", path)
+    sections = dict(zip(names, found))
+    values = {key: sections["meta"].parse(key, _count) for key in _CHECKPOINT_KEYS["meta"]}
     try:
-        hyper = Hyperparams(**{f.name: parse_value(hyper_at.values[f.name], f.type)
-                               for f in fields(Hyperparams)})
-    except (ValueError, ContractViolationError) as exc:
-        raise hyper_at.fail(f"bad [hyper] section: {exc}") from exc
-    try:
-        update_index = _parse_count(meta_at.values, "update_index")
-        env_steps = _parse_count(meta_at.values, "env_steps")
-    except ValueError as exc:
-        raise meta_at.fail(f"bad [meta] section: {exc}") from exc
-    actor = _load_params(sections["actor"], NUM_ACTIONS)
-    critic = _load_params(sections["critic"], 1)
-    return Checkpoint(
-        actor=actor, critic=critic,
-        actor_opt=_load_opt(sections["actor_opt"], actor, hyper.learning_rate),
-        critic_opt=_load_opt(sections["critic_opt"], critic, hyper.learning_rate),
-        hyper=hyper, update_index=update_index, env_steps=env_steps)
+        hyper = Hyperparams(**{f.name: sections["hyper"].parse(
+            f.name, partial(parse_value, kind=f.type)) for f in fields(Hyperparams)})
+    except ContractViolationError as exc:
+        raise sections["hyper"].fail(f"bad [hyper] section: {exc}") from None
+    for name, outputs in (("actor", NUM_ACTIONS), ("critic", 1)):
+        net, moments = sections[name], sections[f"{name}_opt"]
+        params = net.parse("sizes", partial(_network, outputs=outputs))
+        array = partial(parse_array, shape=params.flat.shape)
+        params.flat[:] = net.parse("flat", array)
+        opt = AdamState.for_params(params, hyper.learning_rate)
+        opt.step = moments.parse("step", _count)
+        opt.m.flat[:], opt.v.flat[:] = moments.parse("m", array), moments.parse("v", array)
+        values |= {name: params, f"{name}_opt": opt}
+    return Checkpoint(**values, hyper=hyper)

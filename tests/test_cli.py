@@ -481,10 +481,10 @@ def test_eval_rejects_checkpoint_with_a_nan_weight(tmp_path, capsys):
     ckpt.actor.flat[7] = np.nan
     save_checkpoint(ckpt, str(ckpt_path))
     capsys.readouterr()
-    header = ckpt_path.read_text().splitlines().index("[actor]") + 1
+    flat = ckpt_path.read_text().splitlines().index("[actor]") + 3
     assert main(_eval_args(tmp_path, catalog, ckpt_path)) == 1
     assert capsys.readouterr().err == (
-        f"error: {ckpt_path}:{header}: bad [actor] section: flat holds a non-finite value\n")
+        f"error: {ckpt_path}:{flat}: bad value for flat: non-finite value at index 7\n")
 
 
 def test_eval_rejects_checkpoint_with_a_nan_learning_rate(tmp_path, capsys):
@@ -754,20 +754,20 @@ def _spoil(path, pattern, new) -> int:
     return text.count("\n", 0, match.start()) + 1
 
 
-@pytest.mark.parametrize("command,name,pattern,new,at", [
-    (["oracle"], "catalog.txt", r"^length = .*$", "length = x", None),
-    (["oracle"], "catalog.txt", r"^motor-design-catalog v2$", "motor-design-catalog v1", None),
-    (["eval"], "ckpt.txt", r"^\[actor\]$", "[actr]", None),
-    (["eval"], "ckpt.txt", r"^flat = \S+", "flat = nan", "[actor]"),
-    (["eval"], "ckpt.txt", r"^motor-design-ckpt v2$", "motor-design-ckpt v1", None),
-    (["oracle"], "run.cfg", r"^eval_seed = .*$", "eval_seed = abc", None),
-    (["train", "--resume"], "metrics.txt", r"^update=1 .*$", "hello", None),
+@pytest.mark.parametrize("command,name,pattern,new", [
+    (["oracle"], "catalog.txt", r"^length = .*$", "length = x"),
+    (["oracle"], "catalog.txt", r"^motor-design-catalog v2$", "motor-design-catalog v1"),
+    (["eval"], "ckpt.txt", r"^\[actor\]$", "[actr]"),
+    (["eval"], "ckpt.txt", r"^flat = \S+", "flat = nan"),
+    (["eval"], "ckpt.txt", r"^motor-design-ckpt v2$", "motor-design-ckpt v1"),
+    (["oracle"], "run.cfg", r"^eval_seed = .*$", "eval_seed = abc"),
+    (["train", "--resume"], "metrics.txt", r"^update=1 .*$", "hello"),
 ], ids=["catalog-value", "catalog-v1", "checkpoint-section", "checkpoint-nan",
         "checkpoint-v1", "config-value", "metrics-row"])
 def test_every_file_fault_names_its_file_and_line(tmp_path, capsys, command, name,
-                                                  pattern, new, at):
-    """A fault in any file the CLI reads exits 1 with ``error: PATH:LINE:``;
-    ``at`` is the reported line's text when it is not the spoiled line."""
+                                                  pattern, new):
+    """A fault in any file the CLI reads exits 1 with ``error: PATH:LINE:``
+    at the spoiled line."""
     catalog, ckpt, metrics, config = (
         tmp_path / n for n in ("catalog.txt", "ckpt.txt", "metrics.txt", "run.cfg"))
     save_catalog(generate_variants(machine_by_id(1), 2, 0), catalog)
@@ -779,8 +779,6 @@ def test_every_file_fault_names_its_file_and_line(tmp_path, capsys, command, nam
                       "split = train\neval_seed = 1\n")
     path = tmp_path / name
     line = _spoil(path, pattern, new)
-    if at is not None:
-        line = path.read_text().splitlines().index(at) + 1
     capsys.readouterr()
     assert main(["--config", str(config), *command]) == 1
     assert capsys.readouterr().err.startswith(f"error: {path}:{line}: ")

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a package module imports is used in that module."""
+"""Source hygiene: every name a package module imports, and every private
+name it defines at module level, is used in that module."""
 
 import ast
 from pathlib import Path
@@ -6,13 +7,29 @@ from pathlib import Path
 import pytest
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "motorgame"
+MODULES = sorted(SOURCE.glob("*.py"))
 
 # (module file, name) imported on purpose without being used: perfbench's
 # traced run patches env.evaluate to count the environment's surrogate calls
 UNUSED_ON_PURPOSE = {("env.py", "evaluate")}
 
 
-@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
+def _names(tree: ast.Module, loaded_only: bool = False) -> set[str]:
+    """The names the module's code spells, with those in its quoted
+    annotations: a quoted annotation such as "BaseMachine" uses the names
+    it spells.  With ``loaded_only``, only the names it reads."""
+    annotations = [node.annotation for node in ast.walk(tree)
+                   if isinstance(node, (ast.arg, ast.AnnAssign))]
+    annotations += [node.returns for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    quoted = [ast.parse(node.value, mode="eval") for node in annotations
+              if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    return {node.id for root in (tree, *quoted) for node in ast.walk(root)
+            if isinstance(node, ast.Name)
+            and not (loaded_only and isinstance(node.ctx, ast.Store))}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text(), str(path))
     imported = {}  # bound name -> line of its import
@@ -22,15 +39,26 @@ def test_every_imported_name_is_used(path):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
-    # a quoted annotation such as "BaseMachine" uses the names it spells
-    annotations = [node.annotation for node in ast.walk(tree)
-                   if isinstance(node, (ast.arg, ast.AnnAssign))]
-    annotations += [node.returns for node in ast.walk(tree)
-                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
-    quoted = [ast.parse(node.value, mode="eval") for node in annotations
-              if isinstance(node, ast.Constant) and isinstance(node.value, str)]
-    used = {node.id for root in (tree, *quoted) for node in ast.walk(root)
-            if isinstance(node, ast.Name)}
+    used = _names(tree)
     unused = [f"{name} (line {line})" for name, line in imported.items()
               if name not in used and (path.name, name) not in UNUSED_ON_PURPOSE]
     assert unused == [], f"{path.name} imports but never uses: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_module_name_is_used(path):
+    """A module-level ``_name`` (function, class or assignment) is private
+    to its module, so a helper that its callers left behind shows here."""
+    tree = ast.parse(path.read_text(), str(path))
+    defined = {}  # private name -> line of its definition
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined |= {name.id: node.lineno for target in targets
+                        for name in ast.walk(target) if isinstance(name, ast.Name)}
+    read = _names(tree, loaded_only=True)
+    unused = [f"{name} (line {line})" for name, line in defined.items()
+              if name.startswith("_") and not name.startswith("__") and name not in read]
+    assert unused == [], f"{path.name} defines but never uses: {', '.join(unused)}"

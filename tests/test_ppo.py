@@ -1,6 +1,7 @@
 """PPO trainer: rollout collection, advantage estimation, the clipped
 surrogate update, deterministic training/resume, and evaluation."""
 
+import re
 from dataclasses import astuple, fields, replace
 from itertools import product
 
@@ -1164,6 +1165,25 @@ def test_evaluate_matches_the_per_step_reference(mode, seed, case):
     _assert_same_report(got, _reference_evaluate(actor, variants, 3, mode, seed, config))
 
 
+def test_argmax_evaluation_plays_each_variant_once(monkeypatch):
+    """Argmax draws nothing, so every episode of a variant is the same: 20
+    episodes per variant make as many lattice moves as one, and their rows
+    are the per-step reference's."""
+    actor, moves = _trained_checkpoint().actor, []
+
+    def counting_move(*args):
+        moves.append(args)
+        return move(*args)
+
+    monkeypatch.setattr("motorgame.ppo.move", counting_move)
+    variants = EVAL_CASES["feasible_start"][0]
+    got = evaluate(actor, variants, episodes_per_variant=20, mode="argmax", seed=3)
+    twenty = len(moves)
+    evaluate(actor, variants, episodes_per_variant=1, mode="argmax", seed=3)
+    assert twenty == len(moves) - twenty > 0
+    _assert_same_report(got, _reference_evaluate(actor, variants, 20, "argmax", 3))
+
+
 @pytest.mark.parametrize("mode", ["stochastic", "argmax"])
 def test_evaluate_runs_the_actor_once_per_distinct_observation(monkeypatch, mode):
     actor, forwarded, seen = new_checkpoint(SMALL).actor, [], []
@@ -1370,6 +1390,21 @@ def test_checkpoint_rejects_a_second_section_at_its_header(tmp_path):
     assert err.value.line == len(lines) + 1
 
 
+def test_checkpoint_rejects_sections_out_of_order(tmp_path):
+    """Sections come in save_checkpoint's order, so one swapped with the
+    next fails at the header of the first out of place."""
+    path = tmp_path / "ckpt.txt"
+    save_checkpoint(new_checkpoint(SMALL), str(path))
+    lines = path.read_text().splitlines()
+    actor, critic, actor_opt = (lines.index(f"[{name}]") for name in ("actor", "critic", "actor_opt"))
+    lines[actor:actor_opt] = lines[critic:actor_opt] + lines[actor:critic]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CheckpointFormatError,
+                       match=r"expected section \[actor\], got \[critic\]") as err:
+        load_checkpoint(str(path))
+    assert err.value.line == actor + 1
+
+
 def test_checkpoint_version_error(tmp_path):
     ckpt = _trained_checkpoint()
     path = tmp_path / "ckpt.txt"
@@ -1409,17 +1444,33 @@ def test_checkpoint_rejects_actor_without_layers(tmp_path):
     actor_sizes = "sizes = " + " ".join(str(s) for s in ACTOR_SIZES)
     path.write_text(path.read_text().replace(actor_sizes,
                                              f"sizes = {OBSERVATION_DIM}", 1))
-    with pytest.raises(CheckpointFormatError, match=r"\[actor\]"):
+    with pytest.raises(CheckpointFormatError,
+                       match=rf"bad value for sizes: \({OBSERVATION_DIM},\) do not map") as err:
         load_checkpoint(str(path))
+    assert err.value.line == path.read_text().splitlines().index("[actor]") + 2
 
 
-def _rewrite_checkpoint_value(path, section, key, rewrite):
-    """Replace the value of ``key`` in ``[section]`` with rewrite(value)."""
+def _rewrite_checkpoint_value(path, section, key, rewrite) -> int:
+    """Replace the value of ``key`` in ``[section]`` with rewrite(value);
+    the number of its line."""
     lines = path.read_text().splitlines()
     at = lines.index(f"[{section}]") + 1
     at += [line.split(" = ")[0] for line in lines[at:]].index(key)
     lines[at] = f"{key} = {rewrite(lines[at].split(' = ')[1])}"
     path.write_text("\n".join(lines) + "\n")
+    return at + 1
+
+
+def _drop_last_token(text):
+    return text.rsplit(" ", 1)[0]
+
+
+def _spoil_middle_token(new):
+    def spoil(text):
+        tokens = text.split()
+        tokens[len(tokens) // 2] = new
+        return " ".join(tokens)
+    return spoil
 
 
 @pytest.mark.parametrize("section,key", [
@@ -1428,9 +1479,10 @@ def _rewrite_checkpoint_value(path, section, key, rewrite):
 def test_checkpoint_rejects_negative_counts(tmp_path, section, key):
     path = tmp_path / "ckpt.txt"
     save_checkpoint(new_checkpoint(SMALL), str(path))
-    _rewrite_checkpoint_value(path, section, key, lambda _: "-1")
-    with pytest.raises(CheckpointFormatError, match=f"{key} = -1 is negative"):
+    line = _rewrite_checkpoint_value(path, section, key, lambda _: "-1")
+    with pytest.raises(CheckpointFormatError, match=f"bad value for {key}: -1 is negative") as err:
         load_checkpoint(str(path))
+    assert err.value.line == line
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -1438,17 +1490,13 @@ def test_checkpoint_rejects_negative_counts(tmp_path, section, key):
     ("actor", "flat"), ("critic", "flat"), ("actor_opt", "m"), ("actor_opt", "v"),
     ("critic_opt", "m"), ("critic_opt", "v")])
 def test_checkpoint_rejects_non_finite_arrays(tmp_path, section, key, value):
-    def poison(text):
-        tokens = text.split()
-        tokens[len(tokens) // 2] = value
-        return " ".join(tokens)
-
     path = tmp_path / "ckpt.txt"
     save_checkpoint(new_checkpoint(SMALL), str(path))
-    _rewrite_checkpoint_value(path, section, key, poison)
+    line = _rewrite_checkpoint_value(path, section, key, _spoil_middle_token(value))
     with pytest.raises(CheckpointFormatError,
-                       match=rf"\[{section}\] section: {key} holds a non-finite value"):
+                       match=rf"bad value for {key}: non-finite value at index \d+$") as err:
         load_checkpoint(str(path))
+    assert err.value.line == line
 
 
 @pytest.mark.parametrize("net,sizes", [
@@ -1462,5 +1510,38 @@ def test_checkpoint_rejects_networks_that_do_not_fit_the_game(tmp_path, net, siz
         net: params, f"{net}_opt": AdamState.for_params(params, 1e-3)})
     path = tmp_path / "ckpt.txt"
     save_checkpoint(ckpt, str(path))
-    with pytest.raises(CheckpointFormatError, match=rf"\[{net}\]"):
+    outputs = NUM_ACTIONS if net == "actor" else 1
+    with pytest.raises(CheckpointFormatError, match=re.escape(
+            f"bad value for sizes: {sizes} do not map {OBSERVATION_DIM} -> {outputs}")) as err:
         load_checkpoint(str(path))
+    assert err.value.line == path.read_text().splitlines().index(f"[{net}]") + 2
+
+
+# (section, key, rewrite, reason) for one key of each kind; the reason
+# of text that does not parse is the text, cut short for an array
+BAD_VALUES = [
+    ("meta", "update_index", lambda _: "-1", "-1 is negative"),
+    ("meta", "env_steps", lambda _: "1.5", "'1.5'"),
+    ("hyper", "epochs", lambda _: "four", "'four'"),
+    ("hyper", "discount", lambda _: "0.99x", "'0.99x'"),
+    ("critic", "sizes", lambda _: "11 64 64 6", "(11, 64, 64, 6) do not map 11 -> 1"),
+    ("actor", "flat", _spoil_middle_token("nan"), "non-finite value at index"),
+    ("critic_opt", "step", lambda _: "-3", "-3 is negative"),
+    ("actor_opt", "m", _spoil_middle_token("x"), "'0.0 0.0 0.0"),
+    ("critic_opt", "v", _drop_last_token, "expected 4993 values, got 4992"),
+]
+
+
+@pytest.mark.parametrize("section,key,rewrite,reason",
+                         [pytest.param(*case, id=case[1]) for case in BAD_VALUES])
+def test_a_bad_checkpoint_value_fails_at_its_own_line(tmp_path, section, key, rewrite, reason):
+    """Each value is parsed at its own line, with its key and reason, and
+    no message copies a whole array."""
+    path = tmp_path / "ckpt.txt"
+    save_checkpoint(new_checkpoint(SMALL), str(path))
+    line = _rewrite_checkpoint_value(path, section, key, rewrite)
+    with pytest.raises(CheckpointFormatError) as err:
+        load_checkpoint(str(path))
+    assert f"bad value for {key}: {reason}" in str(err.value)
+    assert err.value.line == line
+    assert len(str(err.value)) < 300
