@@ -11,6 +11,7 @@ derivation, so training, resuming, and evaluation are bit-reproducible.
 from __future__ import annotations
 
 import math
+import weakref
 from bisect import bisect_left
 from dataclasses import asdict, astuple, dataclass, field, fields
 from functools import partial
@@ -59,6 +60,7 @@ ACTOR_SIZES = (OBSERVATION_DIM, 64, 64, NUM_ACTIONS)
 CRITIC_SIZES = (OBSERVATION_DIM, 64, 64, 1)
 
 GRAD_CLIP_NORM = 0.5
+_POLICY_TABLES = weakref.WeakKeyDictionary()  # actor -> (its flat at the build, policy_table)
 
 # Reference mean winning step counts for the three stock machines, used
 # for side-by-side evaluation reports.
@@ -126,17 +128,24 @@ class RolloutBuffer:
         return int(self.rewards.size)
 
 
+def policy_table(actor: MlpParams) -> Categorical:
+    """The actor's Categorical on ALL_OBSERVATIONS, rebuilt when its flat changes."""
+    if actor in _POLICY_TABLES and not np.array_equal(_POLICY_TABLES[actor][0], actor.flat):
+        del _POLICY_TABLES[actor]  # freed before the next table is built
+    if actor not in _POLICY_TABLES:
+        _POLICY_TABLES[actor] = actor.flat.copy(), Categorical(forward(actor, ALL_OBSERVATIONS)[0])
+    return _POLICY_TABLES[actor][1]
+
+
 def collect_rollout(pool: EnvPool, actor: MlpParams, critic: MlpParams,
                     horizon: int, rng: np.random.Generator) -> RolloutBuffer:
-    """Gather horizon steps from every env in the pool under the actor.
-
-    The actor and critic are frozen for the rollout, so each runs once, on
-    ALL_OBSERVATIONS, and one Categorical holds the policy at every
-    observation.  A step samples the rows of the pool's observation codes;
-    the log-probs and values of all steps are read after the loop."""
+    """Gather horizon steps from every env in the pool under the frozen actor
+    and critic: a step samples the rows of the pool's observation codes from
+    policy_table(actor), the critic runs once on ALL_OBSERVATIONS, and the
+    log-probs and values of all steps are read after the loop."""
     if horizon < 1:
         raise ContractViolationError("horizon must be >= 1")
-    policy = Categorical(forward(actor, ALL_OBSERVATIONS)[0])
+    policy = policy_table(actor)
     table_values = forward(critic, ALL_OBSERVATIONS)[0][:, 0]
     shape = (horizon, pool.env_count)
     codes, actions = np.zeros(shape, dtype=np.intp), np.zeros(shape, dtype=np.intp)
@@ -418,7 +427,7 @@ def train(variants: Sequence[MachineVariant], hyper: Hyperparams,
             exc.update_index = update_index
             raise
 
-        del buf, advantages, returns  # spent: free them before the next rollout's table
+        del buf, advantages, returns  # spent: freed, like the stale table, before the next build
         ckpt.update_index = update_index + 1
         ckpt.env_steps += steps_per_update
 
@@ -519,22 +528,21 @@ def evaluate(actor: MlpParams, variants: Sequence[MachineVariant],
              episodes_per_variant: int = 20, mode: str = "stochastic",
              seed: int = 0, reward_config: RewardConfig | None = None,
              ) -> EvalReport:
-    """Frozen-policy evaluation grouped per base machine (see evaluate_agent).
+    """Frozen-policy evaluation grouped per base machine (see evaluate_agent),
+    read from policy_table(actor), which is built once per actor value.
 
-    mode "argmax" takes the highest-logit action and draws nothing, so it
+    Mode "argmax" takes the highest-logit action and draws nothing, so it
     plays one episode per variant and repeats its row once per episode
-    seed, as agents.play_greedy does; mode "stochastic" samples from the
-    policy head (deterministic in seed), one ``rng.random()`` per step
-    bisected into a ``Categorical.cdf`` row.
-    DesignEnv.step's rules are played on lattice indices with env.move,
-    each point's flags read once per variant from evaluate_grid;
-    ``reward_config`` counts only through max_steps.  A call plays fewer
-    steps than there are observations, so the policy runs once per
-    observation code per call, not on all 1,701.
+    seed, as agents.play_greedy does; mode "stochastic" samples
+    (deterministic in seed), bisecting one ``rng.random()`` per step into
+    the table's ``cdf_rows``.  DesignEnv.step's rules are played on lattice
+    indices with env.move, each point's flags read once per variant from
+    evaluate_grid; ``reward_config`` counts only through max_steps.
     """
     if mode not in ("stochastic", "argmax"):
         raise ContractViolationError(f"unknown evaluation mode {mode!r}")
-    memo: dict[int, int | list[float]] = {}  # observation code -> action or CDF row
+    table = policy_table(actor)  # per code, rows holds its highest-logit action or CDF row
+    rows = table.logits.argmax(axis=-1).tolist() if mode == "argmax" else table.cdf_rows
 
     def play(variant, seeds, config):
         points = np.moveaxis(evaluate_grid(variant.base), 0, -1)  # (i, j, k, value)
@@ -549,11 +557,7 @@ def evaluate(actor: MlpParams, variants: Sequence[MachineVariant],
                 if (steps and flag_codes[ijk] == WIN_CODE) or steps == config.max_steps:
                     break
                 code = flag_codes[ijk] + action + 1
-                if code not in memo:
-                    logits, _ = forward(actor, ALL_OBSERVATIONS[code][None])
-                    memo[code] = (int(np.argmax(logits[0])) if mode == "argmax"
-                                  else Categorical(logits).cdf[0].tolist())
-                action = memo[code] if rng is None else bisect_left(memo[code], rng.random())
+                action = rows[code] if rng is None else bisect_left(rows[code], rng.random())
                 if code != WIN_CODE:  # a feasible start wins without moving
                     ijk = move(ijk, action, points.shape[:3])
             return steps, flag_codes[ijk] == WIN_CODE

@@ -1096,21 +1096,20 @@ def test_write_episode_csv(tmp_path):
 
 
 def _reference_evaluate(actor, variants, episodes_per_variant, mode, seed,
-                        reward_config=None, seen=None):
-    """evaluate played on DesignEnv, with a forward pass and a fresh
+                        reward_config=None):
+    """evaluate played on DesignEnv, with a 1-row forward pass and a fresh
     Categorical on every step, and the sampling rule spelled out in numpy;
-    kept as the reference that the lattice walk and its per-call memo must
-    match bit for bit.  Each observation the policy sees is appended to
-    ``seen``, when given, as bytes.  Its player builds one DesignEnv per
-    variant."""
+    kept as the reference for the rows that the lattice walk reads from the
+    1,701-row policy table.  The two forwards may differ in the last bits
+    of a logit, so the match is one of rows, checked on these cases, not a
+    bit-for-bit identity of the tables.  Its player builds one DesignEnv
+    per variant."""
     def play(variant, seeds, config):
         env = DesignEnv(variant, config=config)
         for seed in seeds:
             rng = np.random.default_rng(seed)
 
             def policy(obs):
-                if seen is not None:
-                    seen.append(obs.tobytes())
                 logits, _ = forward(actor, obs[None])
                 if mode == "argmax":
                     return int(np.argmax(logits[0]))
@@ -1184,23 +1183,70 @@ def test_argmax_evaluation_plays_each_variant_once(monkeypatch):
     _assert_same_report(got, _reference_evaluate(actor, variants, 20, "argmax", 3))
 
 
-@pytest.mark.parametrize("mode", ["stochastic", "argmax"])
-def test_evaluate_runs_the_actor_once_per_distinct_observation(monkeypatch, mode):
-    actor, forwarded, seen = new_checkpoint(SMALL).actor, [], []
+def _count_actor_forwards(monkeypatch):
+    """Patch ppo's forward to record the row count of each actor call."""
+    forwarded = []
 
     def counting_forward(params, x):
-        forwarded.append(x.tobytes())
+        if params.sizes[-1] == NUM_ACTIONS:
+            forwarded.append(len(x))
         return forward(params, x)
 
     monkeypatch.setattr("motorgame.ppo.forward", counting_forward)
-    evaluate(actor, EVAL_VARIANTS, episodes_per_variant=3, mode=mode, seed=2)
-    _reference_evaluate(actor, EVAL_VARIANTS, 3, mode, 2, seen=seen)
-    assert sorted(forwarded) == sorted(set(seen))
-    assert len(seen) > len(forwarded)  # the memo was hit
+    return forwarded
+
+
+def test_one_policy_table_per_actor_value(monkeypatch):
+    """evaluate in both modes and collect_rollout read one table per actor
+    value: an in-place change to the actor builds one more, and an equal
+    actor built apart gets its own."""
+    ckpt, forwarded = new_checkpoint(SMALL), _count_actor_forwards(monkeypatch)
+    table = [len(ALL_OBSERVATIONS)]
+
+    def read_all(actor):
+        for mode in ("stochastic", "argmax"):
+            evaluate(actor, EVAL_VARIANTS, episodes_per_variant=3, mode=mode, seed=2)
+        collect_rollout(EnvPool(TRAIN_VARIANTS, env_count=3), actor, ckpt.critic,
+                        horizon=5, rng=np.random.default_rng(4))
+
+    read_all(ckpt.actor)
+    assert forwarded == table
+    ckpt.actor.flat += 1e-3
+    read_all(ckpt.actor)
+    assert forwarded == 2 * table
+    twin = MlpParams(ckpt.actor.sizes)
+    twin.flat[:] = ckpt.actor.flat
+    read_all(twin)
+    assert forwarded == 3 * table
 
 
 @pytest.mark.parametrize("mode", ["stochastic", "argmax"])
-def test_evaluate_keeps_no_policy_across_calls(mode):
+def test_per_variant_calls_play_one_call_and_build_one_table(monkeypatch, mode):
+    """evaluate once per variant, as perfbench's eval phase calls it, gives
+    the rows of one call over all the variants, and only the first call
+    builds the policy table."""
+    def key(rows):
+        return [(r.machine_id, r.variant_seed, r.steps, r.win) for r in rows]
+
+    actor, forwarded = _trained_checkpoint().actor, _count_actor_forwards(monkeypatch)
+    variants = EVAL_CASES["feasible_start"][0]
+    per_variant = [row for v in variants for row in evaluate(
+        actor, [v], episodes_per_variant=3, mode=mode, seed=7).rows]
+    assert forwarded == [len(ALL_OBSERVATIONS)]
+    whole = evaluate(actor, variants, episodes_per_variant=3, mode=mode, seed=7).rows
+    assert key(per_variant) == key(whole) and forwarded == [len(ALL_OBSERVATIONS)]
+
+
+def test_each_rollout_reads_a_table_of_the_updated_actor(monkeypatch):
+    """ppo_update changes the actor in place, so a 3-update train builds
+    one table per rollout: none samples from a stale one."""
+    forwarded = _count_actor_forwards(monkeypatch)
+    train(TRAIN_VARIANTS, replace(SMALL, total_steps=3 * SMALL.horizon * SMALL.env_count))
+    assert forwarded.count(len(ALL_OBSERVATIONS)) == 3
+
+
+@pytest.mark.parametrize("mode", ["stochastic", "argmax"])
+def test_evaluate_never_reads_a_stale_table_of_a_changed_actor(mode):
     actor = new_checkpoint(SMALL).actor
     before = evaluate(actor, EVAL_VARIANTS, episodes_per_variant=3, mode=mode, seed=5)
     actor.flat += np.random.default_rng(6).normal(scale=0.5, size=actor.flat.shape)
