@@ -1096,20 +1096,23 @@ def test_write_episode_csv(tmp_path):
 
 
 def _reference_evaluate(actor, variants, episodes_per_variant, mode, seed,
-                        reward_config=None):
+                        reward_config=None, seen=None):
     """evaluate played on DesignEnv, with a 1-row forward pass and a fresh
     Categorical on every step, and the sampling rule spelled out in numpy;
     kept as the reference for the rows that the lattice walk reads from the
     1,701-row policy table.  The two forwards may differ in the last bits
     of a logit, so the match is one of rows, checked on these cases, not a
-    bit-for-bit identity of the tables.  Its player builds one DesignEnv
-    per variant."""
+    bit-for-bit identity of the tables.  Each observation the policy sees
+    is appended to ``seen``, when given, as bytes.  Its player builds one
+    DesignEnv per variant."""
     def play(variant, seeds, config):
         env = DesignEnv(variant, config=config)
         for seed in seeds:
             rng = np.random.default_rng(seed)
 
             def policy(obs):
+                if seen is not None:
+                    seen.append(obs.tobytes())
                 logits, _ = forward(actor, obs[None])
                 if mode == "argmax":
                     return int(np.argmax(logits[0]))
@@ -1181,6 +1184,26 @@ def test_argmax_evaluation_plays_each_variant_once(monkeypatch):
     evaluate(actor, variants, episodes_per_variant=1, mode="argmax", seed=3)
     assert twenty == len(moves) - twenty > 0
     _assert_same_report(got, _reference_evaluate(actor, variants, 20, "argmax", 3))
+
+
+@pytest.mark.parametrize("mode", ["stochastic", "argmax"])
+def test_evaluate_runs_the_actor_once_per_distinct_observation(monkeypatch, mode):
+    """The policy table forwards each observation once, however often eval
+    meets it: every observation the per-step reference sees is a row of
+    the actor's forwards, and no row is forwarded twice."""
+    actor, forwarded, seen = new_checkpoint(SMALL).actor, [], []
+
+    def counting_forward(params, x):
+        if params.sizes[-1] == NUM_ACTIONS:
+            forwarded.extend(row.tobytes() for row in x)
+        return forward(params, x)
+
+    monkeypatch.setattr("motorgame.ppo.forward", counting_forward)
+    evaluate(actor, EVAL_VARIANTS, episodes_per_variant=3, mode=mode, seed=2)
+    _reference_evaluate(actor, EVAL_VARIANTS, 3, mode, 2, seen=seen)
+    assert len(forwarded) == len(set(forwarded))
+    assert set(seen) <= set(forwarded)
+    assert len(seen) > len(set(seen))  # a forward per step would repeat rows
 
 
 def _count_actor_forwards(monkeypatch):
