@@ -123,7 +123,7 @@ def oracle_shortest(variant: MachineVariant, base: BaseMachine | None = None,
     return OracleResult(len(path), tuple(path))
 
 
-# --- players for ppo.evaluate_agent: (steps, win) per episode seed -----------
+# --- players for ppo.evaluate_agent, which says what rows they return -------
 
 
 def play_random(variant: MachineVariant, seeds: Iterable[int], config: RewardConfig):
@@ -135,16 +135,16 @@ def play_random(variant: MachineVariant, seeds: Iterable[int], config: RewardCon
 
 
 def play_greedy(variant: MachineVariant, seeds: Iterable[int], config: RewardConfig):
-    """greedy_agent draws nothing, so every episode of a variant is the
-    same: one is played and its row repeated once per episode seed."""
+    """greedy_agent draws nothing, so one episode's row stands for every
+    episode of the variant."""
     record = greedy_agent(DesignEnv(variant, config=config))
-    return [(record.steps, record.win) for _ in seeds]
+    return [(record.steps, record.win)]
 
 
 def play_oracle(variant: MachineVariant, seeds: Iterable[int], config: RewardConfig):
-    """The BFS shortest path as each episode's row, so it bounds every
+    """The BFS shortest path as the row of every episode, so it bounds every
     agent's steps from below: at least one step, because an episode that
     starts feasible still takes one env step to win.  -1 steps, not won,
     when no feasible point is reachable.  No env is built."""
     steps = oracle_shortest(variant).shortest_steps
-    return [(-1, False) if steps is None else (max(1, steps), True) for _ in seeds]
+    return [(-1, False) if steps is None else (max(1, steps), True)]

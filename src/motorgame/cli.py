@@ -33,6 +33,7 @@ from .env import FLAG_NAMES, RewardConfig, all_flags_zero, flags
 from .errors import ContractViolationError, MotorGameError, TextFormatError, TrainingDivergedError
 from .kvtext import format_value, parse_value, read_sections, write_text
 from .ppo import (
+    EVAL_MODES,
     Hyperparams,
     UpdateRow,
     evaluate,
@@ -152,10 +153,10 @@ def _load_variants(config: RunConfig, split: str):
 
 
 def cmd_catalog(config: RunConfig) -> int:
-    if config.train_per_machine < 0 or config.holdout_per_machine < 0:
-        raise ContractViolationError(
-            "train_per_machine and holdout_per_machine must be >= 0")
     per_machine = config.train_per_machine + config.holdout_per_machine
+    if min(config.train_per_machine, config.holdout_per_machine) < 0 or per_machine < 1:
+        raise ContractViolationError(
+            "--train-per-machine and --holdout-per-machine must be >= 0, and not both 0")
     variants = []
     for machine_id in _machine_ids(config):
         base = machine_by_id(machine_id)
@@ -232,6 +233,11 @@ _BASELINES = {"random": play_random, "greedy": play_greedy, "oracle": play_oracl
 
 
 def cmd_eval(config: RunConfig) -> int:
+    # checked for every agent, though only ppo reads the mode
+    if config.eval_mode not in EVAL_MODES:
+        raise ContractViolationError(f"unknown --eval-mode {config.eval_mode!r}")
+    if config.episodes_per_variant < 1:
+        raise ContractViolationError("--episodes-per-variant must be >= 1")
     variants = _load_variants(config, config.split)
     reward_config = _settings(RewardConfig, config)
     if config.agent == "ppo":

@@ -190,8 +190,7 @@ class DesignEnv:
 
     Each lattice point's design, performance (read from evaluate_grid),
     flags and flag code are found once per episode, on the first visit,
-    and read back on any revisit; reset() forgets them, except the start
-    point's, which are found once per env.  Observations are
+    and read back on any revisit; reset() forgets them.  Observations are
     fresh copies of rows of ALL_OBSERVATIONS.  Not thread-safe; run
     independent instances in parallel instead.
     """
@@ -207,7 +206,6 @@ class DesignEnv:
         self._shape = lattice_shape(base)
         self._values = np.moveaxis(evaluate_grid(base), 0, -1)  # (i, j, k, value)
         self._start = lattice_index(base, variant.initial_design)
-        self._start_point = self._point(self._start)
         self._started = False
 
     # --- read-only episode state ---
@@ -252,11 +250,11 @@ class DesignEnv:
     def reset(self) -> np.ndarray:
         self._ijk = self._start
         # lattice index -> _point(index) of each point this episode
-        self._visited = {self._start: self._start_point}
+        self._visited = {self._start: self._point(self._start)}
         self._steps = 0
         self._done = False
         self._started = True
-        return ALL_OBSERVATIONS[self._start_point[3]].copy()
+        return ALL_OBSERVATIONS[self._visited[self._start][3]].copy()
 
     def step(self, action: Action | int) -> tuple[np.ndarray, float, bool, StepInfo]:
         if not self._started:

@@ -162,11 +162,11 @@ class Categorical:
     """Discrete distributions over a (batch, actions) matrix of logits.
 
     Probabilities come from a max-shifted softmax, so arbitrarily large
-    finite logits cannot overflow.  The logits are kept as given.
+    finite logits cannot overflow.
     """
 
     def __init__(self, logits: np.ndarray):
-        self.logits = z = np.asarray(logits, dtype=np.float64)
+        z = np.asarray(logits, dtype=np.float64)
         if z.ndim != 2:
             raise ContractViolationError(f"logits shape {z.shape} is not (batch, actions)")
         shifted = z - z.max(axis=-1, keepdims=True)
@@ -181,10 +181,6 @@ class Categorical:
         cdf = np.cumsum(self.probs, axis=-1)
         cdf[:, -1] = np.inf
         return cdf
-
-    @cached_property
-    def cdf_rows(self) -> list[list[float]]:  # for bisect, one row at a time
-        return self.cdf.tolist()
 
     def sample(self, rng: np.random.Generator, rows: np.ndarray | None = None) -> np.ndarray:
         """One action for each given row (default: all): the number of its

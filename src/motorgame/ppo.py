@@ -60,7 +60,8 @@ ACTOR_SIZES = (OBSERVATION_DIM, 64, 64, NUM_ACTIONS)
 CRITIC_SIZES = (OBSERVATION_DIM, 64, 64, 1)
 
 GRAD_CLIP_NORM = 0.5
-_POLICY_TABLES = weakref.WeakKeyDictionary()  # actor -> (its flat at the build, policy_table)
+EVAL_MODES = ("stochastic", "argmax")
+_EVAL_POLICIES = weakref.WeakKeyDictionary()  # actor -> (its flat, argmax actions, CDF rows)
 
 # Reference mean winning step counts for the three stock machines, used
 # for side-by-side evaluation reports.
@@ -128,24 +129,15 @@ class RolloutBuffer:
         return int(self.rewards.size)
 
 
-def policy_table(actor: MlpParams) -> Categorical:
-    """The actor's Categorical on ALL_OBSERVATIONS, rebuilt when its flat changes."""
-    if actor in _POLICY_TABLES and not np.array_equal(_POLICY_TABLES[actor][0], actor.flat):
-        del _POLICY_TABLES[actor]  # freed before the next table is built
-    if actor not in _POLICY_TABLES:
-        _POLICY_TABLES[actor] = actor.flat.copy(), Categorical(forward(actor, ALL_OBSERVATIONS)[0])
-    return _POLICY_TABLES[actor][1]
-
-
 def collect_rollout(pool: EnvPool, actor: MlpParams, critic: MlpParams,
                     horizon: int, rng: np.random.Generator) -> RolloutBuffer:
     """Gather horizon steps from every env in the pool under the frozen actor
-    and critic: a step samples the rows of the pool's observation codes from
-    policy_table(actor), the critic runs once on ALL_OBSERVATIONS, and the
-    log-probs and values of all steps are read after the loop."""
+    and critic: each net runs once on ALL_OBSERVATIONS, a step samples the
+    rows of the pool's observation codes from the actor's Categorical, and
+    the log-probs and values of all steps are read after the loop."""
     if horizon < 1:
         raise ContractViolationError("horizon must be >= 1")
-    policy = policy_table(actor)
+    policy = Categorical(forward(actor, ALL_OBSERVATIONS)[0])
     table_values = forward(critic, ALL_OBSERVATIONS)[0][:, 0]
     shape = (horizon, pool.env_count)
     codes, actions = np.zeros(shape, dtype=np.intp), np.zeros(shape, dtype=np.intp)
@@ -427,7 +419,7 @@ def train(variants: Sequence[MachineVariant], hyper: Hyperparams,
             exc.update_index = update_index
             raise
 
-        del buf, advantages, returns  # spent: freed, like the stale table, before the next build
+        del buf, advantages, returns  # spent: freed before the next rollout
         ckpt.update_index = update_index + 1
         ckpt.env_steps += steps_per_update
 
@@ -487,12 +479,13 @@ def evaluate_agent(play: Callable[..., Iterable[tuple[int, bool]]],
     """Play every variant ``episodes_per_variant`` times and summarize the
     episodes per base machine.
 
-    ``play(variant, seeds, config)`` yields (steps, win) per episode seed.
-    Each episode's seed is derived from (seed, variant seed, episode), so
-    a variant's episodes do not depend on the other variants.  Mean steps are computed over winning
-    episodes; losses show up in the win rate and in mean_steps_all.  The
-    summary is keyed by machine id, so two different machines that share
-    an id are rejected.
+    ``play(variant, seeds, config)`` yields (steps, win) per episode seed,
+    which is derived from (seed, variant seed, episode), so a variant's
+    episodes do not depend on the other variants.  A player that draws
+    nothing yields one row for every episode and derives no seed.  Mean
+    steps are computed over winning episodes; losses show up in the win
+    rate and in mean_steps_all.  The summary is keyed by machine id, so
+    two different machines that share an id are rejected.
     """
     if episodes_per_variant < 1:
         raise ContractViolationError("episodes_per_variant must be >= 1")
@@ -505,7 +498,8 @@ def evaluate_agent(play: Callable[..., Iterable[tuple[int, bool]]],
     rows: list[EpisodeRow] = []
     for variant in variants:
         seeds = (derive_seed(seed, variant.variant_seed, ep) for ep in range(episodes_per_variant))
-        for steps, win in play(variant, seeds, config):
+        played = list(play(variant, seeds, config))
+        for steps, win in played * episodes_per_variant if len(played) == 1 else played:
             rows.append(EpisodeRow(variant.base_id, variant.variant_seed, len(rows), steps, win))
 
     per_machine = {}
@@ -528,21 +522,25 @@ def evaluate(actor: MlpParams, variants: Sequence[MachineVariant],
              episodes_per_variant: int = 20, mode: str = "stochastic",
              seed: int = 0, reward_config: RewardConfig | None = None,
              ) -> EvalReport:
-    """Frozen-policy evaluation grouped per base machine (see evaluate_agent),
-    read from policy_table(actor), which is built once per actor value.
+    """Frozen-policy evaluation grouped per base machine (see evaluate_agent).
 
-    Mode "argmax" takes the highest-logit action and draws nothing, so it
-    plays one episode per variant and repeats its row once per episode
-    seed, as agents.play_greedy does; mode "stochastic" samples
-    (deterministic in seed), bisecting one ``rng.random()`` per step into
-    the table's ``cdf_rows``.  DesignEnv.step's rules are played on lattice
-    indices with env.move, each point's flags read once per variant from
-    evaluate_grid; ``reward_config`` counts only through max_steps.
+    One forward per actor value gives, cached for the actor, each
+    observation code's highest-logit action and Categorical CDF row.
+    Mode "argmax" takes that action and draws nothing, so it plays one
+    episode per variant; mode "stochastic" samples (deterministic in
+    seed), bisecting one ``rng.random()`` per step into the CDF row.
+    DesignEnv.step's rules are played on lattice indices with env.move,
+    each point's flags read once per variant from evaluate_grid;
+    ``reward_config`` counts only through max_steps.
     """
-    if mode not in ("stochastic", "argmax"):
+    if mode not in EVAL_MODES:
         raise ContractViolationError(f"unknown evaluation mode {mode!r}")
-    table = policy_table(actor)  # per code, rows holds its highest-logit action or CDF row
-    rows = table.logits.argmax(axis=-1).tolist() if mode == "argmax" else table.cdf_rows
+    if not np.array_equal(_EVAL_POLICIES.get(actor, (None,))[0], actor.flat):
+        _EVAL_POLICIES.pop(actor, None)  # freed before the next build
+        logits = forward(actor, ALL_OBSERVATIONS)[0]
+        _EVAL_POLICIES[actor] = (actor.flat.copy(), logits.argmax(axis=-1).tolist(),
+                                 Categorical(logits).cdf.tolist())
+    rows = _EVAL_POLICIES[actor][1 if mode == "argmax" else 2]  # per code
 
     def play(variant, seeds, config):
         points = np.moveaxis(evaluate_grid(variant.base), 0, -1)  # (i, j, k, value)
@@ -562,8 +560,8 @@ def evaluate(actor: MlpParams, variants: Sequence[MachineVariant],
                     ijk = move(ijk, action, points.shape[:3])
             return steps, flag_codes[ijk] == WIN_CODE
 
-        if mode == "argmax":  # every episode of the variant is the same
-            return [episode(None)] * len(list(seeds))
+        if mode == "argmax":  # one row for every episode
+            return [episode(None)]
         return [episode(np.random.default_rng(episode_seed)) for episode_seed in seeds]
 
     return evaluate_agent(play, variants, episodes_per_variant, mode, seed, reward_config)

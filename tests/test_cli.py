@@ -156,6 +156,15 @@ def test_catalog_rejects_negative_counts(tmp_path, capsys, train, holdout):
     assert not path.exists()
 
 
+def test_catalog_rejects_zero_variants_per_machine(tmp_path, capsys):
+    path = tmp_path / "catalog.txt"
+    assert main(["catalog", "--catalog-path", str(path), "--train-per-machine", "0",
+                 "--holdout-per-machine", "0"]) == 1
+    err = capsys.readouterr().err
+    assert "--train-per-machine" in err and "--holdout-per-machine" in err
+    assert not path.exists()
+
+
 def test_catalog_rerun_byte_identical(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     assert main(["catalog", "--catalog-path", str(a)]) == 0
@@ -558,6 +567,20 @@ def test_eval_rejects_unknown_agent(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("agent", ["ppo", "random", "greedy", "oracle"])
+@pytest.mark.parametrize("flag, value", [("--eval-mode", "bogus"),
+                                         ("--episodes-per-variant", "0")])
+def test_eval_rejects_a_bad_mode_or_episode_count_for_every_agent(
+        tmp_path, capsys, agent, flag, value):
+    """The oracle plays one episode per variant and only ppo reads the mode,
+    but every agent rejects both settings, ppo before it reads its checkpoint."""
+    catalog = _make_catalog(tmp_path, extra=["--machines", "1"])
+    args = _eval_args(tmp_path, catalog, tmp_path / "none.txt", agent=agent)
+    assert main([*args, flag, value]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {flag}" if value == "0"
+                                              else f"error: unknown {flag}")
+
+
 def test_eval_oracle_takes_one_step_on_a_feasible_start(tmp_path, capsys):
     # the start is inside every band: the BFS needs 0 moves, but every
     # agent plays one env step to win
@@ -580,8 +603,8 @@ def test_eval_oracle_takes_one_step_on_a_feasible_start(tmp_path, capsys):
 def test_eval_oracle_builds_no_env_and_greedy_plays_once_per_variant(
         tmp_path, capsys, monkeypatch):
     """On a stock catalog the oracle's rows come from the BFS alone, and
-    greedy, which draws nothing, plays one episode per holdout variant and
-    repeats its row for each of the variant's episodes."""
+    greedy, which draws nothing, plays one episode per holdout variant,
+    whose row stands for each of the variant's episodes."""
     catalog = tmp_path / "catalog.txt"
     assert main(["catalog", "--catalog-path", str(catalog)]) == 0
     holdout = [v for v in load_catalog(catalog) if v.split == "holdout"]

@@ -293,8 +293,9 @@ def test_reset_allows_replay():
 
 
 def test_design_env_finds_its_start_once(monkeypatch):
-    """The start point's lattice index, design, performance and flags are
-    found once per env, not on every reset."""
+    """The start point's lattice index is found once per env; its design,
+    performance and flags are found again on every reset, like any other
+    point's, and every reset starts the same episode."""
     calls = []
 
     def counting_lattice_index(base, design):

@@ -2,6 +2,7 @@
 surrogate update, deterministic training/resume, and evaluation."""
 
 import re
+import weakref
 from dataclasses import astuple, fields, replace
 from itertools import product
 
@@ -11,7 +12,8 @@ import pytest
 from motorgame import agents as agents_module
 from motorgame import catalog as catalog_module
 from motorgame import env as env_module
-from motorgame.agents import oracle_shortest, play_greedy
+from motorgame import ppo as ppo_module
+from motorgame.agents import oracle_shortest, play_greedy, play_oracle, play_random
 from motorgame.catalog import (
     Bounds,
     MachineVariant,
@@ -1220,27 +1222,33 @@ def _count_actor_forwards(monkeypatch):
 
 
 def test_one_policy_table_per_actor_value(monkeypatch):
-    """evaluate in both modes and collect_rollout read one table per actor
-    value: an in-place change to the actor builds one more, and an equal
-    actor built apart gets its own."""
+    """evaluate builds its policy table once per actor value, for both
+    modes, and each rollout builds its own, which leaves evaluate's alone:
+    an in-place change to the actor makes evaluate build again, and an
+    equal actor built apart gets its own."""
     ckpt, forwarded = new_checkpoint(SMALL), _count_actor_forwards(monkeypatch)
     table = [len(ALL_OBSERVATIONS)]
 
-    def read_all(actor):
+    def evaluate_both(actor):
         for mode in ("stochastic", "argmax"):
             evaluate(actor, EVAL_VARIANTS, episodes_per_variant=3, mode=mode, seed=2)
-        collect_rollout(EnvPool(TRAIN_VARIANTS, env_count=3), actor, ckpt.critic,
-                        horizon=5, rng=np.random.default_rng(4))
 
-    read_all(ckpt.actor)
+    evaluate_both(ckpt.actor)
+    evaluate_both(ckpt.actor)
     assert forwarded == table
+    for _ in range(2):
+        collect_rollout(EnvPool(TRAIN_VARIANTS, env_count=3), ckpt.actor, ckpt.critic,
+                        horizon=5, rng=np.random.default_rng(4))
+    assert forwarded == 3 * table
+    evaluate_both(ckpt.actor)
+    assert forwarded == 3 * table
     ckpt.actor.flat += 1e-3
-    read_all(ckpt.actor)
-    assert forwarded == 2 * table
+    evaluate_both(ckpt.actor)
+    assert forwarded == 4 * table
     twin = MlpParams(ckpt.actor.sizes)
     twin.flat[:] = ckpt.actor.flat
-    read_all(twin)
-    assert forwarded == 3 * table
+    evaluate_both(twin)
+    assert forwarded == 5 * table
 
 
 @pytest.mark.parametrize("mode", ["stochastic", "argmax"])
@@ -1266,6 +1274,42 @@ def test_each_rollout_reads_a_table_of_the_updated_actor(monkeypatch):
     forwarded = _count_actor_forwards(monkeypatch)
     train(TRAIN_VARIANTS, replace(SMALL, total_steps=3 * SMALL.horizon * SMALL.env_count))
     assert forwarded.count(len(ALL_OBSERVATIONS)) == 3
+
+
+def _caches_holding(actor):
+    """ppo's weak per-actor caches that hold an entry for ``actor``."""
+    return [name for name, value in vars(ppo_module).items()
+            if isinstance(value, weakref.WeakKeyDictionary) and actor in value]
+
+
+def test_train_returns_an_actor_with_no_cached_policy():
+    """Training reads no cached table, so the actor it returns holds none
+    until evaluate builds one."""
+    ckpt, _ = train(TRAIN_VARIANTS, replace(SMALL, total_steps=2 * SMALL.horizon * SMALL.env_count))
+    assert _caches_holding(ckpt.actor) == []
+    evaluate(ckpt.actor, EVAL_VARIANTS, episodes_per_variant=1)
+    assert len(_caches_holding(ckpt.actor)) == 1
+
+
+@pytest.mark.parametrize("agent", ["stochastic", "argmax", "random", "greedy", "oracle"])
+def test_only_a_player_that_draws_derives_episode_seeds(monkeypatch, agent):
+    """Stochastic PPO and the random agent derive one seed per episode;
+    argmax PPO, greedy and the oracle draw nothing, derive none, and each
+    variant's one row stands for all its episodes."""
+    actor, derived = new_checkpoint(SMALL).actor, []
+    monkeypatch.setattr("motorgame.ppo.derive_seed",
+                        lambda *parts: derived.append(parts) or derive_seed(*parts))
+    players = {"random": play_random, "greedy": play_greedy, "oracle": play_oracle}
+    if agent in players:
+        report = evaluate_agent(players[agent], EVAL_VARIANTS, 3, agent, seed=2)
+    else:
+        report = evaluate(actor, EVAL_VARIANTS, episodes_per_variant=3, mode=agent, seed=2)
+    assert len(report.rows) == 3 * len(EVAL_VARIANTS)
+    draws = agent in ("stochastic", "random")
+    assert derived == draws * [(2, v.variant_seed, ep) for v in EVAL_VARIANTS for ep in range(3)]
+    if not draws:
+        steps_win = [(row.steps, row.win) for row in report.rows]
+        assert steps_win == [row for row in steps_win[::3] for _ in range(3)]
 
 
 @pytest.mark.parametrize("mode", ["stochastic", "argmax"])
