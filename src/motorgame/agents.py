@@ -24,6 +24,7 @@ from .env import (
     move,
     move_table,
     run_episode,
+    walk,
 )
 from .errors import ContractViolationError
 from .surrogate import design_at, evaluate, lattice_index, lattice_shape
@@ -127,11 +128,10 @@ def oracle_shortest(variant: MachineVariant, base: BaseMachine | None = None,
 
 
 def play_random(variant: MachineVariant, seeds: Iterable[int], config: RewardConfig):
-    """random_agent on one DesignEnv per variant, with one generator per
-    episode seeded from the episode's seed."""
-    env = DesignEnv(variant, config=config)
-    records = (random_agent(env, np.random.default_rng(seed)) for seed in seeds)
-    return [(record.steps, record.win) for record in records]
+    """random_agent's uniform actions, on env.walk(), with one generator
+    per episode seeded from the episode's seed."""
+    return walk(variant, (lambda _, rng=np.random.default_rng(seed): int(rng.integers(NUM_ACTIONS))
+                          for seed in seeds), config.max_steps)
 
 
 def play_greedy(variant: MachineVariant, seeds: Iterable[int], config: RewardConfig):

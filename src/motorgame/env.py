@@ -9,6 +9,10 @@ and lost when the step cap runs out.
 
 Flag convention: +1 means the value is above its band and must be
 decreased, -1 means below and must be increased, 0 means inside.
+
+Three players apply the rule: DesignEnv.step, the spec, with the reward;
+EnvPool.step, its array twin, for training; and walk(), without the
+reward, for evaluation.
 """
 
 from __future__ import annotations
@@ -450,6 +454,30 @@ class EnvPool:
         last drain, in the order they ended."""
         out, self._finished = self._finished, []
         return out
+
+
+def walk(variant: MachineVariant, policies: Iterable[Callable[[int], int]],
+         max_steps: int) -> list[tuple[int, bool]]:
+    """(steps, win) of one episode per policy under DesignEnv.step's rule,
+    without the reward; ``max_steps`` is RewardConfig.max_steps.  Each
+    step's action is ``policy(code)``, the code of the observation, its row
+    of ALL_OBSERVATIONS.  Each point's flag code is found once per call."""
+    points = np.moveaxis(evaluate_grid(variant.base), 0, -1)  # (i, j, k, value)
+    start, flag_codes, rows = lattice_index(variant.base, variant.initial_design), {}, []
+    for policy in policies:
+        ijk, action = start, -1  # no previous action
+        for steps in range(max_steps + 1):
+            if ijk not in flag_codes:
+                flag_codes[ijk] = int(FLAG_CODE_WEIGHTS @ np.add(
+                    flags(Performance(*points[ijk]), variant.target_bands), 1))
+            if (steps and flag_codes[ijk] == WIN_CODE) or steps == max_steps:
+                break
+            code = flag_codes[ijk] + action + 1
+            action = policy(code)
+            if code != WIN_CODE:  # a feasible start wins without moving
+                ijk = move(ijk, action, points.shape[:3])
+        rows.append((steps, flag_codes[ijk] == WIN_CODE))
+    return rows
 
 
 @dataclass(frozen=True)

@@ -20,17 +20,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .catalog import BaseMachine, MachineVariant
-from .env import (
-    ALL_OBSERVATIONS,
-    FLAG_CODE_WEIGHTS,
-    NUM_ACTIONS,
-    OBSERVATION_DIM,
-    WIN_CODE,
-    EnvPool,
-    RewardConfig,
-    flags,
-    move,
-)
+from .env import ALL_OBSERVATIONS, NUM_ACTIONS, OBSERVATION_DIM, EnvPool, RewardConfig, walk
 from .errors import CheckpointFormatError, ContractViolationError, TrainingDivergedError
 from .kvtext import (
     BadValueError,
@@ -52,7 +42,6 @@ from .neural import (
     forward,
     init,
 )
-from .surrogate import Performance, evaluate_grid, lattice_index
 
 CHECKPOINT_VERSION_LINE = "motor-design-ckpt v2"
 
@@ -482,10 +471,11 @@ def evaluate_agent(play: Callable[..., Iterable[tuple[int, bool]]],
     ``play(variant, seeds, config)`` yields (steps, win) per episode seed,
     which is derived from (seed, variant seed, episode), so a variant's
     episodes do not depend on the other variants.  A player that draws
-    nothing yields one row for every episode and derives no seed.  Mean
-    steps are computed over winning episodes; losses show up in the win
-    rate and in mean_steps_all.  The summary is keyed by machine id, so
-    two different machines that share an id are rejected.
+    nothing yields one row for every episode and derives no seed; any
+    other row count is a ContractViolationError.  Mean steps are computed
+    over winning episodes; losses show up in the win rate and in
+    mean_steps_all.  The summary is keyed by machine id, so two different
+    machines that share an id are rejected.
     """
     if episodes_per_variant < 1:
         raise ContractViolationError("episodes_per_variant must be >= 1")
@@ -499,6 +489,10 @@ def evaluate_agent(play: Callable[..., Iterable[tuple[int, bool]]],
     for variant in variants:
         seeds = (derive_seed(seed, variant.variant_seed, ep) for ep in range(episodes_per_variant))
         played = list(play(variant, seeds, config))
+        if len(played) not in (1, episodes_per_variant):
+            raise ContractViolationError(
+                f"player gave {len(played)} rows for variant {variant.variant_seed} of machine "
+                f"{variant.base_id}, not 1 or episodes_per_variant {episodes_per_variant}")
         for steps, win in played * episodes_per_variant if len(played) == 1 else played:
             rows.append(EpisodeRow(variant.base_id, variant.variant_seed, len(rows), steps, win))
 
@@ -528,10 +522,9 @@ def evaluate(actor: MlpParams, variants: Sequence[MachineVariant],
     observation code's highest-logit action and Categorical CDF row.
     Mode "argmax" takes that action and draws nothing, so it plays one
     episode per variant; mode "stochastic" samples (deterministic in
-    seed), bisecting one ``rng.random()`` per step into the CDF row.
-    DesignEnv.step's rules are played on lattice indices with env.move,
-    each point's flags read once per variant from evaluate_grid;
-    ``reward_config`` counts only through max_steps.
+    seed), bisecting one ``rng.random()`` per step into the CDF row.  The
+    episodes are env.walk()'s, so ``reward_config`` counts only through
+    max_steps.
     """
     if mode not in EVAL_MODES:
         raise ContractViolationError(f"unknown evaluation mode {mode!r}")
@@ -543,26 +536,10 @@ def evaluate(actor: MlpParams, variants: Sequence[MachineVariant],
     rows = _EVAL_POLICIES[actor][1 if mode == "argmax" else 2]  # per code
 
     def play(variant, seeds, config):
-        points = np.moveaxis(evaluate_grid(variant.base), 0, -1)  # (i, j, k, value)
-        start, flag_codes = lattice_index(variant.base, variant.initial_design), {}
-
-        def episode(rng):  # (steps, win); argmax draws nothing and passes no rng
-            ijk, action = start, -1  # no previous action
-            for steps in range(config.max_steps + 1):
-                if ijk not in flag_codes:  # FLAG_CODE_WEIGHTS @ (flags + 1)
-                    flag_codes[ijk] = int(FLAG_CODE_WEIGHTS @ np.add(
-                        flags(Performance(*points[ijk]), variant.target_bands), 1))
-                if (steps and flag_codes[ijk] == WIN_CODE) or steps == config.max_steps:
-                    break
-                code = flag_codes[ijk] + action + 1
-                action = rows[code] if rng is None else bisect_left(rows[code], rng.random())
-                if code != WIN_CODE:  # a feasible start wins without moving
-                    ijk = move(ijk, action, points.shape[:3])
-            return steps, flag_codes[ijk] == WIN_CODE
-
         if mode == "argmax":  # one row for every episode
-            return [episode(None)]
-        return [episode(np.random.default_rng(episode_seed)) for episode_seed in seeds]
+            return walk(variant, [rows.__getitem__], config.max_steps)
+        return walk(variant, (lambda code, rng=np.random.default_rng(s): bisect_left(
+            rows[code], rng.random()) for s in seeds), config.max_steps)
 
     return evaluate_agent(play, variants, episodes_per_variant, mode, seed, reward_config)
 

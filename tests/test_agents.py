@@ -8,7 +8,7 @@ import pytest
 
 import motorgame.agents
 import motorgame.env
-from motorgame.agents import greedy_agent, oracle_shortest, random_agent
+from motorgame.agents import greedy_agent, oracle_shortest, play_random, random_agent
 from motorgame.catalog import (
     Bounds,
     MachineVariant,
@@ -100,6 +100,47 @@ def test_random_agent_action_frequencies():
         random_agent(env, rng, log=tally)
     freq = counts / counts.sum()
     assert np.all(np.abs(freq - 1.0 / 6.0) < 0.02)
+
+
+STOCK_VARIANTS = [v for m in builtin_catalog() for v in generate_variants(m, 3, 5)]
+WALK_CASES = {  # (variants, config) per case
+    "stock": (STOCK_VARIANTS, RewardConfig()),
+    "feasible_start": ([FEASIBLE], RewardConfig()),
+    "max_steps_3": (STOCK_VARIANTS, RewardConfig(max_steps=3)),
+}
+
+
+@pytest.mark.parametrize("case", WALK_CASES)
+def test_play_random_walks_the_design_env_episodes(monkeypatch, case):
+    """play_random's env.walk gives, per episode seed, the (steps, win) of
+    random_agent on a DesignEnv, and finds each point's flags once per
+    variant however many episodes visit it."""
+    variants, config = WALK_CASES[case]
+    flagged, rows = [], []
+
+    def counting_flags(perf, bands):
+        flagged.append(perf)
+        return flags(perf, bands)
+
+    for variant in variants:
+        seeds = [1000 * variant.variant_seed + ep for ep in range(4)]
+        env, visited = DesignEnv(variant, config=config), set()
+        want = []
+        for seed in seeds:
+            record = random_agent(env, np.random.default_rng(seed))
+            want.append((record.steps, record.win))
+            visited |= env.visited
+        with monkeypatch.context() as patched:
+            patched.setattr(motorgame.env, "flags", counting_flags)
+            flagged.clear()
+            got = play_random(variant, iter(seeds), config)
+        assert got == want
+        assert len(flagged) == len(visited)
+        rows += got
+    if case == "feasible_start":
+        assert rows == [(1, True)] * 4
+    if case == "max_steps_3":
+        assert (3, False) in rows and max(steps for steps, _ in rows) == 3
 
 
 # --- greedy agent ------------------------------------------------------------------

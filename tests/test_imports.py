@@ -1,5 +1,6 @@
 """Source hygiene: every name a package module imports, and every private
-name it defines at module level, is used in that module."""
+name it defines at module level, is used in that module; the design
+game's rule stays in env."""
 
 import ast
 from pathlib import Path
@@ -62,3 +63,17 @@ def test_every_private_module_name_is_used(path):
     unused = [f"{name} (line {line})" for name, line in defined.items()
               if name.startswith("_") and not name.startswith("__") and name not in read]
     assert unused == [], f"{path.name} defines but never uses: {', '.join(unused)}"
+
+
+# the game's step rule and the lattice live in env; ppo plays them through
+# env.EnvPool and env.walk
+RULE_NAMES = {"move", "flags", "WIN_CODE", "FLAG_CODE_WEIGHTS"}
+
+
+def test_ppo_imports_no_step_rule():
+    tree = ast.parse((SOURCE / "ppo.py").read_text())
+    imported = {(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    leaked = sorted(f"{module}.{name}" for module, name in imported
+                    if name in RULE_NAMES or module == "surrogate")
+    assert leaked == [], f"ppo.py imports the game's rule: {', '.join(leaked)}"

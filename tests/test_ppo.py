@@ -1179,7 +1179,7 @@ def test_argmax_evaluation_plays_each_variant_once(monkeypatch):
         moves.append(args)
         return move(*args)
 
-    monkeypatch.setattr("motorgame.ppo.move", counting_move)
+    monkeypatch.setattr(env_module, "move", counting_move)
     variants = EVAL_CASES["feasible_start"][0]
     got = evaluate(actor, variants, episodes_per_variant=20, mode="argmax", seed=3)
     twenty = len(moves)
@@ -1390,6 +1390,17 @@ def test_evaluation_rejects_two_machines_that_share_an_id():
         evaluate(new_checkpoint(SMALL).actor, variants, episodes_per_variant=1)
     alone = evaluate_agent(play_greedy, variants[3:], 2, "greedy").per_machine
     assert alone[1].machine == rerated and alone[1].episodes == 6
+
+
+@pytest.mark.parametrize("count", [0, 2])
+def test_evaluation_rejects_a_player_with_the_wrong_row_count(count):
+    """A player gives one row, or one per episode: 2 rows at 5 episodes
+    per variant would report 5, and no rows would divide by zero."""
+    variants = generate_variants(BASE, 2, 0)
+    with pytest.raises(ContractViolationError, match=(
+            f"{count} rows for variant {variants[0].variant_seed} of machine 1, "
+            "not 1 or episodes_per_variant 5")):
+        evaluate_agent(lambda variant, seeds, config: [(3, True)] * count, variants, 5, "fixed")
 
 
 @pytest.mark.parametrize("machine", [MACHINE_4, SHIFTED_1], ids=["id_4", "shifted_1"])
