@@ -64,6 +64,14 @@ ACTION_MOVES = {
 }
 
 
+def _as_action(action) -> Action:
+    """``action`` as an Action: bools and floats are not, though int() takes them."""
+    if (isinstance(action, bool) or not isinstance(action, (int, np.integer))
+            or not 0 <= action < NUM_ACTIONS):
+        raise ContractViolationError(f"invalid action {action!r}")
+    return Action(action)
+
+
 def move(ijk: tuple[int, int, int], action: Action | int,
          shape: tuple[int, int, int]) -> tuple[int, int, int]:
     """Lattice index after ``action``; a move off the lattice stays put."""
@@ -265,11 +273,7 @@ class DesignEnv:
             raise ContractViolationError("step() before reset()")
         if self._done:
             raise ContractViolationError("step() after the episode ended")
-        # bools and floats are not actions, even where int() would take them
-        if (isinstance(action, bool) or not isinstance(action, (int, np.integer))
-                or not 0 <= action < NUM_ACTIONS):
-            raise ContractViolationError(f"invalid action {action!r}")
-        action = Action(action)
+        action = _as_action(action)
 
         _, prev_perf, prev_flags, code = self._visited[self._ijk]
         # an already-feasible design (only possible before the first move)
@@ -461,22 +465,30 @@ def walk(variant: MachineVariant, policies: Iterable[Callable[[int], int]],
     """(steps, win) of one episode per policy under DesignEnv.step's rule,
     without the reward; ``max_steps`` is RewardConfig.max_steps.  Each
     step's action is ``policy(code)``, the code of the observation, its row
-    of ALL_OBSERVATIONS.  Each point's flag code is found once per call."""
-    points = np.moveaxis(evaluate_grid(variant.base), 0, -1)  # (i, j, k, value)
-    start, flag_codes, rows = lattice_index(variant.base, variant.initial_design), {}, []
+    of ALL_OBSERVATIONS.  It moves by move_table() over a (5, points) view
+    of evaluate_grid and finds each point's flag code once per call, a
+    flag + 1 being (value >= lo) + (value > hi) in an inclusive band."""
+    if max_steps < 1:
+        raise ContractViolationError("max_steps must be >= 1")
+    limits = tuple(zip(FLAG_CODE_WEIGHTS.tolist(), variant.target_bands.as_tuple()))
+    shape, flag_codes, rows = lattice_shape(variant.base), {}, []
+    values, after = evaluate_grid(variant.base).reshape(5, -1), move_table(shape)
+    start = int(np.ravel_multi_index(lattice_index(variant.base, variant.initial_design), shape))
     for policy in policies:
-        ijk, action = start, -1  # no previous action
+        point, action = start, -1  # no previous action
         for steps in range(max_steps + 1):
-            if ijk not in flag_codes:
-                flag_codes[ijk] = int(FLAG_CODE_WEIGHTS @ np.add(
-                    flags(Performance(*points[ijk]), variant.target_bands), 1))
-            if (steps and flag_codes[ijk] == WIN_CODE) or steps == max_steps:
+            if (code := flag_codes.get(point)) is None:
+                code = flag_codes[point] = sum([w * ((v >= lo) + (v > hi)) for v, (w, (lo, hi))
+                                               in zip(values[:, point].tolist(), limits)])
+            if (steps and code == WIN_CODE) or steps == max_steps:
                 break
-            code = flag_codes[ijk] + action + 1
+            code += action + 1
             action = policy(code)
+            if type(action) is not int or not 0 <= action < NUM_ACTIONS:
+                action = _as_action(action)  # raises, or makes a numpy integer an Action
             if code != WIN_CODE:  # a feasible start wins without moving
-                ijk = move(ijk, action, points.shape[:3])
-        rows.append((steps, flag_codes[ijk] == WIN_CODE))
+                point = after.item(action, point)
+        rows.append((steps, code == WIN_CODE))
     return rows
 
 

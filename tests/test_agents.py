@@ -33,7 +33,13 @@ from motorgame.env import (
     run_episode,
 )
 from motorgame.errors import ContractViolationError
-from motorgame.surrogate import design_at, evaluate, lattice_index, lattice_shape
+from motorgame.surrogate import (
+    design_at,
+    evaluate,
+    evaluate_grid,
+    lattice_index,
+    lattice_shape,
+)
 
 
 def _variant(base, b_gap=(0.5, 2.5), t_break=(0.2, 2.8), i_start=(0.2, 2.8),
@@ -113,14 +119,17 @@ WALK_CASES = {  # (variants, config) per case
 @pytest.mark.parametrize("case", WALK_CASES)
 def test_play_random_walks_the_design_env_episodes(monkeypatch, case):
     """play_random's env.walk gives, per episode seed, the (steps, win) of
-    random_agent on a DesignEnv, and finds each point's flags once per
-    variant however many episodes visit it."""
+    random_agent on a DesignEnv, and reads each point's values, to find its
+    flag code, once per variant however many episodes visit it."""
     variants, config = WALK_CASES[case]
-    flagged, rows = [], []
+    read, rows = [], []
 
-    def counting_flags(perf, bands):
-        flagged.append(perf)
-        return flags(perf, bands)
+    class RecordingGrid(np.ndarray):
+        """A grid that records the flat point of each column read."""
+
+        def __getitem__(self, key):
+            read.append(key[1])
+            return super().__getitem__(key)
 
     for variant in variants:
         seeds = [1000 * variant.variant_seed + ep for ep in range(4)]
@@ -131,11 +140,13 @@ def test_play_random_walks_the_design_env_episodes(monkeypatch, case):
             want.append((record.steps, record.win))
             visited |= env.visited
         with monkeypatch.context() as patched:
-            patched.setattr(motorgame.env, "flags", counting_flags)
-            flagged.clear()
+            patched.setattr(motorgame.env, "evaluate_grid",
+                            lambda base: evaluate_grid(base).view(RecordingGrid))
+            read.clear()
             got = play_random(variant, iter(seeds), config)
         assert got == want
-        assert len(flagged) == len(visited)
+        assert sorted(read) == sorted(
+            np.ravel_multi_index(ijk, lattice_shape(variant.base)) for ijk in visited)
         rows += got
     if case == "feasible_start":
         assert rows == [(1, True)] * 4

@@ -6,10 +6,17 @@ import itertools
 import numpy as np
 import pytest
 
-from motorgame.catalog import MachineVariant, TargetBands, generate_variants, machine_by_id
+from motorgame.catalog import (
+    MachineVariant,
+    TargetBands,
+    builtin_catalog,
+    generate_variants,
+    machine_by_id,
+)
 from motorgame.env import (
     ACTION_MOVES,
     DEFAULT_PRIORITY_WEIGHTS,
+    FLAG_CODE_WEIGHTS,
     NUM_ACTIONS,
     OBSERVATION_DIM,
     Action,
@@ -22,9 +29,17 @@ from motorgame.env import (
     move,
     reward_for,
     run_episode,
+    walk,
 )
 from motorgame.errors import ContractViolationError
-from motorgame.surrogate import DesignPoint, Performance, lattice_index, lattice_shape
+from motorgame.surrogate import (
+    DesignPoint,
+    Performance,
+    design_at,
+    evaluate_grid,
+    lattice_index,
+    lattice_shape,
+)
 
 
 BASE = machine_by_id(1)  # length 1.2 m, 20 turns, tooth tip 2.0 mm
@@ -432,3 +447,83 @@ def test_pool_rewards_equal_design_env_rewards_under_an_order_dependent_sum():
                 cursor += 1
                 ended += 1
     assert ended >= len(variants)  # every variant was played
+
+
+# --- the evaluation walk -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [6, -1, np.int64(6), 2.0, np.float64(1.0), 2.7, True, np.True_,
+                                 "2", None])
+def test_walk_rejects_bad_actions(bad):
+    """walk() takes DesignEnv.step's actions: -1 does not wrap to action 5,
+    6 is off the move table, and bools and floats are not actions."""
+    variant = _variant(d_temp=(0.4, 0.6))  # heat out of band: every action moves
+    for first in (bad, 2):  # a bad first action, and a bad second one
+        actions = iter((first, bad))
+        with pytest.raises(ContractViolationError, match="invalid action"):
+            walk(variant, [lambda code: next(actions)], 300)
+    with pytest.raises(ContractViolationError, match="invalid action"):
+        walk(FEASIBLE, [lambda code: bad], 300)  # a feasible start checks its action too
+
+
+def test_walk_takes_every_integral_action():
+    """Plain ints, numpy integers and Actions walk alike."""
+    variant = _variant(d_temp=(0.4, 0.6))
+    rows = [walk(variant, [lambda code, kind=kind: kind(code % NUM_ACTIONS)], 40)
+            for kind in (int, np.int64, np.uint8, Action)]
+    assert rows[1:] == rows[:1] * 3
+
+
+@pytest.mark.parametrize("max_steps", [0, -1])
+def test_walk_rejects_max_steps_below_one(max_steps):
+    """No DesignEnv can play an episode of no steps, so walk() plays none."""
+    calls = []
+    with pytest.raises(ContractViolationError, match="max_steps"):
+        walk(FEASIBLE, [calls.append], max_steps)
+    assert not calls
+
+
+def _face_variant(base, start, edges):
+    """A variant that starts at lattice point ``start``, with each value's
+    band spanning its values at the lattice points ``edges``, so that a band
+    edge equals a lattice value exactly."""
+    grid = evaluate_grid(base)
+    values = [sorted(float(grid[(f, *ijk)]) for ijk in edges) for f in range(5)]
+    return MachineVariant(base=base, variant_seed=0, initial_design=design_at(base, *start),
+                          target_bands=TargetBands(*((v[0], v[-1]) for v in values)))
+
+
+def test_walk_flag_codes_at_band_edges_equal_flags():
+    """On all three stock machines, walks that start on lattice faces and
+    corners, where off-lattice moves stay put, see at each step the flag
+    code that flags() gives, also where a value equals its band's low or
+    high, and their random-policy rows equal DesignEnv's episodes."""
+    for base in builtin_catalog():
+        edge_hits, stays = [0, 0], 0  # (values at a low, at a high); off-lattice moves
+        n_i, n_j, n_k = lattice_shape(base)
+        for start, edges in (
+                ((0, n_j // 2, n_k - 1), [(2, n_j // 2 + 1, n_k - 1), (1, n_j // 2 - 1, n_k - 2)]),
+                ((n_i - 1, 0, 0), [(n_i - 2, 2, 0), (n_i - 3, 1, 1)])):
+            variant = _face_variant(base, start, edges)
+            bands = variant.target_bands.as_tuple()
+            config = RewardConfig(max_steps=60)
+            episodes = [([], np.random.default_rng(seed)) for seed in range(12)]
+            rows = walk(variant, [lambda code, seen=seen, rng=rng: seen.append(code) or int(
+                rng.integers(NUM_ACTIONS)) for seen, rng in episodes], config.max_steps)
+            assert any(steps > 1 for steps, _ in rows)  # the starts are not feasible
+            for (seen, _), (seed, row) in zip(episodes, enumerate(rows)):
+                env, rng = DesignEnv(variant, config=config), np.random.default_rng(seed)
+                env.reset()
+                previous, done = -1, False
+                for code in seen:
+                    assert not done
+                    assert code == FLAG_CODE_WEIGHTS @ np.add(
+                        flags(env.performance, variant.target_bands), 1) + previous + 1
+                    for value, band in zip(env.performance.as_tuple(), bands):
+                        edge_hits[0] += value == band[0]
+                        edge_hits[1] += value == band[1]
+                    index, previous = env.index, int(rng.integers(NUM_ACTIONS))
+                    _, _, done, info = env.step(previous)
+                    stays += env.index == index and not info.win
+                assert done and row == (env.steps, info.win)
+        assert min(edge_hits) > 0 and stays > 0

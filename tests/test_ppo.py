@@ -1170,21 +1170,20 @@ def test_evaluate_matches_the_per_step_reference(mode, seed, case):
 
 
 def test_argmax_evaluation_plays_each_variant_once(monkeypatch):
-    """Argmax draws nothing, so every episode of a variant is the same: 20
-    episodes per variant make as many lattice moves as one, and their rows
-    are the per-step reference's."""
-    actor, moves = _trained_checkpoint().actor, []
+    """Argmax draws nothing, so every episode of a variant is the same: at
+    20 episodes per variant, each variant's walk gets one policy, and the
+    rows are the per-step reference's."""
+    actor, policies = _trained_checkpoint().actor, []
 
-    def counting_move(*args):
-        moves.append(args)
-        return move(*args)
+    def recording_walk(variant, given, max_steps):
+        given = list(given)
+        policies.append(len(given))
+        return env_module.walk(variant, given, max_steps)
 
-    monkeypatch.setattr(env_module, "move", counting_move)
+    monkeypatch.setattr(ppo_module, "walk", recording_walk)
     variants = EVAL_CASES["feasible_start"][0]
     got = evaluate(actor, variants, episodes_per_variant=20, mode="argmax", seed=3)
-    twenty = len(moves)
-    evaluate(actor, variants, episodes_per_variant=1, mode="argmax", seed=3)
-    assert twenty == len(moves) - twenty > 0
+    assert policies == [1] * len(variants)
     _assert_same_report(got, _reference_evaluate(actor, variants, 20, "argmax", 3))
 
 
