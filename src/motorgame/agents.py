@@ -27,7 +27,7 @@ from .env import (
     walk,
 )
 from .errors import ContractViolationError
-from .surrogate import design_at, evaluate, lattice_index, lattice_shape
+from .surrogate import design_at, evaluate
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,6 @@ def greedy_agent(env: DesignEnv, log=None) -> EpisodeRecord:
     bands = env.variant.target_bands.as_tuple()
     weights = env.config.priority_weights
     order = sorted(range(len(weights)), key=lambda i: (-weights[i], i))
-    shape = lattice_shape(base)
     looked = {}  # lattice index -> performance tuple, this episode
     chosen = {}  # lattice index -> the action taken there, this episode
 
@@ -75,7 +74,7 @@ def greedy_agent(env: DesignEnv, log=None) -> EpisodeRecord:
             return 0  # already feasible; any action wins
         best_action, best_viol = 0, float("inf")
         for action in range(NUM_ACTIONS):
-            near = move(ijk, action, shape)
+            near = move(ijk, action, base.shape)
             if near not in looked:
                 looked[near] = evaluate(design_at(base, *near), base).as_tuple()
             viol = _band_violation(looked[near][target], bands[target])
@@ -102,9 +101,8 @@ def oracle_shortest(variant: MachineVariant, base: BaseMachine | None = None,
         raise ContractViolationError(
             f"variant base {variant.base_id} does not match machine {base.id}")
     base = variant.base
-    shape = lattice_shape(base)
-    after = move_table(shape)
-    start = np.ravel_multi_index(lattice_index(base, variant.initial_design), shape)
+    after = move_table(base.shape)
+    start = np.ravel_multi_index(variant.start, base.shape)
     distance = np.where(feasible_mask(base, variant.target_bands).ravel(), 0, -1)
     frontier, steps = np.flatnonzero(distance == 0), 0
     while distance[start] < 0 and frontier.size:

@@ -9,12 +9,12 @@ certified at generation time to admit at least one feasible point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import surrogate
-from .errors import ContractViolationError, GenerationExhaustedError, MalformedCatalogError
+from .errors import ContractViolationError, GenerationExhaustedError, MalformedCatalogError, is_int
 from .kvtext import Section, check_layout, format_value, read_sections, write_text
 from .surrogate import DesignPoint, evaluate_grid
 
@@ -51,12 +51,15 @@ class Bounds:
 
 @dataclass(frozen=True)
 class BaseMachine:
+    """A machine and its design lattice; ``shape`` counts the points on each axis."""
+
     id: int
     rated_power: float   # kW
     line_voltage: float  # V
     base_design: DesignPoint
     bounds: Bounds
     step_sizes: StepSizes
+    shape: tuple[int, int, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.rated_power <= 0 or self.line_voltage <= 0:
@@ -64,6 +67,7 @@ class BaseMachine:
         s = self.step_sizes
         if s.length <= 0 or s.turns <= 0 or s.tooth_tip <= 0:
             raise ContractViolationError("step sizes must be positive")
+        shape = []
         for name, (lo, hi), step in (
             ("length", self.bounds.length, s.length),
             ("turns", self.bounds.turns, s.turns),
@@ -74,6 +78,8 @@ class BaseMachine:
             n = (hi - lo) / step
             if abs(n - round(n)) > 1e-6:
                 raise ContractViolationError(f"{name} bound width is not a step multiple")
+            shape.append(round(n) + 1)
+        object.__setattr__(self, "shape", tuple(shape))
         surrogate.check_bounds(self.base_design, self)
 
 
@@ -147,20 +153,30 @@ class TargetBands:
 
 @dataclass(frozen=True)
 class MachineVariant:
+    """A design request: a machine, its start's (i, j, k) lattice index and target bands."""
+
     base: BaseMachine
     variant_seed: int
-    initial_design: DesignPoint
+    start: tuple[int, int, int]
     target_bands: TargetBands
     split: str = "train"
 
     def __post_init__(self):
-        surrogate.check_bounds(self.initial_design, self.base)
+        if not (len(self.start) == 3 and all(
+                is_int(i) and 0 <= i < n for i, n in zip(self.start, self.base.shape))):
+            raise ContractViolationError(
+                f"start {self.start!r} is off the lattice of machine {self.base_id}")
+        object.__setattr__(self, "start", tuple(map(int, self.start)))
         if self.split not in ("train", "holdout"):
             raise ContractViolationError(f"split {self.split!r} is not 'train' or 'holdout'")
 
     @property
     def base_id(self) -> int:
         return self.base.id
+
+    @property
+    def initial_design(self) -> DesignPoint:
+        return surrogate.design_at(self.base, *self.start)
 
 
 def variant_seed_for(catalog_seed: int, base_id: int, index: int) -> int:
@@ -218,7 +234,6 @@ def generate_variants(base: BaseMachine, count: int, seed: int) -> list[MachineV
             off = int(rng.integers(INITIAL_TURNS_OFFSET[0], INITIAL_TURNS_OFFSET[1] + 1))
             k = int(rng.integers(k_window[0], k_window[1] + 1))
             j = turns_mid + off - base.bounds.turns[0]
-            initial = surrogate.design_at(base, i, j, k)
 
             bands = target_bands(base, [rng.uniform(1.0 - spread, 1.0 + spread)
                                         for spread in BAND_CENTER_SPREAD])
@@ -227,7 +242,7 @@ def generate_variants(base: BaseMachine, count: int, seed: int) -> list[MachineV
                 variants.append(MachineVariant(
                     base=base,
                     variant_seed=slot_seed,
-                    initial_design=initial,
+                    start=(i, j, k),
                     target_bands=bands,
                 ))
                 break
@@ -271,22 +286,20 @@ def _parse_band(text: str) -> tuple[float, float]:
 
 def _build_variant(section: Section) -> MachineVariant:
     try:
-        variant = MachineVariant(
-            base=machine_by_id(section.parse("base_id", int)),
+        base = machine_by_id(section.parse("base_id", int))
+        return MachineVariant(
+            base=base,
             variant_seed=section.parse("variant_seed", int),
-            initial_design=DesignPoint(
+            start=surrogate.lattice_index(base, DesignPoint(
                 length=section.parse("length", float),
                 turns=section.parse("turns", int),
                 tooth_tip=section.parse("tooth_tip", float),
-            ),
+            )),
             target_bands=TargetBands(*(section.parse(k, _parse_band) for k in _BAND_KEYS)),
             split=section.values["split"],
         )
-        # a start off the lattice would fail later, in every env that plays it
-        surrogate.lattice_index(variant.base, variant.initial_design)
     except ContractViolationError as exc:
         raise section.fail(str(exc)) from None
-    return variant
 
 
 def load_catalog(path) -> list[MachineVariant]:

@@ -44,7 +44,7 @@ from .ppo import (
     train,
     write_episode_csv,
 )
-from .surrogate import DesignPoint, check_bounds, evaluate as evaluate_design
+from .surrogate import DesignPoint, evaluate as evaluate_design
 
 
 @dataclass(frozen=True)
@@ -308,9 +308,8 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         turns=args.turns if args.turns is not None else base.base_design.turns,
         tooth_tip=(args.tooth_tip if args.tooth_tip is not None
                    else base.base_design.tooth_tip))
-    check_bounds(design, base)
-    bands = _inspect_bands(args.bands, base)
     perf = evaluate_design(design, base)
+    bands = _inspect_bands(args.bands, base)
     flag_values = flags(perf, bands)
     print(f"machine {base.id}: rated_power_kw={base.rated_power:.0f} "
           f"line_voltage_v={base.line_voltage:.0f}")

@@ -27,15 +27,13 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .catalog import BaseMachine, MachineVariant, TargetBands
-from .errors import ContractViolationError
+from .errors import ContractViolationError, is_int
 from .surrogate import (
     DesignPoint,
     Performance,
     design_at,
     evaluate,  # not called here; perfbench's traced run patches env.evaluate
     evaluate_grid,
-    lattice_index,
-    lattice_shape,
 )
 
 FLAG_NAMES = ("b_gap", "t_break", "i_start", "d_temp", "tooth_tip")
@@ -66,8 +64,7 @@ ACTION_MOVES = {
 
 def _as_action(action) -> Action:
     """``action`` as an Action: bools and floats are not, though int() takes them."""
-    if (isinstance(action, bool) or not isinstance(action, (int, np.integer))
-            or not 0 <= action < NUM_ACTIONS):
+    if not is_int(action) or not 0 <= action < NUM_ACTIONS:
         raise ContractViolationError(f"invalid action {action!r}")
     return Action(action)
 
@@ -135,8 +132,9 @@ class RewardConfig:
         # the win bonus must dominate any single-step shaping sum
         if self.win_reward < self.right_direction_reward * sum(self.priority_weights):
             raise ContractViolationError("win_reward too small to dominate shaping rewards")
-        if self.max_steps < 1:
-            raise ContractViolationError("max_steps must be >= 1")
+        if not is_int(self.max_steps) or self.max_steps < 1:
+            raise ContractViolationError(
+                f"max_steps must be an integer >= 1, got {self.max_steps!r}")
 
 
 def reward_for(prev_perf: Performance, new_perf: Performance,
@@ -215,9 +213,7 @@ class DesignEnv:
         self.base = base = variant.base
         self.variant = variant
         self.config = config if config is not None else RewardConfig()
-        self._shape = lattice_shape(base)
         self._values = np.moveaxis(evaluate_grid(base), 0, -1)  # (i, j, k, value)
-        self._start = lattice_index(base, variant.initial_design)
         self._started = False
 
     # --- read-only episode state ---
@@ -260,13 +256,13 @@ class DesignEnv:
                 int(FLAG_CODE_WEIGHTS @ np.add(flag_values, 1)))
 
     def reset(self) -> np.ndarray:
-        self._ijk = self._start
+        self._ijk = start = self.variant.start
         # lattice index -> _point(index) of each point this episode
-        self._visited = {self._start: self._point(self._start)}
+        self._visited = {start: self._point(start)}
         self._steps = 0
         self._done = False
         self._started = True
-        return ALL_OBSERVATIONS[self._visited[self._start][3]].copy()
+        return ALL_OBSERVATIONS[self._visited[start][3]].copy()
 
     def step(self, action: Action | int) -> tuple[np.ndarray, float, bool, StepInfo]:
         if not self._started:
@@ -279,7 +275,7 @@ class DesignEnv:
         # an already-feasible design (only possible before the first move)
         # closes out as a win without moving
         if code != WIN_CODE:
-            self._ijk = move(self._ijk, action, self._shape)
+            self._ijk = move(self._ijk, action, self.base.shape)
         revisit = self._ijk in self._visited
         if not revisit:
             self._visited[self._ijk] = self._point(self._ijk)
@@ -337,14 +333,12 @@ class EnvPool:
         offsets = dict(zip(grids, np.cumsum([0] + [g[0].size for g in grids.values()]).tolist()))
         # after[a, p] is the point that action a takes point p to
         dtype = np.min_scalar_type(points - 1)
-        self._after = np.concatenate([move_table(g.shape[1:]).astype(dtype) + offsets[m]
-                                      for m, g in grids.items()], axis=1)
+        self._after = np.concatenate([move_table(m.shape).astype(dtype) + offsets[m]
+                                      for m in grids], axis=1)
         # per variant: its start point, band limits and start flags
         self._variants = variants
-        self._start = np.array([
-            offsets[v.base] + np.ravel_multi_index(
-                lattice_index(v.base, v.initial_design), grids[v.base].shape[1:])
-            for v in variants])
+        self._start = np.array([offsets[v.base] + np.ravel_multi_index(v.start, v.base.shape)
+                                for v in variants])
         self._variant_bands = np.array([v.target_bands.as_tuple() for v in variants]).T.copy()
         self._start_flags = self._flags_of(self._perf_table[:, self._start], self._variant_bands)
         # reward_for()'s sum of per-flag terms (0: nothing, 1: right direction,
@@ -465,15 +459,15 @@ def walk(variant: MachineVariant, policies: Iterable[Callable[[int], int]],
     """(steps, win) of one episode per policy under DesignEnv.step's rule,
     without the reward; ``max_steps`` is RewardConfig.max_steps.  Each
     step's action is ``policy(code)``, the code of the observation, its row
-    of ALL_OBSERVATIONS.  It moves by move_table() over a (5, points) view
-    of evaluate_grid and finds each point's flag code once per call, a
-    flag + 1 being (value >= lo) + (value > hi) in an inclusive band."""
-    if max_steps < 1:
-        raise ContractViolationError("max_steps must be >= 1")
+    of ALL_OBSERVATIONS.  From variant.start it moves by move_table() over a
+    (5, points) view of evaluate_grid and finds each point's flag code once
+    per call, a flag + 1 being (value >= lo) + (value > hi) in an inclusive band."""
+    if not is_int(max_steps) or max_steps < 1:
+        raise ContractViolationError(f"max_steps must be an integer >= 1, got {max_steps!r}")
     limits = tuple(zip(FLAG_CODE_WEIGHTS.tolist(), variant.target_bands.as_tuple()))
-    shape, flag_codes, rows = lattice_shape(variant.base), {}, []
+    shape, flag_codes, rows = variant.base.shape, {}, []
     values, after = evaluate_grid(variant.base).reshape(5, -1), move_table(shape)
-    start = int(np.ravel_multi_index(lattice_index(variant.base, variant.initial_design), shape))
+    start = int(np.ravel_multi_index(variant.start, shape))
     for policy in policies:
         point, action = start, -1  # no previous action
         for steps in range(max_steps + 1):

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types and the integer check shared across the package."""
+
+import numpy as np
+
+
+def is_int(value) -> bool:
+    """An int or a numpy integer; not a bool or a float, though int() takes them."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class MotorGameError(Exception):

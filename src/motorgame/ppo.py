@@ -21,7 +21,7 @@ import numpy as np
 
 from .catalog import BaseMachine, MachineVariant
 from .env import ALL_OBSERVATIONS, NUM_ACTIONS, OBSERVATION_DIM, EnvPool, RewardConfig, walk
-from .errors import CheckpointFormatError, ContractViolationError, TrainingDivergedError
+from .errors import CheckpointFormatError, ContractViolationError, TrainingDivergedError, is_int
 from .kvtext import (
     BadValueError,
     check_layout,
@@ -86,6 +86,9 @@ class Hyperparams:
         for f in fields(self):
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise ContractViolationError(f"{f.name} {getattr(self, f.name)} is not finite")
+            if f.type == "int" and not is_int(getattr(self, f.name)):
+                raise ContractViolationError(
+                    f"{f.name} must be an integer, got {getattr(self, f.name)!r}")
         if not 0.0 < self.discount <= 1.0:
             raise ContractViolationError(f"discount {self.discount} outside (0, 1]")
         if not 0.0 <= self.gae_lambda <= 1.0:

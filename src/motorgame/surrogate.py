@@ -119,18 +119,9 @@ def evaluate(design: DesignPoint, base: "BaseMachine") -> Performance:
 # bit-identical no matter which code path produced them.
 
 
-def lattice_shape(base: "BaseMachine") -> tuple[int, int, int]:
-    """(n_length, n_turns, n_tooth) point counts along each axis."""
-    b, s = base.bounds, base.step_sizes
-    n_l = int(round((b.length[1] - b.length[0]) / s.length)) + 1
-    n_n = int(round((b.turns[1] - b.turns[0]) / s.turns)) + 1
-    n_h = int(round((b.tooth_tip[1] - b.tooth_tip[0]) / s.tooth_tip)) + 1
-    return (n_l, n_n, n_h)
-
-
 def design_at(base: "BaseMachine", i: int, j: int, k: int) -> DesignPoint:
     """Design point at lattice indices (i, j, k)."""
-    n_l, n_n, n_h = lattice_shape(base)
+    n_l, n_n, n_h = base.shape
     if not (0 <= i < n_l and 0 <= j < n_n and 0 <= k < n_h):
         raise ContractViolationError(f"lattice index ({i}, {j}, {k}) out of range")
     b, s = base.bounds, base.step_sizes
@@ -166,7 +157,7 @@ def evaluate_grid(base: "BaseMachine") -> np.ndarray:
     same expressions as the scalar path: grid[:, i, j, k] equals
     evaluate(design_at(base, i, j, k)).as_tuple() bitwise.
     """
-    n_l, n_n, n_h = lattice_shape(base)
+    n_l, n_n, n_h = base.shape
     b, s = base.bounds, base.step_sizes
     lengths = (b.length[0] + np.arange(n_l) * s.length)[:, None, None]
     turns = (b.turns[0] + np.arange(n_n) * s.turns)[None, :, None]

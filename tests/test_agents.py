@@ -38,7 +38,6 @@ from motorgame.surrogate import (
     evaluate,
     evaluate_grid,
     lattice_index,
-    lattice_shape,
 )
 
 
@@ -49,7 +48,7 @@ def _variant(base, b_gap=(0.5, 2.5), t_break=(0.2, 2.8), i_start=(0.2, 2.8),
                         d_temp=d_temp,
                         tooth_tip=(tooth_pu[0] * h0, tooth_pu[1] * h0))
     return MachineVariant(base=base, variant_seed=0,
-                          initial_design=design or base.base_design,
+                          start=lattice_index(base, design or base.base_design),
                           target_bands=bands)
 
 
@@ -146,7 +145,7 @@ def test_play_random_walks_the_design_env_episodes(monkeypatch, case):
             got = play_random(variant, iter(seeds), config)
         assert got == want
         assert sorted(read) == sorted(
-            np.ravel_multi_index(ijk, lattice_shape(variant.base)) for ijk in visited)
+            np.ravel_multi_index(ijk, variant.base.shape) for ijk in visited)
         rows += got
     if case == "feasible_start":
         assert rows == [(1, True)] * 4
@@ -262,7 +261,7 @@ class _UnmemoizedEnv:
         prev_perf, prev_flags = self.performance, self.flags
         # a feasible start closes out as a win without moving
         self._land(self.index if all_flags_zero(prev_flags)
-                   else move(self.index, action, lattice_shape(self.base)))
+                   else move(self.index, action, self.base.shape))
         revisit = self.index in self._visited
         win = all_flags_zero(self.flags)
         reward = reward_for(prev_perf, self.performance, prev_flags,
@@ -287,7 +286,7 @@ def _unmemoized_greedy(env, log=None, looked=None, decided=None):
     bands = env.variant.target_bands.as_tuple()
     weights = env.config.priority_weights
     order = sorted(range(len(weights)), key=lambda i: (-weights[i], i))
-    shape = lattice_shape(env.base)
+    shape = env.base.shape
 
     def policy(obs):
         target = next((i for i in order if env.flags[i] != 0), None)
@@ -320,11 +319,11 @@ def _memo_variants():
     that equal lattice indices of different machines follow each other."""
     per_machine = []
     for base in builtin_catalog():
-        shape = lattice_shape(base)
+        shape = base.shape
         out = []
         for v in generate_variants(base, 3, 4):
             feasible = tuple(np.argwhere(feasible_mask(base, v.target_bands))[0])
-            out += [v] + [replace(v, initial_design=design_at(base, *ijk))
+            out += [v] + [replace(v, start=ijk)
                           for ijk in (feasible, (0, 0, 0), tuple(n - 1 for n in shape))]
         per_machine.append(out)
     return [v for group in zip(*per_machine) for v in group]
@@ -444,7 +443,7 @@ def test_oracle_optimality_against_frontier_search():
     surrogate confirms no shorter path exists (depth capped at 6)."""
     checked = 0
     for base in builtin_catalog():
-        shape = lattice_shape(base)
+        shape = base.shape
         for variant in generate_variants(base, 4, 3):
             result = oracle_shortest(variant, base)
             assert result.shortest_steps is not None
@@ -495,7 +494,7 @@ def _reference_oracle(variant, base):
     """Forward breadth-first search from the start with parent pointers,
     actions tried in index order; stops at the first feasible point it
     discovers.  Returns (shortest_steps, witness)."""
-    shape = lattice_shape(base)
+    shape = base.shape
     goal = feasible_mask(base, variant.target_bands)
     start = lattice_index(base, variant.initial_design)
     if goal[start]:
@@ -542,12 +541,12 @@ def test_oracle_matches_reference_search():
              for v in generate_variants(base, 25, seed)]
     cases += [(v, base) for base in (NARROW_2, SHIFTED_1) for seed in (0, 1)
               for v in generate_variants(base, 25, seed)]
-    assert lattice_shape(NARROW_2) == (31, 13, 21) != lattice_shape(M1)
+    assert NARROW_2.shape == (31, 13, 21) != M1.shape
     corners = [(_variant(base, b_gap=(0.9, 1.1), t_break=(0.9, 1.1),
                          i_start=(0.9, 1.1), d_temp=(0.9, 1.1),
                          design=design_at(base, *ijk)), base)
                for base in (M1, NARROW_2)
-               for ijk in ((0, 0, 0), tuple(n - 1 for n in lattice_shape(base)))]
+               for ijk in ((0, 0, 0), tuple(n - 1 for n in base.shape))]
     cases += [(v, M1) for v in (FEASIBLE, IMPOSSIBLE)] + corners
     lengths = set()
     for variant, base in cases:

@@ -16,7 +16,6 @@ from motorgame.catalog import (
     TOOTH_BAND_PU,
     BaseMachine,
     Bounds,
-    MachineVariant,
     StepSizes,
     TargetBands,
     builtin_catalog,
@@ -35,12 +34,10 @@ from motorgame.errors import (
     MalformedCatalogError,
 )
 from motorgame.surrogate import (
-    DesignPoint,
     check_bounds,
     design_at,
     evaluate,
     lattice_index,
-    lattice_shape,
 )
 
 
@@ -91,6 +88,23 @@ def test_base_machine_validation():
                     bounds=bad, step_sizes=m.step_sizes)
 
 
+def test_machine_shape_counts_the_points_on_each_axis():
+    """shape is round((hi - lo) / step) + 1 on each axis, found again when
+    replace() builds a machine with other bounds and steps; repr leaves it out."""
+    stock = machine_by_id(2)
+    custom = replace(stock,
+                     bounds=Bounds(length=(0.3, 0.3 + 12 * 0.03), turns=(20, 32),
+                                   tooth_tip=stock.bounds.tooth_tip),
+                     step_sizes=StepSizes(length=0.03, turns=2,
+                                          tooth_tip=stock.step_sizes.tooth_tip))
+    for base in (*builtin_catalog(), custom):
+        b, s = base.bounds, base.step_sizes
+        assert base.shape == tuple(int(round((hi - lo) / step)) + 1 for (lo, hi), step in (
+            (b.length, s.length), (b.turns, s.turns), (b.tooth_tip, s.tooth_tip)))
+    assert stock.shape == (31, 21, 21) and custom.shape == (13, 7, 21)
+    assert "shape" not in repr(custom)
+
+
 # --- variant seeds --------------------------------------------------------------
 
 
@@ -132,7 +146,7 @@ def test_generate_count_validation():
 
 def test_variant_fields_and_sampler_windows():
     for base in builtin_catalog():
-        shape = lattice_shape(base)
+        shape = base.shape
         h0 = base.base_design.tooth_tip
         for index, v in enumerate(generate_variants(base, 10, 3)):
             assert v.base_id == base.id
@@ -176,7 +190,7 @@ def test_certified_feasibility_independent_scan():
     for v in generate_variants(base, 3, 5):
         bands = v.target_bands.as_tuple()
         found = False
-        ni, nj, nk = lattice_shape(base)
+        ni, nj, nk = base.shape
         for i in range(ni):
             for j in range(nj):
                 for k in range(nk):
@@ -206,7 +220,7 @@ def test_feasible_mask_is_the_scalar_flag_rule_at_every_point(seed):
     inclusive edge read as exclusive changes the mask."""
     rng = np.random.default_rng(seed)
     for base in builtin_catalog():
-        shape = lattice_shape(base)
+        shape = base.shape
         p, q = (evaluate(design_at(base, *(int(rng.integers(n)) for n in shape)), base)
                 for _ in range(2))
         bands = TargetBands(*((min(a, b), max(a, b))
@@ -245,11 +259,17 @@ def test_target_bands_reject_inverted():
 
 
 def test_variant_rejects_out_of_bounds_initial():
+    """A start at -1 or at n on any axis is off the lattice, and so is one
+    that is not three integers; an off-lattice variant cannot be built."""
     v = generate_variants(machine_by_id(1), 1, 0)[0]
-    with pytest.raises(ContractViolationError):
-        MachineVariant(base=machine_by_id(1), variant_seed=0,
-                       initial_design=DesignPoint(99.0, 20, 2.0),
-                       target_bands=v.target_bands)
+    starts = [v.start[:axis] + (index,) + v.start[axis + 1:]
+              for axis, n in enumerate(v.base.shape) for index in (-1, n)]
+    starts += [(99, 10, 5), (10.0, 10, 5), (True, 10, 5), (10, 10), (10, 10, 5, 0)]
+    for start in starts:
+        with pytest.raises(ContractViolationError, match="lattice"):
+            replace(v, start=start)
+    start = replace(v, start=np.array(v.start)).start  # numpy integers are taken
+    assert start == v.start and {type(i) for i in start} == {int}
 
 
 def test_with_split():

@@ -43,6 +43,7 @@ from motorgame.ppo import (
     save_checkpoint,
     write_episode_csv,
 )
+from motorgame.surrogate import lattice_index
 
 
 SMALL_TRAIN = ["--horizon", "16", "--env-count", "2", "--total-steps", "32",
@@ -586,7 +587,7 @@ def test_eval_oracle_takes_one_step_on_a_feasible_start(tmp_path, capsys):
     # agent plays one env step to win
     base = machine_by_id(1)
     feasible = MachineVariant(
-        base=base, variant_seed=11, initial_design=base.base_design,
+        base=base, variant_seed=11, start=lattice_index(base, base.base_design),
         target_bands=TargetBands(b_gap=(0.9, 1.1), t_break=(0.9, 1.1),
                                  i_start=(0.9, 1.1), d_temp=(0.9, 1.1),
                                  tooth_tip=(1.0, 4.0)))
@@ -651,7 +652,7 @@ def test_oracle_flags_inconsistent_catalog(tmp_path, capsys, monkeypatch, comman
     writes no episodes.csv."""
     base = machine_by_id(1)
     bogus = MachineVariant(
-        base=base, variant_seed=7, initial_design=base.base_design,
+        base=base, variant_seed=7, start=lattice_index(base, base.base_design),
         target_bands=TargetBands(b_gap=(0.05, 0.1), t_break=(0.2, 2.8),
                                  i_start=(0.2, 2.8), d_temp=(0.2, 2.8),
                                  tooth_tip=(1.0, 4.0)))  # has no feasible point

@@ -35,10 +35,8 @@ from motorgame.errors import ContractViolationError
 from motorgame.surrogate import (
     DesignPoint,
     Performance,
-    design_at,
     evaluate_grid,
     lattice_index,
-    lattice_shape,
 )
 
 
@@ -54,7 +52,7 @@ def _bands(b_gap=(0.5, 2.5), t_break=(0.2, 2.8), i_start=(0.2, 2.8),
 def _variant(design=None, **band_kwargs):
     if design is None:
         design = BASE.base_design
-    return MachineVariant(base=BASE, variant_seed=0, initial_design=design,
+    return MachineVariant(base=BASE, variant_seed=0, start=lattice_index(BASE, design),
                           target_bands=_bands(**band_kwargs))
 
 
@@ -176,6 +174,18 @@ def test_reward_config_rejects_non_finite_values(field, value):
         value = (value, *DEFAULT_PRIORITY_WEIGHTS[1:])
     with pytest.raises(ContractViolationError, match="reward values must be finite"):
         RewardConfig(**{field: value})
+
+
+@pytest.mark.parametrize("max_steps", [2.5, 3.0, True, "3"])
+def test_reward_config_rejects_a_max_steps_that_is_not_an_integer(max_steps):
+    """int() would take each of these, and a DesignEnv would play them;
+    RewardConfig and walk() both reject them."""
+    with pytest.raises(ContractViolationError, match="max_steps must be an integer"):
+        RewardConfig(max_steps=max_steps)
+    with pytest.raises(ContractViolationError, match="max_steps must be an integer"):
+        walk(TORQUE_LOW, [lambda code: 0], max_steps)
+    config = RewardConfig(max_steps=np.int64(3))
+    assert walk(TORQUE_LOW, [lambda code: Action.LENGTH_DOWN], config.max_steps) == [(3, False)]
 
 
 def test_default_reward_constants():
@@ -308,25 +318,24 @@ def test_reset_allows_replay():
 
 
 def test_design_env_finds_its_start_once(monkeypatch):
-    """The start point's lattice index is found once per env; its design,
-    performance and flags are found again on every reset, like any other
-    point's, and every reset starts the same episode."""
-    calls = []
+    """The env starts at the variant's start index: no reset looks the start
+    up from a design, its design, performance and flags are found again on
+    every reset, like any other point's, and every reset starts the same
+    episode."""
+    def no_lookup(*args):
+        raise AssertionError("the start was looked up from a design")
 
-    def counting_lattice_index(base, design):
-        calls.append(design)
-        return lattice_index(base, design)
-
-    monkeypatch.setattr("motorgame.env.lattice_index", counting_lattice_index)
+    monkeypatch.setattr("motorgame.surrogate.lattice_index", no_lookup)
+    monkeypatch.setattr(MachineVariant, "initial_design", property(no_lookup))
     env = DesignEnv(TORQUE_LOW)
     episodes = []
     for _ in range(3):
         obs = env.reset()
+        assert env.index == TORQUE_LOW.start
         episodes.append((obs.tobytes(), env.index, env.design, env.performance, env.flags,
                          env.step(Action.LENGTH_UP)[1:]))
         env.reset()
         env.step(Action.TURNS_UP)
-    assert calls == [TORQUE_LOW.initial_design]
     assert episodes[0] == episodes[1] == episodes[2]
 
 
@@ -359,7 +368,7 @@ def test_action_moves_cover_all_axes():
         (0, -1), (0, 1), (1, -1), (1, 1), (2, -1), (2, 1)]
     # move() at every face and corner of machine 1's lattice: a step off
     # the lattice stays put, every other step changes one index by one
-    shape = lattice_shape(BASE)
+    shape = BASE.shape
     top = tuple(n - 1 for n in shape)
     assert move((0, 0, 0), Action.LENGTH_DOWN, shape) == (0, 0, 0)
     assert move((0, 0, 0), Action.TURNS_UP, shape) == (0, 1, 0)
@@ -489,7 +498,7 @@ def _face_variant(base, start, edges):
     edge equals a lattice value exactly."""
     grid = evaluate_grid(base)
     values = [sorted(float(grid[(f, *ijk)]) for ijk in edges) for f in range(5)]
-    return MachineVariant(base=base, variant_seed=0, initial_design=design_at(base, *start),
+    return MachineVariant(base=base, variant_seed=0, start=start,
                           target_bands=TargetBands(*((v[0], v[-1]) for v in values)))
 
 
@@ -500,7 +509,7 @@ def test_walk_flag_codes_at_band_edges_equal_flags():
     high, and their random-policy rows equal DesignEnv's episodes."""
     for base in builtin_catalog():
         edge_hits, stays = [0, 0], 0  # (values at a low, at a high); off-lattice moves
-        n_i, n_j, n_k = lattice_shape(base)
+        n_i, n_j, n_k = base.shape
         for start, edges in (
                 ((0, n_j // 2, n_k - 1), [(2, n_j // 2 + 1, n_k - 1), (1, n_j // 2 - 1, n_k - 2)]),
                 ((n_i - 1, 0, 0), [(n_i - 2, 2, 0), (n_i - 3, 1, 1)])):

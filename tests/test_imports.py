@@ -77,3 +77,19 @@ def test_ppo_imports_no_step_rule():
     leaked = sorted(f"{module}.{name}" for module, name in imported
                     if name in RULE_NAMES or module == "surrogate")
     assert leaked == [], f"ppo.py imports the game's rule: {', '.join(leaked)}"
+
+
+def test_only_the_catalog_looks_up_a_start_index():
+    """A machine holds its lattice shape and a variant its start index, so
+    only catalog.py's loader turns a design into a lattice index, and no
+    module spells the lattice_shape that the machine's shape replaced."""
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        spelled = _names(tree) | {node.attr for node in ast.walk(tree)
+                                  if isinstance(node, ast.Attribute)}
+        spelled |= {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
+        allowed = {"lattice_index"} if path.name in ("catalog.py", "surrogate.py") else set()
+        found += [f"{path.name}: {name}"
+                  for name in sorted(spelled & {"lattice_index", "lattice_shape"} - allowed)]
+    assert found == [], f"lattice lookups outside the catalog: {', '.join(found)}"

@@ -77,7 +77,7 @@ from motorgame.ppo import (
     train,
     write_episode_csv,
 )
-from motorgame.surrogate import design_at, lattice_index, lattice_shape
+from motorgame.surrogate import lattice_index
 
 BASE = machine_by_id(1)
 
@@ -87,7 +87,7 @@ def _variant(b_gap=(0.5, 2.5), t_break=(0.2, 2.8), i_start=(0.2, 2.8),
     bands = TargetBands(b_gap=b_gap, t_break=t_break, i_start=i_start,
                         d_temp=d_temp, tooth_tip=tooth_tip)
     return MachineVariant(base=BASE, variant_seed=variant_seed,
-                          initial_design=BASE.base_design, target_bands=bands)
+                          start=lattice_index(BASE, BASE.base_design), target_bands=bands)
 
 
 # initial design already inside every band: every episode wins in one step
@@ -152,6 +152,15 @@ def test_hyperparams_reject_negative_loss_weights(name):
     with pytest.raises(ContractViolationError, match=f"{name} -1.0 must be >= 0"):
         Hyperparams(**{name: -1.0})
     assert getattr(Hyperparams(**{name: 0.0}), name) == 0.0
+
+
+@pytest.mark.parametrize("name", ["epochs", "minibatch_size", "horizon", "total_steps",
+                                  "env_count", "seed"])
+def test_hyperparams_reject_counts_that_are_not_integers(name):
+    for value in (1.5, 2.0, True):
+        with pytest.raises(ContractViolationError, match=f"{name} must be an integer"):
+            Hyperparams(**{name: value})
+    assert getattr(Hyperparams(**{name: np.int64(2)}), name) == 2
 
 
 # --- generalized advantage estimation -------------------------------------------------
@@ -336,13 +345,12 @@ def _replay_variants():
     feasible point, one step beside it, and at both lattice corners."""
     out = []
     for base in builtin_catalog():
-        shape = lattice_shape(base)
+        shape = base.shape
         for v in generate_variants(base, 3, 7):
             feasible = tuple(np.argwhere(feasible_mask(base, v.target_bands))[0])
             starts = (feasible, move(feasible, Action.TURNS_DOWN, shape),
                       (0, 0, 0), tuple(n - 1 for n in shape))
-            out += [v] + [replace(v, initial_design=design_at(base, *ijk))
-                          for ijk in starts]
+            out += [v] + [replace(v, start=ijk) for ijk in starts]
     return out
 
 
@@ -405,7 +413,7 @@ def test_pool_over_lattices_of_two_shapes_replays_the_loop(monkeypatch):
                                           stock.bounds.tooth_tip))
     monkeypatch.setitem(catalog_module._MACHINES, 2, narrow)
     variants = _replay_variants()
-    assert {lattice_shape(machine_by_id(v.base_id)) for v in variants} == {
+    assert {machine_by_id(v.base_id).shape for v in variants} == {
         (31, 21, 21), (31, 13, 21)}
     np.random.default_rng(5).shuffle(variants)
     _assert_replays(variants, 8, 150, 5)
@@ -422,7 +430,7 @@ def test_pool_over_more_points_than_uint16_holds_replays_the_loop(monkeypatch):
     variants = _replay_variants()
     np.random.default_rng(6).shuffle(variants)
     pool = EnvPool(variants, 8, REPLAY_CONFIG)
-    points = sum(np.prod(lattice_shape(base)) for base in builtin_catalog())
+    points = sum(np.prod(base.shape) for base in builtin_catalog())
     assert pool._after.shape == (NUM_ACTIONS, points) and points > 65_535
     assert np.iinfo(pool._after.dtype).max >= points - 1
     _assert_replays(variants, 8, 150, 6)
@@ -435,7 +443,7 @@ def test_pool_move_table_is_the_move_rule():
     pool = EnvPool([v for base in builtin_catalog() for v in generate_variants(base, 1, 3)], 1)
     want, offset = [], 0
     for base in builtin_catalog():
-        shape = lattice_shape(base)
+        shape = base.shape
         want.append([[offset + np.ravel_multi_index(move(ijk, action, shape), shape)
                       for ijk in np.ndindex(*shape)] for action in Action])
         offset += np.prod(shape)
@@ -443,7 +451,7 @@ def test_pool_move_table_is_the_move_rule():
     assert np.array_equal(pool._after, np.concatenate(want, axis=1))
 
 
-@pytest.mark.parametrize("shape", [lattice_shape(BASE), (31, 13, 21)],
+@pytest.mark.parametrize("shape", [BASE.shape, (31, 13, 21)],
                          ids=["stock", "narrow_turns"])
 def test_move_table_is_the_move_rule_and_read_only(shape):
     """move_table(shape) is move() at every point and action, through the
@@ -1365,7 +1373,7 @@ def test_a_machine_under_a_new_id_plays_trains_and_reports():
 
 def test_a_shifted_lattice_plays_its_own_points_beside_the_stock_machine():
     shifted = generate_variants(SHIFTED_1, 30, 0)
-    assert lattice_shape(SHIFTED_1) == lattice_shape(BASE)
+    assert SHIFTED_1.shape == BASE.shape
     for v in shifted:
         env = DesignEnv(v)
         env.reset()
@@ -1374,7 +1382,7 @@ def test_a_shifted_lattice_plays_its_own_points_beside_the_stock_machine():
     variants = shifted[:10] + generate_variants(BASE, 10, 0)
     np.random.default_rng(8).shuffle(variants)
     pool = EnvPool(variants, 8, REPLAY_CONFIG)
-    assert pool._perf_table.shape[1] == 2 * np.prod(lattice_shape(BASE))
+    assert pool._perf_table.shape[1] == 2 * np.prod(BASE.shape)
     _assert_replays(variants, 8, 150, 8)
 
 

@@ -19,7 +19,6 @@ from motorgame.surrogate import (
     evaluate,
     evaluate_grid,
     lattice_index,
-    lattice_shape,
     normalize,
 )
 
@@ -158,13 +157,13 @@ def test_turns_temperature_tradeoff_is_non_monotone():
 
 def test_lattice_shape_is_31_21_21():
     for base in builtin_catalog():
-        assert lattice_shape(base) == (31, 21, 21)
+        assert base.shape == (31, 21, 21)
 
 
 def test_design_at_index_round_trip():
     rng = np.random.default_rng(3)
     for base in builtin_catalog():
-        shape = lattice_shape(base)
+        shape = base.shape
         for _ in range(50):
             ijk = tuple(int(rng.integers(n)) for n in shape)
             assert lattice_index(base, design_at(base, *ijk)) == ijk
@@ -192,7 +191,7 @@ def test_base_design_lies_on_every_lattice():
 
 def test_bounds_corners_are_inclusive():
     for base in builtin_catalog():
-        shape = lattice_shape(base)
+        shape = base.shape
         check_bounds(design_at(base, 0, 0, 0), base)
         check_bounds(design_at(base, shape[0] - 1, shape[1] - 1, shape[2] - 1),
                      base)
@@ -205,7 +204,7 @@ def test_grid_matches_scalar_evaluation_bitwise():
     rng = np.random.default_rng(11)
     for base in builtin_catalog():
         grid = evaluate_grid(base)
-        assert grid.shape == (5, *lattice_shape(base)) and grid.dtype == np.float64
+        assert grid.shape == (5, *base.shape) and grid.dtype == np.float64
         for _ in range(40):
             ijk = tuple(int(rng.integers(n)) for n in grid.shape[1:])
             perf = evaluate(design_at(base, *ijk), base)
