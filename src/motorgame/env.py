@@ -323,8 +323,8 @@ class EnvPool:
         variants = tuple(variants)
         if not variants:
             raise ContractViolationError("need at least one variant")
-        if env_count < 1:
-            raise ContractViolationError("env_count must be >= 1")
+        if not is_int(env_count) or env_count < 1:
+            raise ContractViolationError(f"env_count must be an integer >= 1, got {env_count!r}")
         self.config = cfg = reward_config if reward_config is not None else RewardConfig()
         grids = {m: evaluate_grid(m) for m in dict.fromkeys(v.base for v in variants)}
         self._perf_table = np.concatenate([g.reshape(5, -1) for g in grids.values()], axis=1)

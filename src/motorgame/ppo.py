@@ -127,8 +127,8 @@ def collect_rollout(pool: EnvPool, actor: MlpParams, critic: MlpParams,
     and critic: each net runs once on ALL_OBSERVATIONS, a step samples the
     rows of the pool's observation codes from the actor's Categorical, and
     the log-probs and values of all steps are read after the loop."""
-    if horizon < 1:
-        raise ContractViolationError("horizon must be >= 1")
+    if not is_int(horizon) or horizon < 1:
+        raise ContractViolationError(f"horizon must be an integer >= 1, got {horizon!r}")
     policy = Categorical(forward(actor, ALL_OBSERVATIONS)[0])
     table_values = forward(critic, ALL_OBSERVATIONS)[0][:, 0]
     shape = (horizon, pool.env_count)
@@ -480,8 +480,9 @@ def evaluate_agent(play: Callable[..., Iterable[tuple[int, bool]]],
     mean_steps_all.  The summary is keyed by machine id, so two different
     machines that share an id are rejected.
     """
-    if episodes_per_variant < 1:
-        raise ContractViolationError("episodes_per_variant must be >= 1")
+    if not is_int(episodes_per_variant) or episodes_per_variant < 1:
+        raise ContractViolationError(
+            f"episodes_per_variant must be an integer >= 1, got {episodes_per_variant!r}")
     config = reward_config or RewardConfig()
     machines = {}
     for variant in variants:

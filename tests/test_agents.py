@@ -2,6 +2,8 @@
 
 from collections import deque
 from dataclasses import replace
+from functools import cache
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -329,6 +331,18 @@ def _memo_variants():
     return [v for group in zip(*per_machine) for v in group]
 
 
+@cache
+def _looping_variants():
+    """The first two generated variants of each machine on which the uncut
+    reference greedy comes back to a point and loses at the step cap."""
+    out = []
+    for base in builtin_catalog():
+        loops = (v for v in generate_variants(base, 20, 0)
+                 if _unmemoized_greedy(_UnmemoizedEnv(v)).cause == "truncation")
+        out += islice(loops, 2)
+    return out
+
+
 def _logger(out):
     def log(step, action, reward, info):
         out.append((step, action, reward, _bits(reward), info,
@@ -336,15 +350,18 @@ def _logger(out):
     return log
 
 
-@pytest.mark.parametrize("max_steps", [300, 6])
+@pytest.mark.parametrize("max_steps", [300, 6, 9])
 def test_memoized_episodes_match_the_unmemoized_reference(max_steps):
     """Random and greedy episodes log the same StepInfos, rewards (by value
     and by float bits) and EpisodeRecords as the unmemoized env step and
     look-ahead.  Each env plays two episodes of each kind, so a memo that
-    outlives reset() or is shared across machines shows."""
+    outlives reset() or is shared across machines shows.  On the looping
+    variants greedy finishes its episode from the cycle it has played, and
+    the caps end some such episodes on the point greedy stopped at and some
+    in the middle of the cycle."""
     config = RewardConfig(max_steps=max_steps)
-    causes = set()
-    for variant in _memo_variants():
+    causes, cut_ends = set(), set()
+    for variant in _memo_variants() + _looping_variants():
         env, reference = DesignEnv(variant, config=config), _UnmemoizedEnv(variant, config=config)
         for episode in range(2):
             plays = (
@@ -360,7 +377,27 @@ def test_memoized_episodes_match_the_unmemoized_reference(max_steps):
                 assert _bits(record.total_reward) == _bits(expected.total_reward)
                 assert env.visited == reference.visited
                 causes.add(expected.cause)
+                if env.steps < record.steps:  # greedy's episode, cut
+                    cut_ends.add("point" if got[-1][4].design == env.design else "middle")
     assert causes == {"win", "truncation"}
+    assert cut_ends == {"point", "middle"}
+
+
+def test_greedy_steps_the_env_once_per_point_it_leaves(monkeypatch):
+    """Greedy stops at the first point it comes back to, so an episode makes
+    at most one DesignEnv.step call per distinct point visited, plus one,
+    and a loop to the step cap reports more steps than it took."""
+    calls, step = [], DesignEnv.step
+    monkeypatch.setattr(DesignEnv, "step",
+                        lambda env, action: calls.append(action) or step(env, action))
+    cut = 0
+    for variant in _memo_variants() + _looping_variants():
+        env = DesignEnv(variant)
+        calls.clear()
+        record = greedy_agent(env)
+        assert len(calls) == env.steps <= len(env.visited) + 1
+        cut += record.steps > len(calls)
+    assert cut >= len(_looping_variants())
 
 
 def test_each_point_is_evaluated_once_per_episode(monkeypatch):

@@ -28,12 +28,7 @@ from motorgame.cli import (
     resolve_config,
 )
 from motorgame.env import NUM_ACTIONS, OBSERVATION_DIM, DesignEnv
-from motorgame.errors import (
-    ContractViolationError,
-    MotorGameError,
-    TextFormatError,
-    TrainingDivergedError,
-)
+from motorgame.errors import MotorGameError, TextFormatError, TrainingDivergedError
 from motorgame.neural import AdamState, init
 from motorgame.ppo import (
     Hyperparams,

@@ -1,6 +1,6 @@
-"""Source hygiene: every name a package module imports, and every private
-name it defines at module level, is used in that module; the design
-game's rule stays in env."""
+"""Source hygiene: every name a package or test module imports, and every
+private name a package module defines at module level, is used in that
+module; the design game's rule stays in env."""
 
 import ast
 from pathlib import Path
@@ -9,6 +9,7 @@ import pytest
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "motorgame"
 MODULES = sorted(SOURCE.glob("*.py"))
+TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 # (module file, name) imported on purpose without being used: perfbench's
 # traced run patches env.evaluate to count the environment's surrogate calls
@@ -30,7 +31,7 @@ def _names(tree: ast.Module, loaded_only: bool = False) -> set[str]:
             and not (loaded_only and isinstance(node.ctx, ast.Store))}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text(), str(path))
     imported = {}  # bound name -> line of its import

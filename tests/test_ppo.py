@@ -1084,6 +1084,27 @@ def test_evaluate_mode_validation():
         evaluate(ckpt.actor, TRAIN_VARIANTS, episodes_per_variant=0)
 
 
+COUNTED_CALLS = {  # function.parameter -> a call passing that count
+    "evaluate_agent.episodes_per_variant": lambda ckpt, n: evaluate_agent(
+        play_greedy, [FEASIBLE_A], n, "greedy"),
+    "evaluate.episodes_per_variant": lambda ckpt, n: evaluate(
+        ckpt.actor, [FEASIBLE_A], episodes_per_variant=n),
+    "EnvPool.env_count": lambda ckpt, n: EnvPool([FEASIBLE_A], n),
+    "collect_rollout.horizon": lambda ckpt, n: collect_rollout(
+        EnvPool([FEASIBLE_A], 1), ckpt.actor, ckpt.critic, n, np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.5])
+@pytest.mark.parametrize("call", COUNTED_CALLS)
+def test_counts_that_are_not_integers_are_rejected(call, value):
+    """A bool is not a count of 1, though int() takes it, and a float is
+    not a count: each is a ContractViolationError, not a bare TypeError."""
+    name = call.split(".")[1]
+    with pytest.raises(ContractViolationError, match=f"{name} must be an integer"):
+        COUNTED_CALLS[call](new_checkpoint(SMALL), value)
+
+
 def test_eval_table_mentions_reference_steps():
     ckpt = new_checkpoint(SMALL)
     report = evaluate(ckpt.actor, [FEASIBLE_A], episodes_per_variant=1)
