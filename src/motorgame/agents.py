@@ -9,8 +9,7 @@ Together they bracket what the trained policy should achieve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from itertools import cycle
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -52,22 +51,23 @@ def greedy_agent(env: DesignEnv, log=None) -> EpisodeRecord:
     """Deterministic one-step-lookahead heuristic.
 
     Each step targets the highest-priority nonzero flag and takes the
-    action whose one-step move most reduces that flag's band violation;
-    ties go to the lowest action index.  A neighbour's performance is
-    evaluated once per episode.  The action depends only on the point, so
-    greedy stops stepping the env at the first point it comes back to and
-    leaves it at that step: the steps since it left that point would repeat
-    to the step cap, so they finish the record, and the ``log``, each as a
-    revisit, and the episode ends as a truncation.
+    action whose one-step move most reduces that flag's band
+    violation; ties go to the lowest action index.  The action depends
+    only on the point, so it is chosen once per point per episode and
+    reused on a revisit, and a neighbour's performance is evaluated once
+    per episode and read back when a later look-ahead needs it again.
     """
     base = env.base
     bands = env.variant.target_bands.as_tuple()
     weights = env.config.priority_weights
     order = sorted(range(len(weights)), key=lambda i: (-weights[i], i))
     looked = {}  # lattice index -> performance tuple, this episode
-    chosen = {}  # lattice index -> index of the step that left it, this episode
+    chosen = {}  # lattice index -> the action taken there, this episode
 
-    def decide(ijk: tuple[int, int, int]) -> int:
+    def policy(obs: np.ndarray) -> int:
+        ijk = env.index
+        if ijk in chosen:
+            return chosen[ijk]
         flag_values = env.flags
         target = next((i for i in order if flag_values[i] != 0), None)
         if target is None:
@@ -80,30 +80,10 @@ def greedy_agent(env: DesignEnv, log=None) -> EpisodeRecord:
             viol = _band_violation(looked[near][target], bands[target])
             if viol < best_viol:
                 best_action, best_viol = action, viol
+        chosen[ijk] = best_action
         return best_action
 
-    env.reset()
-    total, played = 0.0, []  # played: (action, reward, info) of each step taken
-    while (ijk := env.index) not in chosen:
-        chosen[ijk] = len(played)
-        action = decide(ijk)
-        _, reward, done, info = env.step(action)
-        total += reward
-        played.append((action, reward, info))
-        if log is not None:
-            log(env.steps, Action(action), reward, info)
-        if done:
-            return EpisodeRecord(env.steps, total, info.win, info.cause)
-
-    penalty, max_steps = env.config.revisit_penalty, env.config.max_steps
-    loop = [(Action(action), reward if info.revisit else reward + penalty, info)
-            for action, reward, info in played[chosen[ijk]:]]
-    for step, (action, reward, info) in zip(range(env.steps + 1, max_steps + 1), cycle(loop)):
-        total += reward
-        if log is not None:
-            log(step, action, reward, replace(
-                info, revisit=True, cause="truncation" if step == max_steps else None))
-    return EpisodeRecord(max_steps, total, False, "truncation")
+    return run_episode(env, policy, log)
 
 
 def oracle_shortest(variant: MachineVariant, base: BaseMachine | None = None,

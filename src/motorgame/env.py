@@ -60,13 +60,14 @@ ACTION_MOVES = {
     Action.TOOTH_TIP_UP: (2, +1),
     Action.TOOTH_TIP_DOWN: (2, -1),
 }
+_ACTIONS = tuple(Action)  # action index -> Action, faster than Action(index)
 
 
 def _as_action(action) -> Action:
     """``action`` as an Action: bools and floats are not, though int() takes them."""
     if not is_int(action) or not 0 <= action < NUM_ACTIONS:
         raise ContractViolationError(f"invalid action {action!r}")
-    return Action(action)
+    return _ACTIONS[action]
 
 
 def move(ijk: tuple[int, int, int], action: Action | int,
@@ -149,16 +150,24 @@ def reward_for(prev_perf: Performance, new_perf: Performance,
     leaves.  The revisit penalty and win bonus are added by step(),
     not here.
     """
+    return _reward(prev_perf.as_tuple(), new_perf.as_tuple(), prev_flags,
+                   bands.as_tuple(), config)
+
+
+def _reward(prev_values: tuple[float, ...], new_values: tuple[float, ...],
+            prev_flags: tuple[int, ...], band_pairs: tuple[tuple[float, float], ...],
+            config: RewardConfig) -> float:
+    """reward_for() on the value tuples, which DesignEnv keeps per point."""
+    right, wrong = config.right_direction_reward, config.wrong_direction_reward
     total = 0.0
     for prev_v, new_v, flag, (lo, hi), weight in zip(
-            prev_perf.as_tuple(), new_perf.as_tuple(), prev_flags,
-            bands.as_tuple(), config.priority_weights):
+            prev_values, new_values, prev_flags, band_pairs, config.priority_weights):
         if flag == 1:
-            r = config.right_direction_reward if new_v < prev_v else config.wrong_direction_reward
+            r = right if new_v < prev_v else wrong
         elif flag == -1:
-            r = config.right_direction_reward if new_v > prev_v else config.wrong_direction_reward
+            r = right if new_v > prev_v else wrong
         else:
-            r = 0.0 if lo <= new_v <= hi else config.wrong_direction_reward
+            r = 0.0 if lo <= new_v <= hi else wrong
         total += weight * r
     return total
 
@@ -181,6 +190,7 @@ ALL_OBSERVATIONS = np.array([encode(f, a) for f in product((-1, 0, 1), repeat=5)
 ALL_OBSERVATIONS.setflags(write=False)
 FLAG_CODE_WEIGHTS = 7 * 3 ** np.arange(4, -1, -1)
 WIN_CODE = int(FLAG_CODE_WEIGHTS.sum())  # every flag zero, no previous action
+_CODE_WEIGHTS = tuple(FLAG_CODE_WEIGHTS.tolist())  # as ints, for scalar codes
 TERM_INDEX_WEIGHTS = 3 ** np.arange(4, -1, -1)
 
 
@@ -199,8 +209,8 @@ class DesignEnv:
     machine; a ``base`` given as well must be that machine.
 
     Each lattice point's design, performance (read from evaluate_grid),
-    flags and flag code are found once per episode, on the first visit,
-    and read back on any revisit; reset() forgets them.  Observations are
+    flags, flag code and revisit StepInfo are found once per episode, on
+    the first visit, and read back on any revisit; reset() forgets them.  Observations are
     fresh copies of rows of ALL_OBSERVATIONS.  Not thread-safe; run
     independent instances in parallel instead.
     """
@@ -214,6 +224,7 @@ class DesignEnv:
         self.variant = variant
         self.config = config if config is not None else RewardConfig()
         self._values = np.moveaxis(evaluate_grid(base), 0, -1)  # (i, j, k, value)
+        self._band_pairs = variant.target_bands.as_tuple()
         self._started = False
 
     # --- read-only episode state ---
@@ -249,11 +260,15 @@ class DesignEnv:
     # --- game mechanics ---
 
     def _point(self, ijk: tuple[int, int, int]) -> tuple:
-        """(design, performance, flags, flag code) of lattice point ``ijk``."""
-        perf = Performance(*self._values[ijk].tolist())
+        """(design, performance, flags, flag code, performance values, the
+        StepInfo of a revisit that does not end the episode) of lattice
+        point ``ijk``."""
+        values = tuple(self._values[ijk].tolist())
+        design, perf = design_at(self.base, *ijk), Performance(*values)
         flag_values = flags(perf, self.variant.target_bands)
-        return (design_at(self.base, *ijk), perf, flag_values,
-                int(FLAG_CODE_WEIGHTS @ np.add(flag_values, 1)))
+        return (design, perf, flag_values,
+                sum([w * (f + 1) for w, f in zip(_CODE_WEIGHTS, flag_values)]), values,
+                StepInfo(design, perf, flag_values, cause=None, revisit=True, win=False))
 
     def reset(self) -> np.ndarray:
         self._ijk = start = self.variant.start
@@ -271,19 +286,19 @@ class DesignEnv:
             raise ContractViolationError("step() after the episode ended")
         action = _as_action(action)
 
-        _, prev_perf, prev_flags, code = self._visited[self._ijk]
+        _, _, prev_flags, code, prev_values, _ = self._visited[self._ijk]
         # an already-feasible design (only possible before the first move)
         # closes out as a win without moving
         if code != WIN_CODE:
             self._ijk = move(self._ijk, action, self.base.shape)
-        revisit = self._ijk in self._visited
+        point = self._visited.get(self._ijk)
+        revisit = point is not None
         if not revisit:
-            self._visited[self._ijk] = self._point(self._ijk)
-        design, perf, flag_values, code = self._visited[self._ijk]
+            point = self._visited[self._ijk] = self._point(self._ijk)
+        design, perf, flag_values, code, values, revisit_info = point
 
         win = code == WIN_CODE
-        reward = reward_for(prev_perf, perf, prev_flags,
-                            self.variant.target_bands, self.config)
+        reward = _reward(prev_values, values, prev_flags, self._band_pairs, self.config)
         if revisit:
             reward += self.config.revisit_penalty
         if win:
@@ -293,8 +308,11 @@ class DesignEnv:
         self._done = win or self._steps >= self.config.max_steps
         cause = "win" if win else ("truncation" if self._done else None)
 
-        info = StepInfo(design=design, performance=perf,
-                        flags=flag_values, cause=cause, revisit=revisit, win=win)
+        if revisit and cause is None:
+            info = revisit_info
+        else:
+            info = StepInfo(design=design, performance=perf,
+                            flags=flag_values, cause=cause, revisit=revisit, win=win)
         return ALL_OBSERVATIONS[code + action + 1].copy(), reward, self._done, info
 
 
@@ -464,7 +482,7 @@ def walk(variant: MachineVariant, policies: Iterable[Callable[[int], int]],
     per call, a flag + 1 being (value >= lo) + (value > hi) in an inclusive band."""
     if not is_int(max_steps) or max_steps < 1:
         raise ContractViolationError(f"max_steps must be an integer >= 1, got {max_steps!r}")
-    limits = tuple(zip(FLAG_CODE_WEIGHTS.tolist(), variant.target_bands.as_tuple()))
+    limits = tuple(zip(_CODE_WEIGHTS, variant.target_bands.as_tuple()))
     shape, flag_codes, rows = variant.base.shape, {}, []
     values, after = evaluate_grid(variant.base).reshape(5, -1), move_table(shape)
     start = int(np.ravel_multi_index(variant.start, shape))

@@ -333,7 +333,7 @@ def _memo_variants():
 
 @cache
 def _looping_variants():
-    """The first two generated variants of each machine on which the uncut
+    """The first two generated variants of each machine on which the
     reference greedy comes back to a point and loses at the step cap."""
     out = []
     for base in builtin_catalog():
@@ -356,11 +356,10 @@ def test_memoized_episodes_match_the_unmemoized_reference(max_steps):
     and by float bits) and EpisodeRecords as the unmemoized env step and
     look-ahead.  Each env plays two episodes of each kind, so a memo that
     outlives reset() or is shared across machines shows.  On the looping
-    variants greedy finishes its episode from the cycle it has played, and
-    the caps end some such episodes on the point greedy stopped at and some
-    in the middle of the cycle."""
+    variants greedy repeats its cycle of revisits, and the caps end some
+    such episodes on a revisit."""
     config = RewardConfig(max_steps=max_steps)
-    causes, cut_ends = set(), set()
+    causes = set()
     for variant in _memo_variants() + _looping_variants():
         env, reference = DesignEnv(variant, config=config), _UnmemoizedEnv(variant, config=config)
         for episode in range(2):
@@ -376,28 +375,8 @@ def test_memoized_episodes_match_the_unmemoized_reference(max_steps):
                 assert record == expected
                 assert _bits(record.total_reward) == _bits(expected.total_reward)
                 assert env.visited == reference.visited
-                causes.add(expected.cause)
-                if env.steps < record.steps:  # greedy's episode, cut
-                    cut_ends.add("point" if got[-1][4].design == env.design else "middle")
-    assert causes == {"win", "truncation"}
-    assert cut_ends == {"point", "middle"}
-
-
-def test_greedy_steps_the_env_once_per_point_it_leaves(monkeypatch):
-    """Greedy stops at the first point it comes back to, so an episode makes
-    at most one DesignEnv.step call per distinct point visited, plus one,
-    and a loop to the step cap reports more steps than it took."""
-    calls, step = [], DesignEnv.step
-    monkeypatch.setattr(DesignEnv, "step",
-                        lambda env, action: calls.append(action) or step(env, action))
-    cut = 0
-    for variant in _memo_variants() + _looping_variants():
-        env = DesignEnv(variant)
-        calls.clear()
-        record = greedy_agent(env)
-        assert len(calls) == env.steps <= len(env.visited) + 1
-        cut += record.steps > len(calls)
-    assert cut >= len(_looping_variants())
+                causes.add((expected.cause, got[-1][4].revisit))
+    assert causes >= {("win", False), ("truncation", False), ("truncation", True)}
 
 
 def test_each_point_is_evaluated_once_per_episode(monkeypatch):
