@@ -12,7 +12,8 @@ decreased, -1 means below and must be increased, 0 means inside.
 
 Three players apply the rule: DesignEnv.step, the spec, with the reward;
 EnvPool.step, its array twin, for training; and walk(), without the
-reward, for evaluation.
+reward, for evaluation.  The scalar band test is _flag_code(), and every
+reward sum is a read of reward_table().
 """
 
 from __future__ import annotations
@@ -95,15 +96,14 @@ def move_table(shape: tuple[int, int, int]) -> np.ndarray:
 
 def flags(perf: Performance, bands: TargetBands) -> tuple[int, int, int, int, int]:
     """Ternary flag per performance value against its inclusive band."""
-    out = []
-    for value, (lo, hi) in zip(perf.as_tuple(), bands.as_tuple()):
-        if value > hi:
-            out.append(1)
-        elif value < lo:
-            out.append(-1)
-        else:
-            out.append(0)
-    return tuple(out)
+    return FLAG_ROWS[_flag_code(map(float, perf.as_tuple()), bands.as_tuple()) // 7]
+
+
+def _flag_code(values: Iterable[float], band_pairs: Iterable[tuple[float, float]]) -> int:
+    """Observation code of ``values`` with no previous action, a flag + 1 being
+    (v >= lo) + (v > hi); on numpy floats that + is or, so pass Python floats."""
+    return sum([w * ((v >= lo) + (v > hi))
+                for w, v, (lo, hi) in zip(_CODE_WEIGHTS, values, band_pairs)])
 
 
 def all_flags_zero(flag_values: Iterable[int]) -> bool:
@@ -124,6 +124,8 @@ class RewardConfig:
                 self.right_direction_reward, self.wrong_direction_reward,
                 self.revisit_penalty, self.win_reward, *self.priority_weights))):
             raise ContractViolationError("reward values must be finite")
+        # a tuple of floats: the config hashes, and no caller can change them
+        object.__setattr__(self, "priority_weights", tuple(map(float, self.priority_weights)))
         if not (self.right_direction_reward > 0 > self.wrong_direction_reward):
             raise ContractViolationError("need right_direction_reward > 0 > wrong_direction_reward")
         if self.revisit_penalty >= 0:
@@ -150,26 +152,30 @@ def reward_for(prev_perf: Performance, new_perf: Performance,
     leaves.  The revisit penalty and win bonus are added by step(),
     not here.
     """
-    return _reward(prev_perf.as_tuple(), new_perf.as_tuple(), prev_flags,
-                   bands.as_tuple(), config)
+    return reward_table(config)[_reward_index(prev_perf.as_tuple(), new_perf.as_tuple(),
+                                              prev_flags, flags(new_perf, bands))]
 
 
-def _reward(prev_values: tuple[float, ...], new_values: tuple[float, ...],
-            prev_flags: tuple[int, ...], band_pairs: tuple[tuple[float, float], ...],
-            config: RewardConfig) -> float:
-    """reward_for() on the value tuples, which DesignEnv keeps per point."""
-    right, wrong = config.right_direction_reward, config.wrong_direction_reward
-    total = 0.0
-    for prev_v, new_v, flag, (lo, hi), weight in zip(
-            prev_values, new_values, prev_flags, band_pairs, config.priority_weights):
-        if flag == 1:
-            r = right if new_v < prev_v else wrong
-        elif flag == -1:
-            r = right if new_v > prev_v else wrong
-        else:
-            r = 0.0 if lo <= new_v <= hi else wrong
-        total += weight * r
-    return total
+@lru_cache(maxsize=None)
+def reward_table(config: RewardConfig) -> tuple[float, ...]:
+    """reward_for()'s 243 sums, each indexed by its per-flag terms (0: none, 1:
+    the right direction, 2: the wrong one) as base-3 digits, first flag
+    highest, the terms weighted and added in priority order."""
+    values = np.array([0.0, config.right_direction_reward, config.wrong_direction_reward])
+    table = np.zeros(3 ** 5)
+    for weight, terms in zip(config.priority_weights, np.indices((3,) * 5).reshape(5, -1)):
+        table += weight * values[terms]
+    return tuple(table.tolist())
+
+
+def _reward_index(prev_values: Iterable[float], values: Iterable[float],
+                  prev_flags: Iterable[int], new_flags: Iterable[int]) -> int:
+    """reward_table()'s index of a move, its terms found as EnvPool.step finds them."""
+    index = 0
+    for prev_v, v, prev_f, f in zip(prev_values, values, prev_flags, new_flags):
+        right_way = v < prev_v if prev_f > 0 else v > prev_v
+        index = 3 * index + (2 - right_way if prev_f else 2 * (f != 0))
+    return index
 
 
 def encode(flag_values: tuple[int, ...], prev_action: Action | int | None) -> np.ndarray:
@@ -184,9 +190,9 @@ def encode(flag_values: tuple[int, ...], prev_action: Action | int | None) -> np
 
 # Every observation, at its code: 7 * (the flags + 1 as base-3 digits, the
 # first flag highest) + (0 without a previous action, else the action + 1).
-# The first term is FLAG_CODE_WEIGHTS @ (flags + 1).
-ALL_OBSERVATIONS = np.array([encode(f, a) for f in product((-1, 0, 1), repeat=5)
-                             for a in (None, *Action)])
+# The first term is FLAG_CODE_WEIGHTS @ (flags + 1); FLAG_ROWS[code // 7] are the flags.
+FLAG_ROWS = tuple(product((-1, 0, 1), repeat=5))
+ALL_OBSERVATIONS = np.array([encode(f, a) for f in FLAG_ROWS for a in (None, *Action)])
 ALL_OBSERVATIONS.setflags(write=False)
 FLAG_CODE_WEIGHTS = 7 * 3 ** np.arange(4, -1, -1)
 WIN_CODE = int(FLAG_CODE_WEIGHTS.sum())  # every flag zero, no previous action
@@ -224,7 +230,7 @@ class DesignEnv:
         self.variant = variant
         self.config = config if config is not None else RewardConfig()
         self._values = np.moveaxis(evaluate_grid(base), 0, -1)  # (i, j, k, value)
-        self._band_pairs = variant.target_bands.as_tuple()
+        self._rewards = reward_table(self.config)
         self._started = False
 
     # --- read-only episode state ---
@@ -265,9 +271,9 @@ class DesignEnv:
         point ``ijk``."""
         values = tuple(self._values[ijk].tolist())
         design, perf = design_at(self.base, *ijk), Performance(*values)
-        flag_values = flags(perf, self.variant.target_bands)
-        return (design, perf, flag_values,
-                sum([w * (f + 1) for w, f in zip(_CODE_WEIGHTS, flag_values)]), values,
+        code = _flag_code(values, self.variant.target_bands.as_tuple())
+        flag_values = FLAG_ROWS[code // 7]
+        return (design, perf, flag_values, code, values,
                 StepInfo(design, perf, flag_values, cause=None, revisit=True, win=False))
 
     def reset(self) -> np.ndarray:
@@ -298,7 +304,7 @@ class DesignEnv:
         design, perf, flag_values, code, values, revisit_info = point
 
         win = code == WIN_CODE
-        reward = _reward(prev_values, values, prev_flags, self._band_pairs, self.config)
+        reward = self._rewards[_reward_index(prev_values, values, prev_flags, flag_values)]
         if revisit:
             reward += self.config.revisit_penalty
         if win:
@@ -333,7 +339,7 @@ class EnvPool:
     each action leads to: each machine's move_table() at its offset.  An
     env's observation is held as its code, its row of ALL_OBSERVATIONS,
     and _restart() copies its variant's bands into its column.  A step's
-    reward_for() sum is one read of a table of all 243 such sums.
+    reward_for() sum is one read of reward_table(), as an array.
     """
 
     def __init__(self, variants: Sequence[MachineVariant], env_count: int,
@@ -359,12 +365,7 @@ class EnvPool:
                                 for v in variants])
         self._variant_bands = np.array([v.target_bands.as_tuple() for v in variants]).T.copy()
         self._start_flags = self._flags_of(self._perf_table[:, self._start], self._variant_bands)
-        # reward_for()'s sum of per-flag terms (0: nothing, 1: right direction,
-        # 2: wrong) at their base-3 index, first flag highest, in priority order
-        values = np.array([0.0, cfg.right_direction_reward, cfg.wrong_direction_reward])
-        self._reward_table = np.zeros(3 ** 5)
-        for weight, terms in zip(cfg.priority_weights, np.indices((3,) * 5).reshape(5, -1)):
-            self._reward_table += weight * values[terms]
+        self._reward_table = np.array(reward_table(cfg))
 
         self._rows = np.arange(env_count)
         self._cursor = 0  # how many episodes have been started
@@ -478,20 +479,18 @@ def walk(variant: MachineVariant, policies: Iterable[Callable[[int], int]],
     without the reward; ``max_steps`` is RewardConfig.max_steps.  Each
     step's action is ``policy(code)``, the code of the observation, its row
     of ALL_OBSERVATIONS.  From variant.start it moves by move_table() over a
-    (5, points) view of evaluate_grid and finds each point's flag code once
-    per call, a flag + 1 being (value >= lo) + (value > hi) in an inclusive band."""
+    (5, points) view of evaluate_grid and finds each point's flag code with
+    _flag_code() once per call."""
     if not is_int(max_steps) or max_steps < 1:
         raise ContractViolationError(f"max_steps must be an integer >= 1, got {max_steps!r}")
-    limits = tuple(zip(_CODE_WEIGHTS, variant.target_bands.as_tuple()))
-    shape, flag_codes, rows = variant.base.shape, {}, []
+    bands, shape, flag_codes, rows = variant.target_bands.as_tuple(), variant.base.shape, {}, []
     values, after = evaluate_grid(variant.base).reshape(5, -1), move_table(shape)
     start = int(np.ravel_multi_index(variant.start, shape))
     for policy in policies:
         point, action = start, -1  # no previous action
         for steps in range(max_steps + 1):
             if (code := flag_codes.get(point)) is None:
-                code = flag_codes[point] = sum([w * ((v >= lo) + (v > hi)) for v, (w, (lo, hi))
-                                               in zip(values[:, point].tolist(), limits)])
+                code = flag_codes[point] = _flag_code(values[:, point].tolist(), bands)
             if (steps and code == WIN_CODE) or steps == max_steps:
                 break
             code += action + 1

@@ -138,7 +138,7 @@ def write_text(path, text: str) -> None:
 
 
 def format_value(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
+    return repr(float(value)) if isinstance(value, (float, np.floating)) else str(value)
 
 
 def parse_value(text: str, kind: str):

@@ -28,6 +28,7 @@ from motorgame.env import (
     flags,
     move,
     reward_for,
+    reward_table,
     run_episode,
     walk,
 )
@@ -72,13 +73,17 @@ EDGE = _variant(design=DesignPoint(0.6, 20, 2.0), b_gap=(0.8, 1.2))
 
 
 def test_flag_rule():
+    """Python and numpy floats flag alike: on numpy floats, + of the band
+    test's two bools would be or, and a value above its band would read as
+    inside it."""
     bands = _bands(b_gap=(0.8, 1.2))
-    perf = lambda b: Performance(b, 1.0, 1.0, 1.0, 2.0)
-    assert flags(perf(1.3), bands)[0] == 1
-    assert flags(perf(0.7), bands)[0] == -1
-    # band edges are inclusive
-    assert flags(perf(1.2), bands)[0] == 0
-    assert flags(perf(0.8), bands)[0] == 0
+    for kind in (float, np.float64):
+        perf = lambda b: Performance(*map(kind, (b, 1.0, 1.0, 1.0, 2.0)))
+        assert flags(perf(1.3), bands) == (1, 0, 0, 0, 0)
+        assert flags(perf(0.7), bands) == (-1, 0, 0, 0, 0)
+        # band edges are inclusive
+        assert flags(perf(1.2), bands) == (0, 0, 0, 0, 0)
+        assert flags(perf(0.8), bands) == (0, 0, 0, 0, 0)
 
 
 def test_all_flags_zero():
@@ -186,6 +191,20 @@ def test_reward_config_rejects_a_max_steps_that_is_not_an_integer(max_steps):
         walk(TORQUE_LOW, [lambda code: 0], max_steps)
     config = RewardConfig(max_steps=np.int64(3))
     assert walk(TORQUE_LOW, [lambda code: Action.LENGTH_DOWN], config.max_steps) == [(3, False)]
+
+
+def test_reward_config_holds_its_priority_weights_as_a_tuple_of_floats():
+    """A list or array of weights is copied into a tuple of floats, so the
+    frozen config hashes, and a change to the caller's array changes no
+    config."""
+    weights = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
+    for given in ([5, 4, 3, 2, 1], weights):
+        config = RewardConfig(priority_weights=given)
+        assert config.priority_weights == DEFAULT_PRIORITY_WEIGHTS
+        assert all(type(w) is float for w in config.priority_weights)
+        assert hash(config) == hash(RewardConfig()) and config == RewardConfig()
+    weights[0] = 50.0
+    assert config.priority_weights[0] == 5.0
 
 
 def test_default_reward_constants():
@@ -418,6 +437,23 @@ def test_run_episode_truncates():
 # the flags are added in another order
 ORDER_DEPENDENT = RewardConfig(right_direction_reward=0.3, wrong_direction_reward=-1.7,
                                priority_weights=(0.1, 0.2, 0.3, 0.7, 1e-3), max_steps=40)
+
+
+@pytest.mark.parametrize("config", [RewardConfig(), ORDER_DEPENDENT], ids=["stock", "order"])
+def test_reward_table_adds_each_flag_term_in_priority_order(config):
+    """Entry i of reward_table() is the sum of the flag terms spelled by i's
+    base-3 digits (0: none, 1: right direction, 2: wrong), first flag
+    highest, weighted and added in priority order; the table is built once
+    per config."""
+    term_values = (0.0, config.right_direction_reward, config.wrong_direction_reward)
+    table = reward_table(config)
+    assert len(table) == 3 ** 5
+    for index, terms in enumerate(itertools.product(range(3), repeat=5)):
+        want = 0.0
+        for term, weight in zip(terms, config.priority_weights):
+            want += weight * term_values[term]
+        assert table[index].hex() == want.hex(), terms
+    assert reward_table(RewardConfig(**vars(config))) is table
 
 
 def test_pool_rewards_equal_design_env_rewards_under_an_order_dependent_sum():

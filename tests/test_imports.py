@@ -68,7 +68,7 @@ def test_every_private_module_name_is_used(path):
 
 # the game's step rule and the lattice live in env; ppo plays them through
 # env.EnvPool and env.walk
-RULE_NAMES = {"move", "flags", "WIN_CODE", "FLAG_CODE_WEIGHTS"}
+RULE_NAMES = {"move", "flags", "WIN_CODE", "FLAG_CODE_WEIGHTS", "FLAG_ROWS", "reward_table"}
 
 
 def test_ppo_imports_no_step_rule():

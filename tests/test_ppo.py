@@ -1476,6 +1476,17 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded.critic.sizes == CRITIC_SIZES
 
 
+def test_checkpoint_round_trips_numpy_float_hyperparams(tmp_path):
+    """Hyperparams takes a numpy float, and the checkpoint writes it as the
+    Python float it equals, which loads back."""
+    trained = _trained_checkpoint()
+    ckpt = replace(trained, hyper=replace(trained.hyper, learning_rate=np.float64(3e-4)))
+    path = tmp_path / "ckpt.txt"
+    save_checkpoint(ckpt, str(path))
+    assert "learning_rate = 0.0003\n" in path.read_text()
+    assert load_checkpoint(str(path)).hyper == ckpt.hyper
+
+
 def test_checkpoint_v2_stores_each_value_once_and_round_trips_bytewise(tmp_path):
     ckpt = _trained_checkpoint()
     path, again = tmp_path / "ckpt.txt", tmp_path / "again.txt"
