@@ -9,14 +9,14 @@ certified at generation time to admit at least one feasible point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import surrogate
 from .errors import ContractViolationError, GenerationExhaustedError, MalformedCatalogError, is_int
 from .kvtext import Section, check_layout, format_value, read_sections, write_text
-from .surrogate import DesignPoint, evaluate_grid
+from .surrogate import DesignPoint, Performance, evaluate_grid
 
 CATALOG_VERSION_LINE = "motor-design-catalog v2"
 
@@ -31,6 +31,9 @@ TOOTH_BAND_PU = (0.6, 2.2)
 MAX_DRAW_ATTEMPTS = 1000
 
 _MASK64 = (1 << 64) - 1
+
+# the five checked quantities in flag order, as Performance names them
+_QUANTITIES = tuple(f.name for f in fields(Performance))
 
 
 @dataclass(frozen=True)
@@ -51,7 +54,8 @@ class Bounds:
 
 @dataclass(frozen=True)
 class BaseMachine:
-    """A machine and its design lattice; ``shape`` counts the points on each axis."""
+    """A machine and its design lattice: ``axes`` holds each axis's values,
+    ``lo + index * step``, and ``shape`` counts them."""
 
     id: int
     rated_power: float   # kW
@@ -59,6 +63,7 @@ class BaseMachine:
     base_design: DesignPoint
     bounds: Bounds
     step_sizes: StepSizes
+    axes: tuple[tuple, tuple, tuple] = field(init=False, compare=False, repr=False)
     shape: tuple[int, int, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -67,7 +72,7 @@ class BaseMachine:
         s = self.step_sizes
         if s.length <= 0 or s.turns <= 0 or s.tooth_tip <= 0:
             raise ContractViolationError("step sizes must be positive")
-        shape = []
+        axes = []
         for name, (lo, hi), step in (
             ("length", self.bounds.length, s.length),
             ("turns", self.bounds.turns, s.turns),
@@ -78,8 +83,9 @@ class BaseMachine:
             n = (hi - lo) / step
             if abs(n - round(n)) > 1e-6:
                 raise ContractViolationError(f"{name} bound width is not a step multiple")
-            shape.append(round(n) + 1)
-        object.__setattr__(self, "shape", tuple(shape))
+            axes.append(tuple(lo + i * step for i in range(round(n) + 1)))
+        object.__setattr__(self, "axes", tuple(axes))
+        object.__setattr__(self, "shape", tuple(map(len, axes)))
         surrogate.check_bounds(self.base_design, self)
 
 
@@ -139,7 +145,7 @@ class TargetBands:
     tooth_tip: tuple[float, float]
 
     def __post_init__(self):
-        for name in ("b_gap", "t_break", "i_start", "d_temp", "tooth_tip"):
+        for name in _QUANTITIES:
             lo, hi = getattr(self, name)
             object.__setattr__(self, name, (float(lo), float(hi)))
             if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -181,9 +187,10 @@ class MachineVariant:
 
 def variant_seed_for(catalog_seed: int, base_id: int, index: int) -> int:
     """Arithmetic 64-bit mix so each variant is individually reproducible."""
-    if catalog_seed < 0:
-        raise ContractViolationError("catalog seed must be non-negative")
-    x = (catalog_seed * 6364136223846793005 + 1442695040888963407) & _MASK64
+    if not is_int(catalog_seed) or catalog_seed < 0:
+        raise ContractViolationError(
+            f"catalog seed must be a non-negative integer, got {catalog_seed!r}")
+    x = (int(catalog_seed) * 6364136223846793005 + 1442695040888963407) & _MASK64
     x = (x + base_id * 11400714819323198485) & _MASK64
     x = (x * 6364136223846793005 + index * 2862933555777941757 + 3037000493) & _MASK64
     return x
@@ -217,8 +224,8 @@ def generate_variants(base: BaseMachine, count: int, seed: int) -> list[MachineV
     Deterministic in (base, count, seed).  Raises GenerationExhaustedError
     after MAX_DRAW_ATTEMPTS consecutive infeasible draws for one slot.
     """
-    if count < 1:
-        raise ContractViolationError("count must be >= 1")
+    if not is_int(count) or count < 1:
+        raise ContractViolationError(f"count must be an integer >= 1, got {count!r}")
     d0, bounds, step = base.base_design, base.bounds, base.step_sizes
     i_window = _index_window(INITIAL_LENGTH_PU, d0.length, bounds.length[0], step.length)
     k_window = _index_window(INITIAL_TOOTH_PU, d0.tooth_tip, bounds.tooth_tip[0],
@@ -256,7 +263,7 @@ def generate_variants(base: BaseMachine, count: int, seed: int) -> list[MachineV
 
 # --- persistence -----------------------------------------------------------
 
-_BAND_KEYS = ("band_b_gap", "band_t_break", "band_i_start", "band_d_temp", "band_tooth_tip")
+_BAND_KEYS = tuple(f"band_{name}" for name in _QUANTITIES)
 _REQUIRED_KEYS = ("base_id", "variant_seed", "split", "length", "turns",  # in file order
                   "tooth_tip", *_BAND_KEYS)
 

@@ -290,15 +290,12 @@ def _inspect_bands(config_text: str | None, base) -> TargetBands:
     parts = [tok for tok in config_text.split(",") if tok.strip()]
     if len(parts) != 10:
         raise ContractViolationError(
-            "--bands needs 10 comma-separated numbers "
-            "(lo,hi for b_gap, t_break, i_start, d_temp, tooth_tip)")
+            f"--bands needs 10 comma-separated numbers (lo,hi for {', '.join(FLAG_NAMES)})")
     try:
         vals = [float(tok) for tok in parts]
     except ValueError as exc:
         raise ContractViolationError(f"bad --bands value: {exc}") from exc
-    return TargetBands(b_gap=(vals[0], vals[1]), t_break=(vals[2], vals[3]),
-                       i_start=(vals[4], vals[5]), d_temp=(vals[6], vals[7]),
-                       tooth_tip=(vals[8], vals[9]))
+    return TargetBands(*zip(vals[0::2], vals[1::2]))
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:

@@ -19,7 +19,7 @@ reward sum is a read of reward_table().
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import IntEnum
 from functools import lru_cache
 from itertools import product
@@ -37,7 +37,7 @@ from .surrogate import (
     evaluate_grid,
 )
 
-FLAG_NAMES = ("b_gap", "t_break", "i_start", "d_temp", "tooth_tip")
+FLAG_NAMES = tuple(f.name for f in fields(Performance))
 DEFAULT_PRIORITY_WEIGHTS = (5.0, 4.0, 3.0, 2.0, 1.0)
 OBSERVATION_DIM = 11  # 5 flags + one-hot of the previous action
 NUM_ACTIONS = 6

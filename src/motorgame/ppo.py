@@ -84,11 +84,14 @@ class Hyperparams:
 
     def __post_init__(self):
         for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ContractViolationError(f"{f.name} {getattr(self, f.name)} is not finite")
-            if f.type == "int" and not is_int(getattr(self, f.name)):
-                raise ContractViolationError(
-                    f"{f.name} must be an integer, got {getattr(self, f.name)!r}")
+            value = getattr(self, f.name)
+            if f.type == "float":
+                if not math.isfinite(value):
+                    raise ContractViolationError(f"{f.name} {value} is not finite")
+                # held as a float, so a checkpoint writes the value it loads back
+                object.__setattr__(self, f.name, float(value))
+            if f.type == "int" and not is_int(value):
+                raise ContractViolationError(f"{f.name} must be an integer, got {value!r}")
         if not 0.0 < self.discount <= 1.0:
             raise ContractViolationError(f"discount {self.discount} outside (0, 1]")
         if not 0.0 <= self.gae_lambda <= 1.0:

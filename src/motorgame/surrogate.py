@@ -114,9 +114,9 @@ def evaluate(design: DesignPoint, base: "BaseMachine") -> Performance:
 # --- lattice helpers -------------------------------------------------------
 #
 # Every action moves one variable by exactly one step, so the reachable
-# designs form a finite grid.  Axis values are always computed as
-# lo + index*step; keeping a single formula makes equal lattice points
-# bit-identical no matter which code path produced them.
+# designs form a finite grid.  Its axis values have one owner,
+# BaseMachine.axes, so equal lattice points are bit-identical no matter
+# which code path produced them.
 
 
 def design_at(base: "BaseMachine", i: int, j: int, k: int) -> DesignPoint:
@@ -124,12 +124,8 @@ def design_at(base: "BaseMachine", i: int, j: int, k: int) -> DesignPoint:
     n_l, n_n, n_h = base.shape
     if not (0 <= i < n_l and 0 <= j < n_n and 0 <= k < n_h):
         raise ContractViolationError(f"lattice index ({i}, {j}, {k}) out of range")
-    b, s = base.bounds, base.step_sizes
-    return DesignPoint(
-        length=b.length[0] + i * s.length,
-        turns=b.turns[0] + j * s.turns,
-        tooth_tip=b.tooth_tip[0] + k * s.tooth_tip,
-    )
+    lengths, turns, tooths = base.axes
+    return DesignPoint(length=lengths[i], turns=turns[j], tooth_tip=tooths[k])
 
 
 def lattice_index(base: "BaseMachine", design: DesignPoint) -> tuple[int, int, int]:
@@ -139,13 +135,11 @@ def lattice_index(base: "BaseMachine", design: DesignPoint) -> tuple[int, int, i
     bounds.
     """
     check_bounds(design, base)
-    b, s = base.bounds, base.step_sizes
-    i = int(round((design.length - b.length[0]) / s.length))
-    j = int(round((design.turns - b.turns[0]) / s.turns))
-    k = int(round((design.tooth_tip - b.tooth_tip[0]) / s.tooth_tip))
-    if design_at(base, i, j, k) != design:
-        raise ContractViolationError(f"design {design!r} is not a lattice point")
-    return (i, j, k)
+    try:
+        return tuple(axis.index(value) for axis, value in
+                     zip(base.axes, (design.length, design.turns, design.tooth_tip)))
+    except ValueError:
+        raise ContractViolationError(f"design {design!r} is not a lattice point") from None
 
 
 @lru_cache(maxsize=None)
@@ -157,14 +151,9 @@ def evaluate_grid(base: "BaseMachine") -> np.ndarray:
     same expressions as the scalar path: grid[:, i, j, k] equals
     evaluate(design_at(base, i, j, k)).as_tuple() bitwise.
     """
-    n_l, n_n, n_h = base.shape
-    b, s = base.bounds, base.step_sizes
-    lengths = (b.length[0] + np.arange(n_l) * s.length)[:, None, None]
-    turns = (b.turns[0] + np.arange(n_n) * s.turns)[None, :, None]
-    tooths = (b.tooth_tip[0] + np.arange(n_h) * s.tooth_tip)[None, None, :]
-
+    lengths, turns, tooths = np.ix_(*map(np.array, base.axes))
     d0 = base.base_design
-    grid = np.empty((5, n_l, n_n, n_h))
+    grid = np.empty((5, *base.shape))
     grid[:4] = np.broadcast_arrays(*_perf_values(
         lengths / d0.length, turns / d0.turns, tooths / d0.tooth_tip))
     grid[4] = tooths

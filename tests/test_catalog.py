@@ -1,7 +1,7 @@
 """Base-machine catalog: stock machine data, variant sampling with
 feasibility certification, and the versioned text persistence format."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -34,6 +34,7 @@ from motorgame.errors import (
     MalformedCatalogError,
 )
 from motorgame.surrogate import (
+    Performance,
     check_bounds,
     design_at,
     evaluate,
@@ -89,8 +90,9 @@ def test_base_machine_validation():
 
 
 def test_machine_shape_counts_the_points_on_each_axis():
-    """shape is round((hi - lo) / step) + 1 on each axis, found again when
-    replace() builds a machine with other bounds and steps; repr leaves it out."""
+    """Each axis holds lo + i * step for i up to round((hi - lo) / step), and
+    shape counts them, found again when replace() builds a machine with
+    other bounds and steps; repr leaves both out."""
     stock = machine_by_id(2)
     custom = replace(stock,
                      bounds=Bounds(length=(0.3, 0.3 + 12 * 0.03), turns=(20, 32),
@@ -99,10 +101,13 @@ def test_machine_shape_counts_the_points_on_each_axis():
                                           tooth_tip=stock.step_sizes.tooth_tip))
     for base in (*builtin_catalog(), custom):
         b, s = base.bounds, base.step_sizes
-        assert base.shape == tuple(int(round((hi - lo) / step)) + 1 for (lo, hi), step in (
-            (b.length, s.length), (b.turns, s.turns), (b.tooth_tip, s.tooth_tip)))
+        spans = ((b.length, s.length), (b.turns, s.turns), (b.tooth_tip, s.tooth_tip))
+        assert base.shape == tuple(int(round((hi - lo) / step)) + 1 for (lo, hi), step in spans)
+        assert base.axes == tuple(tuple(lo + i * step for i in range(n))
+                                  for ((lo, _), step), n in zip(spans, base.shape))
+        assert base.shape == tuple(map(len, base.axes))
     assert stock.shape == (31, 21, 21) and custom.shape == (13, 7, 21)
-    assert "shape" not in repr(custom)
+    assert "shape" not in repr(custom) and "axes" not in repr(custom)
 
 
 # --- variant seeds --------------------------------------------------------------
@@ -120,8 +125,16 @@ def test_variant_seed_deterministic_and_distinct():
 
 
 def test_variant_seed_rejects_negative_catalog_seed():
-    with pytest.raises(ContractViolationError):
-        variant_seed_for(-1, 1, 0)
+    """A catalog seed is a non-negative integer, not a float or a bool."""
+    for seed in (-1, 1.5, True):
+        with pytest.raises(ContractViolationError):
+            variant_seed_for(seed, 1, 0)
+        with pytest.raises(ContractViolationError):
+            generate_variants(machine_by_id(1), 1, seed)
+
+
+def test_variant_seed_takes_a_numpy_integer():
+    assert variant_seed_for(np.int64(3), 1, 0) == variant_seed_for(3, 1, 0)
 
 
 # --- variant generation ----------------------------------------------------------
@@ -140,8 +153,9 @@ def test_generate_seed_changes_output():
 
 
 def test_generate_count_validation():
-    with pytest.raises(ContractViolationError):
-        generate_variants(machine_by_id(1), 0, 7)
+    for count in (0, True, 2.0):
+        with pytest.raises(ContractViolationError):
+            generate_variants(machine_by_id(1), count, 7)
 
 
 def test_variant_fields_and_sampler_windows():
@@ -250,6 +264,10 @@ def test_generation_exhausted_after_max_attempts(monkeypatch):
 
 
 # --- target bands / variants -----------------------------------------------------
+
+
+def test_target_bands_name_the_performance_values_in_order():
+    assert [f.name for f in fields(TargetBands)] == [f.name for f in fields(Performance)]
 
 
 def test_target_bands_reject_inverted():

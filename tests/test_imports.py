@@ -80,17 +80,32 @@ def test_ppo_imports_no_step_rule():
     assert leaked == [], f"ppo.py imports the game's rule: {', '.join(leaked)}"
 
 
-def test_only_the_catalog_looks_up_a_start_index():
-    """A machine holds its lattice shape and a variant its start index, so
-    only catalog.py's loader turns a design into a lattice index, and no
-    module spells the lattice_shape that the machine's shape replaced."""
+def _spelled_outside(names: set[str], allowed: dict[str, set[str]]) -> list[str]:
+    """``module: name`` for each of ``names`` that a package module spells,
+    as a name, an attribute or an imported alias, unless ``allowed`` lets
+    that module spell it."""
     found = []
     for path in MODULES:
         tree = ast.parse(path.read_text())
         spelled = _names(tree) | {node.attr for node in ast.walk(tree)
                                   if isinstance(node, ast.Attribute)}
         spelled |= {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
-        allowed = {"lattice_index"} if path.name in ("catalog.py", "surrogate.py") else set()
         found += [f"{path.name}: {name}"
-                  for name in sorted(spelled & {"lattice_index", "lattice_shape"} - allowed)]
+                  for name in sorted(spelled & names - allowed.get(path.name, set()))]
+    return found
+
+
+def test_only_the_catalog_looks_up_a_start_index():
+    """A machine holds its lattice shape and a variant its start index, so
+    only catalog.py's loader turns a design into a lattice index, and no
+    module spells the lattice_shape that the machine's shape replaced."""
+    found = _spelled_outside({"lattice_index", "lattice_shape"},
+                             {"catalog.py": {"lattice_index"}, "surrogate.py": {"lattice_index"}})
     assert found == [], f"lattice lookups outside the catalog: {', '.join(found)}"
+
+
+def test_only_the_catalog_reads_the_step_sizes():
+    """BaseMachine.axes holds the lattice values, so only catalog.py turns
+    bounds and steps into them."""
+    found = _spelled_outside({"step_sizes"}, {"catalog.py": {"step_sizes"}})
+    assert found == [], f"step sizes read outside the catalog: {', '.join(found)}"

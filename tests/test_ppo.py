@@ -1487,6 +1487,19 @@ def test_checkpoint_round_trips_numpy_float_hyperparams(tmp_path):
     assert load_checkpoint(str(path)).hyper == ckpt.hyper
 
 
+def test_checkpoint_with_integral_float_hyperparams_round_trips_bytewise(tmp_path):
+    """A float field given as an int holds a float, so the checkpoint writes
+    what it loads back: saved, loaded and saved again, it is the same bytes."""
+    hyper = Hyperparams(discount=1, learning_rate=1, entropy_coef=0)
+    assert all(type(getattr(hyper, f.name)) is float for f in fields(hyper)
+               if f.type == "float")
+    path, again = tmp_path / "ckpt.txt", tmp_path / "again.txt"
+    save_checkpoint(new_checkpoint(hyper), str(path))
+    save_checkpoint(load_checkpoint(str(path)), str(again))
+    assert "discount = 1.0\n" in path.read_text()
+    assert again.read_bytes() == path.read_bytes()
+
+
 def test_checkpoint_v2_stores_each_value_once_and_round_trips_bytewise(tmp_path):
     ckpt = _trained_checkpoint()
     path, again = tmp_path / "ckpt.txt", tmp_path / "again.txt"

@@ -6,6 +6,8 @@ re-implements the formulas from scratch; they are frozen here as
 constants.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -161,11 +163,8 @@ def test_lattice_shape_is_31_21_21():
 
 
 def test_design_at_index_round_trip():
-    rng = np.random.default_rng(3)
     for base in builtin_catalog():
-        shape = base.shape
-        for _ in range(50):
-            ijk = tuple(int(rng.integers(n)) for n in shape)
+        for ijk in np.ndindex(base.shape):
             assert lattice_index(base, design_at(base, *ijk)) == ijk
 
 
@@ -177,10 +176,14 @@ def test_design_at_rejects_out_of_range_index():
 
 
 def test_lattice_index_rejects_off_lattice_point():
+    """A point between lattice values, even one ulp off one, is not on the
+    lattice, and neither is one outside the bounds."""
     on = design_at(M1, 3, 5, 7)
-    off = DesignPoint(on.length + 0.001, on.turns, on.tooth_tip)
-    with pytest.raises(ContractViolationError):
-        lattice_index(M1, off)
+    for length in (on.length + 0.001, math.nextafter(on.length, math.inf)):
+        with pytest.raises(ContractViolationError, match="is not a lattice point"):
+            lattice_index(M1, DesignPoint(length, on.turns, on.tooth_tip))
+    with pytest.raises(ContractViolationError, match="outside bounds"):
+        lattice_index(M1, DesignPoint(2 * M1.bounds.length[1], on.turns, on.tooth_tip))
 
 
 def test_base_design_lies_on_every_lattice():
