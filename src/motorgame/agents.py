@@ -3,7 +3,7 @@
 The random agent lower-bounds useful behaviour, the greedy agent codifies
 the obvious "push the worst flag in the right direction" heuristic, and
 the oracle computes the true minimum number of actions to feasibility
-for any variant from a breadth-first distance field over the lattice.
+for any variant: the L1 distance to the nearest feasible lattice point.
 Together they bracket what the trained policy should achieve.
 """
 
@@ -16,13 +16,13 @@ import numpy as np
 
 from .catalog import BaseMachine, MachineVariant, feasible_mask
 from .env import (
+    ACTION_MOVES,
     NUM_ACTIONS,
     Action,
     DesignEnv,
     EpisodeRecord,
     RewardConfig,
     move,
-    move_table,
     run_episode,
     walk,
 )
@@ -32,8 +32,11 @@ from .surrogate import design_at, evaluate
 
 @dataclass(frozen=True)
 class OracleResult:
-    shortest_steps: int | None  # None: no feasible point reachable
+    shortest_steps: int | None  # None: the bands admit no lattice point
     witness: tuple[Action, ...]
+
+
+_ACTION_OF = {step: a for a, step in ACTION_MOVES.items()}  # (axis, delta) -> Action
 
 
 def random_agent(env: DesignEnv, rng: np.random.Generator,
@@ -91,34 +94,27 @@ def oracle_shortest(variant: MachineVariant, base: BaseMachine | None = None,
     """Minimum number of actions to feasibility, with one optimal witness, on
     the variant's machine; a ``base`` given as well must be that machine.
 
-    A breadth-first distance field over the lattice's flat points grows
-    from the feasible points, each level the unreached move_table()
-    neighbours of the last, until it reaches the start; the witness
-    descends it, taking at each point the lowest action that lowers the
-    distance by one, so it is the lexicographically first shortest path.
+    An action moves one axis by one index, so the fewest actions between
+    two points is their L1 distance; an action shortens the least distance
+    to a feasible point exactly when a nearest one lies its way.  So the
+    lexicographically first shortest path goes axis by axis, in action
+    order, up to the highest of the nearest points or, if none lies above
+    the start, down to the lowest, and keeps only the ones it reached.
     """
     if base is not None and base != variant.base:
         raise ContractViolationError(
             f"variant base {variant.base_id} does not match machine {base.id}")
-    base = variant.base
-    after = move_table(base.shape)
-    start = np.ravel_multi_index(variant.start, base.shape)
-    distance = np.where(feasible_mask(base, variant.target_bands).ravel(), 0, -1)
-    frontier, steps = np.flatnonzero(distance == 0), 0
-    while distance[start] < 0 and frontier.size:
-        near = np.zeros(distance.size, dtype=bool)
-        near[after[:, frontier]] = True
-        frontier = np.flatnonzero(near & (distance < 0))
-        steps += 1
-        distance[frontier] = steps
-    if distance[start] < 0:
+    ahead = np.argwhere(feasible_mask(variant.base, variant.target_bands)) - variant.start
+    if not len(ahead):
         return OracleResult(None, ())
-
-    path, point = [], start
-    for left in range(distance[start] - 1, -1, -1):
-        action = next(a for a in Action if distance[after[a, point]] == left)
-        path.append(action)
-        point = after[action, point]
+    distance = abs(ahead).sum(axis=1)
+    ahead = ahead[distance == distance.min()]
+    path = []
+    for axis in range(ahead.shape[1]):
+        column = ahead[:, axis]
+        offset = int(column.max() if column.max() > 0 else column.min())
+        ahead = ahead[column == offset]
+        path += [_ACTION_OF[axis, 1 if offset > 0 else -1]] * abs(offset)
     return OracleResult(len(path), tuple(path))
 
 
@@ -140,7 +136,7 @@ def play_greedy(variant: MachineVariant, seeds: Iterable[int], config: RewardCon
 
 
 def play_oracle(variant: MachineVariant, seeds: Iterable[int], config: RewardConfig):
-    """The BFS shortest path as the row of every episode, so it bounds every
+    """The oracle's shortest path as the row of every episode, so it bounds every
     agent's steps from below: at least one step, because an episode that
     starts feasible still takes one env step to win.  -1 steps, not won,
     when no feasible point is reachable.  No env is built."""

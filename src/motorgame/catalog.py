@@ -45,7 +45,7 @@ class StepSizes:
 
 @dataclass(frozen=True)
 class Bounds:
-    """Inclusive per-variable lattice bounds."""
+    """Per-variable lattice bounds: BaseMachine lays its axes out from them."""
 
     length: tuple[float, float]
     turns: tuple[int, int]
@@ -100,8 +100,6 @@ def _stock_machine(mid: int, power_kw: float, voltage_v: float,
         rated_power=power_kw,
         line_voltage=voltage_v,
         base_design=DesignPoint(length0, turns0, tooth0),
-        # upper bounds stored as lo + count*step so the top lattice point
-        # passes the inclusive check bitwise
         bounds=Bounds(
             length=(lo_l, lo_l + 30 * step_l),
             turns=(turns0 - 10, turns0 + 10),
@@ -274,8 +272,8 @@ def save_catalog(variants: list[MachineVariant], path) -> None:
     for v in variants:
         if v.base != _MACHINES.get(v.base_id):  # the file holds only the machine's id
             raise ContractViolationError(f"cannot save machine {v.base_id}: not a stock machine")
-        d = v.initial_design
-        values = (v.base_id, v.variant_seed, v.split, d.length, d.turns, d.tooth_tip,
+        values = (v.base_id, v.variant_seed, v.split,
+                  *(axis[i] for axis, i in zip(v.base.axes, v.start)),
                   *(f"{format_value(lo)}, {format_value(hi)}"
                     for lo, hi in v.target_bands.as_tuple()))
         lines.append("[variant]")

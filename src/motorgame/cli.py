@@ -361,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "episodes_csv", "split", "agent", "eval_mode",
                                "eval_seed", "episodes_per_variant"])
 
-    p_oracle = sub.add_parser("oracle", help="BFS shortest paths per variant")
+    p_oracle = sub.add_parser("oracle", help="shortest paths per variant")
     _add_config_flags(p_oracle, ["catalog_path", "split"])
 
     p_inspect = sub.add_parser("inspect", help="evaluate one design point")

@@ -80,13 +80,13 @@ def _perf_values(lam, nu, eta):
 
 
 def check_bounds(design: DesignPoint, base: "BaseMachine") -> None:
-    """Raise ContractViolationError unless ``design`` lies inside the
-    machine's inclusive bounds."""
-    b = base.bounds
+    """Raise ContractViolationError unless each variable of ``design`` lies
+    between the ends of its axis in the machine's lattice."""
+    lengths, turns, tooths = base.axes
     ok = (
-        b.length[0] <= design.length <= b.length[1]
-        and b.turns[0] <= design.turns <= b.turns[1]
-        and b.tooth_tip[0] <= design.tooth_tip <= b.tooth_tip[1]
+        lengths[0] <= design.length <= lengths[-1]
+        and turns[0] <= design.turns <= turns[-1]
+        and tooths[0] <= design.tooth_tip <= tooths[-1]
     )
     if not ok:
         raise ContractViolationError(

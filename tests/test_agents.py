@@ -1,4 +1,4 @@
-"""Baseline agents and the breadth-first shortest-path oracle."""
+"""Baseline agents and the shortest-path oracle."""
 
 from collections import deque
 from dataclasses import replace
@@ -537,31 +537,36 @@ def _reference_oracle(variant, base):
     return None, ()
 
 
-# machine 2 with fewer turns steps, a (31, 13, 21) lattice, and machine 1
-# with its length axis starting at 0.7 pu instead of 0.5
+# machine 2 with fewer turns steps, a (31, 13, 21) lattice; machine 1
+# with its length axis starting at 0.7 pu instead of 0.5; and machine 2 on
+# a coarser length axis, a (19, 21, 21) lattice whose top length value,
+# 0.3 + 18 * 0.03, lies one ulp above the upper bound it was laid out from
 M2 = machine_by_id(2)
 NARROW_2 = replace(M2, bounds=Bounds(M2.bounds.length, (M2.base_design.turns - 6,
                                                         M2.base_design.turns + 6),
                                      M2.bounds.tooth_tip))
 SHIFTED_1 = replace(M1, bounds=replace(M1.bounds, length=(
     0.7 * M1.base_design.length, 0.7 * M1.base_design.length + 30 * M1.step_sizes.length)))
+COARSE_2 = replace(M2, bounds=replace(M2.bounds, length=(0.3, 0.84)),
+                   step_sizes=replace(M2.step_sizes, length=0.03))
 
 
 def test_oracle_matches_reference_search():
-    """The distance-field oracle returns the reference search's step count
-    and witness (the lexicographically first shortest path) on every
-    generated variant of several catalog seeds and of two machines that are
-    not stock, one of another lattice shape, on a feasible start, an
-    unreachable band and starts at the lattice corners of both shapes."""
+    """The oracle returns the reference search's step count and witness
+    (the lexicographically first shortest path) on every generated variant
+    of several catalog seeds and of three machines that are not stock, two
+    of other lattice shapes, on a feasible start, an unreachable band and
+    starts at the lattice corners of all three shapes."""
     cases = [(v, base) for base in builtin_catalog() for seed in (0, 1, 2)
              for v in generate_variants(base, 25, seed)]
-    cases += [(v, base) for base in (NARROW_2, SHIFTED_1) for seed in (0, 1)
+    cases += [(v, base) for base in (NARROW_2, SHIFTED_1, COARSE_2) for seed in (0, 1)
               for v in generate_variants(base, 25, seed)]
-    assert NARROW_2.shape == (31, 13, 21) != M1.shape
+    assert len({M1.shape, NARROW_2.shape, COARSE_2.shape}) == 3
+    assert COARSE_2.axes[0][-1] > COARSE_2.bounds.length[1]
     corners = [(_variant(base, b_gap=(0.9, 1.1), t_break=(0.9, 1.1),
                          i_start=(0.9, 1.1), d_temp=(0.9, 1.1),
                          design=design_at(base, *ijk)), base)
-               for base in (M1, NARROW_2)
+               for base in (M1, NARROW_2, COARSE_2)
                for ijk in ((0, 0, 0), tuple(n - 1 for n in base.shape))]
     cases += [(v, M1) for v in (FEASIBLE, IMPOSSIBLE)] + corners
     lengths = set()

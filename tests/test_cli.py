@@ -578,7 +578,7 @@ def test_eval_rejects_a_bad_mode_or_episode_count_for_every_agent(
 
 
 def test_eval_oracle_takes_one_step_on_a_feasible_start(tmp_path, capsys):
-    # the start is inside every band: the BFS needs 0 moves, but every
+    # the start is inside every band: the oracle needs 0 moves, but every
     # agent plays one env step to win
     base = machine_by_id(1)
     feasible = MachineVariant(
@@ -598,7 +598,7 @@ def test_eval_oracle_takes_one_step_on_a_feasible_start(tmp_path, capsys):
 
 def test_eval_oracle_builds_no_env_and_greedy_plays_once_per_variant(
         tmp_path, capsys, monkeypatch):
-    """On a stock catalog the oracle's rows come from the BFS alone, and
+    """On a stock catalog the oracle's rows come from oracle_shortest alone, and
     greedy, which draws nothing, plays one episode per holdout variant,
     whose row stands for each of the variant's episodes."""
     catalog = tmp_path / "catalog.txt"

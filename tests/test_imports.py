@@ -1,5 +1,5 @@
 """Source hygiene: every name a package or test module imports, and every
-private name a package module defines at module level, is used in that
+private name such a module defines at module level, is used in that
 module; the design game's rule stays in env."""
 
 import ast
@@ -47,10 +47,11 @@ def test_every_imported_name_is_used(path):
     assert unused == [], f"{path.name} imports but never uses: {', '.join(unused)}"
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: p.name)
 def test_every_private_module_name_is_used(path):
     """A module-level ``_name`` (function, class or assignment) is private
-    to its module, so a helper that its callers left behind shows here."""
+    to its module, so a helper that its callers left behind shows here, in
+    a package module or a test module."""
     tree = ast.parse(path.read_text(), str(path))
     defined = {}  # private name -> line of its definition
     for node in tree.body:

@@ -7,6 +7,7 @@ constants.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,11 @@ from motorgame.surrogate import (
 )
 
 M1 = machine_by_id(1)
+M2 = machine_by_id(2)
+# machine 2 on a coarser length axis: its top value, 0.3 + 18 * 0.03, is
+# 0.8400000000000001, one ulp above the upper bound it was laid out from
+COARSE_2 = replace(M2, bounds=replace(M2.bounds, length=(0.3, 0.84)),
+                   step_sizes=replace(M2.step_sizes, length=0.03))
 
 
 # --- DesignPoint validation ---------------------------------------------------
@@ -163,9 +169,17 @@ def test_lattice_shape_is_31_21_21():
 
 
 def test_design_at_index_round_trip():
-    for base in builtin_catalog():
+    """Every lattice point round-trips, also on a machine whose top length
+    value lies past its upper bound, and its top face evaluates as the grid
+    does, bit for bit."""
+    assert COARSE_2.axes[0][-1] > COARSE_2.bounds.length[1]
+    for base in (*builtin_catalog(), COARSE_2):
         for ijk in np.ndindex(base.shape):
             assert lattice_index(base, design_at(base, *ijk)) == ijk
+    top, grid = COARSE_2.shape[0] - 1, evaluate_grid(COARSE_2)
+    for j, k in np.ndindex(COARSE_2.shape[1:]):
+        perf = evaluate(design_at(COARSE_2, top, j, k), COARSE_2)
+        assert perf.as_tuple() == tuple(grid[:, top, j, k])
 
 
 def test_design_at_rejects_out_of_range_index():
