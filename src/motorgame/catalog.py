@@ -20,8 +20,10 @@ from .surrogate import DesignPoint, Performance, evaluate_grid
 
 CATALOG_VERSION_LINE = "motor-design-catalog v2"
 
-# Variant sampler: starting designs are drawn uniformly from this
-# per-unit window of the lattice, target bands as center +- half-width.
+# Variant sampler: each start index is drawn uniformly between the lattice
+# indices nearest its window's ends, length and tooth tip per unit of the
+# base design and turns as an offset from its turns; target bands are
+# center +- half-width.
 INITIAL_LENGTH_PU = (0.8, 1.3)
 INITIAL_TURNS_OFFSET = (-5, 5)
 INITIAL_TOOTH_PU = (0.7, 1.6)
@@ -72,6 +74,8 @@ class BaseMachine:
         s = self.step_sizes
         if s.length <= 0 or s.turns <= 0 or s.tooth_tip <= 0:
             raise ContractViolationError("step sizes must be positive")
+        if not all(map(is_int, (s.turns, *self.bounds.turns))):
+            raise ContractViolationError("turns step and bounds must be whole turns")
         axes = []
         for name, (lo, hi), step in (
             ("length", self.bounds.length, s.length),
@@ -209,37 +213,30 @@ def target_bands(base: BaseMachine, centers) -> TargetBands:
                        tooth_tip=(TOOTH_BAND_PU[0] * h0, TOOTH_BAND_PU[1] * h0))
 
 
-def _index_window(window_pu: tuple[float, float], unit: float, axis_lo: float,
-                  step: float) -> tuple[int, int]:
-    """Lattice indices of a per-unit window on an axis starting at
-    ``axis_lo`` with spacing ``step``; ``unit`` is the base design's value."""
-    return tuple(int(round((pu * unit - axis_lo) / step)) for pu in window_pu)
-
-
 def generate_variants(base: BaseMachine, count: int, seed: int) -> list[MachineVariant]:
     """Draw ``count`` certified-feasible variants of ``base``.
 
-    Deterministic in (base, count, seed).  Raises GenerationExhaustedError
-    after MAX_DRAW_ATTEMPTS consecutive infeasible draws for one slot.
+    Each start index is drawn uniformly from its axis's window: the
+    indices in ``base.axes`` nearest the window's two ends (the lower one
+    on a tie, the lattice's end for an end past it).  Deterministic in
+    (base, count, seed).  Raises GenerationExhaustedError after
+    MAX_DRAW_ATTEMPTS consecutive infeasible draws for one slot.
     """
     if not is_int(count) or count < 1:
         raise ContractViolationError(f"count must be an integer >= 1, got {count!r}")
-    d0, bounds, step = base.base_design, base.bounds, base.step_sizes
-    i_window = _index_window(INITIAL_LENGTH_PU, d0.length, bounds.length[0], step.length)
-    k_window = _index_window(INITIAL_TOOTH_PU, d0.tooth_tip, bounds.tooth_tip[0],
-                             step.tooth_tip)
-    turns_mid = (base.bounds.turns[1] + base.bounds.turns[0]) // 2
+    d0 = base.base_design
+    ends = ([pu * d0.length for pu in INITIAL_LENGTH_PU],
+            [d0.turns + off for off in INITIAL_TURNS_OFFSET],
+            [pu * d0.tooth_tip for pu in INITIAL_TOOTH_PU])
+    windows = [[min(range(len(axis)), key=lambda i: abs(axis[i] - end)) for end in pair]
+               for axis, pair in zip(base.axes, ends)]
 
     variants = []
     for index in range(count):
         slot_seed = variant_seed_for(seed, base.id, index)
         rng = np.random.default_rng(slot_seed)
         for _ in range(MAX_DRAW_ATTEMPTS):
-            i = int(rng.integers(i_window[0], i_window[1] + 1))
-            off = int(rng.integers(INITIAL_TURNS_OFFSET[0], INITIAL_TURNS_OFFSET[1] + 1))
-            k = int(rng.integers(k_window[0], k_window[1] + 1))
-            j = turns_mid + off - base.bounds.turns[0]
-
+            start = tuple(int(rng.integers(lo, hi + 1)) for lo, hi in windows)
             bands = target_bands(base, [rng.uniform(1.0 - spread, 1.0 + spread)
                                         for spread in BAND_CENTER_SPREAD])
 
@@ -247,7 +244,7 @@ def generate_variants(base: BaseMachine, count: int, seed: int) -> list[MachineV
                 variants.append(MachineVariant(
                     base=base,
                     variant_seed=slot_seed,
-                    start=(i, j, k),
+                    start=start,
                     target_bands=bands,
                 ))
                 break

@@ -112,20 +112,18 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class AdamState:
-    learning_rate: float
     m: MlpParams
     v: MlpParams
     step: int = 0
 
     @classmethod
-    def for_params(cls, params: MlpParams, learning_rate: float) -> "AdamState":
-        return cls(learning_rate=learning_rate, m=MlpParams(params.sizes),
-                   v=MlpParams(params.sizes))
+    def for_params(cls, params: MlpParams) -> "AdamState":
+        return cls(m=MlpParams(params.sizes), v=MlpParams(params.sizes))
 
 
 def adam_step(params: MlpParams, grads: MlpParams, state: AdamState,
-              ) -> tuple[MlpParams, AdamState]:
-    """Bias-corrected adaptive-moment update, in place."""
+              learning_rate: float) -> tuple[MlpParams, AdamState]:
+    """Bias-corrected adaptive-moment update at ``learning_rate``, in place."""
     if not params.sizes == grads.sizes == state.m.sizes == state.v.sizes:
         raise ContractViolationError("grads/state do not match params")
     g, m, v = grads.flat, state.m.flat, state.v.flat
@@ -138,7 +136,7 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState,
     m += (1.0 - ADAM_BETA1) * g
     v *= ADAM_BETA2
     v += (1.0 - ADAM_BETA2) * g * g
-    params.flat -= state.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
+    params.flat -= learning_rate * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
     return params, state
 
 

@@ -312,11 +312,11 @@ def ppo_update(actor: MlpParams, critic: MlpParams,
 
             backward(actor, actor_cache, distinct_logit_grad, actor_grads)
             norm = clip_grad_norm(actor_grads, GRAD_CLIP_NORM)
-            adam_step(actor, actor_grads, actor_opt)
+            adam_step(actor, actor_grads, actor_opt, hyper.learning_rate)
 
             backward(critic, critic_cache, distinct_value_grad[:, None], critic_grads)
             clip_grad_norm(critic_grads, GRAD_CLIP_NORM)
-            adam_step(critic, critic_grads, critic_opt)
+            adam_step(critic, critic_grads, critic_opt, hyper.learning_rate)
 
             rows.append((policy_loss, value_loss, entropy_mean, clip_frac, norm,
                          float((mb_old_log_prob - new_log_prob).sum() / b)))
@@ -366,8 +366,8 @@ def new_checkpoint(hyper: Hyperparams) -> Checkpoint:
     critic = init(CRITIC_SIZES, derive_seed(hyper.seed, 2))
     return Checkpoint(
         actor=actor, critic=critic,
-        actor_opt=AdamState.for_params(actor, hyper.learning_rate),
-        critic_opt=AdamState.for_params(critic, hyper.learning_rate),
+        actor_opt=AdamState.for_params(actor),
+        critic_opt=AdamState.for_params(critic),
         hyper=hyper)
 
 
@@ -649,7 +649,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         params = net.parse("sizes", partial(_network, outputs=outputs))
         array = partial(parse_array, shape=params.flat.shape)
         params.flat[:] = net.parse("flat", array)
-        opt = AdamState.for_params(params, hyper.learning_rate)
+        opt = AdamState.for_params(params)
         opt.step = moments.parse("step", _count)
         opt.m.flat[:], opt.v.flat[:] = moments.parse("m", array), moments.parse("v", array)
         values |= {name: params, f"{name}_opt": opt}

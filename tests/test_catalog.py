@@ -89,6 +89,18 @@ def test_base_machine_validation():
                     bounds=bad, step_sizes=m.step_sizes)
 
 
+@pytest.mark.parametrize("turns,step", [((15, 25), 0.5), ((15.0, 25.0), 1),
+                                        ((15, 25.5), 1), ((15, 25), True)],
+                         ids=["half-turn step", "float bounds", "half-turn bound", "bool step"])
+def test_base_machine_rejects_turns_that_are_not_whole(turns, step):
+    """A design's turns are whole turns, so a lattice of half turns or a
+    float turns bound is refused where the machine is built."""
+    m = machine_by_id(1)
+    with pytest.raises(ContractViolationError, match="whole turns"):
+        replace(m, bounds=Bounds(m.bounds.length, turns, m.bounds.tooth_tip),
+                step_sizes=StepSizes(m.step_sizes.length, step, m.step_sizes.tooth_tip))
+
+
 def test_machine_shape_counts_the_points_on_each_axis():
     """Each axis holds lo + i * step for i up to round((hi - lo) / step), and
     shape counts them, found again when replace() builds a machine with
@@ -195,6 +207,45 @@ def test_sampler_windows_follow_the_machines_lattice():
         eta = v.initial_design.tooth_tip / d0.tooth_tip
         assert INITIAL_LENGTH_PU[0] - 1e-9 <= lam <= INITIAL_LENGTH_PU[1] + 1e-9
         assert INITIAL_TOOTH_PU[0] - 1e-9 <= eta <= INITIAL_TOOTH_PU[1] + 1e-9
+
+
+_M1 = machine_by_id(1)
+_B1, _S1 = _M1.bounds, _M1.step_sizes
+
+
+# (machine, its start windows as (lo, hi) lattice indices per axis): the
+# indices nearest INITIAL_LENGTH_PU x L0, N0 + INITIAL_TURNS_OFFSET and
+# INITIAL_TOOTH_PU x h0, the lower one on a tie and the lattice's end for
+# an end past it
+SAMPLER_CASES = {
+    **{f"stock {m.id}": (m, ((6, 16), (5, 15), (2, 11))) for m in builtin_catalog()},
+    # 10, 12, ..., 30 turns: 15 and 25 fall halfway, so 14 and 24 turns
+    "turns step 2": (replace(_M1, bounds=Bounds(_B1.length, (10, 30), _B1.tooth_tip),
+                             step_sizes=StepSizes(_S1.length, 2, _S1.tooth_tip)),
+                     ((6, 16), (2, 7), (2, 11))),
+    "turns 18-22": (replace(_M1, bounds=Bounds(_B1.length, (18, 22), _B1.tooth_tip)),
+                    ((6, 16), (0, 4), (2, 11))),
+    "length 0.6-1.2": (replace(_M1, bounds=Bounds((0.6, 1.2), _B1.turns, _B1.tooth_tip)),
+                       ((6, 10), (5, 15), (2, 11))),
+    # length and tooth tip from 0.7 pu (L0 = 1.2 m, h0 = 2.0 mm), where the
+    # stock lattices begin at 0.5 pu
+    "lattice from 0.7 pu": (replace(_M1, bounds=Bounds((0.7 * 1.2, 0.7 * 1.2 + 26 * _S1.length),
+                                                       _B1.turns,
+                                                       (0.7 * 2.0, 0.7 * 2.0 + 15 * _S1.tooth_tip))),
+                            ((2, 12), (5, 15), (0, 9))),
+    # N0 = 20 at index 6, so N0 +- 5 is 15 to 25 turns, not the axis middle
+    "turns 14-30": (replace(_M1, bounds=Bounds(_B1.length, (14, 30), _B1.tooth_tip)),
+                    ((6, 16), (1, 11), (2, 11))),
+}
+
+
+@pytest.mark.parametrize("base,windows", SAMPLER_CASES.values(), ids=SAMPLER_CASES)
+def test_sampler_draws_each_start_between_the_nearest_indices_of_its_window(base, windows):
+    """One window rule on every axis of every lattice: 200 draws stay on
+    the lattice and span exactly the nearest indices of the window's ends."""
+    starts = np.array([v.start for v in generate_variants(base, 200, 3)])
+    assert np.all((starts >= 0) & (starts < base.shape))
+    assert list(zip(starts.min(axis=0), starts.max(axis=0))) == list(windows)
 
 
 def test_certified_feasibility_independent_scan():

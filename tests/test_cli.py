@@ -472,7 +472,7 @@ def test_eval_rejects_checkpoint_with_wrong_action_count(tmp_path, capsys):
     ckpt_path, _ = _train_small(tmp_path, catalog)
     ckpt = load_checkpoint(str(ckpt_path))
     ckpt.actor = init((OBSERVATION_DIM, 64, 64, NUM_ACTIONS + 1), seed=0)
-    ckpt.actor_opt = AdamState.for_params(ckpt.actor, 1e-3)
+    ckpt.actor_opt = AdamState.for_params(ckpt.actor)
     save_checkpoint(ckpt, str(ckpt_path))
     capsys.readouterr()
     assert main(_eval_args(tmp_path, catalog, ckpt_path)) == 1

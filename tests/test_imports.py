@@ -106,7 +106,17 @@ def test_only_the_catalog_looks_up_a_start_index():
 
 
 def test_only_the_catalog_reads_the_step_sizes():
-    """BaseMachine.axes holds the lattice values, so only catalog.py turns
-    bounds and steps into them."""
-    found = _spelled_outside({"step_sizes"}, {"catalog.py": {"step_sizes"}})
-    assert found == [], f"step sizes read outside the catalog: {', '.join(found)}"
+    """BaseMachine.axes holds the lattice values, so only the
+    BaseMachine.__post_init__ that lays the axes out reads a machine's
+    bounds or step sizes; every other module and function reads the axes."""
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        allowed = {id(node) for cls in tree.body
+                   if isinstance(cls, ast.ClassDef) and cls.name == "BaseMachine"
+                   for method in cls.body if getattr(method, "name", "") == "__post_init__"
+                   for node in ast.walk(method)}
+        found += [f"{path.name}:{node.lineno}: .{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in ("bounds", "step_sizes")
+                  and id(node) not in allowed]
+    assert found == [], f"bounds or step sizes read outside BaseMachine: {', '.join(found)}"

@@ -245,8 +245,8 @@ def _scalar(value=0.0):
 def test_adam_zero_grad_noop():
     params = init((3, 4, 2), seed=1)
     before = [t.copy() for t in params.tensors()]
-    state = AdamState.for_params(params, learning_rate=0.01)
-    adam_step(params, MlpParams(params.sizes), state)
+    state = AdamState.for_params(params)
+    adam_step(params, MlpParams(params.sizes), state, 0.01)
     assert state.step == 1
     for t, b in zip(params.tensors(), before):
         assert np.array_equal(t, b)
@@ -254,8 +254,8 @@ def test_adam_zero_grad_noop():
 
 def test_adam_first_step_value():
     params = _scalar(0.0)
-    state = AdamState.for_params(params, learning_rate=0.001)
-    adam_step(params, _scalar(0.25), state)
+    state = AdamState.for_params(params)
+    adam_step(params, _scalar(0.25), state, 0.001)
     # bias-corrected first step: -lr * g / (|g| + eps)
     assert params.weights[0][0, 0] == -0.0009999999600000017
 
@@ -265,8 +265,8 @@ def test_adam_first_step_sign_and_magnitude():
     params = init((3, 4, 2), seed=2)
     before = [t.copy() for t in params.tensors()]
     grads = _net(params.sizes, *(rng.normal(size=t.shape) for t in params.tensors()))
-    state = AdamState.for_params(params, learning_rate=0.01)
-    adam_step(params, grads, state)
+    state = AdamState.for_params(params)
+    adam_step(params, grads, state, 0.01)
     for t, b, g in zip(params.tensors(), before, grads.tensors()):
         delta = t - b
         assert np.all(np.sign(delta) == -np.sign(g))
@@ -277,25 +277,25 @@ def test_adam_deterministic():
     runs = []
     for _ in range(2):
         params = _scalar(1.0)
-        state = AdamState.for_params(params, learning_rate=0.01)
+        state = AdamState.for_params(params)
         for _ in range(5):
-            adam_step(params, _scalar(0.3), state)
+            adam_step(params, _scalar(0.3), state, 0.01)
         runs.append(params.weights[0][0, 0])
     assert runs[0] == runs[1]
 
 
 def test_adam_rejects_non_finite():
     params = _scalar()
-    state = AdamState.for_params(params, learning_rate=0.01)
+    state = AdamState.for_params(params)
     with pytest.raises(TrainingDivergedError):
-        adam_step(params, _scalar(np.nan), state)
+        adam_step(params, _scalar(np.nan), state, 0.01)
 
 
 def test_adam_rejects_shape_mismatch():
     params = init((3, 4, 2), seed=0)
-    state = AdamState.for_params(params, learning_rate=0.01)
+    state = AdamState.for_params(params)
     with pytest.raises(ContractViolationError):
-        adam_step(params, _scalar(0.1), state)
+        adam_step(params, _scalar(0.1), state, 0.01)
 
 
 # --- gradient clipping -------------------------------------------------------------
@@ -343,7 +343,7 @@ def _per_tensor_clip_and_adam(tensors, grads, m, v, step, learning_rate,
 def test_flat_clip_and_adam_bitwise_match_per_tensor_reference(sizes, small_scale):
     rng = np.random.default_rng(11)
     params = init(sizes, seed=12)
-    state = AdamState.for_params(params, learning_rate=0.01)
+    state = AdamState.for_params(params)
     ref = [t.copy() for t in params.tensors()]
     ref_m = [np.zeros_like(t) for t in ref]
     ref_v = [np.zeros_like(t) for t in ref]
@@ -353,7 +353,7 @@ def test_flat_clip_and_adam_bitwise_match_per_tensor_reference(sizes, small_scal
                for t in ref]
         grads = _net(params.sizes, *raw)
         norm = clip_grad_norm(grads, 0.5)
-        adam_step(params, grads, state)
+        adam_step(params, grads, state, 0.01)
         want = _per_tensor_clip_and_adam(ref, raw, ref_m, ref_v, step, 0.01, 0.5)
         assert norm == want
         clipped += norm > 0.5

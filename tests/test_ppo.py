@@ -786,10 +786,10 @@ def _reference_update(actor, critic, actor_opt, critic_opt, buffer, advantages, 
 
             actor_grads = _reference_backward(actor, actor_cache, summed_logit_grad)
             actor_norm = _reference_clip(actor_grads)
-            adam_step(actor, actor_grads, actor_opt)
+            adam_step(actor, actor_grads, actor_opt, hyper.learning_rate)
             critic_grads = _reference_backward(critic, critic_cache, summed_value_grad)
             norms.append((actor_norm, _reference_clip(critic_grads)))
-            adam_step(critic, critic_grads, critic_opt)
+            adam_step(critic, critic_grads, critic_opt, hyper.learning_rate)
 
             pol_losses.append(-float(np.mean(objective)))
             val_losses.append(float(np.mean(err * err)))
@@ -1011,6 +1011,23 @@ def test_train_resume_deterministic(tmp_path):
         done, _ = train(TRAIN_VARIANTS, loaded.hyper, checkpoint=loaded)
         tails.append([t.copy() for t in done.actor.tensors()])
     for x, y in zip(*tails):
+        assert np.array_equal(x, y)
+
+
+def test_a_changed_learning_rate_steps_as_it_does_after_a_round_trip(tmp_path):
+    """The learning rate is held in hyper alone: one update after it is
+    changed in place moves the nets as one update after a save and load."""
+    ckpt, _ = train(TRAIN_VARIANTS, SMALL)
+    ckpt.hyper = replace(ckpt.hyper, learning_rate=3e-3)
+    path = tmp_path / "ckpt.txt"
+    save_checkpoint(ckpt, str(path))
+    loaded = load_checkpoint(str(path))
+    _, buf, advantages, returns = _small_buffer()
+    for net in (ckpt, loaded):
+        ppo_update(net.actor, net.critic, net.actor_opt, net.critic_opt,
+                   buf, advantages, returns, net.hyper, np.random.default_rng(3))
+    for x, y in zip(ckpt.actor.tensors() + ckpt.critic.tensors(),
+                    loaded.actor.tensors() + loaded.critic.tensors()):
         assert np.array_equal(x, y)
 
 
@@ -1683,7 +1700,7 @@ def test_checkpoint_rejects_non_finite_arrays(tmp_path, section, key, value):
 def test_checkpoint_rejects_networks_that_do_not_fit_the_game(tmp_path, net, sizes):
     params = init(sizes, seed=0)
     ckpt = replace(new_checkpoint(SMALL), **{
-        net: params, f"{net}_opt": AdamState.for_params(params, 1e-3)})
+        net: params, f"{net}_opt": AdamState.for_params(params)})
     path = tmp_path / "ckpt.txt"
     save_checkpoint(ckpt, str(path))
     outputs = NUM_ACTIONS if net == "actor" else 1
