@@ -100,20 +100,26 @@ def oracle_shortest(variant: MachineVariant, base: BaseMachine | None = None,
     lexicographically first shortest path goes axis by axis, in action
     order, up to the highest of the nearest points or, if none lies above
     the start, down to the lowest, and keeps only the ones it reached.
+    It reads the feasible points as the mask's flat indices and walks them
+    in plain Python: np.argwhere on the 3-D mask costs more than the mask.
     """
     if base is not None and base != variant.base:
         raise ContractViolationError(
             f"variant base {variant.base_id} does not match machine {base.id}")
-    ahead = np.argwhere(feasible_mask(variant.base, variant.target_bands)) - variant.start
-    if not len(ahead):
+    mask = feasible_mask(variant.base, variant.target_bands)
+    (_, n_turns, n_tooth), (i, j, k) = mask.shape, variant.start
+    ahead = [(p // (n_turns * n_tooth) - i, p // n_tooth % n_turns - j, p % n_tooth - k)
+             for p in np.flatnonzero(mask).tolist()]
+    if not ahead:
         return OracleResult(None, ())
-    distance = abs(ahead).sum(axis=1)
-    ahead = ahead[distance == distance.min()]
+    distance = [abs(a) + abs(b) + abs(c) for a, b, c in ahead]
+    least = min(distance)
+    ahead = [offsets for offsets, d in zip(ahead, distance) if d == least]
     path = []
-    for axis in range(ahead.shape[1]):
-        column = ahead[:, axis]
-        offset = int(column.max() if column.max() > 0 else column.min())
-        ahead = ahead[column == offset]
+    for axis in range(3):
+        column = [offsets[axis] for offsets in ahead]
+        offset = max(column) if max(column) > 0 else min(column)
+        ahead = [offsets for offsets in ahead if offsets[axis] == offset]
         path += [_ACTION_OF[axis, 1 if offset > 0 else -1]] * abs(offset)
     return OracleResult(len(path), tuple(path))
 

@@ -12,8 +12,10 @@ import motorgame.agents
 import motorgame.env
 from motorgame.agents import greedy_agent, oracle_shortest, play_random, random_agent
 from motorgame.catalog import (
+    BaseMachine,
     Bounds,
     MachineVariant,
+    StepSizes,
     TargetBands,
     builtin_catalog,
     feasible_mask,
@@ -36,6 +38,7 @@ from motorgame.env import (
 )
 from motorgame.errors import ContractViolationError
 from motorgame.surrogate import (
+    DesignPoint,
     design_at,
     evaluate,
     evaluate_grid,
@@ -576,3 +579,33 @@ def test_oracle_matches_reference_search():
         assert (result.shortest_steps, result.witness) == expected
         lengths.add(result.shortest_steps)
     assert {None, 0} < lengths and max(lengths - {None}) >= 20
+
+
+# a (5, 7, 4) lattice: three axes of different lengths, the tooth axis shortest
+SMALL = BaseMachine(id=9, rated_power=2100.0, line_voltage=6000.0,
+                    base_design=DesignPoint(1.0, 20, 2.0),
+                    bounds=Bounds(length=(0.8, 1.2), turns=(17, 23), tooth_tip=(1.6, 2.2)),
+                    step_sizes=StepSizes(length=0.1, turns=1, tooth_tip=0.2))
+
+
+def test_oracle_matches_reference_search_from_every_start_of_a_small_lattice():
+    """From every start of a (5, 7, 4) lattice, under bands met at one point
+    only (a corner, an inner point, the far corner), a 30-70 % quantile band
+    and a band no point meets, the oracle returns the reference search's
+    step count and witness.  This pins the flat-index arithmetic on unequal
+    axes and every tie-break of the descent."""
+    assert SMALL.shape == (5, 7, 4)
+    grid = evaluate_grid(SMALL)
+    band_sets = [TargetBands(*zip(grid[:, i, j, k], grid[:, i, j, k]))
+                 for i, j, k in ((0, 0, 0), (2, 3, 1), (4, 6, 3))]
+    band_sets += [TargetBands(*(np.quantile(values, (0.3, 0.7)) for values in grid)),
+                  TargetBands(*((values.max() + 1,) * 2 for values in grid))]
+    steps = set()
+    for bands in band_sets:
+        for start in np.ndindex(SMALL.shape):
+            variant = MachineVariant(base=SMALL, variant_seed=0, start=start,
+                                     target_bands=bands)
+            result = oracle_shortest(variant, SMALL)
+            assert (result.shortest_steps, result.witness) == _reference_oracle(variant, SMALL)
+            steps.add(result.shortest_steps)
+    assert steps == {None, *range(14)}
