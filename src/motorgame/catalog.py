@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import surrogate
-from .errors import ContractViolationError, GenerationExhaustedError, MalformedCatalogError, is_int
+from .errors import ContractViolationError, GenerationExhaustedError, TextFormatError, is_int
 from .kvtext import Section, check_layout, format_value, read_sections, write_text
 from .surrogate import DesignPoint, Performance, evaluate_grid
 
@@ -133,6 +133,17 @@ def machine_by_id(mid: int) -> BaseMachine:
         raise ContractViolationError(f"unknown machine id {mid}") from None
 
 
+def _band(name: str, band) -> tuple[float, float]:
+    """The band rule: ``band`` as floats (low, high), both finite, low <= high."""
+    lo, hi = band
+    lo, hi = float(lo), float(hi)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ContractViolationError(f"band {name} is not finite")
+    if lo > hi:
+        raise ContractViolationError(f"band {name} has low > high")
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class TargetBands:
     """Inclusive [low, high] target bands, one per performance value.
@@ -148,12 +159,7 @@ class TargetBands:
 
     def __post_init__(self):
         for name in _QUANTITIES:
-            lo, hi = getattr(self, name)
-            object.__setattr__(self, name, (float(lo), float(hi)))
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ContractViolationError(f"band {name} is not finite")
-            if lo > hi:
-                raise ContractViolationError(f"band {name} has low > high")
+            object.__setattr__(self, name, _band(name, getattr(self, name)))
 
     def as_tuple(self) -> tuple[tuple[float, float], ...]:
         return (self.b_gap, self.t_break, self.i_start, self.d_temp, self.tooth_tip)
@@ -280,26 +286,18 @@ def save_catalog(variants: list[MachineVariant], path) -> None:
     write_text(path, "\n".join(lines))
 
 
-def _parse_band(text: str) -> tuple[float, float]:
-    """``lo, hi``; a ValueError unless the text holds two floats."""
-    lo, hi = map(float, text.split(","))
-    return lo, hi
-
-
 def _build_variant(section: Section) -> MachineVariant:
+    """Each value is parsed at its own line, in file order; then the start
+    and the split are checked at the header."""
+    base = section.parse("base_id", lambda text: machine_by_id(int(text)))
+    seed = section.parse("variant_seed", int)
+    design = [section.parse(key, conv)
+              for key, conv in (("length", float), ("turns", int), ("tooth_tip", float))]
+    bands = [section.parse(key, lambda text, name=name: _band(name, text.split(",")))
+             for name, key in zip(_QUANTITIES, _BAND_KEYS)]
     try:
-        base = machine_by_id(section.parse("base_id", int))
-        return MachineVariant(
-            base=base,
-            variant_seed=section.parse("variant_seed", int),
-            start=surrogate.lattice_index(base, DesignPoint(
-                length=section.parse("length", float),
-                turns=section.parse("turns", int),
-                tooth_tip=section.parse("tooth_tip", float),
-            )),
-            target_bands=TargetBands(*(section.parse(k, _parse_band) for k in _BAND_KEYS)),
-            split=section.values["split"],
-        )
+        return MachineVariant(base, seed, surrogate.lattice_index(base, DesignPoint(*design)),
+                              TargetBands(*bands), section.values["split"])
     except ContractViolationError as exc:
         raise section.fail(str(exc)) from None
 
@@ -308,9 +306,9 @@ def load_catalog(path) -> list[MachineVariant]:
     """Parse a catalog file; inverse of save_catalog, field-for-field.  Every
     section's layout is checked before any value is parsed, and a variant
     whose start is off its machine's lattice fails at its header line."""
-    sections = read_sections(path, MalformedCatalogError, CATALOG_VERSION_LINE)
+    sections = read_sections(path, CATALOG_VERSION_LINE)
     if not sections:
-        raise MalformedCatalogError("catalog contains no variants", path, 1)
+        raise TextFormatError("catalog contains no variants", path, 1)
     check_layout(sections, {"variant": _REQUIRED_KEYS})
     return [_build_variant(section) for section in sections]
 

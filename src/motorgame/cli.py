@@ -94,7 +94,7 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 def load_config_file(path: str) -> dict[str, object]:
     """Flat `key = value` text; # comments and blank lines ignored;
     unknown keys rejected."""
-    section = read_sections(path, TextFormatError)[0]
+    section = read_sections(path)[0]
     values: dict[str, object] = {}
     for key, line in section.lines.items():
         if key not in _FIELD_TYPES:

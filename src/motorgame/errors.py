@@ -18,7 +18,8 @@ class ContractViolationError(MotorGameError):
 
 
 class TextFormatError(MotorGameError):
-    """A text file could not be parsed; ``path`` and the 1-based ``line``
+    """A catalog, checkpoint, config or metrics file could not be parsed;
+    the file's ``path`` and the 1-based ``line``
     locate the fault when known, and prefix the message as ``PATH:LINE: ``."""
 
     def __init__(self, message: str, path=None, line: int | None = None):
@@ -27,17 +28,9 @@ class TextFormatError(MotorGameError):
         super().__init__(f"{where}: {message}" if where else message)
 
 
-class MalformedCatalogError(TextFormatError):
-    """A catalog file could not be parsed."""
-
-
 class GenerationExhaustedError(MotorGameError):
     """Variant sampling failed to produce a feasible variant; the target
     bands are most likely misconfigured."""
-
-
-class CheckpointFormatError(TextFormatError):
-    """A checkpoint file could not be parsed."""
 
 
 class TrainingDivergedError(MotorGameError):

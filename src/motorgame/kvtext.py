@@ -18,51 +18,45 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import TextFormatError
-
-
-class BadValueError(ValueError):
-    """A value that parses but breaks its key's rule (negative, non-finite,
-    a wrong count, ...); a converter raises it with the reason, which
-    Section.parse reports in place of the value's text."""
+from .errors import ContractViolationError, TextFormatError
 
 
 @dataclass
 class Section:
-    path: str | os.PathLike       # the file, named in every fault
-    error: type[TextFormatError]  # the file's error class
+    path: str | os.PathLike  # the file, named in every fault
     name: str | None  # None for the single section of a flat file
     line: int | None  # line number of the header (None in a flat file)
     values: dict[str, str] = field(default_factory=dict)
     lines: dict[str, int] = field(default_factory=dict)  # key -> line number
 
     def fail(self, message: str, line: int | None = None) -> TextFormatError:
-        """The file's error for ``message`` at ``line``, or at the header."""
-        return self.error(message, self.path, self.line if line is None else line)
+        """The fault ``message`` at ``line``, or at the header."""
+        return TextFormatError(message, self.path, self.line if line is None else line)
 
     def parse(self, key: str, conv: Callable[[str], object]):
         """``conv`` of the value of ``key``.  A ValueError from it fails at
         the key's line as "bad value for KEY: 'TEXT'", TEXT cut after 80
-        characters so that no message copies a whole array, or for a
-        BadValueError as "bad value for KEY: REASON"."""
+        characters so that no message copies a whole array; a
+        ContractViolationError, a value that parses but breaks its key's
+        rule, as "bad value for KEY: REASON"."""
         text = self.values[key]
         try:
             return conv(text)
-        except BadValueError as exc:
+        except ContractViolationError as exc:
             shown = str(exc)
         except ValueError:
             shown = repr(text) if len(text) <= 80 else f"{text[:80]!r}..."
         raise self.fail(f"bad value for {key}: {shown}", self.lines[key])
 
 
-def read_sections(path, error: type[TextFormatError],
-                  version: str | None = None) -> list[Section]:
+def read_sections(path, version: str | None = None) -> list[Section]:
     """Parse a file into its sections, in file order.
 
-    Every fault found here or through a section is ``error`` at the file's
-    ``path`` and line.  With ``version``, the first line that is neither
-    blank nor a comment must equal it.  Without it the file is flat: it
-    has no headers and comes back as one section.  check_layout checks keys.
+    Every fault found here or through a section is a TextFormatError at
+    the file's ``path`` and line.  With ``version``, the first line that
+    is neither blank nor a comment must equal it.  Without it the file is
+    flat: it has no headers and comes back as one section.  check_layout
+    checks keys.
     """
     with open(path, "rb") as fh:
         # a BOM is stripped: utf-8-sig's error offsets would skip it
@@ -70,9 +64,9 @@ def read_sections(path, error: type[TextFormatError],
     try:
         raw_lines = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
-        raise error("not UTF-8 text", path, data.count(b"\n", 0, exc.start) + 1) from None
+        raise TextFormatError("not UTF-8 text", path, data.count(b"\n", 0, exc.start) + 1) from None
     expect_version = sectioned = version is not None
-    sections = [] if sectioned else [Section(path, error, None, None)]
+    sections = [] if sectioned else [Section(path, None, None)]
     for number, raw in enumerate(raw_lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -80,19 +74,19 @@ def read_sections(path, error: type[TextFormatError],
         if expect_version:
             if line != version:
                 if line.split()[0] == version.split()[0]:
-                    raise error(f"unsupported version {line!r}, expected {version!r}",
-                                path, number)
-                raise error(f"expected header {version!r}, got {line!r}", path, number)
+                    raise TextFormatError(
+                        f"unsupported version {line!r}, expected {version!r}", path, number)
+                raise TextFormatError(f"expected header {version!r}, got {line!r}", path, number)
             expect_version = False
             continue
         if sectioned and line.startswith("[") and line.endswith("]"):
-            sections.append(Section(path, error, line[1:-1], number))
+            sections.append(Section(path, line[1:-1], number))
             continue
         key, eq, value = line.partition("=")
         if not eq:
-            raise error(f"expected key = value, got {line!r}", path, number)
+            raise TextFormatError(f"expected key = value, got {line!r}", path, number)
         if not sections:
-            raise error("key outside a [section]", path, number)
+            raise TextFormatError("key outside a [section]", path, number)
         key = key.strip()
         section = sections[-1]
         if key in section.values:
@@ -100,7 +94,7 @@ def read_sections(path, error: type[TextFormatError],
         section.values[key] = value.strip()
         section.lines[key] = number
     if expect_version:
-        raise error(f"empty file (missing header {version!r})", path, 1)
+        raise TextFormatError(f"empty file (missing header {version!r})", path, 1)
     return sections
 
 
@@ -155,11 +149,12 @@ def format_array(arr: np.ndarray) -> str:
 
 
 def parse_array(text: str, shape: tuple[int, ...]) -> np.ndarray:
-    """Inverse of format_array; a BadValueError for a wrong count or a non-finite value."""
+    """Inverse of format_array; a ContractViolationError for a wrong count or a
+    non-finite value."""
     values = np.array([float(tok) for tok in text.split()], dtype=np.float64)
     if values.size != int(np.prod(shape)):
-        raise BadValueError(f"expected {int(np.prod(shape))} values, got {values.size}")
+        raise ContractViolationError(f"expected {int(np.prod(shape))} values, got {values.size}")
     finite = np.isfinite(values)
     if not finite.all():
-        raise BadValueError(f"non-finite value at index {int(np.argmin(finite))}")
+        raise ContractViolationError(f"non-finite value at index {int(np.argmin(finite))}")
     return values.reshape(shape)

@@ -21,9 +21,8 @@ import numpy as np
 
 from .catalog import BaseMachine, MachineVariant
 from .env import ALL_OBSERVATIONS, NUM_ACTIONS, OBSERVATION_DIM, EnvPool, RewardConfig, walk
-from .errors import CheckpointFormatError, ContractViolationError, TrainingDivergedError, is_int
+from .errors import ContractViolationError, TextFormatError, TrainingDivergedError, is_int
 from .kvtext import (
-    BadValueError,
     check_layout,
     format_array,
     format_value,
@@ -610,16 +609,16 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
 def _count(text: str) -> int:
     count = int(text)
     if count < 0:
-        raise BadValueError(f"{count} is negative")
+        raise ContractViolationError(f"{count} is negative")
     return count
 
 
 def _network(text: str, outputs: int) -> MlpParams:
     """Zero parameters of the layer sizes ``text``, which must map an
-    observation to ``outputs`` values."""
+    observation to ``outputs`` values; MlpParams checks the rest."""
     sizes = tuple(int(tok) for tok in text.split())
-    if len(sizes) < 2 or min(sizes) < 1 or (sizes[0], sizes[-1]) != (OBSERVATION_DIM, outputs):
-        raise BadValueError(f"{sizes} do not map {OBSERVATION_DIM} -> {outputs}")
+    if sizes[:1] + sizes[-1:] != (OBSERVATION_DIM, outputs):
+        raise ContractViolationError(f"{sizes} do not map {OBSERVATION_DIM} -> {outputs}")
     return MlpParams(sizes)
 
 
@@ -628,7 +627,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     those of _CHECKPOINT_KEYS, once each and in that order, and their keys
     are checked before any value is parsed.  A bad value fails at its own
     line, and [hyper]'s cross-field checks at its header."""
-    found = read_sections(path, CheckpointFormatError, CHECKPOINT_VERSION_LINE)
+    found = read_sections(path, CHECKPOINT_VERSION_LINE)
     check_layout(found, _CHECKPOINT_KEYS)
     names = list(_CHECKPOINT_KEYS)
     for at, section in enumerate(found):  # check_layout knows every name
@@ -636,7 +635,7 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise section.fail(f"duplicate section [{section.name}]" if section.name in names[:at]
                                else f"expected section [{names[at]}], got [{section.name}]")
     if len(found) < len(names):
-        raise CheckpointFormatError(f"missing section [{names[len(found)]}]", path)
+        raise TextFormatError(f"missing section [{names[len(found)]}]", path)
     sections = dict(zip(names, found))
     values = {key: sections["meta"].parse(key, _count) for key in _CHECKPOINT_KEYS["meta"]}
     try:

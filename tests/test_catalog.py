@@ -31,7 +31,7 @@ from motorgame.env import all_flags_zero, flags
 from motorgame.errors import (
     ContractViolationError,
     GenerationExhaustedError,
-    MalformedCatalogError,
+    TextFormatError,
 )
 from motorgame.surrogate import (
     Performance,
@@ -383,10 +383,10 @@ def test_v1_catalog_is_rejected_and_feasible_exists_is_gone(tmp_path):
     v1_body = path.read_text().replace(
         "\n[variant]", "\n[variant]\nfeasible_exists = true").split("\n", 1)[1]
     path.write_text("motor-design-catalog v1\n" + v1_body)
-    with pytest.raises(MalformedCatalogError, match="v1"):
+    with pytest.raises(TextFormatError, match="v1"):
         load_catalog(path)
     path.write_text(CATALOG_VERSION_LINE + "\n" + v1_body)
-    with pytest.raises(MalformedCatalogError, match="feasible_exists") as err:
+    with pytest.raises(TextFormatError, match="feasible_exists") as err:
         load_catalog(path)
     assert err.value.line == 4
 
@@ -406,7 +406,7 @@ def test_load_missing_band_field(tmp_path):
     lines = [l for l in path.read_text().splitlines()
              if not l.startswith("band_d_temp")]
     path.write_text("\n".join(lines))
-    with pytest.raises(MalformedCatalogError) as err:
+    with pytest.raises(TextFormatError) as err:
         load_catalog(path)
     assert "band_d_temp" in str(err.value)
 
@@ -414,14 +414,14 @@ def test_load_missing_band_field(tmp_path):
 def test_load_empty_file(tmp_path):
     path = tmp_path / "catalog.txt"
     path.write_text("")
-    with pytest.raises(MalformedCatalogError):
+    with pytest.raises(TextFormatError):
         load_catalog(path)
 
 
 def test_load_header_only(tmp_path):
     path = tmp_path / "catalog.txt"
     path.write_text(CATALOG_VERSION_LINE + "\n")
-    with pytest.raises(MalformedCatalogError):
+    with pytest.raises(TextFormatError):
         load_catalog(path)
 
 
@@ -431,7 +431,7 @@ def test_load_version_mismatch(tmp_path):
     save_catalog(variants, path)
     text = path.read_text().replace(CATALOG_VERSION_LINE, "motor-design-catalog v9", 1)
     path.write_text(text)
-    with pytest.raises(MalformedCatalogError):
+    with pytest.raises(TextFormatError):
         load_catalog(path)
 
 
@@ -440,7 +440,7 @@ def test_load_unknown_key(tmp_path):
     path = tmp_path / "catalog.txt"
     save_catalog(variants, path)
     path.write_text(path.read_text().replace("turns =", "bogus_key = 1\nturns ="))
-    with pytest.raises(MalformedCatalogError) as err:
+    with pytest.raises(TextFormatError) as err:
         load_catalog(path)
     assert "bogus_key" in str(err.value)
 
@@ -450,21 +450,21 @@ def test_load_duplicate_key(tmp_path):
     path = tmp_path / "catalog.txt"
     save_catalog(variants, path)
     path.write_text(path.read_text().replace("turns =", "base_id = 1\nturns =", 1))
-    with pytest.raises(MalformedCatalogError):
+    with pytest.raises(TextFormatError):
         load_catalog(path)
 
 
 def test_load_key_outside_section(tmp_path):
     path = tmp_path / "catalog.txt"
     path.write_text(CATALOG_VERSION_LINE + "\nbase_id = 1\n")
-    with pytest.raises(MalformedCatalogError):
+    with pytest.raises(TextFormatError):
         load_catalog(path)
 
 
 def test_malformed_error_carries_line_number(tmp_path):
     path = tmp_path / "catalog.txt"
     path.write_text(CATALOG_VERSION_LINE + "\n[variant]\nnot a key value line\n")
-    with pytest.raises(MalformedCatalogError) as err:
+    with pytest.raises(TextFormatError) as err:
         load_catalog(path)
     assert err.value.line == 3
 
@@ -477,9 +477,10 @@ def test_load_rejects_nan_band(tmp_path):
     band = next(i for i, l in enumerate(lines) if l.startswith("band_b_gap"))
     lines[band] = "band_b_gap = nan, nan"
     path.write_text("\n".join(lines))
-    with pytest.raises(MalformedCatalogError) as err:
+    with pytest.raises(TextFormatError) as err:
         load_catalog(path)
-    assert err.value.line == lines.index("[variant]") + 1
+    assert str(err.value) == (
+        f"{path}:{band + 1}: bad value for band_b_gap: band b_gap is not finite")
 
 
 def _one_variant_catalog(tmp_path):
@@ -488,11 +489,31 @@ def _one_variant_catalog(tmp_path):
     return path, path.read_text().splitlines()
 
 
+def test_load_reports_a_band_with_low_above_high_at_its_line(tmp_path):
+    path, lines = _one_variant_catalog(tmp_path)
+    at = next(i for i, line in enumerate(lines) if line.startswith("band_b_gap ="))
+    lines[at] = "band_b_gap = 2.0, 1.0"
+    path.write_text("\n".join(lines))
+    with pytest.raises(TextFormatError) as err:
+        load_catalog(path)
+    assert str(err.value) == (
+        f"{path}:{at + 1}: bad value for band_b_gap: band b_gap has low > high")
+
+
+def test_load_reports_an_unknown_machine_at_its_base_id_line(tmp_path):
+    path, lines = _one_variant_catalog(tmp_path)
+    lines[lines.index("base_id = 1")] = "base_id = 9"
+    path.write_text("\n".join(lines))
+    with pytest.raises(TextFormatError) as err:
+        load_catalog(path)
+    assert str(err.value) == f"{path}:4: bad value for base_id: unknown machine id 9"
+
+
 def test_load_rejects_an_unknown_section_at_its_header(tmp_path):
     path, lines = _one_variant_catalog(tmp_path)
     lines += ["[machine]", "id = 4"]
     path.write_text("\n".join(lines))
-    with pytest.raises(MalformedCatalogError, match=r"unknown section \[machine\]") as err:
+    with pytest.raises(TextFormatError, match=r"unknown section \[machine\]") as err:
         load_catalog(path)
     assert err.value.line == len(lines) - 1
 
@@ -505,7 +526,7 @@ def test_load_reports_a_bad_value_at_its_line(tmp_path, key, value):
     at = next(i for i, line in enumerate(lines) if line.startswith(f"{key} ="))
     lines[at] = f"{key} = {value}"
     path.write_text("\n".join(lines))
-    with pytest.raises(MalformedCatalogError, match=f"bad value for {key}: '{value}'") as err:
+    with pytest.raises(TextFormatError, match=f"bad value for {key}: '{value}'") as err:
         load_catalog(path)
     assert err.value.line == at + 1
 
@@ -516,7 +537,7 @@ def test_load_rejects_a_start_off_the_lattice_at_its_header(tmp_path, key):
     at = next(i for i, line in enumerate(lines) if line.startswith(f"{key} ="))
     lines[at] = f"{key} = {float(lines[at].split(' = ')[1]) + 0.001!r}"
     path.write_text("\n".join(lines))
-    with pytest.raises(MalformedCatalogError, match="not a lattice point") as err:
+    with pytest.raises(TextFormatError, match="not a lattice point") as err:
         load_catalog(path)
     assert err.value.line == lines.index("[variant]") + 1
 
@@ -525,7 +546,7 @@ def test_load_rejects_a_misspelled_split_at_its_header(tmp_path):
     path, lines = _one_variant_catalog(tmp_path)
     lines[lines.index("split = train")] = "split = trian"
     path.write_text("\n".join(lines))
-    with pytest.raises(MalformedCatalogError, match="split 'trian'") as err:
+    with pytest.raises(TextFormatError, match="split 'trian'") as err:
         load_catalog(path)
     assert err.value.line == lines.index("[variant]") + 1
 

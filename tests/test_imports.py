@@ -1,8 +1,10 @@
 """Source hygiene: every name a package or test module imports, and every
 private name such a module defines at module level, is used in that
-module; the design game's rule stays in env."""
+module; the design game's rule stays in env, and every exception class
+in errors."""
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -79,6 +81,24 @@ def test_ppo_imports_no_step_rule():
     leaked = sorted(f"{module}.{name}" for module, name in imported
                     if name in RULE_NAMES or module == "surrogate")
     assert leaked == [], f"ppo.py imports the game's rule: {', '.join(leaked)}"
+
+
+def test_every_exception_class_is_defined_in_errors():
+    """errors.py owns the package's exception classes, so a module-local
+    one (a converter's own ValueError subclass, say) cannot come back."""
+    owned = {node.name for node in ast.walk(ast.parse((SOURCE / "errors.py").read_text()))
+             if isinstance(node, ast.ClassDef)}
+
+    def is_exception(base: ast.expr) -> bool:
+        name = base.id if isinstance(base, ast.Name) else getattr(base, "attr", "")
+        builtin = getattr(builtins, name, None)
+        return name in owned or isinstance(builtin, type) and issubclass(builtin, BaseException)
+
+    found = [f"{path.name}:{node.lineno}: {node.name}"
+             for path in MODULES if path.name != "errors.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ClassDef) and any(map(is_exception, node.bases))]
+    assert found == [], f"exception classes outside errors.py: {', '.join(found)}"
 
 
 def _spelled_outside(names: set[str], allowed: dict[str, set[str]]) -> list[str]:

@@ -490,7 +490,7 @@ def test_format_parse_round_trip():
 
 
 def test_parse_array_count_mismatch():
-    with pytest.raises(ValueError, match="expected 4 values, got 3"):
+    with pytest.raises(ContractViolationError, match="expected 4 values, got 3"):
         parse_array("1.0 2.0 3.0", (2, 2))
 
 

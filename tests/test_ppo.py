@@ -39,8 +39,8 @@ from motorgame.env import (
     run_episode,
 )
 from motorgame.errors import (
-    CheckpointFormatError,
     ContractViolationError,
+    TextFormatError,
     TrainingDivergedError,
 )
 from motorgame.kvtext import parse_array, read_sections
@@ -1525,7 +1525,7 @@ def test_checkpoint_v2_stores_each_value_once_and_round_trips_bytewise(tmp_path)
     save_checkpoint(load_checkpoint(str(path)), str(again))
     assert again.read_bytes() == path.read_bytes()
 
-    sections = read_sections(path, CheckpointFormatError, "motor-design-ckpt v2")
+    sections = read_sections(path, "motor-design-ckpt v2")
     assert [(s.name, list(s.values)) for s in sections] == [
         ("meta", ["update_index", "env_steps"]),
         ("hyper", [f.name for f in fields(Hyperparams)]),
@@ -1556,7 +1556,7 @@ def test_checkpoint_rejects_unknown_sections_and_keys(tmp_path, section, extra):
     at = lines.index(f"[{section}]") + 1 if section else len(lines)
     lines.insert(at, extra)
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(CheckpointFormatError, match="unknown") as err:
+    with pytest.raises(TextFormatError, match="unknown") as err:
         load_checkpoint(str(path))
     assert err.value.line == at + 1
 
@@ -1568,7 +1568,7 @@ def test_checkpoint_rejects_missing_keys(tmp_path):
     header = lines.index("[critic_opt]")
     del lines[header + 1]  # its step
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(CheckpointFormatError, match=r"\[critic_opt\] is missing step") as err:
+    with pytest.raises(TextFormatError, match=r"\[critic_opt\] is missing step") as err:
         load_checkpoint(str(path))
     assert err.value.line == header + 1
 
@@ -1579,7 +1579,7 @@ def test_checkpoint_rejects_a_second_section_at_its_header(tmp_path):
     lines = path.read_text().splitlines()
     actor = lines.index("[actor]")
     path.write_text("\n".join(lines + lines[actor:actor + 3]) + "\n")  # a whole second [actor]
-    with pytest.raises(CheckpointFormatError, match=r"duplicate section \[actor\]") as err:
+    with pytest.raises(TextFormatError, match=r"duplicate section \[actor\]") as err:
         load_checkpoint(str(path))
     assert err.value.line == len(lines) + 1
 
@@ -1593,7 +1593,7 @@ def test_checkpoint_rejects_sections_out_of_order(tmp_path):
     actor, critic, actor_opt = (lines.index(f"[{name}]") for name in ("actor", "critic", "actor_opt"))
     lines[actor:actor_opt] = lines[critic:actor_opt] + lines[actor:critic]
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(CheckpointFormatError,
+    with pytest.raises(TextFormatError,
                        match=r"expected section \[actor\], got \[critic\]") as err:
         load_checkpoint(str(path))
     assert err.value.line == actor + 1
@@ -1607,7 +1607,7 @@ def test_checkpoint_version_error(tmp_path):
     for version in ("v1", "v9"):
         path.write_text(text.replace(CHECKPOINT_VERSION_LINE,
                                      f"motor-design-ckpt {version}", 1))
-        with pytest.raises(CheckpointFormatError, match=version):
+        with pytest.raises(TextFormatError, match=version):
             load_checkpoint(str(path))
 
 
@@ -1618,7 +1618,7 @@ def test_checkpoint_missing_section(tmp_path):
     lines = path.read_text().splitlines()
     start = lines.index("[critic_opt]")
     path.write_text("\n".join(lines[:start]))
-    with pytest.raises(CheckpointFormatError):
+    with pytest.raises(TextFormatError):
         load_checkpoint(str(path))
 
 
@@ -1628,7 +1628,7 @@ def test_checkpoint_corrupt_tensor(tmp_path):
     save_checkpoint(ckpt, str(path))
     text = path.read_text().replace("sizes = 11 64 64 6", "sizes = 11 64 6", 1)
     path.write_text(text)
-    with pytest.raises(CheckpointFormatError):
+    with pytest.raises(TextFormatError):
         load_checkpoint(str(path))
 
 
@@ -1638,10 +1638,22 @@ def test_checkpoint_rejects_actor_without_layers(tmp_path):
     actor_sizes = "sizes = " + " ".join(str(s) for s in ACTOR_SIZES)
     path.write_text(path.read_text().replace(actor_sizes,
                                              f"sizes = {OBSERVATION_DIM}", 1))
-    with pytest.raises(CheckpointFormatError,
+    with pytest.raises(TextFormatError,
                        match=rf"bad value for sizes: \({OBSERVATION_DIM},\) do not map") as err:
         load_checkpoint(str(path))
     assert err.value.line == path.read_text().splitlines().index("[actor]") + 2
+
+
+def test_checkpoint_rejects_an_empty_layer_at_its_sizes_line(tmp_path):
+    """MlpParams' own size rule fails at the line of the sizes it breaks."""
+    path = tmp_path / "ckpt.txt"
+    save_checkpoint(new_checkpoint(SMALL), str(path))
+    sizes = (OBSERVATION_DIM, 0, NUM_ACTIONS)
+    line = _rewrite_checkpoint_value(path, "actor", "sizes", lambda _: " ".join(map(str, sizes)))
+    with pytest.raises(TextFormatError, match=re.escape(
+            f"bad value for sizes: invalid layer sizes {sizes}")) as err:
+        load_checkpoint(str(path))
+    assert err.value.line == line
 
 
 def _rewrite_checkpoint_value(path, section, key, rewrite) -> int:
@@ -1674,7 +1686,7 @@ def test_checkpoint_rejects_negative_counts(tmp_path, section, key):
     path = tmp_path / "ckpt.txt"
     save_checkpoint(new_checkpoint(SMALL), str(path))
     line = _rewrite_checkpoint_value(path, section, key, lambda _: "-1")
-    with pytest.raises(CheckpointFormatError, match=f"bad value for {key}: -1 is negative") as err:
+    with pytest.raises(TextFormatError, match=f"bad value for {key}: -1 is negative") as err:
         load_checkpoint(str(path))
     assert err.value.line == line
 
@@ -1687,7 +1699,7 @@ def test_checkpoint_rejects_non_finite_arrays(tmp_path, section, key, value):
     path = tmp_path / "ckpt.txt"
     save_checkpoint(new_checkpoint(SMALL), str(path))
     line = _rewrite_checkpoint_value(path, section, key, _spoil_middle_token(value))
-    with pytest.raises(CheckpointFormatError,
+    with pytest.raises(TextFormatError,
                        match=rf"bad value for {key}: non-finite value at index \d+$") as err:
         load_checkpoint(str(path))
     assert err.value.line == line
@@ -1705,7 +1717,7 @@ def test_checkpoint_rejects_networks_that_do_not_fit_the_game(tmp_path, net, siz
     path = tmp_path / "ckpt.txt"
     save_checkpoint(ckpt, str(path))
     outputs = NUM_ACTIONS if net == "actor" else 1
-    with pytest.raises(CheckpointFormatError, match=re.escape(
+    with pytest.raises(TextFormatError, match=re.escape(
             f"bad value for sizes: {sizes} do not map {OBSERVATION_DIM} -> {outputs}")) as err:
         load_checkpoint(str(path))
     assert err.value.line == path.read_text().splitlines().index(f"[{net}]") + 2
@@ -1734,7 +1746,7 @@ def test_a_bad_checkpoint_value_fails_at_its_own_line(tmp_path, section, key, re
     path = tmp_path / "ckpt.txt"
     save_checkpoint(new_checkpoint(SMALL), str(path))
     line = _rewrite_checkpoint_value(path, section, key, rewrite)
-    with pytest.raises(CheckpointFormatError) as err:
+    with pytest.raises(TextFormatError) as err:
         load_checkpoint(str(path))
     assert f"bad value for {key}: {reason}" in str(err.value)
     assert err.value.line == line
