@@ -89,17 +89,27 @@ RunConfig = make_dataclass(
     frozen=True)
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# key -> the check of its own rule by its dataclass
+_FIELD_RULES = {key: cls.check_field for cls in (Hyperparams, RewardConfig) for key in _keys(cls)}
+
+
+def _config_value(text: str, key: str):
+    value = parse_value(text, _FIELD_TYPES[key])
+    if key in _FIELD_RULES:
+        _FIELD_RULES[key](key, value)
+    return value
 
 
 def load_config_file(path: str) -> dict[str, object]:
     """Flat `key = value` text; # comments and blank lines ignored;
-    unknown keys rejected."""
+    unknown keys rejected; a value that breaks its own field's rule fails
+    at its line (the win-reward rule spans keys, so it waits for the flags)."""
     section = read_sections(path)[0]
     values: dict[str, object] = {}
     for key, line in section.lines.items():
         if key not in _FIELD_TYPES:
             raise section.fail(f"unknown config key {key!r}", line)
-        values[key] = section.parse(key, partial(parse_value, kind=_FIELD_TYPES[key]))
+        values[key] = section.parse(key, partial(_config_value, key=key))
     return values
 
 

@@ -120,24 +120,33 @@ class RewardConfig:
     max_steps: int = 300
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (
-                self.right_direction_reward, self.wrong_direction_reward,
-                self.revisit_penalty, self.win_reward, *self.priority_weights))):
-            raise ContractViolationError("reward values must be finite")
+        for f in fields(self):
+            self.check_field(f.name, getattr(self, f.name))
         # a tuple of floats: the config hashes, and no caller can change them
         object.__setattr__(self, "priority_weights", tuple(map(float, self.priority_weights)))
-        if not (self.right_direction_reward > 0 > self.wrong_direction_reward):
-            raise ContractViolationError("need right_direction_reward > 0 > wrong_direction_reward")
-        if self.revisit_penalty >= 0:
-            raise ContractViolationError("revisit_penalty must be negative")
-        if len(self.priority_weights) != 5 or any(w <= 0 for w in self.priority_weights):
-            raise ContractViolationError("priority_weights must be 5 positive values")
-        # the win bonus must dominate any single-step shaping sum
+        # the one rule that spans fields: the win bonus must dominate any
+        # single-step shaping sum
         if self.win_reward < self.right_direction_reward * sum(self.priority_weights):
             raise ContractViolationError("win_reward too small to dominate shaping rewards")
-        if not is_int(self.max_steps) or self.max_steps < 1:
-            raise ContractViolationError(
-                f"max_steps must be an integer >= 1, got {self.max_steps!r}")
+
+    @staticmethod
+    def check_field(name: str, value) -> None:
+        """Raise a ContractViolationError if ``value`` breaks the rule of
+        field ``name`` alone."""
+        if name == "max_steps":
+            if not is_int(value) or value < 1:
+                raise ContractViolationError(f"max_steps must be an integer >= 1, got {value!r}")
+            return
+        values = tuple(value) if name == "priority_weights" else (value,)
+        if not all(map(math.isfinite, values)):
+            raise ContractViolationError("reward values must be finite")
+        if name == "priority_weights" and (len(values) != 5 or any(w <= 0 for w in values)):
+            raise ContractViolationError("priority_weights must be 5 positive values")
+        if (name == "right_direction_reward" and value <= 0
+                or name == "wrong_direction_reward" and value >= 0):
+            raise ContractViolationError("need right_direction_reward > 0 > wrong_direction_reward")
+        if name == "revisit_penalty" and value >= 0:
+            raise ContractViolationError("revisit_penalty must be negative")
 
 
 def reward_for(prev_perf: Performance, new_perf: Performance,

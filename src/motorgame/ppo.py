@@ -11,8 +11,13 @@ derivation, so training, resuming, and evaluation are bit-reproducible.
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import pickle
+import socket
 import weakref
 from bisect import bisect_left
+from contextlib import nullcontext
 from dataclasses import asdict, astuple, dataclass, field, fields
 from functools import partial
 from typing import Callable, Iterable, Sequence
@@ -84,27 +89,31 @@ class Hyperparams:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            self.check_field(f.name, value)
             if f.type == "float":
-                if not math.isfinite(value):
-                    raise ContractViolationError(f"{f.name} {value} is not finite")
                 # held as a float, so a checkpoint writes the value it loads back
                 object.__setattr__(self, f.name, float(value))
-            if f.type == "int" and not is_int(value):
-                raise ContractViolationError(f"{f.name} must be an integer, got {value!r}")
-        if not 0.0 < self.discount <= 1.0:
-            raise ContractViolationError(f"discount {self.discount} outside (0, 1]")
-        if not 0.0 <= self.gae_lambda <= 1.0:
-            raise ContractViolationError(f"gae_lambda {self.gae_lambda} outside [0, 1]")
-        if self.clip_ratio <= 0.0:
-            raise ContractViolationError(f"clip_ratio {self.clip_ratio} must be > 0")
-        if self.learning_rate <= 0.0:
-            raise ContractViolationError(f"learning_rate {self.learning_rate} must be > 0")
-        for name in ("value_coef", "entropy_coef"):
-            if getattr(self, name) < 0.0:
-                raise ContractViolationError(f"{name} {getattr(self, name)} must be >= 0")
-        for name in ("epochs", "minibatch_size", "horizon", "total_steps", "env_count"):
-            if getattr(self, name) < 1:
-                raise ContractViolationError(f"{name} must be >= 1")
+
+    @classmethod
+    def check_field(cls, name: str, value) -> None:
+        """Raise a ContractViolationError if ``value`` breaks the rule of
+        field ``name``; no rule spans fields."""
+        kind = {f.name: f.type for f in fields(cls)}[name]
+        if kind == "float" and not math.isfinite(value):
+            raise ContractViolationError(f"{name} {value} is not finite")
+        if kind == "int" and not is_int(value):
+            raise ContractViolationError(f"{name} must be an integer, got {value!r}")
+        if name == "discount" and not 0.0 < value <= 1.0:
+            raise ContractViolationError(f"discount {value} outside (0, 1]")
+        if name == "gae_lambda" and not 0.0 <= value <= 1.0:
+            raise ContractViolationError(f"gae_lambda {value} outside [0, 1]")
+        if name in ("clip_ratio", "learning_rate") and value <= 0.0:
+            raise ContractViolationError(f"{name} {value} must be > 0")
+        if name in ("value_coef", "entropy_coef") and value < 0.0:
+            raise ContractViolationError(f"{name} {value} must be >= 0")
+        if name in ("epochs", "minibatch_size", "horizon", "total_steps", "env_count") \
+                and value < 1:
+            raise ContractViolationError(f"{name} must be >= 1")
 
 
 @dataclass
@@ -210,10 +219,131 @@ class UpdateStats:
     approx_kl: float   # mean over minibatches of mean(old - new log-prob)
 
 
+def _epochs(codes: np.ndarray, hyper: Hyperparams, rng: np.random.Generator):
+    """Per epoch, ``rng``'s permutation of the batch ``codes`` and, per
+    minibatch (the last may be short), its slice of the permutation, the
+    forward rows (its distinct observations, in code order) and each
+    sample's slot, its code's row among them."""
+    batch, size, n_codes = len(codes), hyper.minibatch_size, len(ALL_OBSERVATIONS)
+    starts = range(0, batch, size)
+    row_minibatch = np.arange(batch) // size  # in epoch order
+    for _ in range(hyper.epochs):
+        perm = rng.permutation(batch)
+        # one sorted key per (minibatch, code): minibatch k's distinct codes,
+        # in code order, are distinct_codes[bounds[k]:bounds[k + 1]], and a
+        # row's slot is its code's index among them
+        keys, slots = np.unique(row_minibatch * n_codes + codes[perm], return_inverse=True)
+        bounds = np.searchsorted(keys, np.arange(len(starts) + 1) * n_codes)
+        slots -= bounds[row_minibatch]
+        distinct_codes = keys % n_codes
+        yield perm, [(slice(start, start + size), slots[start:start + size],
+                      ALL_OBSERVATIONS[distinct_codes[bounds[k]:bounds[k + 1]]])
+                     for k, start in enumerate(starts)]
+
+
+def _critic_loss(critic: MlpParams, distinct: np.ndarray, slots: np.ndarray,
+                 returns: np.ndarray, value_coef: float, grads: MlpParams) -> float:
+    """A minibatch's value loss, the mean squared error of the critic's
+    values (rows ``slots`` of its output on ``distinct``) to ``returns``;
+    its gradient, times value_coef and norm-clipped, goes to ``grads``."""
+    b = len(slots)
+    vals, cache = forward(critic, distinct)
+    err = vals[slots, 0] - returns
+    # bincount adds its weights in input order, so each distinct row gets
+    # its samples' gradients summed in sample order
+    value_grad = np.bincount(slots, weights=(2.0 * value_coef / b) * err,
+                             minlength=len(distinct))
+    backward(critic, cache, value_grad[:, None], grads)
+    clip_grad_norm(grads, GRAD_CLIP_NORM)
+    return float((err * err).sum() / b)
+
+
+class CriticWorker:
+    """A forked process that runs _critic_loss for ppo_update's minibatches
+    while the parent runs the actor's.  The parent publishes the critic in
+    an anonymous mapping that both share and reads the loss and gradient
+    back from it; an update's inputs go over a socket in one message, then
+    a minibatch costs one byte each way.  A dead worker is an OSError."""
+
+    def __init__(self, critic: MlpParams):
+        n = critic.flat.size
+        shared = np.frombuffer(mmap.mmap(-1, 8 * (2 * n + 1)))  # params, grads, loss
+        self._params, self._grads, self._loss = shared[:n], shared[n:2 * n], shared[2 * n:]
+        self._socket, theirs = socket.socketpair()
+        try:
+            self.pid = os.fork()
+        except BaseException:
+            self._socket.close()
+            theirs.close()
+            raise
+        if self.pid == 0:  # the worker never returns into the caller's frames
+            status = 1
+            try:
+                self._socket.close()  # so that the parent's close is an end of file here
+                self._serve(theirs, MlpParams(critic.sizes))
+                status = 0
+            finally:
+                os._exit(status)
+        theirs.close()
+
+    def _serve(self, sock: socket.socket, critic: MlpParams) -> None:
+        grads, inbox = MlpParams(critic.sizes), sock.makefile("rb")
+        while True:
+            try:
+                codes, returns, hyper, rng = pickle.load(inbox)
+            except EOFError:  # the parent closed its end
+                return
+            for perm, minibatches in _epochs(codes, hyper, rng):
+                ep_returns = returns[perm]
+                for mb, slots, distinct in minibatches:
+                    if not inbox.read(1):
+                        return
+                    critic.flat[:] = self._params
+                    self._loss[0] = _critic_loss(critic, distinct, slots, ep_returns[mb],
+                                                 hyper.value_coef, grads)
+                    self._grads[:] = grads.flat
+                    sock.send(b"\0")
+
+    def begin(self, codes, returns, hyper: Hyperparams, rng: np.random.Generator) -> None:
+        """Send an update's inputs, before ``rng`` lays out its epochs."""
+        self._socket.sendall(pickle.dumps((codes, returns, hyper, rng)))
+
+    def start(self, critic: MlpParams) -> None:
+        """Publish the critic and start the next minibatch."""
+        self._params[:] = critic.flat
+        self._socket.send(b"\0")
+
+    def finish(self, grads: MlpParams) -> float:
+        """The minibatch's value loss; its gradient goes to ``grads``."""
+        if not self._socket.recv(1):
+            raise OSError(f"critic worker {self.pid} exited")
+        grads.flat[:] = self._grads
+        return float(self._loss[0])
+
+    def __enter__(self) -> "CriticWorker":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._socket.close()  # the worker reads the end of its input and exits
+        os.waitpid(self.pid, 0)
+
+
+def _worker_can_run() -> bool:
+    """Whether train forks a CriticWorker: os.fork exists, 2 CPUs are
+    allowed, and there is one OS thread (BLAS on one thread), as a fork
+    can copy a lock another thread holds (Python 3.12+ warns)."""
+    try:
+        return (hasattr(os, "fork") and len(os.sched_getaffinity(0)) >= 2
+                and len(os.listdir("/proc/self/task")) == 1)
+    except (AttributeError, OSError):  # no affinity call, or no /proc
+        return False
+
+
 def ppo_update(actor: MlpParams, critic: MlpParams,
                actor_opt: AdamState, critic_opt: AdamState,
                buffer: RolloutBuffer, advantages: np.ndarray, returns: np.ndarray,
-               hyper: Hyperparams, rng: np.random.Generator) -> UpdateStats:
+               hyper: Hyperparams, rng: np.random.Generator,
+               worker: CriticWorker | None = None) -> UpdateStats:
     """One PPO update: epochs of shuffled minibatches over the buffer and its gae().
 
     The policy gradient with respect to the actor logits is hand-derived:
@@ -221,12 +351,12 @@ def ppo_update(actor: MlpParams, critic: MlpParams,
     the clipped branch is flat, and the entropy bonus contributes
     p_j * (log p_j + H) per sample.  The critic follows the squared-error
     gradient to the returns.  Both nets are norm-clipped then Adam-stepped.
-
-    There are only 1,701 observations, so each net runs once per distinct
-    observation in a minibatch: its distinct codes in code order are the
-    forward rows, every sample reads its outputs from its code's row, and
-    the samples' logit and value gradients are summed into that row, in
-    sample order, before backward.
+    Each net runs once per distinct observation in a minibatch (see
+    _epochs), and the samples' logit and value gradients are summed into
+    their code's row, in sample order, before backward.  With a
+    ``worker``, the critic's _critic_loss runs there, and the Adam steps,
+    checks and statistics here, with the same bits; after a raise, the
+    worker must be closed.
     """
     if len(buffer) == 0:
         raise ContractViolationError("empty rollout buffer")
@@ -240,31 +370,20 @@ def ppo_update(actor: MlpParams, critic: MlpParams,
     onehots, action_index = np.eye(NUM_ACTIONS), np.arange(NUM_ACTIONS)
     # backward overwrites these on every minibatch
     actor_grads, critic_grads = MlpParams(actor.sizes), MlpParams(critic.sizes)
-    starts = range(0, batch, hyper.minibatch_size)
-    row_minibatch = np.arange(batch) // hyper.minibatch_size  # in epoch order
-    n_codes = len(ALL_OBSERVATIONS)
+    if worker is not None:
+        worker.begin(codes, returns, hyper, rng)
 
     rows = []  # one UpdateStats row per minibatch
-    for _ in range(hyper.epochs):
-        perm = rng.permutation(batch)
-        # gathered once per epoch; each minibatch is a contiguous slice,
-        # and the last one may be short
-        ep_codes, ep_acts, ep_old_log_probs, ep_adv, ep_returns = (
-            codes[perm], acts[perm], old_log_probs[perm], advantages[perm], returns[perm])
-        # one sorted key per (minibatch, code): minibatch k's distinct codes,
-        # in code order, are distinct_codes[bounds[k]:bounds[k + 1]], and a
-        # row's slot is its code's index among them
-        keys, ep_slots = np.unique(row_minibatch * n_codes + ep_codes, return_inverse=True)
-        bounds = np.searchsorted(keys, np.arange(len(starts) + 1) * n_codes)
-        ep_slots -= bounds[row_minibatch]
-        distinct_codes = keys % n_codes
-        for k, start in enumerate(starts):
-            mb = slice(start, start + hyper.minibatch_size)
-            mb_acts, mb_adv, slots = ep_acts[mb], ep_adv[mb], ep_slots[mb]
+    for perm, minibatches in _epochs(codes, hyper, rng):
+        # gathered once per epoch; each minibatch is a contiguous slice
+        ep_acts, ep_old_log_probs, ep_adv, ep_returns = (
+            acts[perm], old_log_probs[perm], advantages[perm], returns[perm])
+        for mb, slots, distinct in minibatches:
+            if worker is not None:
+                worker.start(critic)
+            mb_acts, mb_adv = ep_acts[mb], ep_adv[mb]
             mb_old_log_prob = ep_old_log_probs[mb]
             b = len(mb_acts)
-            distinct = ALL_OBSERVATIONS[distinct_codes[bounds[k]:bounds[k + 1]]]
-            d = len(distinct)
 
             logits, actor_cache = forward(actor, distinct)
             dist = Categorical(logits)
@@ -288,20 +407,17 @@ def ppo_update(actor: MlpParams, critic: MlpParams,
             # the entropy term is the same for every row of one code
             logit_grad += ((hyper.entropy_coef / b) * probs * (
                 log_probs + entropy[:, None]))[slots]
-            # bincount adds its weights in input order, so each distinct
-            # row gets its rows' gradients summed in sample order; an
-            # entry's bin is its row's slot and its action
+            # summed per distinct row as in _critic_loss; an entry's bin is
+            # its row's slot and its action
             bins = slots[:, None] * NUM_ACTIONS + action_index
             distinct_logit_grad = np.bincount(
                 bins.ravel(), weights=logit_grad.ravel(),
-                minlength=d * NUM_ACTIONS).reshape(d, NUM_ACTIONS)
+                minlength=len(distinct) * NUM_ACTIONS).reshape(-1, NUM_ACTIONS)
+            backward(actor, actor_cache, distinct_logit_grad, actor_grads)
+            norm = clip_grad_norm(actor_grads, GRAD_CLIP_NORM)
 
-            vals, critic_cache = forward(critic, distinct)
-            err = vals[slots, 0] - ep_returns[mb]
-            value_loss = float((err * err).sum() / b)
-            distinct_value_grad = np.bincount(
-                slots, weights=(2.0 * hyper.value_coef / b) * err, minlength=d)
-
+            value_loss = (worker.finish(critic_grads) if worker is not None else _critic_loss(
+                critic, distinct, slots, ep_returns[mb], hyper.value_coef, critic_grads))
             total = policy_loss + hyper.value_coef * value_loss \
                 - hyper.entropy_coef * entropy_mean
             if not np.isfinite(total):
@@ -309,12 +425,7 @@ def ppo_update(actor: MlpParams, critic: MlpParams,
                     f"non-finite loss (policy={policy_loss!r}, "
                     f"value={value_loss!r}, entropy={entropy_mean!r})")
 
-            backward(actor, actor_cache, distinct_logit_grad, actor_grads)
-            norm = clip_grad_norm(actor_grads, GRAD_CLIP_NORM)
             adam_step(actor, actor_grads, actor_opt, hyper.learning_rate)
-
-            backward(critic, critic_cache, distinct_value_grad[:, None], critic_grads)
-            clip_grad_norm(critic_grads, GRAD_CLIP_NORM)
             adam_step(critic, critic_grads, critic_opt, hyper.learning_rate)
 
             rows.append((policy_loss, value_loss, entropy_mean, clip_frac, norm,
@@ -387,6 +498,9 @@ def train(variants: Sequence[MachineVariant], hyper: Hyperparams,
     The pool steps all its envs as one array operation and restarts
     finished episodes within that step, so ``hyper.env_count`` is cheap
     to raise: the cost per env step falls as the pool grows.
+    Where _worker_can_run(), a CriticWorker runs the critic's minibatch
+    gradients on a second core, with the same bits, and has exited when
+    train returns or raises.
     """
     if not variants:
         raise ContractViolationError("need at least one training variant")
@@ -397,42 +511,43 @@ def train(variants: Sequence[MachineVariant], hyper: Hyperparams,
     report = TrainReport()
     steps_per_update = hyper.horizon * hyper.env_count
 
-    while ckpt.env_steps < hyper.total_steps:
-        update_index = ckpt.update_index
-        rollout_rng = np.random.default_rng(derive_seed(hyper.seed, 3, update_index))
-        shuffle_rng = np.random.default_rng(derive_seed(hyper.seed, 4, update_index))
+    with CriticWorker(ckpt.critic) if _worker_can_run() else nullcontext() as worker:
+        while ckpt.env_steps < hyper.total_steps:
+            update_index = ckpt.update_index
+            rollout_rng = np.random.default_rng(derive_seed(hyper.seed, 3, update_index))
+            shuffle_rng = np.random.default_rng(derive_seed(hyper.seed, 4, update_index))
 
-        buf = collect_rollout(pool, ckpt.actor, ckpt.critic, hyper.horizon, rollout_rng)
-        advantages, returns = gae(buf.rewards, buf.values, buf.dones, buf.bootstrap,
-                                  hyper.discount, hyper.gae_lambda)
-        critic_fit = explained_variance(buf.values, returns)
-        try:
-            stats = ppo_update(ckpt.actor, ckpt.critic, ckpt.actor_opt, ckpt.critic_opt,
-                               buf, advantages, returns, hyper, shuffle_rng)
-        except TrainingDivergedError as exc:
-            exc.update_index = update_index
-            raise
+            buf = collect_rollout(pool, ckpt.actor, ckpt.critic, hyper.horizon, rollout_rng)
+            advantages, returns = gae(buf.rewards, buf.values, buf.dones, buf.bootstrap,
+                                      hyper.discount, hyper.gae_lambda)
+            critic_fit = explained_variance(buf.values, returns)
+            try:
+                stats = ppo_update(ckpt.actor, ckpt.critic, ckpt.actor_opt, ckpt.critic_opt,
+                                   buf, advantages, returns, hyper, shuffle_rng, worker)
+            except TrainingDivergedError as exc:
+                exc.update_index = update_index
+                raise
 
-        del buf, advantages, returns  # spent: freed before the next rollout
-        ckpt.update_index = update_index + 1
-        ckpt.env_steps += steps_per_update
+            del buf, advantages, returns  # spent: freed before the next rollout
+            ckpt.update_index = update_index + 1
+            ckpt.env_steps += steps_per_update
 
-        finished = pool.drain_finished()
-        wins = [steps for steps, _, win in finished if win]
-        row = UpdateRow(
-            update=ckpt.update_index,
-            env_steps=ckpt.env_steps,
-            episodes=len(finished),
-            mean_episode_reward=(float(np.mean([r for _, r, _ in finished]))
-                                 if finished else float("nan")),
-            win_rate=len(wins) / len(finished) if finished else float("nan"),
-            mean_winning_steps=float(np.mean(wins)) if wins else float("nan"),
-            **asdict(stats),
-            explained_variance=critic_fit,
-        )
-        report.rows.append(row)
-        if progress is not None:
-            progress(row)
+            finished = pool.drain_finished()
+            wins = [steps for steps, _, win in finished if win]
+            row = UpdateRow(
+                update=ckpt.update_index,
+                env_steps=ckpt.env_steps,
+                episodes=len(finished),
+                mean_episode_reward=(float(np.mean([r for _, r, _ in finished]))
+                                     if finished else float("nan")),
+                win_rate=len(wins) / len(finished) if finished else float("nan"),
+                mean_winning_steps=float(np.mean(wins)) if wins else float("nan"),
+                **asdict(stats),
+                explained_variance=critic_fit,
+            )
+            report.rows.append(row)
+            if progress is not None:
+                progress(row)
     return ckpt, report
 
 

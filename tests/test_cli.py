@@ -19,7 +19,7 @@ from motorgame.catalog import (
     machine_by_id,
     save_catalog,
 )
-from motorgame import agents, cli
+from motorgame import agents, cli, ppo
 from motorgame.cli import (
     RunConfig,
     build_parser,
@@ -93,6 +93,45 @@ def test_config_file_rejects_duplicates_and_bad_lines(tmp_path):
     path.write_text("# run\nseed = abc\n")
     with pytest.raises(TextFormatError, match=r":2: bad value for seed: 'abc'"):
         load_config_file(str(path))
+
+
+@pytest.mark.parametrize("key,value,reason", [
+    ("learning_rate", "-1", "learning_rate -1.0 must be > 0"),
+    ("discount", "nan", "discount nan is not finite"),
+    ("horizon", "0", "horizon must be >= 1"),
+    ("right_direction_reward", "-1", "need right_direction_reward > 0 > wrong_direction_reward"),
+    ("revisit_penalty", "0", "revisit_penalty must be negative"),
+    ("win_reward", "inf", "reward values must be finite"),
+    ("max_steps", "0", "max_steps must be an integer >= 1, got 0"),
+])
+def test_a_config_value_that_breaks_its_field_rule_fails_at_its_line(tmp_path, capsys,
+                                                                     key, value, reason):
+    """Each Hyperparams and RewardConfig rule of one field is checked at
+    the config line, before any flag is merged in."""
+    path = tmp_path / "run.cfg"
+    path.write_text(f"# run\nseed = 3\n{key} = {value}\n")
+    with pytest.raises(TextFormatError) as err:
+        load_config_file(str(path))
+    assert str(err.value) == f"{path}:3: bad value for {key}: {reason}"
+    assert main(["--config", str(path), "train"]) == 1
+    assert capsys.readouterr().err == f"error: {path}:3: bad value for {key}: {reason}\n"
+
+
+def test_the_win_reward_rule_spans_keys_and_is_checked_after_the_flags(tmp_path, capsys):
+    """A right_direction_reward too large for the default win_reward is no
+    fault of its line: a flag may still raise win_reward."""
+    path = tmp_path / "run.cfg"
+    path.write_text("right_direction_reward = 10.0\n")
+    assert load_config_file(str(path)) == {"right_direction_reward": 10.0}
+    catalog = _make_catalog(tmp_path, extra=["--machines", "1"])
+    args = ["--config", str(path), "train", "--catalog-path", str(catalog),
+            "--checkpoint-path", str(tmp_path / "ckpt.txt"),
+            "--metrics-path", str(tmp_path / "metrics.txt"), *SMALL_TRAIN]
+    capsys.readouterr()
+    assert main(args) == 1
+    assert capsys.readouterr().err == (
+        "error: win_reward too small to dominate shaping rewards\n")
+    assert main([*args, "--win-reward", "500"]) == 0
 
 
 def test_flags_override_config_file(tmp_path):
@@ -222,6 +261,51 @@ def test_train_metrics_file(tmp_path):
     float(first["policy_loss"])  # parses
     second = dict(kv.split("=", 1) for kv in lines[1].split())
     assert second["update"] == "2" and second["env_steps"] == "64"
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "fork") or len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+    reason="the critic worker needs os.fork and 2 CPUs")
+def test_train_with_the_worker_writes_the_files_of_the_in_process_run(tmp_path, monkeypatch):
+    """`motorgame train` with one BLAS thread forks the critic worker; its
+    checkpoint and metrics.txt are byte for byte the in-process run's.  Four
+    updates of 3 epochs of 48-row minibatches, the last of each epoch short."""
+    catalog = _make_catalog(tmp_path)
+
+    def args(name):
+        return ["train", "--catalog-path", str(catalog),
+                "--checkpoint-path", str(tmp_path / f"{name}.ckpt"),
+                "--metrics-path", str(tmp_path / f"{name}.metrics"),
+                "--horizon", "64", "--env-count", "4", "--total-steps", "1024",
+                "--minibatch-size", "48", "--epochs", "3", "--seed", "5"]
+
+    monkeypatch.setattr(ppo, "_worker_can_run", lambda: False)
+    assert main(args("in_process")) == 0
+    done = _python("-c", "import sys; from motorgame import cli, ppo; "
+                   "sys.exit(cli.main(sys.argv[1:]) if ppo._worker_can_run() else 99)",
+                   *args("worker"), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    assert done.returncode == 0, done.stderr
+    for suffix in ("ckpt", "metrics"):
+        assert (tmp_path / f"worker.{suffix}").read_bytes() == \
+            (tmp_path / f"in_process.{suffix}").read_bytes()
+
+
+@pytest.mark.skipif(not ppo._worker_can_run(),
+                    reason="forks a worker: needs os.fork, 2 CPUs and one OS thread")
+def test_critic_worker_that_dies_exits_one(tmp_path, monkeypatch, capsys):
+    catalog = _make_catalog(tmp_path)
+    parent = os.getpid()
+
+    def dies(*args):
+        assert os.getpid() != parent, "the critic ran in the parent"
+        os._exit(3)
+
+    monkeypatch.setattr(ppo, "_critic_loss", dies)
+    capsys.readouterr()
+    assert main(["train", "--catalog-path", str(catalog),
+                 "--checkpoint-path", str(tmp_path / "ckpt.txt"),
+                 "--metrics-path", str(tmp_path / "metrics.txt"), *SMALL_TRAIN]) == 1
+    assert re.fullmatch(r"error: critic worker \d+ exited\n", capsys.readouterr().err)
 
 
 def test_train_fresh_run_truncates_metrics(tmp_path):
@@ -835,10 +919,11 @@ def test_a_leading_byte_order_mark_is_ignored(tmp_path):
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def _python(*args) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter that finds the package under src/."""
+def _python(*args, **env) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that finds the package under src/, with the
+    environment variables ``env`` set."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p), **env)
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, timeout=60)
 

@@ -1,10 +1,16 @@
 """PPO trainer: rollout collection, advantage estimation, the clipped
 surrogate update, deterministic training/resume, and evaluation."""
 
+import os
 import re
+import subprocess
+import sys
+import threading
 import weakref
+from contextlib import nullcontext
 from dataclasses import astuple, fields, replace
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +64,7 @@ from motorgame.ppo import (
     CHECKPOINT_VERSION_LINE,
     CRITIC_SIZES,
     GRAD_CLIP_NORM,
+    CriticWorker,
     EnvPool,
     Hyperparams,
     UpdateStats,
@@ -802,28 +809,31 @@ def _reference_update(actor, critic, actor_opt, critic_opt, buffer, advantages, 
         pol_losses, val_losses, entropies, clip_fracs, grad_norms, kls)))
 
 
-def _update_pairs(hyper, per_row):
+def _update_pairs(hyper, per_row, worker=False):
     """Run ppo_update and _reference_update side by side on the same three
-    rollouts; returns each update's (stats, reference stats,
-    [(tensor, reference tensor)]) and the reference's pre-clip norms."""
+    rollouts, ppo_update with a CriticWorker if ``worker``; returns each
+    update's (stats, reference stats, [(tensor, reference tensor)]) and
+    the reference's pre-clip norms."""
     ckpt, ref = new_checkpoint(hyper), new_checkpoint(hyper)
     pool = EnvPool(TRAIN_VARIANTS, hyper.env_count)
     updates, norms = [], []
-    for update in range(3):
-        buf = collect_rollout(pool, ckpt.actor, ckpt.critic, hyper.horizon,
-                              np.random.default_rng(update))
-        advantages, returns = _advantages(buf, hyper)
-        got = ppo_update(ckpt.actor, ckpt.critic, ckpt.actor_opt, ckpt.critic_opt,
-                         buf, advantages, returns, hyper, np.random.default_rng([9, update]))
-        want = _reference_update(ref.actor, ref.critic, ref.actor_opt, ref.critic_opt,
-                                 buf, advantages, returns, hyper,
-                                 np.random.default_rng([9, update]), norms, per_row=per_row)
-        assert ckpt.actor_opt.step == ref.actor_opt.step == ckpt.critic_opt.step == (
-            (update + 1) * hyper.epochs * -(-len(buf) // hyper.minibatch_size))
-        updates.append((got, want, [(a.flat.copy(), b.flat.copy()) for a, b in (
-            (ckpt.actor, ref.actor), (ckpt.critic, ref.critic),
-            (ckpt.actor_opt.m, ref.actor_opt.m), (ckpt.actor_opt.v, ref.actor_opt.v),
-            (ckpt.critic_opt.m, ref.critic_opt.m), (ckpt.critic_opt.v, ref.critic_opt.v))]))
+    with CriticWorker(ckpt.critic) if worker else nullcontext() as critic_worker:
+        for update in range(3):
+            buf = collect_rollout(pool, ckpt.actor, ckpt.critic, hyper.horizon,
+                                  np.random.default_rng(update))
+            advantages, returns = _advantages(buf, hyper)
+            got = ppo_update(ckpt.actor, ckpt.critic, ckpt.actor_opt, ckpt.critic_opt,
+                             buf, advantages, returns, hyper, np.random.default_rng([9, update]),
+                             critic_worker)
+            want = _reference_update(ref.actor, ref.critic, ref.actor_opt, ref.critic_opt,
+                                     buf, advantages, returns, hyper,
+                                     np.random.default_rng([9, update]), norms, per_row=per_row)
+            assert ckpt.actor_opt.step == ref.actor_opt.step == ckpt.critic_opt.step == (
+                (update + 1) * hyper.epochs * -(-len(buf) // hyper.minibatch_size))
+            updates.append((got, want, [(a.flat.copy(), b.flat.copy()) for a, b in (
+                (ckpt.actor, ref.actor), (ckpt.critic, ref.critic),
+                (ckpt.actor_opt.m, ref.actor_opt.m), (ckpt.actor_opt.v, ref.actor_opt.v),
+                (ckpt.critic_opt.m, ref.critic_opt.m), (ckpt.critic_opt.v, ref.critic_opt.v))]))
     return updates, norms
 
 
@@ -895,6 +905,221 @@ def test_ppo_update_runs_each_net_on_the_minibatch_distinct_rows(monkeypatch, mi
         assert out == want_out == grad_out
         assert np.array_equal(x, want_x)
         assert np.array_equal(cache_x, want_x) and grad_shape == (len(want_x), out)
+
+
+# --- the critic worker -------------------------------------------------------------
+
+# The tests named critic_worker fork a CriticWorker in this process, which
+# is safe only where it has one OS thread: NumPy's BLAS starts its threads
+# at import unless OPENBLAS_NUM_THREADS=1.  Elsewhere
+# test_one_blas_thread_runs_the_worker_path_tests runs them in a fresh
+# pytest with one BLAS thread.
+needs_worker = pytest.mark.skipif(
+    not ppo_module._worker_can_run(),
+    reason="forks a worker: needs os.fork, 2 CPUs and one OS thread")
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _can_use_two_cpus() -> bool:
+    return hasattr(os, "fork") and len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) >= 2
+
+
+@pytest.mark.skipif(ppo_module._worker_can_run() or not _can_use_two_cpus(),
+                    reason="the critic_worker tests run in this process, or cannot run")
+def test_one_blas_thread_runs_the_worker_path_tests():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-k", "critic_worker",
+         str(ROOT / "tests" / "test_ppo.py"), str(ROOT / "tests" / "test_cli.py")],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr
+    summary = done.stdout.strip().splitlines()[-1]
+    assert "passed" in summary and "skipped" not in summary, summary
+
+
+# several epochs; stock; a short last minibatch of 1024; one minibatch
+# larger than the batch
+@needs_worker
+@pytest.mark.parametrize("minibatch_size,epochs", [(64, 4), (300, 3), (2000, 2)])
+def test_critic_worker_update_matches_the_minibatch_loop_reference(minibatch_size, epochs):
+    hyper = Hyperparams(horizon=128, env_count=8, minibatch_size=minibatch_size,
+                        epochs=epochs, learning_rate=0.05, entropy_coef=1.0, seed=9)
+    updates, norms = _update_pairs(hyper, per_row=False, worker=True)
+    for got, want, tensors in updates:
+        assert got == want
+        for a, b in tensors:
+            assert np.array_equal(a, b)
+    assert any(c > GRAD_CLIP_NORM for _, c in norms)
+
+
+def _record_forks(monkeypatch) -> list[int]:
+    """The pids of the processes os.fork starts from now on."""
+    pids, fork = [], os.fork
+
+    def recorded():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return pids
+
+
+def _assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def _spoiled_value_loss(at):
+    """forward, with the critic's output on its ``at``-th minibatch NaN."""
+    calls = []
+
+    def spoiled(params, x):
+        out, cache = forward(params, x)
+        if params.sizes[-1] == 1 and len(x) < len(ALL_OBSERVATIONS):
+            calls.append(1)
+            if len(calls) == at:
+                out[0, 0] = np.nan
+        return out, cache
+
+    return "forward", spoiled
+
+
+def _spoiled_critic_gradient(at):
+    """clip_grad_norm, with the critic's gradient on its ``at``-th
+    minibatch NaN before the clip."""
+    calls, clip = [], ppo_module.clip_grad_norm
+
+    def spoiled(grads, max_norm):
+        if grads.sizes[-1] == 1:
+            calls.append(1)
+            if len(calls) == at:
+                grads.flat[5] = np.nan
+        return clip(grads, max_norm)
+
+    return "clip_grad_norm", spoiled
+
+
+def _diverged_train(monkeypatch, spoil, at, worker):
+    """Train two updates of 8 minibatches each with ``spoil(at)`` in place,
+    in-process or with the worker; returns the error and the checkpoint."""
+    hyper = replace(SMALL, total_steps=64)
+    ckpt = new_checkpoint(hyper)
+    with monkeypatch.context() as patch:
+        patch.setattr(ppo_module, "_worker_can_run", lambda: worker)
+        patch.setattr(ppo_module, *spoil(at))
+        pids = _record_forks(patch)
+        with pytest.raises(TrainingDivergedError) as err:
+            train(TRAIN_VARIANTS, hyper, checkpoint=ckpt)
+    assert len(pids) == worker
+    _assert_reaped(pids)
+    return err.value, ckpt
+
+
+@needs_worker
+@pytest.mark.parametrize("spoil,message,steps_before", [
+    # raised before either Adam step
+    (_spoiled_value_loss, r"non-finite loss \(policy=.*, value=nan, ", (-1, -1)),
+    # raised by the critic's Adam step, after the actor's
+    (_spoiled_critic_gradient, "non-finite gradient", (0, -1))],
+    ids=["value_loss", "critic_gradient"])
+def test_critic_worker_diverges_as_the_in_process_update(monkeypatch, spoil, message,
+                                                        steps_before):
+    at = 11  # the second update's third minibatch
+    (error, ckpt), (want_error, want) = (
+        _diverged_train(monkeypatch, spoil, at, worker) for worker in (True, False))
+    assert str(error) == str(want_error) and re.match(message, str(error))
+    assert error.update_index == want_error.update_index == 1
+    assert (ckpt.actor_opt.step, ckpt.critic_opt.step) == (
+        want.actor_opt.step, want.critic_opt.step) == tuple(at + s for s in steps_before)
+    for got, expected in zip(
+            (ckpt.actor, ckpt.critic, ckpt.actor_opt.m, ckpt.actor_opt.v,
+             ckpt.critic_opt.m, ckpt.critic_opt.v),
+            (want.actor, want.critic, want.actor_opt.m, want.actor_opt.v,
+             want.critic_opt.m, want.critic_opt.v)):
+        assert np.array_equal(got.flat, expected.flat)
+
+
+@needs_worker
+def test_critic_worker_train_is_the_in_process_train_and_leaves_no_process(monkeypatch):
+    hyper = replace(SMALL, total_steps=64)
+    pids = _record_forks(monkeypatch)
+    with_worker, _ = train(TRAIN_VARIANTS, hyper)
+    assert len(pids) == 1
+    _assert_reaped(pids)
+    monkeypatch.setattr(ppo_module, "_worker_can_run", lambda: False)
+    in_process, _ = train(TRAIN_VARIANTS, hyper)
+    assert len(pids) == 1
+    for got, want in ((with_worker.critic, in_process.critic),
+                      (with_worker.critic_opt.v, in_process.critic_opt.v)):
+        assert np.array_equal(got.flat, want.flat)
+
+
+@needs_worker
+def test_critic_worker_that_dies_is_an_os_error(monkeypatch):
+    parent = os.getpid()
+
+    def dies(*args):
+        assert os.getpid() != parent, "the critic ran in the parent"
+        os._exit(3)
+
+    monkeypatch.setattr(ppo_module, "_critic_loss", dies)
+    pids = _record_forks(monkeypatch)
+    with pytest.raises(OSError, match=r"critic worker \d+ exited"):
+        train(TRAIN_VARIANTS, SMALL)
+    assert len(pids) == 1
+    _assert_reaped(pids)
+
+
+def test_train_forks_a_worker_only_where_the_rule_allows(monkeypatch):
+    """The worker needs os.fork, at least 2 allowed CPUs and a process with
+    one OS thread; each condition is probed here without forking."""
+    class Forked(Exception):
+        pass
+
+    def fork():
+        raise Forked
+
+    listdir = os.listdir
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "listdir", lambda path: (
+        ["1"] if path == "/proc/self/task" else listdir(path)))
+    with pytest.raises(Forked):
+        train(TRAIN_VARIANTS, SMALL)
+    for name, value in (("fork", None), ("sched_getaffinity", lambda pid: {0}),
+                        ("listdir", lambda path: ["1", "2"])):
+        with monkeypatch.context() as patch:
+            if value is None:
+                patch.delattr(os, name)
+            else:
+                patch.setattr(os, name, value)
+            assert not ppo_module._worker_can_run()
+            ckpt, _ = train(TRAIN_VARIANTS, SMALL)
+            assert ckpt.update_index == 1
+
+
+def test_a_second_thread_keeps_training_in_process():
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("the OS thread count is read from /proc")
+    before = len(os.listdir("/proc/self/task"))
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert len(os.listdir("/proc/self/task")) == before + 1
+        assert not ppo_module._worker_can_run()
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    # the OS thread may outlive join() briefly; later tests count on it gone
+    for _ in range(1000):
+        if len(os.listdir("/proc/self/task")) == before:
+            break
+        threading.Event().wait(0.001)
+    assert len(os.listdir("/proc/self/task")) == before
 
 
 # --- training loop -----------------------------------------------------------------
