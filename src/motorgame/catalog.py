@@ -14,7 +14,13 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import surrogate
-from .errors import ContractViolationError, GenerationExhaustedError, TextFormatError, is_int
+from .errors import (
+    ContractViolationError,
+    GenerationExhaustedError,
+    TextFormatError,
+    check_count,
+    is_int,
+)
 from .kvtext import Section, check_layout, format_value, read_sections, write_text
 from .surrogate import DesignPoint, Performance, evaluate_grid
 
@@ -195,10 +201,8 @@ class MachineVariant:
 
 def variant_seed_for(catalog_seed: int, base_id: int, index: int) -> int:
     """Arithmetic 64-bit mix so each variant is individually reproducible."""
-    if not is_int(catalog_seed) or catalog_seed < 0:
-        raise ContractViolationError(
-            f"catalog seed must be a non-negative integer, got {catalog_seed!r}")
-    x = (int(catalog_seed) * 6364136223846793005 + 1442695040888963407) & _MASK64
+    x = check_count("catalog seed", catalog_seed, least=0)
+    x = (x * 6364136223846793005 + 1442695040888963407) & _MASK64
     x = (x + base_id * 11400714819323198485) & _MASK64
     x = (x * 6364136223846793005 + index * 2862933555777941757 + 3037000493) & _MASK64
     return x
@@ -228,8 +232,7 @@ def generate_variants(base: BaseMachine, count: int, seed: int) -> list[MachineV
     (base, count, seed).  Raises GenerationExhaustedError after
     MAX_DRAW_ATTEMPTS consecutive infeasible draws for one slot.
     """
-    if not is_int(count) or count < 1:
-        raise ContractViolationError(f"count must be an integer >= 1, got {count!r}")
+    check_count("count", count)
     d0 = base.base_design
     ends = ([pu * d0.length for pu in INITIAL_LENGTH_PU],
             [d0.turns + off for off in INITIAL_TURNS_OFFSET],
@@ -287,8 +290,8 @@ def save_catalog(variants: list[MachineVariant], path) -> None:
 
 
 def _build_variant(section: Section) -> MachineVariant:
-    """Each value is parsed at its own line, in file order; then the start
-    and the split are checked at the header."""
+    """Each value is parsed at its own line, in file order but the split
+    last; the start, which spans three keys, is checked at the header."""
     base = section.parse("base_id", lambda text: machine_by_id(int(text)))
     seed = section.parse("variant_seed", int)
     design = [section.parse(key, conv)
@@ -296,10 +299,11 @@ def _build_variant(section: Section) -> MachineVariant:
     bands = [section.parse(key, lambda text, name=name: _band(name, text.split(",")))
              for name, key in zip(_QUANTITIES, _BAND_KEYS)]
     try:
-        return MachineVariant(base, seed, surrogate.lattice_index(base, DesignPoint(*design)),
-                              TargetBands(*bands), section.values["split"])
+        variant = MachineVariant(base, seed, surrogate.lattice_index(base, DesignPoint(*design)),
+                                 TargetBands(*bands))
     except ContractViolationError as exc:
         raise section.fail(str(exc)) from None
+    return section.parse("split", lambda text: with_split(variant, text))
 
 
 def load_catalog(path) -> list[MachineVariant]:

@@ -30,8 +30,14 @@ from .catalog import (
     with_split,
 )
 from .env import FLAG_NAMES, RewardConfig, all_flags_zero, flags
-from .errors import ContractViolationError, MotorGameError, TextFormatError, TrainingDivergedError
-from .kvtext import format_value, parse_value, read_sections, write_text
+from .errors import (
+    ContractViolationError,
+    MotorGameError,
+    TextFormatError,
+    TrainingDivergedError,
+    check_count,
+)
+from .kvtext import format_value, parse_field, read_sections, write_text
 from .ppo import (
     EVAL_MODES,
     Hyperparams,
@@ -89,15 +95,8 @@ RunConfig = make_dataclass(
     frozen=True)
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-# key -> the check of its own rule by its dataclass
-_FIELD_RULES = {key: cls.check_field for cls in (Hyperparams, RewardConfig) for key in _keys(cls)}
-
-
-def _config_value(text: str, key: str):
-    value = parse_value(text, _FIELD_TYPES[key])
-    if key in _FIELD_RULES:
-        _FIELD_RULES[key](key, value)
-    return value
+# key -> the dataclass whose field it is; parse_field reads the key as that field
+_OWNERS = {key: cls for cls in (Hyperparams, RewardConfig, CommandSettings) for key in _keys(cls)}
 
 
 def load_config_file(path: str) -> dict[str, object]:
@@ -107,9 +106,9 @@ def load_config_file(path: str) -> dict[str, object]:
     section = read_sections(path)[0]
     values: dict[str, object] = {}
     for key, line in section.lines.items():
-        if key not in _FIELD_TYPES:
+        if key not in _OWNERS:
             raise section.fail(f"unknown config key {key!r}", line)
-        values[key] = section.parse(key, partial(_config_value, key=key))
+        values[key] = section.parse(key, partial(parse_field, _OWNERS[key], key))
     return values
 
 
@@ -246,8 +245,7 @@ def cmd_eval(config: RunConfig) -> int:
     # checked for every agent, though only ppo reads the mode
     if config.eval_mode not in EVAL_MODES:
         raise ContractViolationError(f"unknown --eval-mode {config.eval_mode!r}")
-    if config.episodes_per_variant < 1:
-        raise ContractViolationError("--episodes-per-variant must be >= 1")
+    check_count("--episodes-per-variant", config.episodes_per_variant)
     variants = _load_variants(config, config.split)
     reward_config = _settings(RewardConfig, config)
     if config.agent == "ppo":

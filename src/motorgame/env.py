@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .catalog import BaseMachine, MachineVariant, TargetBands
-from .errors import ContractViolationError, is_int
+from .errors import ContractViolationError, check_count, is_int
 from .surrogate import (
     DesignPoint,
     Performance,
@@ -134,8 +134,7 @@ class RewardConfig:
         """Raise a ContractViolationError if ``value`` breaks the rule of
         field ``name`` alone."""
         if name == "max_steps":
-            if not is_int(value) or value < 1:
-                raise ContractViolationError(f"max_steps must be an integer >= 1, got {value!r}")
+            check_count(name, value)
             return
         values = tuple(value) if name == "priority_weights" else (value,)
         if not all(map(math.isfinite, values)):
@@ -356,8 +355,7 @@ class EnvPool:
         variants = tuple(variants)
         if not variants:
             raise ContractViolationError("need at least one variant")
-        if not is_int(env_count) or env_count < 1:
-            raise ContractViolationError(f"env_count must be an integer >= 1, got {env_count!r}")
+        check_count("env_count", env_count)
         self.config = cfg = reward_config if reward_config is not None else RewardConfig()
         grids = {m: evaluate_grid(m) for m in dict.fromkeys(v.base for v in variants)}
         self._perf_table = np.concatenate([g.reshape(5, -1) for g in grids.values()], axis=1)
@@ -490,8 +488,7 @@ def walk(variant: MachineVariant, policies: Iterable[Callable[[int], int]],
     of ALL_OBSERVATIONS.  From variant.start it moves by move_table() over a
     (5, points) view of evaluate_grid and finds each point's flag code with
     _flag_code() once per call."""
-    if not is_int(max_steps) or max_steps < 1:
-        raise ContractViolationError(f"max_steps must be an integer >= 1, got {max_steps!r}")
+    check_count("max_steps", max_steps)
     bands, shape, flag_codes, rows = variant.target_bands.as_tuple(), variant.base.shape, {}, []
     values, after = evaluate_grid(variant.base).reshape(5, -1), move_table(shape)
     start = int(np.ravel_multi_index(variant.start, shape))

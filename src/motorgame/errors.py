@@ -1,4 +1,4 @@
-"""Exception types and the integer check shared across the package."""
+"""Exception types, and the integer and count checks shared across the package."""
 
 import numpy as np
 
@@ -6,6 +6,13 @@ import numpy as np
 def is_int(value) -> bool:
     """An int or a numpy integer; not a bool or a float, though int() takes them."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_count(name: str, value, least: int = 1) -> int:
+    """The count rule: ``value`` as an int, if is_int() and at least ``least``."""
+    if not is_int(value) or value < least:
+        raise ContractViolationError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 class MotorGameError(Exception):

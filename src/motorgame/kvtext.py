@@ -13,7 +13,7 @@ from __future__ import annotations
 import codecs
 import contextlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -135,13 +135,15 @@ def format_value(value) -> str:
     return repr(float(value)) if isinstance(value, (float, np.floating)) else str(value)
 
 
-def parse_value(text: str, kind: str):
-    """Inverse of format_value for a field annotated "int", "float" or "str"."""
-    if kind == "int":
-        return int(text)
-    if kind == "float":
-        return float(text)
-    return text
+def parse_field(cls, name: str, text: str):
+    """Inverse of format_value for field ``name`` of dataclass ``cls``,
+    annotated "int", "float" or "str": the value, checked by
+    ``cls.check_field`` where the class has that rule."""
+    kind = next(f.type for f in fields(cls) if f.name == name)
+    value = {"int": int, "float": float}.get(kind, str)(text)
+    if hasattr(cls, "check_field"):
+        cls.check_field(name, value)
+    return value
 
 
 def format_array(arr: np.ndarray) -> str:

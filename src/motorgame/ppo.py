@@ -26,13 +26,19 @@ import numpy as np
 
 from .catalog import BaseMachine, MachineVariant
 from .env import ALL_OBSERVATIONS, NUM_ACTIONS, OBSERVATION_DIM, EnvPool, RewardConfig, walk
-from .errors import ContractViolationError, TextFormatError, TrainingDivergedError, is_int
+from .errors import (
+    ContractViolationError,
+    TextFormatError,
+    TrainingDivergedError,
+    check_count,
+    is_int,
+)
 from .kvtext import (
     check_layout,
     format_array,
     format_value,
     parse_array,
-    parse_value,
+    parse_field,
     read_sections,
     write_text,
 )
@@ -101,8 +107,10 @@ class Hyperparams:
         kind = {f.name: f.type for f in fields(cls)}[name]
         if kind == "float" and not math.isfinite(value):
             raise ContractViolationError(f"{name} {value} is not finite")
-        if kind == "int" and not is_int(value):
-            raise ContractViolationError(f"{name} must be an integer, got {value!r}")
+        if name == "seed" and not is_int(value):
+            raise ContractViolationError(f"seed must be an integer, got {value!r}")
+        if kind == "int" and name != "seed":
+            check_count(name, value)
         if name == "discount" and not 0.0 < value <= 1.0:
             raise ContractViolationError(f"discount {value} outside (0, 1]")
         if name == "gae_lambda" and not 0.0 <= value <= 1.0:
@@ -111,9 +119,6 @@ class Hyperparams:
             raise ContractViolationError(f"{name} {value} must be > 0")
         if name in ("value_coef", "entropy_coef") and value < 0.0:
             raise ContractViolationError(f"{name} {value} must be >= 0")
-        if name in ("epochs", "minibatch_size", "horizon", "total_steps", "env_count") \
-                and value < 1:
-            raise ContractViolationError(f"{name} must be >= 1")
 
 
 @dataclass
@@ -138,8 +143,7 @@ def collect_rollout(pool: EnvPool, actor: MlpParams, critic: MlpParams,
     and critic: each net runs once on ALL_OBSERVATIONS, a step samples the
     rows of the pool's observation codes from the actor's Categorical, and
     the log-probs and values of all steps are read after the loop."""
-    if not is_int(horizon) or horizon < 1:
-        raise ContractViolationError(f"horizon must be an integer >= 1, got {horizon!r}")
+    check_count("horizon", horizon)
     policy = Categorical(forward(actor, ALL_OBSERVATIONS)[0])
     table_values = forward(critic, ALL_OBSERVATIONS)[0][:, 0]
     shape = (horizon, pool.env_count)
@@ -597,9 +601,7 @@ def evaluate_agent(play: Callable[..., Iterable[tuple[int, bool]]],
     mean_steps_all.  The summary is keyed by machine id, so two different
     machines that share an id are rejected.
     """
-    if not is_int(episodes_per_variant) or episodes_per_variant < 1:
-        raise ContractViolationError(
-            f"episodes_per_variant must be an integer >= 1, got {episodes_per_variant!r}")
+    check_count("episodes_per_variant", episodes_per_variant)
     config = reward_config or RewardConfig()
     machines = {}
     for variant in variants:
@@ -721,11 +723,8 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
     write_text(path, "\n".join(lines) + "\n")
 
 
-def _count(text: str) -> int:
-    count = int(text)
-    if count < 0:
-        raise ContractViolationError(f"{count} is negative")
-    return count
+def _count(key: str, text: str) -> int:
+    return check_count(key, int(text), least=0)
 
 
 def _network(text: str, outputs: int) -> MlpParams:
@@ -741,7 +740,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint written by save_checkpoint.  Its sections must be
     those of _CHECKPOINT_KEYS, once each and in that order, and their keys
     are checked before any value is parsed.  A bad value fails at its own
-    line, and [hyper]'s cross-field checks at its header."""
+    line; [hyper] reads each field as a config file does (parse_field)."""
     found = read_sections(path, CHECKPOINT_VERSION_LINE)
     check_layout(found, _CHECKPOINT_KEYS)
     names = list(_CHECKPOINT_KEYS)
@@ -752,19 +751,17 @@ def load_checkpoint(path: str) -> Checkpoint:
     if len(found) < len(names):
         raise TextFormatError(f"missing section [{names[len(found)]}]", path)
     sections = dict(zip(names, found))
-    values = {key: sections["meta"].parse(key, _count) for key in _CHECKPOINT_KEYS["meta"]}
-    try:
-        hyper = Hyperparams(**{f.name: sections["hyper"].parse(
-            f.name, partial(parse_value, kind=f.type)) for f in fields(Hyperparams)})
-    except ContractViolationError as exc:
-        raise sections["hyper"].fail(f"bad [hyper] section: {exc}") from None
+    values = {key: sections["meta"].parse(key, partial(_count, key))
+              for key in _CHECKPOINT_KEYS["meta"]}
+    hyper = Hyperparams(**{key: sections["hyper"].parse(key, partial(
+        parse_field, Hyperparams, key)) for key in _CHECKPOINT_KEYS["hyper"]})
     for name, outputs in (("actor", NUM_ACTIONS), ("critic", 1)):
         net, moments = sections[name], sections[f"{name}_opt"]
         params = net.parse("sizes", partial(_network, outputs=outputs))
         array = partial(parse_array, shape=params.flat.shape)
         params.flat[:] = net.parse("flat", array)
         opt = AdamState.for_params(params)
-        opt.step = moments.parse("step", _count)
+        opt.step = moments.parse("step", partial(_count, "step"))
         opt.m.flat[:], opt.v.flat[:] = moments.parse("m", array), moments.parse("v", array)
         values |= {name: params, f"{name}_opt": opt}
     return Checkpoint(**values, hyper=hyper)

@@ -542,13 +542,16 @@ def test_load_rejects_a_start_off_the_lattice_at_its_header(tmp_path, key):
     assert err.value.line == lines.index("[variant]") + 1
 
 
-def test_load_rejects_a_misspelled_split_at_its_header(tmp_path):
+def test_load_rejects_a_misspelled_split_at_its_line(tmp_path):
+    """The loader's split converter is MachineVariant's split rule."""
     path, lines = _one_variant_catalog(tmp_path)
-    lines[lines.index("split = train")] = "split = trian"
+    at = lines.index("split = train")
+    lines[at] = "split = trian"
     path.write_text("\n".join(lines))
-    with pytest.raises(TextFormatError, match="split 'trian'") as err:
+    with pytest.raises(TextFormatError) as err:
         load_catalog(path)
-    assert err.value.line == lines.index("[variant]") + 1
+    assert str(err.value) == (
+        f"{path}:{at + 1}: bad value for split: split 'trian' is not 'train' or 'holdout'")
 
 
 def test_load_ignores_comments_and_blanks(tmp_path):

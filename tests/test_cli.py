@@ -98,7 +98,7 @@ def test_config_file_rejects_duplicates_and_bad_lines(tmp_path):
 @pytest.mark.parametrize("key,value,reason", [
     ("learning_rate", "-1", "learning_rate -1.0 must be > 0"),
     ("discount", "nan", "discount nan is not finite"),
-    ("horizon", "0", "horizon must be >= 1"),
+    ("horizon", "0", "horizon must be an integer >= 1, got 0"),
     ("right_direction_reward", "-1", "need right_direction_reward > 0 > wrong_direction_reward"),
     ("revisit_penalty", "0", "revisit_penalty must be negative"),
     ("win_reward", "inf", "reward values must be finite"),
@@ -583,10 +583,10 @@ def test_eval_rejects_checkpoint_with_a_nan_learning_rate(tmp_path, capsys):
     assert "learning_rate = 0.0003\n" in text
     ckpt_path.write_text(text.replace("learning_rate = 0.0003\n", "learning_rate = nan\n"))
     capsys.readouterr()
-    header = ckpt_path.read_text().splitlines().index("[hyper]") + 1
+    line = ckpt_path.read_text().splitlines().index("learning_rate = nan") + 1
     assert main(_eval_args(tmp_path, catalog, ckpt_path)) == 1
-    assert capsys.readouterr().err == (
-        f"error: {ckpt_path}:{header}: bad [hyper] section: learning_rate nan is not finite\n")
+    assert capsys.readouterr().err == (f"error: {ckpt_path}:{line}: bad value for learning_rate: "
+                                       "learning_rate nan is not finite\n")
 
 
 def test_v1_checkpoint_fails_eval_and_resume(tmp_path, capsys):

@@ -140,3 +140,28 @@ def test_only_the_catalog_reads_the_step_sizes():
                   if isinstance(node, ast.Attribute) and node.attr in ("bounds", "step_sizes")
                   and id(node) not in allowed]
     assert found == [], f"bounds or step sizes read outside BaseMachine: {', '.join(found)}"
+
+
+def test_only_errors_states_the_count_rule():
+    """errors.check_count is the one rule "an integer of at least k": no
+    other package module raises its message or tests ``is_int(x)``
+    together with ``x < k`` or ``x >= k``."""
+    found = []
+    for path in MODULES:
+        if path.name == "errors.py":
+            continue
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise):
+                found += [f"{path.name}:{node.lineno}: raises {text.value!r}"
+                          for text in ast.walk(node) if isinstance(text, ast.Constant)
+                          and "must be an integer >=" in str(text.value)]
+            if isinstance(node, ast.BoolOp):
+                checked = {ast.dump(call.args[0]) for call in ast.walk(node)
+                           if isinstance(call, ast.Call)
+                           and getattr(call.func, "id", "") == "is_int"}
+                found += [f"{path.name}:{node.lineno}: is_int and a bound"
+                          for test in ast.walk(node) if isinstance(test, ast.Compare)
+                          and ast.dump(test.left) in checked
+                          and isinstance(test.ops[0], (ast.Lt, ast.GtE))]
+    assert found == [], f"the count rule outside errors.py: {', '.join(found)}"

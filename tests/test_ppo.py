@@ -1911,7 +1911,8 @@ def test_checkpoint_rejects_negative_counts(tmp_path, section, key):
     path = tmp_path / "ckpt.txt"
     save_checkpoint(new_checkpoint(SMALL), str(path))
     line = _rewrite_checkpoint_value(path, section, key, lambda _: "-1")
-    with pytest.raises(TextFormatError, match=f"bad value for {key}: -1 is negative") as err:
+    with pytest.raises(TextFormatError,
+                       match=f"bad value for {key}: {key} must be an integer >= 0, got -1$") as err:
         load_checkpoint(str(path))
     assert err.value.line == line
 
@@ -1951,13 +1952,16 @@ def test_checkpoint_rejects_networks_that_do_not_fit_the_game(tmp_path, net, siz
 # (section, key, rewrite, reason) for one key of each kind; the reason
 # of text that does not parse is the text, cut short for an array
 BAD_VALUES = [
-    ("meta", "update_index", lambda _: "-1", "-1 is negative"),
+    ("meta", "update_index", lambda _: "-1", "update_index must be an integer >= 0, got -1"),
     ("meta", "env_steps", lambda _: "1.5", "'1.5'"),
     ("hyper", "epochs", lambda _: "four", "'four'"),
     ("hyper", "discount", lambda _: "0.99x", "'0.99x'"),
+    ("hyper", "horizon", lambda _: "0", "horizon must be an integer >= 1, got 0"),
+    ("hyper", "learning_rate", lambda _: "-1", "learning_rate -1.0 must be > 0"),
+    ("hyper", "clip_ratio", lambda _: "nan", "clip_ratio nan is not finite"),
     ("critic", "sizes", lambda _: "11 64 64 6", "(11, 64, 64, 6) do not map 11 -> 1"),
     ("actor", "flat", _spoil_middle_token("nan"), "non-finite value at index"),
-    ("critic_opt", "step", lambda _: "-3", "-3 is negative"),
+    ("critic_opt", "step", lambda _: "-3", "step must be an integer >= 0, got -3"),
     ("actor_opt", "m", _spoil_middle_token("x"), "'0.0 0.0 0.0"),
     ("critic_opt", "v", _drop_last_token, "expected 4993 values, got 4992"),
 ]
